@@ -433,8 +433,9 @@ def metrics(state: SolverState, reference_value: float | None = None) -> dict:
 
     violation = ||sum_i A~_i y_i - d||_2 + sum over ordered pairs i != j of
     ||y_i - y_j||_2; rel_error = |sum_i f_i(y_i) - f*| / |f*| when a reference
-    objective value f* is supplied (NaN otherwise); eps1/eps2 are the norms of
-    the tracking and dual disagreement with their means.
+    objective value f* is supplied (NaN otherwise), and the absolute error
+    |sum_i f_i(y_i)| when f* = 0; eps1/eps2 are the norms of the tracking and
+    dual disagreement with their means.
     """
     p = state.problem
     N = state.n_agents
@@ -450,7 +451,9 @@ def metrics(state: SolverState, reference_value: float | None = None) -> dict:
         rel = float("nan")
     else:
         total = sum(p.algorithmic[i].value(state.Y[i]) for i in range(N))
-        rel = abs(total - reference_value) / abs(reference_value)
+        rel = abs(total - reference_value)
+        if reference_value != 0:
+            rel /= abs(reference_value)
 
     eps1 = float(np.linalg.norm(state.H - state.H.mean(axis=0)))
     eps2 = float(np.linalg.norm(state.Lam - state.Lam.mean(axis=0)))

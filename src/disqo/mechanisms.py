@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConventionMismatch, Infeasible, InfeasibleWithoutAgent
+from .errors import ConventionMismatch, Infeasible, InfeasibleWithoutAgent, MaxIterReached
 from .problem import (
     CentralSolution,
     CoupledProblem,
@@ -183,7 +183,7 @@ def _objective_value(problem, which: str, distributed=None) -> tuple[np.ndarray,
         graph = build_graph(1, []) if p.n_agents == 1 else random_connected_graph(p.n_agents, np.random.default_rng(0))
     res = admm.solve(p, graph, params)
     if not res.converged:
-        raise Infeasible("distributed VCG solve did not converge")
+        raise MaxIterReached(f"distributed VCG solve did not converge in {res.iterations} rounds")
     return res.x, p.total_value(res.x, "actual")
 
 
@@ -193,7 +193,8 @@ def vcg_payments(problem, cost_basis: str = "true", distributed=None) -> Mechani
     after removing any single agent; raises ``InfeasibleWithoutAgent`` if not.
 
     ``distributed`` may be a (graph, SolverParams) pair to run the N+1 solves
-    with the consensus algorithm instead of the centralized oracle.
+    with the consensus algorithm instead of the centralized oracle; a solve
+    that does not converge raises ``MaxIterReached``.
     """
     if not isinstance(problem, ReportedProblem):
         problem = ReportedProblem.truthful(problem)

@@ -10,6 +10,14 @@ residual (stationarity, primal feasibility, dual nonnegativity, complementary
 slackness) passes the requested tolerance, which is what makes the returned
 duals reliable enough to price with.
 
+Rows of ``G`` with a single nonzero entry are simple bounds. An active bound
+fixes its variable instead of adding a multiplier row, so the polish solves a
+KKT system over the free variables only and reads each bound's multiplier off
+the stationarity residual of its column. Within one solve the linear term is
+fixed and the polish is deterministic, so every active set on a repair
+trajectory that failed is remembered, and later polishes of the same solve
+that reach one stop without solving anything.
+
 Dual convention: a solution satisfies ``Px + q + E'lam + G'alpha = 0`` with
 ``alpha >= 0``. Callers that need the opposite sign on the equality dual flip
 it themselves (see ``problem.centralized_solve``).
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -73,6 +82,30 @@ class QpSolution:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
+
+
+class _ReducedSystem(NamedTuple):
+    """What a polish needs of one active set, independent of ``q`` and ``h``.
+
+    The first active simple bound on a column fixes it (``fix_*``, ``x_fixed``
+    holds the fixed values and zeros elsewhere); the other active rows are
+    ``rows``. ``kkt`` is the KKT matrix over the free columns, the equality
+    rows and ``rows``, and ``rhs_fixed`` the fixed columns' share of its
+    right-hand side.
+    """
+
+    act: np.ndarray  # sorted active rows
+    inactive: np.ndarray  # sorted inactive rows
+    fix_rows: np.ndarray
+    fix_cols: np.ndarray
+    fix_coef: np.ndarray
+    x_fixed: np.ndarray
+    rows: np.ndarray
+    G_rows: np.ndarray
+    free: np.ndarray  # mask of the free columns
+    n_free: int
+    kkt: np.ndarray
+    rhs_fixed: np.ndarray
 
 
 def _empty(n: int) -> np.ndarray:
@@ -134,71 +167,6 @@ def _residuals_pass(res: dict[str, float], tol: float) -> bool:
     )
 
 
-def _polish(P, q, E, h, G, u, active: frozenset[int], tol: float) -> QpSolution | None:
-    """Solve the KKT equality system for a candidate active set, then repair it.
-
-    Violated inactive rows are added and negative-multiplier rows dropped until
-    the candidate is KKT-consistent or the attempt cycles/fails.
-    """
-    n = q.shape[0]
-    me = E.shape[0]
-    mi = G.shape[0]
-    seen: set[frozenset[int]] = set()
-    for _ in range(2 * mi + 8):
-        if active in seen:
-            return None
-        seen.add(active)
-        act = sorted(active)
-        Ga = G[act] if act else _empty(n)
-        m_all = me + len(act)
-        kkt = np.zeros((n + m_all, n + m_all))
-        kkt[:n, :n] = P
-        if me:
-            kkt[:n, n : n + me] = E.T
-            kkt[n : n + me, :n] = E
-        if act:
-            kkt[:n, n + me :] = Ga.T
-            kkt[n + me :, :n] = Ga
-        rhs = np.concatenate([-q, h, u[act]])
-        try:
-            with warnings.catch_warnings():
-                # A contradictory active-set guess gives a singular system; the
-                # residual verification below rejects it, so the warning is noise.
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                sol = scipy.linalg.solve(kkt, rhs)
-            if not np.all(np.isfinite(sol)):
-                raise np.linalg.LinAlgError
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            if not np.all(np.isfinite(sol)):
-                return None
-        x = sol[:n]
-        lam = sol[n : n + me]
-        alpha_act = sol[n + me :]
-
-        drop_tol = max(tol, 1e-11)
-        if alpha_act.size and alpha_act.min() < -drop_tol:
-            worst = act[int(np.argmin(alpha_act))]
-            active = active - {worst}
-            continue
-        slack = u - G @ x if mi else np.zeros(0)
-        inactive = np.array([i for i in range(mi) if i not in active], dtype=int)
-        if inactive.size and slack[inactive].min() < -drop_tol:
-            worst = inactive[int(np.argmin(slack[inactive]))]
-            active = active | {int(worst)}
-            continue
-
-        alpha = np.zeros(mi)
-        if act:
-            alpha[act] = np.maximum(alpha_act, 0.0)
-        res = _kkt_residuals(P, q, E, h, G, u, x, lam, alpha)
-        if _residuals_pass(res, tol):
-            tight = tuple(i for i in act if alpha[i] > 0 or u[i] - G[i] @ x <= tol)
-            return QpSolution(x=x, lam=lam, alpha=alpha, status="optimal", iterations=0, active=tight, residuals=res)
-        return None
-    return None
-
-
 class RepeatedQp:
     """A QP family sharing (P, E, G, u) with a varying linear term.
 
@@ -240,40 +208,39 @@ class RepeatedQp:
             self._lu = scipy.linalg.lu_factor(kkt)
         else:
             self._lu = None
+        # Column of each simple-bound row (one nonzero entry in G), -1 elsewhere.
+        nonzero = self.G != 0
+        single = nonzero.sum(axis=1) == 1
+        self._bound_col = np.where(single, nonzero.argmax(axis=1), -1) if n else np.full(mi, -1)
         self._last_x: np.ndarray | None = None
         self._last_active: frozenset[int] | None = None
+        self._system: tuple[frozenset[int], _ReducedSystem] | None = None  # the last active set's
 
-    def solve(
-        self,
-        q: np.ndarray,
-        h: np.ndarray | None = None,
-        x0: np.ndarray | None = None,
-        active0=None,
-    ) -> QpSolution:
+    def solve(self, q: np.ndarray, h: np.ndarray | None = None) -> QpSolution:
         q = np.asarray(q, dtype=float).ravel()
         h = self.h if h is None else np.asarray(h, dtype=float).ravel()
         if q.shape[0] != self.n or h.shape[0] != self.me:
             raise DimensionMismatch("linear term / equality rhs size mismatch")
 
+        if self.n == 0:
+            return self._solve_empty(h)
         # Unconstrained: direct solve.
         if self.me + self.mi == 0:
             return self._solve_unconstrained(q)
 
-        # Warm active-set guesses: caller's, then the previous solve's.
-        guesses = []
-        if active0 is not None:
-            guesses.append(frozenset(int(i) for i in active0))
-        if self._last_active is not None and self._last_active not in guesses:
-            guesses.append(self._last_active)
-        if self.mi == 0 and not guesses:
-            guesses.append(frozenset())
-        for guess in guesses:
-            polished = _polish(self.P, q, self.E, h, self.G, self.u, guess, self.tol)
+        # Active sets whose repair failed for this (q, h); shared by every polish below.
+        failed: set[frozenset[int]] = set()
+        # Warm active-set guess: the previous solve's.
+        guess = self._last_active
+        if guess is None and self.mi == 0:
+            guess = frozenset()
+        if guess is not None:
+            polished = self._polish(q, h, guess, failed)
             if polished is not None:
                 self._remember(polished)
                 return polished
 
-        sol = self._admm(q, h, x0 if x0 is not None else self._last_x)
+        sol = self._admm(q, h, failed)
         if sol.optimal:
             self._remember(sol)
         return sol
@@ -281,6 +248,14 @@ class RepeatedQp:
     def _remember(self, sol: QpSolution) -> None:
         self._last_x = sol.x.copy()
         self._last_active = frozenset(sol.active)
+
+    def _solve_empty(self, h: np.ndarray) -> QpSolution:
+        """No variables: the empty point is optimal when it is feasible (h = 0, u >= 0)."""
+        x, lam, alpha = np.zeros(0), np.zeros(self.me), np.zeros(self.mi)
+        res = _kkt_residuals(self.P, x, self.E, h, self.G, self.u, x, lam, alpha)
+        if not _residuals_pass(res, self.tol):
+            raise Infeasible("a QP without variables needs h = 0 and u >= 0")
+        return QpSolution(x=x, lam=lam, alpha=alpha, status="optimal", iterations=0, active=(), residuals=res)
 
     def _solve_unconstrained(self, q: np.ndarray) -> QpSolution:
         try:
@@ -292,14 +267,122 @@ class RepeatedQp:
             raise Infeasible("objective is unbounded below (no constraints, gradient not in range of P)")
         return QpSolution(x=x, lam=np.zeros(0), alpha=np.zeros(0), status="optimal", iterations=0, active=(), residuals=res)
 
-    def _admm(self, q: np.ndarray, h: np.ndarray, x0: np.ndarray | None) -> QpSolution:
+    def _polish(self, q: np.ndarray, h: np.ndarray, active: frozenset[int], failed: set[frozenset[int]]) -> QpSolution | None:
+        """Solve the KKT equality system for a candidate active set, then repair it.
+
+        An active simple bound fixes its column at ``u_i / G_ij``; the first
+        active bound on a column (in row order) is the fix, and a later one on
+        the same column is an ordinary row. The system is built over the free
+        columns, the equality rows and the ordinary active rows, and a fixed
+        column's multiplier is read off its stationarity residual.
+
+        Violated inactive rows are added and negative-multiplier rows dropped,
+        one at a time, until the candidate is KKT-consistent or the attempt
+        fails. Failure by a cycle, by a singular system without a finite
+        least-squares answer or by the final residual check records every
+        active set of the trajectory in ``failed``, which must only be shared
+        between polishes with the same ``q`` and ``h``; a polish that reaches a
+        recorded set stops at once. A trajectory cut by the iteration budget is
+        not recorded, since a polish started further along it has budget left.
+        """
+        P, E, G, u, tol = self.P, self.E, self.G, self.u, self.tol
+        n, me, mi = self.n, self.me, self.mi
+        drop_tol = max(tol, 1e-11)
+        seen: set[frozenset[int]] = set()
+        for _ in range(2 * mi + 8):
+            if active in seen or active in failed:
+                failed.update(seen)
+                return None
+            seen.add(active)
+            red = self._reduced_system(active)
+            act, inactive, nf, fixed = red.act, red.inactive, red.n_free, red.rhs_fixed
+            rhs = np.concatenate([-(q[red.free] + fixed[:nf]), h - fixed[nf : nf + me], fixed[nf + me :]])
+            try:
+                with warnings.catch_warnings():
+                    # An ill-conditioned system (a contradictory guess, or a Hessian
+                    # singular on the free columns) only warns; the residual check
+                    # below decides, so the warning is noise.
+                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                    sol = scipy.linalg.solve(red.kkt, rhs)
+                if not np.all(np.isfinite(sol)):
+                    raise np.linalg.LinAlgError
+            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+                sol, *_ = np.linalg.lstsq(red.kkt, rhs, rcond=None)
+                if not np.all(np.isfinite(sol)):
+                    failed.update(seen)
+                    return None
+            x = red.x_fixed.copy()
+            x[red.free] = sol[:nf]
+            lam = sol[nf : nf + me]
+            alpha = np.zeros(mi)
+            alpha[red.rows] = sol[nf + me :]
+            # A fixed column's stationarity residual is its bound's multiplier.
+            grad = P @ x + q + E.T @ lam + red.G_rows.T @ sol[nf + me :]
+            alpha[red.fix_rows] = -grad[red.fix_cols] / red.fix_coef
+            alpha_act = alpha[act]
+
+            if alpha_act.size and alpha_act.min() < -drop_tol:
+                active = active - {int(act[np.argmin(alpha_act)])}
+                continue
+            slack = u - G @ x
+            if inactive.size and slack[inactive].min() < -drop_tol:
+                active = active | {int(inactive[np.argmin(slack[inactive])])}
+                continue
+
+            alpha[act] = np.maximum(alpha_act, 0.0)
+            res = _kkt_residuals(P, q, E, h, G, u, x, lam, alpha)
+            if _residuals_pass(res, tol):
+                tight = tuple(act[(alpha[act] > 0) | (slack[act] <= tol)].tolist())
+                return QpSolution(x=x, lam=lam, alpha=alpha, status="optimal", iterations=0, active=tight, residuals=res)
+            failed.update(seen)
+            return None
+        return None
+
+    def _reduced_system(self, active: frozenset[int]) -> _ReducedSystem:
+        """The reduced system of an active set; the last one is kept, since
+        warm solves polish the same set again and again."""
+        if self._system is not None and self._system[0] == active:
+            return self._system[1]
+        P, E, G, u = self.P, self.E, self.G, self.u
+        n, me, mi = self.n, self.me, self.mi
+        act = np.array(sorted(active), dtype=int)
+        inactive = np.ones(mi, dtype=bool)
+        inactive[act] = False
+        cols = self._bound_col[act]
+        bounds = np.flatnonzero(cols >= 0)
+        _, first = np.unique(cols[bounds], return_index=True)
+        fixes = np.zeros(act.size, dtype=bool)
+        fixes[bounds[first]] = True
+        fix_rows, fix_cols, rows = act[fixes], cols[fixes], act[~fixes]
+        fix_coef = G[fix_rows, fix_cols]
+        free = np.ones(n, dtype=bool)
+        free[fix_cols] = False
+        x_fixed = np.zeros(n)
+        x_fixed[fix_cols] = u[fix_rows] / fix_coef
+
+        nf, mo = n - fix_cols.size, rows.size
+        Gr = G[rows]
+        kkt = np.zeros((nf + me + mo, nf + me + mo))
+        kkt[:nf, :nf] = P[np.ix_(free, free)]
+        if me:
+            kkt[:nf, nf : nf + me] = E[:, free].T
+            kkt[nf : nf + me, :nf] = E[:, free]
+        if mo:
+            kkt[:nf, nf + me :] = Gr[:, free].T
+            kkt[nf + me :, :nf] = Gr[:, free]
+        rhs_fixed = np.concatenate([(P @ x_fixed)[free], E @ x_fixed, u[rows] - Gr @ x_fixed])
+        red = _ReducedSystem(act, np.flatnonzero(inactive), fix_rows, fix_cols, fix_coef, x_fixed, rows, Gr, free, nf, kkt, rhs_fixed)
+        self._system = (active, red)
+        return red
+
+    def _admm(self, q: np.ndarray, h: np.ndarray, failed: set[frozenset[int]]) -> QpSolution:
         n, me, mi = self.n, self.me, self.mi
         m = me + mi
         C, rho = self.C, self.rho
         lower = np.concatenate([h, np.full(mi, -np.inf)])
         upper = np.concatenate([h, self.u])
 
-        x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+        x = np.zeros(n) if self._last_x is None else self._last_x.copy()
         z = np.clip(C @ x, lower, upper)
         y = np.zeros(m)
         y_mark = y.copy()
@@ -324,12 +407,8 @@ class RepeatedQp:
                 r_dual = float(np.max(np.abs(grad)))
 
                 act_tol = max(10.0 * r_prim, 1e-8)
-                active = frozenset(
-                    i
-                    for i in range(mi)
-                    if (self.u[i] - cx[me + i] <= act_tol) or y[me + i] > act_tol
-                )
-                polished = _polish(self.P, q, self.E, h, self.G, self.u, active, self.tol)
+                near = (self.u - cx[me:] <= act_tol) | (y[me:] > act_tol)
+                polished = self._polish(q, h, frozenset(np.flatnonzero(near).tolist()), failed)
                 if polished is not None:
                     polished.iterations = k
                     return polished
@@ -381,7 +460,7 @@ class RepeatedQp:
             raise Infeasible("constraints admit no common point (certificate found)")
 
 
-def solve_qp(spec: QpSpec, tol: float = 1e-9, max_iter: int = 200000, x0: np.ndarray | None = None, active0=None, check_psd: bool = True) -> QpSolution:
+def solve_qp(spec: QpSpec, tol: float = 1e-9, max_iter: int = 200000, check_psd: bool = True) -> QpSolution:
     """Solve one QP. See module docstring for the dual convention.
 
     Raises ``NonPsdHessian`` for an indefinite Hessian and ``Infeasible`` when a
@@ -392,4 +471,4 @@ def solve_qp(spec: QpSpec, tol: float = 1e-9, max_iter: int = 200000, x0: np.nda
     if check_psd:
         _check_psd(P)
     kernel = RepeatedQp(P, E, h, G, u, tol=tol, max_iter=max_iter, check_psd=False)
-    return kernel.solve(q, h=h, x0=x0, active0=active0)
+    return kernel.solve(q, h=h)

@@ -3,6 +3,7 @@ behavior, per-iteration identities, convergence against the centralized
 oracle, mode equivalence, and trace output."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from disqo.errors import DimensionMismatch, InfeasibleInitialPoint
 from disqo.graphs import build_graph, metropolis_weights, random_connected_graph
 from disqo.problem import assemble_problem, centralized_solve, reconcile_dual
 from disqo.star import StarInstance, to_transport
-from disqo.transport import random_instance
+from disqo.transport import build_instance, random_instance, star_network
 
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 P3 = build_graph(3, [(0, 1), (1, 2)])
@@ -302,8 +303,31 @@ def test_metrics_initial_violation_is_demand_norm():
     assert abs(row["rel_error"] - 1.0) < 1e-12
 
 
+def test_metrics_reports_absolute_error_when_reference_is_zero():
+    p = star_problem()
+    ref = centralized_solve(p)
+    state = init_state(p, K3, SolverParams(), y0=np.tile(ref.x, (3, 1)))
+    total = sum(p.algorithmic[i].value(state.Y[i]) for i in range(3))
+    assert total != 0.0
+    assert metrics(state, reference_value=0.0)["rel_error"] == pytest.approx(abs(total), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # End-to-end solves
+
+
+def test_accelerated_solve_with_a_supplier_without_routes():
+    # Supplier 2 loses its spoke, so its block is empty.
+    net = star_network([2.0, 3.0, 4.0])
+    keep = [0, 1, 3]
+    net = dataclasses.replace(net, edges=tuple(net.edges[e] for e in keep), edge_costs=net.edge_costs[:, keep])
+    p = build_instance(net, R=1).problem
+    assert p.block(2).stop == p.block(2).start
+    ref = centralized_solve(p)
+    params = SolverParams(mode="accelerated", max_iter=2000, violation_tol=1e-8, step_tol=1e-8)
+    res = solve(p, P3, params)
+    assert res.converged
+    assert abs(p.total_value(res.x, "actual") - ref.value) <= 1e-6 * abs(ref.value)
 
 
 def test_star_solve_matches_centralized():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from disqo.admm import SolverParams, solve as admm_solve
-from disqo.errors import ConventionMismatch, InfeasibleWithoutAgent
+from disqo.errors import ConventionMismatch, InfeasibleWithoutAgent, MaxIterReached
 from disqo.graphs import build_graph
 from disqo.mechanisms import (
     misreport_portfolio,
@@ -252,6 +252,13 @@ def test_vcg_distributed_solves_match_centralized():
     dist = vcg_payments(inst.problem, distributed=(graph, params))
     np.testing.assert_allclose(dist.payments, central.payments, atol=1e-4)
     np.testing.assert_allclose(dist.benefits, central.benefits, atol=1e-4)
+
+
+def test_vcg_distributed_solve_out_of_rounds_is_not_infeasible():
+    inst = ex3_instance()
+    graph = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(MaxIterReached):
+        vcg_payments(inst.problem, distributed=(graph, SolverParams(max_iter=3)))
 
 
 # ---------------------------------------------------------------------------

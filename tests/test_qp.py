@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from disqo.errors import DimensionMismatch, Infeasible, NonPsdHessian
 from disqo.qp import QpSpec, RepeatedQp, solve_qp
@@ -168,3 +169,70 @@ def test_singular_hessian_with_pinning_constraints():
     sol = solve_qp(spec)
     assert_kkt(spec, sol)
     assert sol.x[0] - sol.x[1] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_empty_block_qp_returns_empty_point():
+    sol = RepeatedQp(np.zeros((0, 0)), G=np.zeros((3, 0)), u=[1.0, 2.0, 0.0]).solve(np.zeros(0))
+    assert sol.optimal and sol.x.shape == (0,)
+    assert sol.alpha == pytest.approx([0.0, 0.0, 0.0])
+    sol = solve_qp(QpSpec(P=np.zeros((0, 0)), q=np.zeros(0), E=np.zeros((1, 0)), h=np.zeros(1)))
+    assert sol.optimal and sol.x.shape == (0,) and sol.lam.shape == (1,)
+
+
+def test_empty_block_qp_infeasible_when_zero_violates_constraints():
+    with pytest.raises(Infeasible):
+        RepeatedQp(np.zeros((0, 0)), G=np.zeros((3, 0)), u=[1.0, -2.0, 0.0]).solve(np.zeros(0))
+    with pytest.raises(Infeasible):
+        solve_qp(QpSpec(P=np.zeros((0, 0)), q=np.zeros(0), E=np.zeros((1, 0)), h=np.ones(1)))
+
+
+@pytest.mark.parametrize("c", [0.0, 0.7])
+def test_polish_with_both_bounds_of_a_column_active(c):
+    # Column 0 lies in [0, c]; the guess holds every bound row, so the first
+    # bound on each column fixes it and the second enters as an ordinary row.
+    rng = np.random.default_rng(5)
+    n = 4
+    for case in range(20):
+        M = rng.normal(size=(n, n))
+        P = M.T @ M + 0.2 * np.eye(n)
+        q = 3.0 * rng.normal(size=n)
+        lo = rng.uniform(-2, 0, size=n)
+        hi = rng.uniform(0.1, 2, size=n)
+        lo[0], hi[0] = 0.0, c
+        x_ref, val_ref = enumerate_box_qp(P, q, lo, hi)
+        G, u = box_rows(n, lo, hi)
+        kernel = RepeatedQp(P, G=G, u=u)
+        sol = kernel._polish(q, kernel.h, frozenset(range(2 * n)), set())
+        assert sol is not None, f"case {case}"
+        assert_kkt(None, sol)
+        assert np.max(np.abs(sol.x - x_ref)) <= 1e-7, f"case {case}"
+        assert abs(qp_value(P, q, sol.x) - val_ref) <= 1e-7
+
+
+def test_failed_polish_states_are_not_walked_again(monkeypatch):
+    # Inconsistent equalities: every trajectory ends in the residual check.
+    P = np.eye(3)
+    E = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    h = np.array([1.0, 2.0])
+    G, u = box_rows(3, np.zeros(3), np.ones(3))
+    kernel = RepeatedQp(P, E=E, h_template=h, G=G, u=u)
+    q = np.array([1.0, -1.0, 0.5])
+    solves = []
+
+    def counted(kernel):
+        def wrapper(*args, **kwargs):
+            solves.append(kernel)
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "solve", counted(scipy.linalg.solve))
+    monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq))
+    failed = set()
+    start = frozenset({3, 4})
+    assert kernel._polish(q, h, start, failed) is None
+    assert solves and start in failed
+    for state in failed:
+        solves.clear()
+        assert kernel._polish(q, h, state, failed) is None
+        assert not solves
