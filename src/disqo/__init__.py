@@ -14,7 +14,9 @@ mechanisms   shadow-pricing and externality payments, misreport experiments
 cli          command-line front end (``disqo`` entry point)
 """
 
-from . import admm, cli, errors, graphs, mechanisms, problem, qp, star, transport
+import importlib
+
+from . import admm, errors, graphs, mechanisms, problem, qp, star, transport
 from .admm import SolverParams, SolveResult, solve
 from .errors import DisqoError
 from .graphs import CommGraph, build_graph, metropolis_weights
@@ -30,6 +32,16 @@ from .star import StarInstance, random_star, star_optimum, star_prices_utilities
 from .transport import TransportInstance, build_instance, load_instance, random_instance, save_instance
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``cli`` is loaded on first use: importing it here would put it in
+    # ``sys.modules`` before ``python -m disqo.cli`` runs it as ``__main__``,
+    # which makes runpy warn on every such call.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -23,6 +23,12 @@ The accelerated mode solves each subproblem in the agent's own block only:
 the rest of the copy is unconstrained, so it is eliminated by partial
 minimization (a Schur complement), which shrinks the per-iteration QP from
 the full dimension to the block dimension while producing the same iterates.
+
+The state is stacked by agent: Y and V are (N, n), eta and lam (N, n0), and
+the zero-padded couplings A~_i form one (N, n0, n) array. Every step of a
+round except the local subproblems is one array expression over these: the
+mixing is W @ (eta, lam), the eta update an A~ contraction of the copies'
+change, and the anchor update an adjacency product.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.spatial.distance import pdist
 
 from .errors import DimensionMismatch, InfeasibleInitialPoint
 from .graphs import CommGraph, metropolis_weights
@@ -40,7 +47,6 @@ from .qp import RepeatedQp
 
 __all__ = [
     "SolverParams",
-    "AgentState",
     "IterTrace",
     "SolverState",
     "SolveResult",
@@ -76,20 +82,6 @@ class SolverParams:
             raise DimensionMismatch("tolerances must be nonnegative")
         if self.mode not in ("plain", "accelerated"):
             raise DimensionMismatch(f"mode must be 'plain' or 'accelerated', got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Snapshot of one agent's variables (copies, safe to mutate)."""
-
-    index: int
-    y: np.ndarray
-    lam: np.ndarray
-    eta: np.ndarray
-    v: np.ndarray
-    gamma: np.ndarray | None
-    l: np.ndarray | None
-    delta: np.ndarray | None
 
 
 @dataclass
@@ -150,10 +142,12 @@ class _AcceleratedCache:
     """Per-agent reduction of the subproblem to the agent's own block.
 
     The subproblem Hessian P never changes, so its partition into the own
-    block (w) and the rest (z) is factored once: with S = P,
-    reduced Hessian  Phi = S_ww - S_wz S_zz^-1 S_zw  and, per iteration,
-    reduced linear   Psi = q_w - S_wz S_zz^-1 q_z,
-    then z = -S_zz^-1 (S_zw w + q_z).
+    block (w) and the rest (z) is factored once: with S = P and
+    T = S_zz^-1 S_zw (also computed once),
+    reduced Hessian  Phi = S_ww - S_wz T  and, per iteration, with
+    t = S_zz^-1 q_z (the one solve per iteration),
+    reduced linear   Psi = q_w - S_wz t,
+    then z = -(T w + t).
     """
 
     def __init__(self, P: np.ndarray, blk: slice, B, m, tol: float):
@@ -166,7 +160,8 @@ class _AcceleratedCache:
             self.S_wz = P[np.ix_(own, self.rest)]
             S_zz = P[np.ix_(self.rest, self.rest)]
             self.cho = scipy.linalg.cho_factor(S_zz)
-            phi = S_ww - self.S_wz @ scipy.linalg.cho_solve(self.cho, self.S_wz.T)
+            self.T = scipy.linalg.cho_solve(self.cho, self.S_wz.T)
+            phi = S_ww - self.S_wz @ self.T
         else:
             self.S_wz = np.zeros((own.size, 0))
             self.cho = None
@@ -175,16 +170,11 @@ class _AcceleratedCache:
         self.qp = RepeatedQp(phi, G=B, u=m, tol=tol)
 
     def solve(self, q_w: np.ndarray, q_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.cho is not None:
-            psi = q_w - self.S_wz @ scipy.linalg.cho_solve(self.cho, q_z)
-        else:
-            psi = q_w
-        w = self.qp.solve(psi).x
-        if self.cho is not None:
-            z = -scipy.linalg.cho_solve(self.cho, self.S_wz.T @ w + q_z)
-        else:
-            z = np.zeros(0)
-        return w, z
+        if self.cho is None:
+            return self.qp.solve(q_w).x, np.zeros(0)
+        t = scipy.linalg.cho_solve(self.cho, q_z)
+        w = self.qp.solve(q_w - self.S_wz @ t).x
+        return w, -(self.T @ w + t)
 
 
 @dataclass
@@ -199,6 +189,9 @@ class SolverState:
     H: np.ndarray  # (N, n0) tracking estimates
     Lam: np.ndarray  # (N, n0) dual estimates
     V: np.ndarray  # (N, n) consensus anchors
+    A_pad: np.ndarray  # (N, n0, n) couplings A~_i, zero outside agent i's block
+    owner: np.ndarray  # (n,) agent owning each column
+    adjacency: np.ndarray  # (N, N) 1.0 where two agents are neighbours
     k: int = 0
     Gamma: np.ndarray | None = None
     Lmix: np.ndarray | None = None
@@ -210,32 +203,13 @@ class SolverState:
     def n_agents(self) -> int:
         return self.problem.n_agents
 
-    def agent(self, i: int) -> AgentState:
-        return AgentState(
-            index=i,
-            y=np.array(self.Y[i]),
-            lam=np.array(self.Lam[i]),
-            eta=np.array(self.H[i]),
-            v=np.array(self.V[i]),
-            gamma=None if self.Gamma is None else np.array(self.Gamma[i]),
-            l=None if self.Lmix is None else np.array(self.Lmix[i]),
-            delta=None if self.Delta is None else np.array(self.Delta[i]),
-        )
-
     def coupling_values(self) -> np.ndarray:
         """sum_i A~_i y_i over the agents' own copies."""
-        total = np.zeros(self.problem.n_coupling)
-        for i in range(self.n_agents):
-            blk = self.problem.block(i)
-            total += self.problem.A[i] @ self.Y[i, blk]
-        return total
+        return np.einsum("ikn,in->k", self.A_pad, self.Y)
 
     def own_block_x(self) -> np.ndarray:
-        x = np.empty(self.problem.n_total)
-        for i in range(self.n_agents):
-            blk = self.problem.block(i)
-            x[blk] = self.Y[i, blk]
-        return x
+        """Each agent's own block, taken from its own copy."""
+        return self.Y[self.owner, np.arange(self.problem.n_total)]
 
     def average_x(self) -> np.ndarray:
         return self.Y.mean(axis=0)
@@ -266,10 +240,8 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
             else:
                 Y[i, blk] = feasible_point(poly)
 
-    H = np.empty((N, problem.n_coupling))
-    for i in range(N):
-        blk = problem.block(i)
-        H[i] = problem.A[i] @ Y[i, blk] - problem.d / N
+    A_pad = np.stack([problem.coupling_map(i) for i in range(N)])
+    H = np.einsum("ikn,in->ik", A_pad, Y) - problem.d / N
 
     V = np.zeros((N, n))
     deg = graph.degrees.astype(float)
@@ -294,6 +266,9 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         H=H,
         Lam=np.zeros((N, problem.n_coupling)),
         V=V,
+        A_pad=A_pad,
+        owner=np.repeat(np.arange(N), problem.dims),
+        adjacency=graph.adjacency().astype(float),
     )
     _build_subproblem_caches(state)
     _check_tracking_identity(state)
@@ -304,10 +279,7 @@ def _build_subproblem_caches(state: SolverState) -> None:
     p, params = state.problem, state.params
     for i in range(p.n_agents):
         blk = p.block(i)
-        P = np.array(p.algorithmic[i].sigma)
-        P[np.diag_indices_from(P)] += params.rho * state.degrees[i]
-        P[blk, blk] += params.sigma * (p.A[i].T @ p.A[i])
-        P = (P + P.T) / 2.0
+        P = _subproblem_hessian(state, i)
         poly = p.local[i]
         B = poly.B if poly.n_rows else None
         m = poly.m if poly.n_rows else None
@@ -357,7 +329,7 @@ def accelerated_subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i:
         blk = p.block(i)
         poly = p.local[i]
         cache = _AcceleratedCache(
-            _plain_hessian(state, i), blk, poly.B if poly.n_rows else None, poly.m if poly.n_rows else None, params.subproblem_tol
+            _subproblem_hessian(state, i), blk, poly.B if poly.n_rows else None, poly.m if poly.n_rows else None, params.subproblem_tol
         )
         state._accel[i] = cache
     q = _linear_term(state, i, gamma_i, l_i)
@@ -369,7 +341,9 @@ def accelerated_subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i:
     return w, z, y
 
 
-def _plain_hessian(state: SolverState, i: int) -> np.ndarray:
+def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:
+    """Agent i's subproblem Hessian: its own quadratic plus the anchor penalty
+    rho*deg_i*I and the coupling penalty sigma*A~_i'A~_i."""
     p, params = state.problem, state.params
     blk = p.block(i)
     P = np.array(p.algorithmic[i].sigma)
@@ -389,7 +363,7 @@ def _check_tracking_identity(state: SolverState) -> None:
 def iterate(state: SolverState) -> None:
     """Advance the state by one synchronous round (two exchanges), enforcing
     the tracking identity and the mean-dual recursion at 1e-10."""
-    p, params = state.problem, state.params
+    params = state.params
     N = state.n_agents
 
     gamma_all, l_all = communication_round_tracking(state.H, state.Lam, state.W)
@@ -402,21 +376,14 @@ def iterate(state: SolverState) -> None:
         else:
             Y_new[i] = subproblem(state, i, gamma_all[i], l_all[i])
 
-    H_new = np.empty_like(state.H)
-    for i in range(N):
-        blk = p.block(i)
-        H_new[i] = gamma_all[i] + p.A[i] @ (Y_new[i, blk] - state.Y[i, blk])
+    H_new = gamma_all + np.einsum("ikn,in->ik", state.A_pad, Y_new - state.Y)
     lam_old_mean = state.Lam.mean(axis=0)
     Lam_new = l_all + params.sigma * H_new
 
     Delta = Y_new - 0.5 * state.Y
     V_new = np.array(state.V)
-    for i in range(N):
-        if state.degrees[i] > 0:
-            acc = np.zeros(p.n_total)
-            for j in state.graph.neighbors(i):
-                acc += Delta[j]
-            V_new[i] += acc / state.degrees[i] - 0.5 * state.Y[i]
+    mixed = state.degrees > 0
+    V_new[mixed] += (state.adjacency[mixed] @ Delta) / state.degrees[mixed, None] - 0.5 * state.Y[mixed]
 
     state.Y_prev = state.Y
     state.Y, state.H, state.Lam, state.V, state.Delta = Y_new, H_new, Lam_new, V_new, Delta
@@ -440,11 +407,7 @@ def metrics(state: SolverState, reference_value: float | None = None) -> dict:
     p = state.problem
     N = state.n_agents
     coupling_gap = float(np.linalg.norm(state.coupling_values() - p.d))
-    consensus_gap = 0.0
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                consensus_gap += float(np.linalg.norm(state.Y[i] - state.Y[j]))
+    consensus_gap = 2.0 * float(pdist(state.Y).sum())  # each unordered pair twice
     violation = coupling_gap + consensus_gap
 
     if reference_value is None:

@@ -63,9 +63,5 @@ class ActiveSetChanged(DisqoError):
     """A closed-form perturbation result is invalid because the active set moved."""
 
 
-class DegenerateT(DisqoError):
-    """A star-network closed form degenerates for the given active-set size."""
-
-
 class InvalidConfig(DisqoError):
     """A configuration file is malformed, incomplete, or has a bad value."""

@@ -16,7 +16,9 @@ cross-terms are attributed to agents.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -37,7 +39,6 @@ __all__ = [
     "LocalPolyhedron",
     "CoupledProblem",
     "ReportedProblem",
-    "AgentView",
     "CentralSolution",
     "assemble_problem",
     "convert_inequality_coupling",
@@ -96,9 +97,14 @@ class CoupledProblem:
     def n_agents(self) -> int:
         return len(self.dims)
 
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Start of each agent's block in the stacked vector, then its length."""
+        return tuple(int(o) for o in itertools.accumulate(self.dims, initial=0))
+
     @property
     def n_total(self) -> int:
-        return int(sum(self.dims))
+        return self.offsets[-1]
 
     @property
     def n_coupling(self) -> int:
@@ -107,8 +113,7 @@ class CoupledProblem:
     def block(self, i: int) -> slice:
         if not 0 <= i < self.n_agents:
             raise UnknownAgent(f"agent {i} of {self.n_agents}")
-        off = int(np.sum(self.dims[:i]))
-        return slice(off, off + self.dims[i])
+        return slice(self.offsets[i], self.offsets[i + 1])
 
     def stacked_A(self) -> np.ndarray:
         return np.hstack(self.A)
@@ -165,25 +170,6 @@ class ReportedProblem:
         if which == "reported":
             return self.reported
         raise ValueError(f"which must be 'true' or 'reported', got {which!r}")
-
-
-@dataclass(frozen=True)
-class AgentView:
-    """What agent i itself knows: its own objective, coupling block, and set."""
-
-    index: int
-    dim: int
-    block: slice
-    sigma: np.ndarray
-    psi: np.ndarray
-    A: np.ndarray
-    local: LocalPolyhedron
-
-
-def agent_view(problem: CoupledProblem, i: int) -> AgentView:
-    blk = problem.block(i)
-    obj = problem.algorithmic[i]
-    return AgentView(index=i, dim=problem.dims[i], block=blk, sigma=obj.sigma, psi=obj.psi, A=problem.A[i], local=problem.local[i])
 
 
 def _check_symmetric(sigma: np.ndarray, label: str) -> np.ndarray:

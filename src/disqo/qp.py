@@ -13,7 +13,12 @@ duals reliable enough to price with.
 Rows of ``G`` with a single nonzero entry are simple bounds. An active bound
 fixes its variable instead of adding a multiplier row, so the polish solves a
 KKT system over the free variables only and reads each bound's multiplier off
-the stationarity residual of its column. Within one solve the linear term is
+the stationarity residual of its column. The reduced KKT matrix of an active
+set does not depend on the linear term, so it is LU-factored when a polish
+moves to that set and kept: warm solves that keep the active set cost one
+pair of triangular solves each. An exact zero pivot marks the system
+singular, as it is whenever x is not unique on the free columns, and such a
+system goes straight to least squares. Within one solve the linear term is
 fixed and the polish is deterministic, so every active set on a repair
 trajectory that failed is remembered, and later polishes of the same solve
 that reach one stop without solving anything.
@@ -90,8 +95,9 @@ class _ReducedSystem(NamedTuple):
     The first active simple bound on a column fixes it (``fix_*``, ``x_fixed``
     holds the fixed values and zeros elsewhere); the other active rows are
     ``rows``. ``kkt`` is the KKT matrix over the free columns, the equality
-    rows and ``rows``, and ``rhs_fixed`` the fixed columns' share of its
-    right-hand side.
+    rows and ``rows``, ``lu`` its LU factors (``None`` when it is empty or
+    has an exact zero pivot), and ``rhs_fixed`` the fixed columns' share of
+    its right-hand side.
     """
 
     act: np.ndarray  # sorted active rows
@@ -105,6 +111,7 @@ class _ReducedSystem(NamedTuple):
     free: np.ndarray  # mask of the free columns
     n_free: int
     kkt: np.ndarray
+    lu: tuple[np.ndarray, np.ndarray] | None
     rhs_fixed: np.ndarray
 
 
@@ -297,20 +304,10 @@ class RepeatedQp:
             red = self._reduced_system(active)
             act, inactive, nf, fixed = red.act, red.inactive, red.n_free, red.rhs_fixed
             rhs = np.concatenate([-(q[red.free] + fixed[:nf]), h - fixed[nf : nf + me], fixed[nf + me :]])
-            try:
-                with warnings.catch_warnings():
-                    # An ill-conditioned system (a contradictory guess, or a Hessian
-                    # singular on the free columns) only warns; the residual check
-                    # below decides, so the warning is noise.
-                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                    sol = scipy.linalg.solve(red.kkt, rhs)
-                if not np.all(np.isfinite(sol)):
-                    raise np.linalg.LinAlgError
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-                sol, *_ = np.linalg.lstsq(red.kkt, rhs, rcond=None)
-                if not np.all(np.isfinite(sol)):
-                    failed.update(seen)
-                    return None
+            sol = _solve_reduced(red, rhs)
+            if sol is None:
+                failed.update(seen)
+                return None
             x = red.x_fixed.copy()
             x[red.free] = sol[:nf]
             lam = sol[nf : nf + me]
@@ -370,8 +367,16 @@ class RepeatedQp:
         if mo:
             kkt[:nf, nf + me :] = Gr[:, free].T
             kkt[nf + me :, :nf] = Gr[:, free]
+        lu = None
+        if kkt.size:
+            with warnings.catch_warnings():
+                # An exact zero pivot only warns; it marks the system singular.
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                lu = scipy.linalg.lu_factor(kkt, check_finite=False)
+            if not np.all(np.diagonal(lu[0])):
+                lu = None
         rhs_fixed = np.concatenate([(P @ x_fixed)[free], E @ x_fixed, u[rows] - Gr @ x_fixed])
-        red = _ReducedSystem(act, np.flatnonzero(inactive), fix_rows, fix_cols, fix_coef, x_fixed, rows, Gr, free, nf, kkt, rhs_fixed)
+        red = _ReducedSystem(act, np.flatnonzero(inactive), fix_rows, fix_cols, fix_coef, x_fixed, rows, Gr, free, nf, kkt, lu, rhs_fixed)
         self._system = (active, red)
         return red
 
@@ -458,6 +463,21 @@ class RepeatedQp:
             support += float(self.u @ np.maximum(v[me:], 0.0))
         if support < -1e-7 * scale:
             raise Infeasible("constraints admit no common point (certificate found)")
+
+
+def _solve_reduced(red: _ReducedSystem, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve ``red.kkt @ sol = rhs``: by its LU factors when it is nonsingular,
+    else (or when the LU answer is not finite) by least squares. ``None`` when
+    neither gives a finite answer. An empty system (every column fixed, no
+    rows) needs no kernel at all."""
+    if not rhs.size:
+        return rhs
+    if red.lu is not None:
+        sol = scipy.linalg.lu_solve(red.lu, rhs, check_finite=False)
+        if np.all(np.isfinite(sol)):
+            return sol
+    sol, *_ = np.linalg.lstsq(red.kkt, rhs, rcond=None)
+    return sol if np.all(np.isfinite(sol)) else None
 
 
 def solve_qp(spec: QpSpec, tol: float = 1e-9, max_iter: int = 200000, check_psd: bool = True) -> QpSolution:

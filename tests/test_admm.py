@@ -374,6 +374,35 @@ def test_plain_and_accelerated_produce_same_iterates():
         assert float(np.abs(sa.Lam - sb.Lam).max()) <= 1e-8
 
 
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_round_matches_per_agent_loops(mode, seed):
+    inst = random_instance((4, 2, 3, 2), seed=seed)
+    p = inst.problem
+    g = random_connected_graph(4, np.random.default_rng(seed))
+    state = init_state(p, g, SolverParams(mode=mode))
+
+    def close(actual, expected):
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
+
+    for _ in range(5):
+        Y_old, V_old = state.Y.copy(), state.V.copy()
+        iterate(state)
+        H_ref = np.array([state.Gamma[i] + p.A[i] @ (state.Y[i, p.block(i)] - Y_old[i, p.block(i)]) for i in range(4)])
+        Delta = state.Y - 0.5 * Y_old
+        V_ref = V_old.copy()
+        for i in range(4):
+            nbrs = g.neighbors(i)
+            V_ref[i] += sum(Delta[j] for j in nbrs) / len(nbrs) - 0.5 * Y_old[i]
+        close(state.H, H_ref)
+        close(state.V, V_ref)
+        coupling = sum(p.A[i] @ state.Y[i, p.block(i)] for i in range(4))
+        close(state.coupling_values(), coupling)
+        close(state.own_block_x(), np.concatenate([state.Y[i, p.block(i)] for i in range(4)]))
+        gap = sum(np.linalg.norm(state.Y[i] - state.Y[j]) for i in range(4) for j in range(4) if i != j)
+        close(metrics(state)["violation"], np.linalg.norm(coupling - p.d) + gap)
+
+
 def test_warm_start_from_optimum_converges_to_same_point():
     # duals always start at zero, so a primal-only warm start still has to
     # rebuild the dual trajectory; it must converge to the same solution in a

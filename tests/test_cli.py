@@ -3,10 +3,15 @@ and the layout/determinism of every emitted file."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import disqo
 from disqo.cli import main
 from disqo.mechanisms import misreport_sweep, sp_for_problem
 from disqo.problem import ReportedProblem, centralized_solve
@@ -191,6 +196,17 @@ def test_cli_flag_and_command_errors(capsys):
     assert main(["--help"]) == 0
     assert main(["solve", "--config", "x.json", "--mode", "bogus"]) == 1
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_without_warning():
+    # The package must not import ``cli`` itself, or runpy warns when
+    # ``python -m disqo.cli`` finds it already in sys.modules.
+    src = str(Path(disqo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "disqo.cli", "--help"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

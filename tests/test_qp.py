@@ -209,7 +209,25 @@ def test_polish_with_both_bounds_of_a_column_active(c):
         assert abs(qp_value(P, q, sol.x) - val_ref) <= 1e-7
 
 
-def test_failed_polish_states_are_not_walked_again(monkeypatch):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Names of the dense KKT kernels called while the test runs, in order."""
+    calls = []
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve", "lu_factor", "lu_solve"):
+        monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    return calls
+
+
+def test_failed_polish_states_are_not_walked_again(kernel_calls):
     # Inconsistent equalities: every trajectory ends in the residual check.
     P = np.eye(3)
     E = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
@@ -217,22 +235,63 @@ def test_failed_polish_states_are_not_walked_again(monkeypatch):
     G, u = box_rows(3, np.zeros(3), np.ones(3))
     kernel = RepeatedQp(P, E=E, h_template=h, G=G, u=u)
     q = np.array([1.0, -1.0, 0.5])
-    solves = []
-
-    def counted(kernel):
-        def wrapper(*args, **kwargs):
-            solves.append(kernel)
-            return kernel(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(scipy.linalg, "solve", counted(scipy.linalg.solve))
-    monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq))
+    kernel_calls.clear()
     failed = set()
     start = frozenset({3, 4})
     assert kernel._polish(q, h, start, failed) is None
-    assert solves and start in failed
+    assert kernel_calls and start in failed
     for state in failed:
-        solves.clear()
+        kernel_calls.clear()
         assert kernel._polish(q, h, state, failed) is None
-        assert not solves
+        assert not kernel_calls
+
+
+def test_warm_solves_factor_each_active_set_once(kernel_calls):
+    rng = np.random.default_rng(3)
+    n = 5
+    M = rng.normal(size=(n, n))
+    P = np.eye(n) + 0.05 * M.T @ M
+    G, u = box_rows(n, np.zeros(n), np.ones(n))
+    kernel = RepeatedQp(P, G=G, u=u)
+
+    def linear_term(x, active):
+        alpha = np.zeros(2 * n)
+        alpha[list(active)] = 1.0
+        return -P @ x - G.T @ alpha
+
+    # Optimum with x3 at its upper and x4 at its lower bound (rows 3 and 9).
+    assert kernel.solve(linear_term(np.array([0.5, 0.3, 0.6, 1.0, 0.0]), (3, 9))).active == (3, 9)
+    # x2 now also sits at its upper bound: the first warm solve tries the kept
+    # set (3, 9), adds row 2 and factors (2, 3, 9); the other k - 1 reuse it.
+    q = linear_term(np.array([0.5, 0.3, 1.0, 1.0, 0.0]), (2, 3, 9))
+    k = 4
+    kernel_calls.clear()
+    for _ in range(k):
+        sol = kernel.solve(q + 1e-3 * rng.normal(size=n))
+        assert sol.optimal and sol.iterations == 0 and sol.active == (2, 3, 9)
+    assert kernel_calls.count("lu_factor") == 1
+    assert kernel_calls.count("lu_solve") == k + 1
+    assert "solve" not in kernel_calls and "lstsq" not in kernel_calls
+
+
+def test_singular_reduced_system_goes_straight_to_lstsq(kernel_calls):
+    # Duplicate equality rows make the KKT matrix singular: its LU has an exact zero pivot.
+    E = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    kernel = RepeatedQp(np.eye(3), E=E, h_template=np.array([1.0, 1.0]))
+    kernel_calls.clear()
+    sol = kernel.solve(np.zeros(3))
+    assert sol.optimal and sol.iterations == 0
+    np.testing.assert_allclose(sol.x, np.full(3, 1.0 / 3.0), atol=1e-12)
+    assert kernel_calls == ["lu_factor", "lstsq"]
+
+
+def test_solution_on_a_bound_in_every_column_needs_no_kernel(kernel_calls):
+    G, u = box_rows(3, np.zeros(3), np.ones(3))
+    kernel = RepeatedQp(np.eye(3), G=G, u=u)
+    assert kernel.solve(np.array([5.0, 5.0, -5.0])).active == (2, 3, 4)
+    kernel_calls.clear()
+    sol = kernel.solve(np.array([4.0, 6.0, -3.0]))
+    assert sol.optimal and sol.iterations == 0
+    np.testing.assert_allclose(sol.x, [0.0, 0.0, 1.0])
+    np.testing.assert_allclose(sol.alpha, [0.0, 0.0, 2.0, 4.0, 6.0, 0.0])
+    assert not kernel_calls
