@@ -40,6 +40,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import pdist
 
+from ._csv import write_csv
 from .errors import DimensionMismatch, InfeasibleInitialPoint
 from .graphs import CommGraph, metropolis_weights
 from .problem import CoupledProblem, feasible_point
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 _IDENTITY_TOL = 1e-10
+_SUBPROBLEM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,6 @@ class SolverParams:
     step_tol: float = 1e-6
     rel_error_tol: float | None = None
     mode: str = "plain"
-    subproblem_tol: float = 1e-10
 
     def __post_init__(self):
         if self.sigma <= 0 or self.rho <= 0:
@@ -126,16 +127,7 @@ class IterTrace:
             ]
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(self.header()) + "\n")
-            for row in self.rows():
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return format(float(v), ".17g")
+        write_csv(path, self.header(), self.rows())
 
 
 class _AcceleratedCache:
@@ -150,7 +142,7 @@ class _AcceleratedCache:
     then z = -(T w + t).
     """
 
-    def __init__(self, P: np.ndarray, blk: slice, B, m, tol: float):
+    def __init__(self, P: np.ndarray, blk: slice, B, m):
         n = P.shape[0]
         self.blk = blk
         self.rest = np.array([j for j in range(n) if not (blk.start <= j < blk.stop)], dtype=int)
@@ -167,7 +159,7 @@ class _AcceleratedCache:
             self.cho = None
             phi = S_ww
         phi = (phi + phi.T) / 2.0
-        self.qp = RepeatedQp(phi, G=B, u=m, tol=tol)
+        self.qp = RepeatedQp(phi, G=B, u=m, tol=_SUBPROBLEM_TOL)
 
     def solve(self, q_w: np.ndarray, q_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.cho is None:
@@ -194,10 +186,9 @@ class SolverState:
     adjacency: np.ndarray  # (N, N) 1.0 where two agents are neighbours
     k: int = 0
     Gamma: np.ndarray | None = None
-    Lmix: np.ndarray | None = None
-    Delta: np.ndarray | None = None
-    _plain: list = field(default_factory=list, repr=False)
-    _accel: list = field(default_factory=list, repr=False)
+    # One subproblem cache per agent: a RepeatedQp over the full copy in plain
+    # mode, an _AcceleratedCache over the own block in accelerated mode.
+    _caches: list = field(default_factory=list, repr=False)
 
     @property
     def n_agents(self) -> int:
@@ -210,9 +201,6 @@ class SolverState:
     def own_block_x(self) -> np.ndarray:
         """Each agent's own block, taken from its own copy."""
         return self.Y[self.owner, np.arange(self.problem.n_total)]
-
-    def average_x(self) -> np.ndarray:
-        return self.Y.mean(axis=0)
 
 
 def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, y0=None) -> SolverState:
@@ -235,10 +223,7 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
                 raise InfeasibleInitialPoint(f"y0[{i}] violates the local rows by {float(gap.max()):.2e}")
             Y[i] = yi
         else:
-            if poly.n_rows == 0 or float(np.max(-poly.m)) <= 0.0:
-                pass  # origin feasible
-            else:
-                Y[i, blk] = feasible_point(poly)
+            Y[i, blk] = feasible_point(poly)  # the origin whenever it is feasible
 
     A_pad = np.stack([problem.coupling_map(i) for i in range(N)])
     H = np.einsum("ikn,in->ik", A_pad, Y) - problem.d / N
@@ -276,23 +261,21 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
 
 
 def _build_subproblem_caches(state: SolverState) -> None:
-    p, params = state.problem, state.params
+    p = state.problem
     for i in range(p.n_agents):
         blk = p.block(i)
         P = _subproblem_hessian(state, i)
         poly = p.local[i]
         B = poly.B if poly.n_rows else None
         m = poly.m if poly.n_rows else None
-        if params.mode == "accelerated":
-            state._accel.append(_AcceleratedCache(P, blk, B, m, params.subproblem_tol))
-            state._plain.append(None)
+        if state.params.mode == "accelerated":
+            state._caches.append(_AcceleratedCache(P, blk, B, m))
         else:
             G = None
             if poly.n_rows:
                 G = np.zeros((poly.n_rows, p.n_total))
                 G[:, blk] = poly.B
-            state._plain.append(RepeatedQp(P, G=G, u=m, tol=params.subproblem_tol))
-            state._accel.append(None)
+            state._caches.append(RepeatedQp(P, G=G, u=m, tol=_SUBPROBLEM_TOL))
 
 
 def communication_round_tracking(eta: np.ndarray, lam: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,26 +295,15 @@ def _linear_term(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarra
 
 
 def subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray) -> np.ndarray:
-    """Plain full-dimension subproblem solve for agent i."""
-    if state._plain[i] is None:
-        w, z, y = accelerated_subproblem(state, i, gamma_i, l_i)
-        return y
+    """Plain full-dimension subproblem solve for agent i (plain-mode state)."""
     q = _linear_term(state, i, gamma_i, l_i)
-    return state._plain[i].solve(q).x
+    return state._caches[i].solve(q).x
 
 
 def accelerated_subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block-reduced subproblem: returns (own block w, eliminated rest z,
-    reassembled full copy y)."""
-    cache = state._accel[i]
-    if cache is None:
-        p, params = state.problem, state.params
-        blk = p.block(i)
-        poly = p.local[i]
-        cache = _AcceleratedCache(
-            _subproblem_hessian(state, i), blk, poly.B if poly.n_rows else None, poly.m if poly.n_rows else None, params.subproblem_tol
-        )
-        state._accel[i] = cache
+    """Block-reduced subproblem for agent i (accelerated-mode state): returns
+    (own block w, eliminated rest z, reassembled full copy y)."""
+    cache = state._caches[i]
     q = _linear_term(state, i, gamma_i, l_i)
     blk = state.problem.block(i)
     w, z = cache.solve(q[blk], q[cache.rest])
@@ -367,7 +339,7 @@ def iterate(state: SolverState) -> None:
     N = state.n_agents
 
     gamma_all, l_all = communication_round_tracking(state.H, state.Lam, state.W)
-    state.Gamma, state.Lmix = gamma_all, l_all
+    state.Gamma = gamma_all
 
     Y_new = np.empty_like(state.Y)
     for i in range(N):
@@ -386,7 +358,7 @@ def iterate(state: SolverState) -> None:
     V_new[mixed] += (state.adjacency[mixed] @ Delta) / state.degrees[mixed, None] - 0.5 * state.Y[mixed]
 
     state.Y_prev = state.Y
-    state.Y, state.H, state.Lam, state.V, state.Delta = Y_new, H_new, Lam_new, V_new, Delta
+    state.Y, state.H, state.Lam, state.V = Y_new, H_new, Lam_new, V_new
     state.k += 1
 
     _check_tracking_identity(state)
@@ -483,6 +455,6 @@ def solve(
         trace=trace,
         converged=converged,
         iterations=state.k,
-        consensus_x=state.average_x(),
+        consensus_x=state.Y.mean(axis=0),
         state=state,
     )

@@ -41,11 +41,12 @@ import sys
 
 import numpy as np
 
+from ._csv import write_csv
 from .admm import SolverParams, solve as distributed_solve
-from .errors import ConventionMismatch, DisqoError, InvalidConfig
+from .errors import ConventionMismatch, DisqoError, InvalidConfig, MaxIterReached
 from .graphs import CommGraph, build_graph, metropolis_weights, validate_weights
-from .mechanisms import MechanismOutcome, misreport_portfolio, misreport_sweep, sp_for_problem, vcg_payments
-from .problem import ReportedProblem, centralized_solve, reconcile_dual
+from .mechanisms import misreport_portfolio, misreport_sweep, payments_csv, sp_for_problem, vcg_payments
+from .problem import CoupledProblem, centralized_solve, reconcile_dual, resolve
 from .transport import (
     TransportInstance,
     build_instance,
@@ -59,10 +60,6 @@ from .transport import (
 CONFIG_SCHEMA_VERSION = 1
 
 _SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverParams)}
-
-
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +172,27 @@ def _apply_reports(config: dict, instance: TransportInstance):
     return instance.problem
 
 
+def _sweep_spec(config: dict, instance: TransportInstance) -> tuple[int, list[float]]:
+    """(agent, deltas) of the config's sweep spec; no deltas means [0.0]."""
+    spec = config.get("sweep") or {}
+    if "agent" not in spec:
+        raise InvalidConfig("sweep spec needs an 'agent'")
+    agent = int(spec["agent"])
+    if not 0 <= agent < instance.problem.n_agents:
+        raise InvalidConfig(f"sweep agent {agent} out of range")
+    return agent, [float(v) for v in spec.get("deltas", [])] or [0.0]
+
+
+def _portfolio_spec(config: dict, args) -> tuple[int, int, float]:
+    """(cases, seed, magnitude) of the config's portfolio spec; --seed wins."""
+    spec = config.get("portfolio") or {}
+    cases = int(spec.get("cases", 0))
+    if cases < 0:
+        raise InvalidConfig("portfolio 'cases' must be nonnegative")
+    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+    return cases, seed, float(spec.get("magnitude", 0.5))
+
+
 def _out_dir(config: dict, args) -> str:
     out = getattr(args, "out", None) or config.get("out") or "."
     os.makedirs(out, exist_ok=True)
@@ -185,52 +203,21 @@ def _out_dir(config: dict, args) -> str:
 # Output writers
 
 
-def _write_solution_csv(path: str, instance: TransportInstance, problem, result) -> None:
-    reported = problem.reported if isinstance(problem, ReportedProblem) else problem
+def _write_solution_csv(path: str, instance: TransportInstance, problem: CoupledProblem, result) -> None:
     try:
-        lam = reconcile_dual(problem, result.x, result.lambda_bar, which="reported")
+        lam = reconcile_dual(problem, result.x, result.lambda_bar)
     except ConventionMismatch:
         lam = result.lambda_bar
-    value = reported.total_value(result.x, "actual")
-    labels = instance.var_labels
-    with open(path, "w") as fh:
-        fh.write("kind,index,label,value\n")
-        pos = 0
-        for i, agent_vars in enumerate(labels):
-            for (j, k, r) in agent_vars:
-                fh.write(f"x,{pos},s{i}:d{j}:k{k}:r{r},{_fmt(result.x[pos])}\n")
-                pos += 1
-        K = instance.network.n_commodities
-        for row in range(reported.n_coupling):
-            fh.write(f"lambda,{row},d{row // K}:k{row % K},{_fmt(lam[row])}\n")
-        fh.write(f"objective,0,total,{_fmt(value)}\n")
-        fh.write(f"iterations,0,,{result.iterations}\n")
-        fh.write(f"converged,0,,{int(result.converged)}\n")
-
-
-def _write_payments_csv(path: str, outcomes: list[MechanismOutcome]) -> None:
-    with open(path, "w") as fh:
-        fh.write("agent,mechanism,payment,true_cost,net_cost,benefit\n")
-        for out in outcomes:
-            for i in range(out.n_agents):
-                fh.write(
-                    f"{i},{out.mechanism},{_fmt(out.payments[i])},{_fmt(out.costs[i])},"
-                    f"{_fmt(out.net_costs[i])},{_fmt(out.benefits[i])}\n"
-                )
-        for out in outcomes:
-            fh.write(
-                f"total,{out.mechanism},{_fmt(out.payments.sum())},{_fmt(out.costs.sum())},"
-                f"{_fmt(out.net_costs.sum())},{_fmt(out.benefits.sum())}\n"
-            )
-        by_name = {out.mechanism: out for out in outcomes}
-        if "ShadowPricing" in by_name and "VCG" in by_name:
-            sp, vcg = by_name["ShadowPricing"], by_name["VCG"]
-            fh.write(
-                f"total,SP-VCG,{_fmt(sp.payments.sum() - vcg.payments.sum())},"
-                f"{_fmt(sp.costs.sum() - vcg.costs.sum())},"
-                f"{_fmt(sp.net_costs.sum() - vcg.net_costs.sum())},"
-                f"{_fmt(sp.benefits.sum() - vcg.benefits.sum())}\n"
-            )
+    labels = [f"s{i}:d{j}:k{k}:r{r}" for i, agent_vars in enumerate(instance.var_labels) for (j, k, r) in agent_vars]
+    K = instance.network.n_commodities
+    rows = [("x", pos, label, result.x[pos]) for pos, label in enumerate(labels)]
+    rows += [("lambda", row, f"d{row // K}:k{row % K}", lam[row]) for row in range(problem.n_coupling)]
+    rows += [
+        ("objective", 0, "total", problem.total_value(result.x, "actual")),
+        ("iterations", 0, "", result.iterations),
+        ("converged", 0, "", int(result.converged)),
+    ]
+    write_csv(path, ["kind", "index", "label", "value"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +248,8 @@ def cmd_solve(args) -> int:
     instance, embedded = _resolve_instance(config, base, args.seed)
     graph = _resolve_graph(config, instance, embedded, args.seed)
     params = _solver_params(config, args)
-    problem = _apply_reports(config, instance)
-    reference = centralized_solve(problem, which="reported").value
+    problem = resolve(_apply_reports(config, instance), "reported")
+    reference = centralized_solve(problem).value
     result = distributed_solve(problem, graph, params, reference_value=reference)
     out = _out_dir(config, args)
     result.trace.to_csv(os.path.join(out, "trace.csv"))
@@ -286,7 +273,7 @@ def cmd_mechanism(args) -> int:
     if "vcg" in selected:
         outcomes.append(vcg_payments(problem, cost_basis=cost_basis))
     out = _out_dir(config, args)
-    _write_payments_csv(os.path.join(out, "payments.csv"), outcomes)
+    payments_csv(outcomes, os.path.join(out, "payments.csv"))
     for outc in outcomes:
         print(f"{outc.mechanism}: total payout {outc.total_payout:.6g}")
     return 0
@@ -295,13 +282,7 @@ def cmd_mechanism(args) -> int:
 def cmd_misreport_sweep(args) -> int:
     config, base = _load_config(args.config)
     instance, _ = _resolve_instance(config, base, args.seed)
-    spec = config.get("sweep") or {}
-    if "agent" not in spec:
-        raise InvalidConfig("sweep spec needs an 'agent'")
-    agent = int(spec["agent"])
-    if not 0 <= agent < instance.problem.n_agents:
-        raise InvalidConfig(f"sweep agent {agent} out of range")
-    deltas = [float(v) for v in spec.get("deltas", [])] or [0.0]
+    agent, deltas = _sweep_spec(config, instance)
     result = misreport_sweep(instance, agent, deltas)
     out = _out_dir(config, args)
     result.to_csv(os.path.join(out, "sweep.csv"))
@@ -312,12 +293,7 @@ def cmd_misreport_sweep(args) -> int:
 def cmd_misreport_portfolio(args) -> int:
     config, base = _load_config(args.config)
     instance, _ = _resolve_instance(config, base, args.seed)
-    spec = config.get("portfolio") or {}
-    cases = int(spec.get("cases", 0))
-    if cases < 0:
-        raise InvalidConfig("portfolio 'cases' must be nonnegative")
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    magnitude = float(spec.get("magnitude", 0.5))
+    cases, seed, magnitude = _portfolio_spec(config, args)
     result = misreport_portfolio(instance, cases, seed, magnitude=magnitude)
     out = _out_dir(config, args)
     result.to_csv(os.path.join(out, "portfolio.csv"))
@@ -367,22 +343,12 @@ def cmd_validate(args) -> int:
         record("reported costs", lambda: str(type(_apply_reports(config, holder["instance"])).__name__))
     if "sweep" in config and "instance" in holder:
         def check_sweep():
-            spec = config["sweep"]
-            agent = int(spec["agent"])
-            if not 0 <= agent < holder["instance"].problem.n_agents:
-                raise InvalidConfig(f"sweep agent {agent} out of range")
-            [float(v) for v in spec.get("deltas", [])]
-            return f"agent {agent}, {len(spec.get('deltas', []))} delta(s)"
+            agent, deltas = _sweep_spec(config, holder["instance"])
+            return f"agent {agent}, {len(deltas)} delta(s)"
 
         record("sweep spec", check_sweep)
     if "portfolio" in config:
-        def check_portfolio():
-            spec = config["portfolio"]
-            if int(spec.get("cases", 0)) < 0:
-                raise InvalidConfig("portfolio 'cases' must be nonnegative")
-            return f"{int(spec.get('cases', 0))} case(s)"
-
-        record("portfolio spec", check_portfolio)
+        record("portfolio spec", lambda: f"{_portfolio_spec(config, args)[0]} case(s)")
 
     ok = all(good for _, good, _ in checks)
     for name, good, detail in checks:
@@ -405,17 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="disqo", description="Distributed coupled-QP solver and incentive mechanisms.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, out_default=None, with_mode=False):
-        p.add_argument("--config", help="JSON config file (or a bare instance file)")
+    def common(p, with_mode=False, config_required=True):
+        p.add_argument("--config", required=config_required, help="JSON config file (or a bare instance file)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=out_default, help="output directory (default from config, else '.')")
+        p.add_argument("--out", default=None, help="output directory (default from config, else '.')")
         if with_mode:
             p.add_argument("--mode", choices=("plain", "accelerated"), default=None, help="subproblem mode")
             p.add_argument("--max-iter", type=int, default=None, help="iteration budget override")
             p.add_argument("--tol", type=float, default=None, help="sets both violation and step tolerances")
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance file")
-    common(p_gen)
+    common(p_gen, config_required=False)
     p_gen.add_argument("--scale", help="N,M,K,R (e.g. 4,2,3,2); alternative to a generator config")
     p_gen.add_argument("--c0", type=float, default=None, help="congestion coefficient")
     p_gen.set_defaults(func=cmd_gen)
@@ -437,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_port.set_defaults(func=cmd_misreport_portfolio)
 
     p_val = sub.add_parser("validate", help="check a config or instance file")
-    p_val.add_argument("--config", help="JSON config file (or a bare instance file)")
+    p_val.add_argument("--config", required=True, help="JSON config file (or a bare instance file)")
     p_val.add_argument("--seed", type=int, default=None)
     p_val.set_defaults(func=cmd_validate)
 
@@ -450,10 +416,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help exits 0; argument errors exit 1
         return int(exc.code or 0)
-    if getattr(args, "func", None) in (cmd_solve, cmd_mechanism, cmd_misreport_sweep, cmd_misreport_portfolio, cmd_validate):
-        if not args.config:
-            print(f"disqo {args.command}: error: --config is required", file=sys.stderr)
-            return 1
     if args.func is cmd_gen and not (args.config or args.scale):
         print("disqo gen: error: provide --scale or --config with a generator spec", file=sys.stderr)
         return 1
@@ -462,6 +424,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return int(args.func(args))
+    except MaxIterReached as exc:  # the budget ran out: not an input error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except DisqoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

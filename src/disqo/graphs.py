@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import networkx as nx
 import numpy as np
 
 from .errors import DimensionMismatch, DisconnectedGraph, InvalidEdge
@@ -23,6 +24,8 @@ __all__ = [
     "validate_weights",
     "random_connected_graph",
 ]
+
+_MAX_DRAWS = 10000  # Erdős–Rényi draws random_connected_graph tries before giving up
 
 
 @dataclass(frozen=True)
@@ -67,21 +70,9 @@ def _normalize_edges(n_agents: int, edges) -> frozenset[tuple[int, int]]:
 
 
 def _is_connected(n_agents: int, edges: frozenset[tuple[int, int]]) -> bool:
-    if n_agents <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n_agents)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n_agents
+    g = nx.Graph(edges)
+    g.add_nodes_from(range(n_agents))
+    return nx.is_connected(g)
 
 
 def build_graph(n_agents: int, edges) -> CommGraph:
@@ -177,16 +168,15 @@ def validate_weights(w: np.ndarray, graph: CommGraph) -> ValidationReport:
     return report
 
 
-def random_connected_graph(n_agents: int, rng: np.random.Generator, p: float | None = None, max_tries: int = 10000) -> CommGraph:
-    """Erdős–Rényi draw (default p = 2 ln N / N, capped at 1), redrawn until connected."""
+def random_connected_graph(n_agents: int, rng: np.random.Generator) -> CommGraph:
+    """Erdős–Rényi draw with p = 2 ln N / N (capped at 1), redrawn until connected."""
     if n_agents == 1:
         return CommGraph(n_agents=1, edges=frozenset())
-    if p is None:
-        p = min(1.0, 2.0 * math.log(n_agents) / n_agents)
+    p = min(1.0, 2.0 * math.log(n_agents) / n_agents)
     pairs = [(i, j) for i in range(n_agents) for j in range(i + 1, n_agents)]
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         mask = rng.random(len(pairs)) < p
         edge_set = frozenset(pair for pair, keep in zip(pairs, mask) if keep)
         if _is_connected(n_agents, edge_set):
             return CommGraph(n_agents=n_agents, edges=edge_set)
-    raise DisconnectedGraph(f"no connected draw in {max_tries} tries (n={n_agents}, p={p})")
+    raise DisconnectedGraph(f"no connected draw in {_MAX_DRAWS} tries (n={n_agents}, p={p})")

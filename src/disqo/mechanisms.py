@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import ConventionMismatch, Infeasible, InfeasibleWithoutAgent, MaxIterReached
 from .problem import (
     CentralSolution,
@@ -29,6 +30,7 @@ from .problem import (
     eval_cost,
     exclude_agent,
     reconcile_dual,
+    resolve,
     stationarity_residual,
 )
 
@@ -49,10 +51,6 @@ __all__ = [
 ]
 
 
-def _pick(problem, which: str) -> CoupledProblem:
-    return problem.pick(which) if isinstance(problem, ReportedProblem) else problem
-
-
 @dataclass(frozen=True)
 class MechanismOutcome:
     mechanism: str  # "ShadowPricing" or "VCG"
@@ -60,9 +58,17 @@ class MechanismOutcome:
     prices: tuple[np.ndarray, ...] | None  # per-agent unit prices (shadow pricing only)
     payments: np.ndarray  # per-agent transfer: prices . x_i, or the VCG lump sum
     costs: np.ndarray  # per-agent cost of the implemented allocation
-    net_costs: np.ndarray  # costs - payments (u_i)
-    benefits: np.ndarray  # payments - costs
     cost_basis: str  # "true" or "reported" evaluation of the costs column
+
+    @property
+    def net_costs(self) -> np.ndarray:
+        """u_i = costs - payments."""
+        return self.costs - self.payments
+
+    @property
+    def benefits(self) -> np.ndarray:
+        """-u_i, the payment net of the cost."""
+        return -self.net_costs
 
     @property
     def total_payout(self) -> float:
@@ -86,7 +92,7 @@ def shadow_prices(problem, x: np.ndarray, lam: np.ndarray, which: str = "reporte
     ``centralized_solve`` (grad f = A' lam on free directions); a stationarity
     check enforces that and raises ``ConventionMismatch`` otherwise.
     """
-    p = _pick(problem, which)
+    p = resolve(problem, which)
     x = np.asarray(x, float).ravel()
     lam = np.asarray(lam, float).ravel()
     fixed = reconcile_dual(p, x, lam)
@@ -108,7 +114,7 @@ def shadow_prices(problem, x: np.ndarray, lam: np.ndarray, which: str = "reporte
 def sp_outcome(problem, x: np.ndarray, prices, cost_basis: str = "true") -> MechanismOutcome:
     """Settlement under shadow pricing: each agent is paid prices_i . x_i and
     bears its own cost at the implemented allocation."""
-    p_true = _pick(problem, cost_basis)
+    p_true = resolve(problem, cost_basis)
     x = np.asarray(x, float).ravel()
     n = p_true.n_agents
     payments = np.empty(n)
@@ -117,15 +123,12 @@ def sp_outcome(problem, x: np.ndarray, prices, cost_basis: str = "true") -> Mech
         blk = p_true.block(i)
         payments[i] = float(prices[i] @ x[blk])
         costs[i] = eval_cost(problem, i, x, which=cost_basis)
-    net = costs - payments
     return MechanismOutcome(
         mechanism="ShadowPricing",
         x=x,
         prices=tuple(np.array(v) for v in prices),
         payments=payments,
         costs=costs,
-        net_costs=net,
-        benefits=-net,
         cost_basis=cost_basis,
     )
 
@@ -145,20 +148,15 @@ def sp_equilibrium_check(problem, x: np.ndarray, prices, tol: float = 1e-6) -> n
     returned entry i is the KKT stationarity residual of that problem at x_i
     (distance of the reduced gradient from the cone of active normals).
     """
-    p = _pick(problem, "reported")
+    p = resolve(problem, "reported")
     x = np.asarray(x, float).ravel()
     out = np.empty(p.n_agents)
     for i in range(p.n_agents):
         blk = p.block(i)
         own = p.actual[i]
         grad = (own.sigma @ x + own.psi)[blk] - np.asarray(prices[i], float)
-        poly = p.local[i]
-        act_cols = None
-        if poly.n_rows:
-            slack = poly.m - poly.B @ x[blk]
-            active = np.flatnonzero(slack <= 1e-6 * max(1.0, float(np.max(np.abs(poly.m))) if poly.m.size else 1.0))
-            if active.size:
-                act_cols = poly.B[active].T
+        active = p.local[i].active_rows(x[blk])
+        act_cols = p.local[i].B[active].T if active.size else None
         out[i] = stationarity_residual(grad, p.A[i].T, act_cols)
     return out
 
@@ -170,17 +168,17 @@ def sp_equilibrium_check(problem, x: np.ndarray, prices, tol: float = 1e-6) -> n
 def _objective_value(problem, which: str, distributed=None) -> tuple[np.ndarray, float]:
     """(x, total reported cost) of the given problem, by the centralized
     oracle or, when ``distributed`` is given, by the consensus solver."""
-    p = _pick(problem, which)
+    p = resolve(problem, which)
     if distributed is None:
         sol = centralized_solve(p)
         return sol.x, sol.value
     from . import admm
-    from .graphs import build_graph, random_connected_graph
+    from .graphs import random_connected_graph
 
     graph, params = distributed
     if graph is None or graph.n_agents != p.n_agents:
         # drop-one solves have one agent fewer than the caller's graph
-        graph = build_graph(1, []) if p.n_agents == 1 else random_connected_graph(p.n_agents, np.random.default_rng(0))
+        graph = random_connected_graph(p.n_agents, np.random.default_rng(0))
     res = admm.solve(p, graph, params)
     if not res.converged:
         raise MaxIterReached(f"distributed VCG solve did not converge in {res.iterations} rounds")
@@ -211,15 +209,12 @@ def vcg_payments(problem, cost_basis: str = "true", distributed=None) -> Mechani
         others_at_hat = total_hat - eval_cost(problem, i, x_hat, which="reported")
         payments[i] = without_i - others_at_hat
         costs[i] = eval_cost(problem, i, x_hat, which=cost_basis)
-    net = costs - payments
     return MechanismOutcome(
         mechanism="VCG",
         x=x_hat,
         prices=None,
         payments=payments,
         costs=costs,
-        net_costs=net,
-        benefits=-net,
         cost_basis=cost_basis,
     )
 
@@ -265,11 +260,8 @@ class SweepResult:
     benefits: np.ndarray  # (n_deltas, n_agents) true-cost benefits under shadow pricing
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("delta,agent,benefit\n")
-            for di, delta in enumerate(self.deltas):
-                for j in range(self.benefits.shape[1]):
-                    fh.write(f"{format(float(delta), '.17g')},{j},{format(float(self.benefits[di, j]), '.17g')}\n")
+        rows = ((delta, j, b) for delta, row in zip(self.deltas, self.benefits) for j, b in enumerate(row))
+        write_csv(path, ["delta", "agent", "benefit"], rows)
 
 
 def misreport_sweep(instance, agent: int, deltas) -> SweepResult:
@@ -291,13 +283,10 @@ class PortfolioResult:
     benefits: np.ndarray  # (n_cases, n_agents)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("case,agent,benefit\n")
-            for j, b in enumerate(self.baseline):
-                fh.write(f"0,{j},{format(float(b), '.17g')}\n")
-            for ci in range(self.benefits.shape[0]):
-                for j in range(self.benefits.shape[1]):
-                    fh.write(f"{ci + 1},{j},{format(float(self.benefits[ci, j]), '.17g')}\n")
+        """Case 0 is the truthful baseline, cases 1.. the misreport cases."""
+        table = [self.baseline, *self.benefits]
+        rows = ((case, j, b) for case, row in enumerate(table) for j, b in enumerate(row))
+        write_csv(path, ["case", "agent", "benefit"], rows)
 
 
 def misreport_portfolio(instance, n_cases: int, seed: int, magnitude: float = 0.5) -> PortfolioResult:
@@ -332,19 +321,17 @@ def misreport_portfolio(instance, n_cases: int, seed: int, magnitude: float = 0.
 
 
 def payments_csv(outcomes, path) -> None:
-    """Payment table rows: agent, mechanism, payment, true_cost, net_cost, benefit."""
+    """Payment table with columns agent, mechanism, payment, true_cost,
+    net_cost, benefit. Rows: every agent of each outcome in order, then one
+    ``total`` row per outcome (column sums), then, when both ShadowPricing and
+    VCG are present, a ``total,SP-VCG`` row of their differences."""
     if isinstance(outcomes, MechanismOutcome):
         outcomes = [outcomes]
-    with open(path, "w") as fh:
-        fh.write("agent,mechanism,payment,true_cost,net_cost,benefit\n")
-        for out in outcomes:
-            for i in range(out.n_agents):
-                fields = [
-                    str(i),
-                    out.mechanism,
-                    format(float(out.payments[i]), ".17g"),
-                    format(float(out.costs[i]), ".17g"),
-                    format(float(out.net_costs[i]), ".17g"),
-                    format(float(out.benefits[i]), ".17g"),
-                ]
-                fh.write(",".join(fields) + "\n")
+    columns = lambda out: (out.payments, out.costs, out.net_costs, out.benefits)
+    rows = [(i, out.mechanism, *(c[i] for c in columns(out))) for out in outcomes for i in range(out.n_agents)]
+    rows += [("total", out.mechanism, *(c.sum() for c in columns(out))) for out in outcomes]
+    by_name = {out.mechanism: out for out in outcomes}
+    if "ShadowPricing" in by_name and "VCG" in by_name:
+        pairs = zip(columns(by_name["ShadowPricing"]), columns(by_name["VCG"]))
+        rows.append(("total", "SP-VCG", *(sp.sum() - vcg.sum() for sp, vcg in pairs)))
+    write_csv(path, ["agent", "mechanism", "payment", "true_cost", "net_cost", "benefit"], rows)

@@ -17,7 +17,7 @@ cross-terms are attributed to agents.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "LocalPolyhedron",
     "CoupledProblem",
     "ReportedProblem",
+    "resolve",
     "CentralSolution",
     "assemble_problem",
     "convert_inequality_coupling",
@@ -63,9 +64,6 @@ class QuadObjective:
     def value(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.sigma @ x + self.psi @ x)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.sigma @ x + self.psi
-
 
 @dataclass(frozen=True)
 class LocalPolyhedron:
@@ -82,6 +80,13 @@ class LocalPolyhedron:
         if self.n_rows == 0:
             return True
         return bool(np.max(self.B @ x_i - self.m) <= tol)
+
+    def active_rows(self, x_i: np.ndarray) -> np.ndarray:
+        """Rows tight at x_i: slack at most 1e-6 times max(1, max |m|)."""
+        if self.n_rows == 0:
+            return np.zeros(0, dtype=int)
+        slack = self.m - self.B @ x_i
+        return np.flatnonzero(slack <= 1e-6 * max(1.0, float(np.max(np.abs(self.m)))))
 
 
 @dataclass(frozen=True)
@@ -170,6 +175,12 @@ class ReportedProblem:
         if which == "reported":
             return self.reported
         raise ValueError(f"which must be 'true' or 'reported', got {which!r}")
+
+
+def resolve(problem, which: str) -> CoupledProblem:
+    """The ``which`` side ("true" or "reported") of a ``ReportedProblem``; a
+    plain ``CoupledProblem`` is returned as it is."""
+    return problem.pick(which) if isinstance(problem, ReportedProblem) else problem
 
 
 def _check_symmetric(sigma: np.ndarray, label: str) -> np.ndarray:
@@ -263,19 +274,14 @@ def feasible_point(poly: LocalPolyhedron) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlackMap:
-    """Coordinate bookkeeping for the inequality-to-equality conversion."""
+    """Coordinate bookkeeping for the inequality-to-equality conversion:
+    ``lift[j]`` is where original coordinate j sits in the converted vector."""
 
-    original_dims: tuple[int, ...]
-    new_dims: tuple[int, ...]
+    lift: np.ndarray
 
     def strip(self, x: np.ndarray) -> np.ndarray:
         """Drop the slack coordinates from a stacked solution of the converted problem."""
-        parts = []
-        off = 0
-        for orig, new in zip(self.original_dims, self.new_dims):
-            parts.append(x[off : off + orig])
-            off += new
-        return np.concatenate(parts)
+        return x[self.lift]
 
 
 def convert_inequality_coupling(problem: CoupledProblem) -> tuple[CoupledProblem, SlackMap]:
@@ -288,24 +294,15 @@ def convert_inequality_coupling(problem: CoupledProblem) -> tuple[CoupledProblem
     the split of total slack across agents is not unique and carries no cost.
     """
     n0 = problem.n_coupling
-    new_dims = tuple(ni + n0 for ni in problem.dims)
-    n_new = sum(new_dims)
-
-    def lift_index(i: int) -> tuple[slice, slice]:
-        off = int(np.sum(new_dims[:i]))
-        return slice(off, off + problem.dims[i]), slice(off + problem.dims[i], off + new_dims[i])
+    n_new = problem.n_total + problem.n_agents * n0
+    # Agent i's block moves right by the i slack vectors in front of it.
+    lift = np.arange(problem.n_total) + n0 * np.repeat(np.arange(problem.n_agents), problem.dims)
 
     def lift_quad(obj: QuadObjective) -> QuadObjective:
         sigma = np.zeros((n_new, n_new))
         psi = np.zeros(n_new)
-        for i in range(problem.n_agents):
-            xi, _ = lift_index(i)
-            bi = problem.block(i)
-            psi[xi] = obj.psi[bi]
-            for j in range(problem.n_agents):
-                xj, _ = lift_index(j)
-                bj = problem.block(j)
-                sigma[xi, xj] = obj.sigma[bi, bj]
+        sigma[np.ix_(lift, lift)] = obj.sigma
+        psi[lift] = obj.psi
         return QuadObjective(sigma=sigma, psi=psi)
 
     agents = []
@@ -330,18 +327,12 @@ def convert_inequality_coupling(problem: CoupledProblem) -> tuple[CoupledProblem
         d=problem.d,
         actual=[(o.sigma, o.psi) for o in lifted_act],
     )
-    return converted, SlackMap(original_dims=problem.dims, new_dims=new_dims)
-
-
-def _resolve(problem, which: str) -> CoupledProblem:
-    if isinstance(problem, ReportedProblem):
-        return problem.pick(which)
-    return problem
+    return converted, SlackMap(lift=lift)
 
 
 def eval_cost(problem, i: int, x: np.ndarray, which: str = "true") -> float:
     """Agent i's own (``actual`` decomposition) cost at the stacked point x."""
-    p = _resolve(problem, which)
+    p = resolve(problem, which)
     if not 0 <= i < p.n_agents:
         raise UnknownAgent(f"agent {i} of {p.n_agents}")
     x = np.asarray(x, float).ravel()
@@ -352,7 +343,7 @@ def eval_cost(problem, i: int, x: np.ndarray, which: str = "true") -> float:
 
 def residuals(problem, x: np.ndarray, which: str = "true") -> tuple[float, float]:
     """(coupling residual ||sum A_i x_i - d||, worst local-constraint violation)."""
-    p = _resolve(problem, which)
+    p = resolve(problem, which)
     x = np.asarray(x, float).ravel()
     coupled = float(np.linalg.norm(p.stacked_A() @ x - p.d))
     worst = 0.0
@@ -378,7 +369,7 @@ class CentralSolution:
 
 
 def centralized_solve(problem, which: str = "true", tol: float = 1e-9, max_iter: int = 200000) -> CentralSolution:
-    p = _resolve(problem, which)
+    p = resolve(problem, which)
     sigma, psi = p.total_quadratic("actual")
     G, u = p.local_stacked()
     spec = QpSpec(P=sigma, q=psi, E=p.stacked_A(), h=p.d, G=G if G.shape[0] else None, u=u if u.shape[0] else None)
@@ -444,7 +435,7 @@ def reconcile_dual(problem, x: np.ndarray, lam: np.ndarray, which: str = "report
     Tries both signs and keeps the one whose stationarity residual at x passes;
     raises ``ConventionMismatch`` when neither does.
     """
-    p = _resolve(problem, which)
+    p = resolve(problem, which)
     x = np.asarray(x, float).ravel()
     lam = np.asarray(lam, float).ravel()
     sigma, psi = p.total_quadratic("actual")
@@ -453,10 +444,7 @@ def reconcile_dual(problem, x: np.ndarray, lam: np.ndarray, which: str = "report
 
     act_cols = []
     for i, poly in enumerate(p.local):
-        if poly.n_rows == 0:
-            continue
-        s = poly.m - poly.B @ x[p.block(i)]
-        for r in np.flatnonzero(s <= 1e-6 * max(1.0, float(np.max(np.abs(poly.m))) if poly.m.size else 1.0)):
+        for r in poly.active_rows(x[p.block(i)]):
             col = np.zeros(p.n_total)
             col[p.block(i)] = poly.B[r]
             act_cols.append(col)

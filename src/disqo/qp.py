@@ -60,12 +60,6 @@ class QpSpec:
     G: np.ndarray | None = None
     u: np.ndarray | None = None
 
-    def dims(self) -> tuple[int, int, int]:
-        n = self.q.shape[0]
-        me = 0 if self.E is None else self.E.shape[0]
-        mi = 0 if self.G is None else self.G.shape[0]
-        return n, me, mi
-
 
 @dataclass
 class QpSolution:
@@ -119,16 +113,15 @@ def _empty(n: int) -> np.ndarray:
     return np.zeros((0, n))
 
 
-def _normalize(spec: QpSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    P = np.asarray(spec.P, dtype=float)
-    q = np.asarray(spec.q, dtype=float).ravel()
-    n = q.shape[0]
-    if P.shape != (n, n):
-        raise DimensionMismatch(f"P shape {P.shape} vs q length {n}")
-    E = _empty(n) if spec.E is None else np.atleast_2d(np.asarray(spec.E, dtype=float))
-    h = np.zeros(0) if spec.h is None else np.asarray(spec.h, dtype=float).ravel()
-    G = _empty(n) if spec.G is None else np.atleast_2d(np.asarray(spec.G, dtype=float))
-    u = np.zeros(0) if spec.u is None else np.asarray(spec.u, dtype=float).ravel()
+def _normalize(P, E, h, G, u) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise DimensionMismatch(f"P is not square: {P.shape}")
+    n = P.shape[0]
+    E = _empty(n) if E is None else np.atleast_2d(np.asarray(E, dtype=float))
+    h = np.zeros(0) if h is None else np.asarray(h, dtype=float).ravel()
+    G = _empty(n) if G is None else np.atleast_2d(np.asarray(G, dtype=float))
+    u = np.zeros(0) if u is None else np.asarray(u, dtype=float).ravel()
     if E.shape != (h.shape[0], n):
         raise DimensionMismatch(f"E shape {E.shape} vs h length {h.shape[0]}, n={n}")
     if G.shape != (u.shape[0], n):
@@ -136,7 +129,7 @@ def _normalize(spec: QpSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     asym = float(np.max(np.abs(P - P.T))) if n else 0.0
     if asym > 1e-10 * max(1.0, float(np.max(np.abs(P))) if n else 1.0):
         raise DimensionMismatch(f"P is not symmetric (asymmetry {asym:.3e})")
-    return (P + P.T) / 2.0, q, E, h, G, u
+    return (P + P.T) / 2.0, E, h, G, u
 
 
 def _check_psd(P: np.ndarray) -> None:
@@ -191,12 +184,9 @@ class RepeatedQp:
         u: np.ndarray | None = None,
         tol: float = 1e-9,
         max_iter: int = 200000,
-        check_psd: bool = True,
     ):
-        spec = QpSpec(P=P, q=np.zeros(P.shape[0]), E=E, h=h_template, G=G, u=u)
-        self.P, _, self.E, self.h, self.G, self.u = _normalize(spec)
-        if check_psd:
-            _check_psd(self.P)
+        self.P, self.E, self.h, self.G, self.u = _normalize(P, E, h_template, G, u)
+        _check_psd(self.P)
         self.tol = tol
         self.max_iter = max_iter
         n = self.P.shape[0]
@@ -480,15 +470,11 @@ def _solve_reduced(red: _ReducedSystem, rhs: np.ndarray) -> np.ndarray | None:
     return sol if np.all(np.isfinite(sol)) else None
 
 
-def solve_qp(spec: QpSpec, tol: float = 1e-9, max_iter: int = 200000, check_psd: bool = True) -> QpSolution:
+def solve_qp(spec: QpSpec, tol: float = 1e-9, max_iter: int = 200000) -> QpSolution:
     """Solve one QP. See module docstring for the dual convention.
 
     Raises ``NonPsdHessian`` for an indefinite Hessian and ``Infeasible`` when a
     primal-infeasibility certificate is found; returns ``status="max_iter"``
     (with the best iterate and its residuals) when the budget runs out.
     """
-    P, q, E, h, G, u = _normalize(spec)
-    if check_psd:
-        _check_psd(P)
-    kernel = RepeatedQp(P, E, h, G, u, tol=tol, max_iter=max_iter, check_psd=False)
-    return kernel.solve(q, h=h)
+    return RepeatedQp(spec.P, spec.E, spec.h, spec.G, spec.u, tol=tol, max_iter=max_iter).solve(spec.q)

@@ -18,6 +18,7 @@ Two per-agent decompositions of the same total cost are produced:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, NoPathExists
 from .graphs import CommGraph, build_graph, random_connected_graph
-from .problem import CoupledProblem, QuadObjective, ReportedProblem, assemble_problem, centralized_solve, exclude_agent
+from .problem import CoupledProblem, ReportedProblem, assemble_problem, centralized_solve, exclude_agent
 
 __all__ = [
     "TransportNetwork",
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_MAX_DRAWS = 50  # network draws random_network tries before giving up
 
 
 @dataclass(frozen=True)
@@ -178,12 +180,8 @@ def build_incidence(paths: PathSet, network: TransportNetwork) -> IncidenceData:
             for p in paths.paths[(i, j)]:
                 for e in p:
                     path_counts[i, pos[e]] += 1.0
-    totals = path_counts.sum(axis=0)
-    kappa = []
-    for i in range(network.n_suppliers):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            k_i = np.where(totals > 0, path_counts[i] / np.where(totals > 0, totals, 1.0), 0.0)
-        kappa.append(k_i)
+    # Every used edge lies on some route, so every total is positive.
+    kappa = path_counts / path_counts.sum(axis=0)
     return IncidenceData(used_edges=tuple(used), Q=tuple(Q), kappa=tuple(kappa))
 
 
@@ -287,17 +285,7 @@ class TransportInstance:
             if c.shape != (self.network.n_edges,):
                 raise DimensionMismatch(f"reported cost vector of agent {i} has length {c.shape[0]}")
             costs[i] = c
-        reported_net = TransportNetwork(
-            n_nodes=self.network.n_nodes,
-            edges=self.network.edges,
-            suppliers=self.network.suppliers,
-            demanders=self.network.demanders,
-            inventories=self.network.inventories,
-            demands=self.network.demands,
-            edge_costs=costs,
-            c0=self.network.c0,
-            pair_capacity=self.network.pair_capacity,
-        )
+        reported_net = dataclasses.replace(self.network, edge_costs=costs)
         reported_problem = to_coupled_problem(reported_net, self.paths, self.incidence)
         return ReportedProblem(true=self.problem, reported=reported_problem)
 
@@ -356,13 +344,13 @@ def star_network(c_norms, c0: float = 1.0, d: float = 5.0, spoke_costs=None) -> 
     )
 
 
-def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c0: float = 1.0, max_tries: int = 50) -> TransportNetwork:
+def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c0: float = 1.0) -> TransportNetwork:
     """Seeded random layered network at scale (N suppliers, M demanders,
     K commodities, R routes). Redraws (deterministically) until every demander
     is reachable by at least two suppliers and the instance stays feasible
     even after removing any single supplier."""
     N, M, K, R = scale
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         network = _draw_network(scale, rng, c0)
         try:
             instance = build_instance(network, R=R, L=4)
@@ -382,7 +370,7 @@ def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c
             ok = False
         if ok:
             return network
-    raise Infeasible(f"no feasible draw at scale {scale} in {max_tries} tries")
+    raise Infeasible(f"no feasible draw at scale {scale} in {_MAX_DRAWS} tries")
 
 
 def _draw_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c0: float) -> TransportNetwork:

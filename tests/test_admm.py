@@ -205,14 +205,15 @@ def test_subproblem_larger_rho_pulls_toward_anchor():
 def test_accelerated_subproblem_matches_plain():
     inst = random_instance((3, 2, 2, 2), seed=5)
     g = random_connected_graph(3, np.random.default_rng(2))
-    state = init_state(inst.problem, g, SolverParams(mode="plain"))
+    plain = init_state(inst.problem, g, SolverParams(mode="plain"))
+    accel = init_state(inst.problem, g, SolverParams(mode="accelerated"))
     rng = np.random.default_rng(0)
     for i in range(3):
         gamma = rng.normal(size=inst.problem.n_coupling)
         ell = rng.normal(size=inst.problem.n_coupling)
-        state.V[i] = rng.normal(size=inst.problem.n_total) * 0.1
-        y_plain = subproblem(state, i, gamma, ell)
-        w, z, y_acc = accelerated_subproblem(state, i, gamma, ell)
+        plain.V[i] = accel.V[i] = rng.normal(size=inst.problem.n_total) * 0.1
+        y_plain = subproblem(plain, i, gamma, ell)
+        w, z, y_acc = accelerated_subproblem(accel, i, gamma, ell)
         np.testing.assert_allclose(y_acc, y_plain, atol=1e-8)
         blk = inst.problem.block(i)
         np.testing.assert_allclose(w, y_plain[blk], atol=1e-8)
@@ -228,7 +229,7 @@ def test_accelerated_unconstrained_step_is_schur_solve():
     gamma = np.array([-1.0])
     ell = np.array([0.5])
     w, z, y = accelerated_subproblem(state, 0, gamma, ell)
-    cache = state._accel[0]
+    cache = state._caches[0]
     q = p.algorithmic[0].psi - 1.0 * state.V[0]
     q[0] += 1.0 * (ell[0] + 1.0 * (gamma[0] - 0.0))
     phi = cache.qp.P

@@ -13,6 +13,7 @@ import pytest
 
 import disqo
 from disqo.cli import main
+from disqo.errors import MaxIterReached
 from disqo.mechanisms import misreport_sweep, sp_for_problem
 from disqo.problem import ReportedProblem, centralized_solve
 from disqo.transport import build_instance, load_instance, star_network
@@ -174,6 +175,28 @@ def test_solve_outputs_are_stable_and_finite(tmp_path):
                 assert np.isfinite(float(val)), f"{key} not finite at iter {row['iter']}"
     strip = lambda p: [r[:-1] for r in csv.reader(open(p))]  # all but wall_ms
     assert strip(out1 / "trace.csv") == strip(out2 / "trace.csv")
+
+
+def test_solve_reported_config_solves_the_reported_problem(tmp_path):
+    cfg = star_config(tmp_path / "cfg.json", report_deltas={"0": -1.0})
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    x, _, _, converged = read_solution(out / "solution.csv")
+    assert converged == 1
+    reported = star_instance().perturbed_reports({0: -1.0})
+    np.testing.assert_allclose(x, centralized_solve(reported, which="reported").x, atol=1e-6)
+
+
+@pytest.mark.parametrize("command", ["solve", "mechanism"])
+def test_central_solve_budget_exhaustion_exits_two(tmp_path, monkeypatch, capsys, command):
+    def exhausted(*args, **kwargs):
+        raise MaxIterReached("budget spent")
+
+    monkeypatch.setattr(disqo.cli, "centralized_solve", exhausted)
+    monkeypatch.setattr(disqo.mechanisms, "centralized_solve", exhausted)
+    cfg = star_config(tmp_path / "cfg.json")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "budget spent" in capsys.readouterr().err
 
 
 def test_solve_input_errors(tmp_path, capsys):

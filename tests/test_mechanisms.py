@@ -341,9 +341,17 @@ def test_payments_csv_layout(tmp_path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["agent", "mechanism", "payment", "true_cost", "net_cost", "benefit"]
-    assert len(rows) == 1 + 6
+    assert len(rows) == 1 + 6 + 3
     assert rows[1][1] == "ShadowPricing" and rows[4][1] == "VCG"
     assert abs(float(rows[1][5]) - 169.0 / 18.0) < 1e-8
     assert abs(float(rows[4][2]) - 1937.0 / 72.0) < 1e-7
     # benefit column = payment - true_cost
     assert abs(float(rows[2][2]) - float(rows[2][3]) - float(rows[2][5])) < 1e-12
+    # one total row per mechanism (column sums), then their difference
+    assert [r[:2] for r in rows[7:]] == [["total", "ShadowPricing"], ["total", "VCG"], ["total", "SP-VCG"]]
+    for col in range(2, 6):
+        sp_total = sum(float(r[col]) for r in rows[1:4])
+        vcg_total = sum(float(r[col]) for r in rows[4:7])
+        assert abs(float(rows[7][col]) - sp_total) < 1e-9
+        assert abs(float(rows[8][col]) - vcg_total) < 1e-9
+        assert abs(float(rows[9][col]) - (float(rows[7][col]) - float(rows[8][col]))) < 1e-9
