@@ -26,9 +26,27 @@ the full dimension to the block dimension while producing the same iterates.
 
 The state is stacked by agent: Y and V are (N, n), eta and lam (N, n0), and
 the zero-padded couplings A~_i form one (N, n0, n) array. Every step of a
-round except the local subproblems is one array expression over these: the
-mixing is W @ (eta, lam), the eta update an A~ contraction of the copies'
-change, and the anchor update an adjacency product.
+round is one array expression over these: the mixing is W @ (eta, lam), the
+subproblems' linear terms q_i one expression for all agents, the eta update
+an A~ contraction of the copies' change, and the anchor update an adjacency
+product.
+
+In accelerated mode the subproblems themselves are batched too. Nearly every
+agent's QP keeps its active set from one round to the next, and with the
+active set fixed its solution is affine in q_i. So each agent keeps one
+affine map, for the set its last solve ended on: from q_i to its new copy
+(own block and eliminated rest) and to its local rows' multipliers. A round
+applies every map in one contraction and judges all candidates at once by
+the rule a polish accepts its first step by (multipliers and slacks
+nonnegative, every KKT residual recomputed from the candidate within the
+subproblem tolerance). Each accepted agent's QP records the point and tight
+set its own solve would have. An agent that fails the check, has no map for
+its guess yet, or whose active set has a singular reduced system is solved
+on its own by the usual warm-started, repairing QP solve, so every returned
+point is KKT-certified. ``SolveResult.stats`` counts both kinds.
+
+Plain mode keeps one QP solve per agent and round: it is the reference the
+accelerated mode is checked against.
 """
 
 from __future__ import annotations
@@ -44,7 +62,7 @@ from ._csv import write_csv
 from .errors import DimensionMismatch, InfeasibleInitialPoint
 from .graphs import CommGraph, metropolis_weights
 from .problem import CoupledProblem, feasible_point
-from .qp import RepeatedQp
+from .qp import RepeatedQp, _step_verdict
 
 __all__ = [
     "SolverParams",
@@ -134,39 +152,128 @@ class _AcceleratedCache:
     """Per-agent reduction of the subproblem to the agent's own block.
 
     The subproblem Hessian P never changes, so its partition into the own
-    block (w) and the rest (z) is factored once: with S = P and
-    T = S_zz^-1 S_zw (also computed once),
-    reduced Hessian  Phi = S_ww - S_wz T  and, per iteration, with
-    t = S_zz^-1 q_z (the one solve per iteration),
-    reduced linear   Psi = q_w - S_wz t,
-    then z = -(T w + t).
+    block (w) and the rest (z) is reduced once: with S = P and
+    T = S_zz^-1 S_zw, the reduced Hessian is Phi = S_ww - S_wz T. Per
+    iteration the reduced linear term is Psi = q_w - T' q_z and then
+    z = -(T w + S_zz^-1 q_z); both are kept as maps of the full linear term
+    q (``R`` and ``Zq``), which the warm map composes with the QP's step.
     """
 
     def __init__(self, P: np.ndarray, blk: slice, B, m):
         n = P.shape[0]
         self.blk = blk
+        own = self.own = np.arange(blk.start, blk.stop)
         self.rest = np.array([j for j in range(n) if not (blk.start <= j < blk.stop)], dtype=int)
-        own = np.arange(blk.start, blk.stop)
-        S_ww = P[np.ix_(own, own)]
+        self.S_wz = P[np.ix_(own, self.rest)]
+        self.T = np.zeros((self.rest.size, own.size))
+        self.R = np.zeros((own.size, n))  # Psi = R q
+        self.R[:, own] = np.eye(own.size)
+        self.Zq = np.zeros((self.rest.size, n))  # S_zz^-1 q_z = Zq q
         if self.rest.size:
-            self.S_wz = P[np.ix_(own, self.rest)]
-            S_zz = P[np.ix_(self.rest, self.rest)]
-            self.cho = scipy.linalg.cho_factor(S_zz)
-            self.T = scipy.linalg.cho_solve(self.cho, self.S_wz.T)
-            phi = S_ww - self.S_wz @ self.T
-        else:
-            self.S_wz = np.zeros((own.size, 0))
-            self.cho = None
-            phi = S_ww
+            cho = scipy.linalg.cho_factor(P[np.ix_(self.rest, self.rest)])
+            self.T = scipy.linalg.cho_solve(cho, self.S_wz.T)
+            self.R[:, self.rest] = -self.T.T
+            self.Zq[:, self.rest] = scipy.linalg.cho_solve(cho, np.eye(self.rest.size))
+        phi = P[np.ix_(own, own)] - self.S_wz @ self.T
         phi = (phi + phi.T) / 2.0
         self.qp = RepeatedQp(phi, G=B, u=m, tol=_SUBPROBLEM_TOL)
 
-    def solve(self, q_w: np.ndarray, q_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.cho is None:
-            return self.qp.solve(q_w).x, np.zeros(0)
-        t = scipy.linalg.cho_solve(self.cho, q_z)
-        w = self.qp.solve(q_w - self.S_wz @ t).x
-        return w, -(self.T @ w + t)
+    def solve(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The own block w and the eliminated rest z for the full linear term q."""
+        w = self.qp.solve(self.R @ q).x
+        return w, -(self.T @ w + self.Zq @ q)
+
+    def warm_map(self, active: frozenset[int]):
+        """The agent's warm update when its QP keeps the active set ``active``,
+        as one affine map of its full linear term q: the new copy is
+        y = My @ q + cy and the local rows' multipliers alpha = Ma @ q + ca.
+        Returns (My, cy, Ma, ca), or ``None`` when the set's reduced system
+        is singular."""
+        step = self.qp.step_map(active)
+        if step is None:
+            return None
+        L, c = step
+        b, n = self.R.shape
+        Lw, cw = L[:b] @ self.R, c[:b]
+        My, cy = np.empty((n, n)), np.empty(n)
+        My[self.own], cy[self.own] = Lw, cw
+        My[self.rest], cy[self.rest] = -(self.T @ Lw) - self.Zq, -(self.T @ cw)
+        return My, cy, L[b:] @ self.R, c[b:]
+
+
+class _WarmPass:
+    """The accelerated round's certified batch over every agent.
+
+    Each agent keeps one affine map, for the active set its QP will try
+    first (the set its last solve ended on), stacked here with the others
+    and padded: rows [0, n) give the new copy y, the next ``r`` the
+    multipliers of the agent's local rows and the last ``b`` its reduced
+    linear term Psi. One contraction with the linear terms gives every
+    candidate, and ``qp._step_verdict``, the rule a polish accepts its first
+    step by, judges them all at once from the reduced Hessians and local
+    rows. An agent that fails it, has no map for its guess, or whose
+    reduced system is singular is solved on its own.
+    """
+
+    def __init__(self, caches: list[_AcceleratedCache], n: int):
+        N = len(caches)
+        b = max(cache.R.shape[0] for cache in caches)
+        r = max(cache.qp.mi for cache in caches)
+        self.n, self.r = n, r
+        self.M = np.zeros((N, n + r + b, n))
+        self.c = np.zeros((N, n + r + b))
+        self.Phi = np.zeros((N, b, b))
+        self.B = np.zeros((N, r, b))
+        self.u = np.zeros((N, r))
+        self.E, self.h, self.lam = np.zeros((0, b)), np.zeros(0), np.zeros((N, 0))  # no equality rows
+        self.act = np.zeros((N, r), dtype=bool)
+        self.own = np.zeros((N, b), dtype=int)
+        self.is_own = np.zeros((N, b), dtype=bool)
+        self.sets: list[frozenset[int] | None] = [None] * N
+        for i, cache in enumerate(caches):
+            bi, ri = cache.R.shape[0], cache.qp.mi
+            self.M[i, n + r : n + r + bi] = cache.R
+            self.Phi[i, :bi, :bi] = cache.qp.P
+            self.B[i, :ri, :bi] = cache.qp.G
+            self.u[i, :ri] = cache.qp.u
+            self.own[i, :bi] = cache.own
+            self.is_own[i, :bi] = True
+
+    def _load(self, i: int, cache: _AcceleratedCache, active: frozenset[int]) -> bool:
+        """Replace agent i's map by the one for ``active``; False when singular."""
+        built = cache.warm_map(active)
+        if built is None:
+            self.sets[i] = None
+            return False
+        My, cy, Ma, ca = built
+        n, ri = self.n, cache.qp.mi
+        self.M[i, :n], self.c[i, :n] = My, cy
+        self.M[i, n : n + ri], self.c[i, n : n + ri] = Ma, ca
+        self.act[i] = False
+        self.act[i, list(active)] = True
+        self.sets[i] = active
+        return True
+
+    def run(self, caches: list[_AcceleratedCache], Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every agent's candidate copy from its linear term (row of Q), and the
+        mask of the certified ones; each certified agent's QP keeps its point
+        and tight set, as its own solve would have."""
+        N, n, r = len(caches), self.n, self.r
+        warm = np.zeros(N, dtype=bool)
+        for i, cache in enumerate(caches):
+            guess = cache.qp._last_active
+            if guess is not None:
+                warm[i] = guess == self.sets[i] or self._load(i, cache, guess)
+        out = (self.M @ Q[..., None])[..., 0] + self.c
+        Y, alpha, psi = out[:, :n].copy(), out[:, n : n + r], out[:, n + r :]
+        w = np.where(self.is_own, Y[np.arange(N)[:, None], self.own], 0.0)
+        ok, _, _, _, _, tight = _step_verdict(self.Phi, psi, self.E, self.h, self.B, self.u, w, self.lam, alpha, self.act, _SUBPROBLEM_TOL)
+        ok &= warm
+        same = (tight == self.act).all(axis=1)
+        for i in np.flatnonzero(ok):
+            qp = caches[i].qp
+            qp._remember(w[i, : qp.n], self.sets[i] if same[i] else np.flatnonzero(tight[i]).tolist())
+        return Y, ok
 
 
 @dataclass
@@ -182,13 +289,18 @@ class SolverState:
     Lam: np.ndarray  # (N, n0) dual estimates
     V: np.ndarray  # (N, n) consensus anchors
     A_pad: np.ndarray  # (N, n0, n) couplings A~_i, zero outside agent i's block
+    psi: np.ndarray  # (N, n) the agents' linear objective terms
     owner: np.ndarray  # (n,) agent owning each column
     adjacency: np.ndarray  # (N, N) 1.0 where two agents are neighbours
     k: int = 0
     Gamma: np.ndarray | None = None
+    warm_hits: int = 0  # subproblems the batched warm pass certified
+    repairs: int = 0  # subproblems solved one agent at a time
     # One subproblem cache per agent: a RepeatedQp over the full copy in plain
-    # mode, an _AcceleratedCache over the own block in accelerated mode.
+    # mode, an _AcceleratedCache over the own block in accelerated mode, whose
+    # warm maps the accelerated round's batch stacks.
     _caches: list = field(default_factory=list, repr=False)
+    _warm: _WarmPass | None = field(default=None, repr=False)
 
     @property
     def n_agents(self) -> int:
@@ -252,6 +364,7 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         Lam=np.zeros((N, problem.n_coupling)),
         V=V,
         A_pad=A_pad,
+        psi=np.stack([problem.algorithmic[i].psi for i in range(N)]),
         owner=np.repeat(np.arange(N), problem.dims),
         adjacency=graph.adjacency().astype(float),
     )
@@ -276,6 +389,8 @@ def _build_subproblem_caches(state: SolverState) -> None:
                 G = np.zeros((poly.n_rows, p.n_total))
                 G[:, blk] = poly.B
             state._caches.append(RepeatedQp(P, G=G, u=m, tol=_SUBPROBLEM_TOL))
+    if state.params.mode == "accelerated":
+        state._warm = _WarmPass(state._caches, p.n_total)
 
 
 def communication_round_tracking(eta: np.ndarray, lam: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,19 +399,20 @@ def communication_round_tracking(eta: np.ndarray, lam: np.ndarray, W: np.ndarray
     return W @ eta, W @ lam
 
 
-def _linear_term(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray) -> np.ndarray:
-    p, params = state.problem, state.params
-    blk = p.block(i)
-    q = np.array(p.algorithmic[i].psi)
-    q -= params.rho * state.degrees[i] * state.V[i]
-    own_coupling = p.A[i] @ state.Y[i, blk]
-    q[blk] += p.A[i].T @ (l_i + params.sigma * (gamma_i - own_coupling))
-    return q
+def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray, agents=slice(None)) -> np.ndarray:
+    """The subproblem linear terms q_i of the listed agents, one row each, from
+    their mixed tracking and dual estimates (rows of Gamma and L)."""
+    params = state.params
+    A = state.A_pad[agents]
+    own_coupling = (A @ state.Y[agents, :, None])[..., 0]
+    mixed = L + params.sigma * (Gamma - own_coupling)
+    anchor = params.rho * state.degrees[agents, None] * state.V[agents]
+    return state.psi[agents] - anchor + (mixed[:, None] @ A)[:, 0]
 
 
 def subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray) -> np.ndarray:
     """Plain full-dimension subproblem solve for agent i (plain-mode state)."""
-    q = _linear_term(state, i, gamma_i, l_i)
+    q = _linear_terms(state, gamma_i[None], l_i[None], slice(i, i + 1))[0]
     return state._caches[i].solve(q).x
 
 
@@ -304,9 +420,9 @@ def accelerated_subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i:
     """Block-reduced subproblem for agent i (accelerated-mode state): returns
     (own block w, eliminated rest z, reassembled full copy y)."""
     cache = state._caches[i]
-    q = _linear_term(state, i, gamma_i, l_i)
+    q = _linear_terms(state, gamma_i[None], l_i[None], slice(i, i + 1))[0]
     blk = state.problem.block(i)
-    w, z = cache.solve(q[blk], q[cache.rest])
+    w, z = cache.solve(q)
     y = np.empty(state.problem.n_total)
     y[blk] = w
     y[cache.rest] = z
@@ -341,13 +457,23 @@ def iterate(state: SolverState) -> None:
     gamma_all, l_all = communication_round_tracking(state.H, state.Lam, state.W)
     state.Gamma = gamma_all
 
-    Y_new = np.empty_like(state.Y)
-    for i in range(N):
-        if params.mode == "accelerated":
+    if params.mode == "accelerated":
+        Y_new, certified = state._warm.run(state._caches, _linear_terms(state, gamma_all, l_all))
+        repair = np.flatnonzero(~certified)
+        for i in repair:
             _, _, Y_new[i] = accelerated_subproblem(state, i, gamma_all[i], l_all[i])
-        else:
-            Y_new[i] = subproblem(state, i, gamma_all[i], l_all[i])
+    else:
+        repair = range(N)
+        Y_new = np.array([subproblem(state, i, gamma_all[i], l_all[i]) for i in repair])
+    state.repairs += len(repair)
+    state.warm_hits += N - len(repair)
+    _finish_round(state, gamma_all, l_all, Y_new)
 
+
+def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, Y_new: np.ndarray) -> None:
+    """The round after the subproblems: recursion updates, the second exchange
+    and the identity checks."""
+    params = state.params
     H_new = gamma_all + np.einsum("ikn,in->ik", state.A_pad, Y_new - state.Y)
     lam_old_mean = state.Lam.mean(axis=0)
     Lam_new = l_all + params.sigma * H_new
@@ -411,6 +537,9 @@ class SolveResult:
     iterations: int
     consensus_x: np.ndarray  # average of all copies (diagnostic)
     state: SolverState
+    # Subproblems the batched warm pass certified ("warm_hits") and those
+    # solved one agent at a time ("repairs"); they add up to iterations * N.
+    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def lambda_bar(self) -> np.ndarray:
@@ -457,4 +586,5 @@ def solve(
         iterations=state.k,
         consensus_x=state.Y.mean(axis=0),
         state=state,
+        stats={"warm_hits": state.warm_hits, "repairs": state.repairs},
     )

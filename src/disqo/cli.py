@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -66,6 +67,24 @@ _SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverParams)}
 # Config handling
 
 
+def _reads_config(fn):
+    """Report a malformed config value that a reader trips over (a missing
+    key, a value of the wrong type) as ``InvalidConfig``. Only the readers
+    below convert these errors; anywhere else they are bugs and surface as
+    such."""
+
+    @functools.wraps(fn)
+    def reader(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except json.JSONDecodeError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidConfig(f"{type(exc).__name__}: {exc}") from exc
+
+    return reader
+
+
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
@@ -74,6 +93,7 @@ def _load_json(path: str) -> dict:
     return data
 
 
+@_reads_config
 def _load_config(path: str) -> tuple[dict, str]:
     """Return (config dict, directory for resolving relative paths).
 
@@ -99,6 +119,7 @@ def _scale_tuple(raw) -> tuple[int, int, int, int]:
     return tuple(parts)
 
 
+@_reads_config
 def _instance_from_generator(gen: dict, seed_override: int | None) -> TransportInstance:
     if "star" in gen:
         star = gen["star"]
@@ -120,6 +141,7 @@ def _instance_from_generator(gen: dict, seed_override: int | None) -> TransportI
     return random_instance(scale, int(seed), c0=float(gen.get("c0", 1.0)))
 
 
+@_reads_config
 def _resolve_instance(config: dict, base: str, seed_override: int | None) -> tuple[TransportInstance, CommGraph | None]:
     if "instance" in config:
         path = config["instance"]
@@ -133,6 +155,7 @@ def _resolve_instance(config: dict, base: str, seed_override: int | None) -> tup
     raise InvalidConfig("config needs an 'instance' path or a 'generator' spec")
 
 
+@_reads_config
 def _resolve_graph(config: dict, instance: TransportInstance, embedded: CommGraph | None, seed_override: int | None) -> CommGraph:
     spec = config.get("graph") or {}
     n = instance.problem.n_agents
@@ -146,6 +169,7 @@ def _resolve_graph(config: dict, instance: TransportInstance, embedded: CommGrap
     return default_comm_graph(n, int(seed))
 
 
+@_reads_config
 def _solver_params(config: dict, args) -> SolverParams:
     spec = dict(config.get("solver") or {})
     unknown = set(spec) - _SOLVER_FIELDS
@@ -161,6 +185,7 @@ def _solver_params(config: dict, args) -> SolverParams:
     return SolverParams(**spec)
 
 
+@_reads_config
 def _apply_reports(config: dict, instance: TransportInstance):
     """Plain problem, or the reported version when the config declares one."""
     if "reports" in config:
@@ -172,6 +197,7 @@ def _apply_reports(config: dict, instance: TransportInstance):
     return instance.problem
 
 
+@_reads_config
 def _sweep_spec(config: dict, instance: TransportInstance) -> tuple[int, list[float]]:
     """(agent, deltas) of the config's sweep spec; no deltas means [0.0]."""
     spec = config.get("sweep") or {}
@@ -183,6 +209,7 @@ def _sweep_spec(config: dict, instance: TransportInstance) -> tuple[int, list[fl
     return agent, [float(v) for v in spec.get("deltas", [])] or [0.0]
 
 
+@_reads_config
 def _portfolio_spec(config: dict, args) -> tuple[int, int, float]:
     """(cases, seed, magnitude) of the config's portfolio spec; --seed wins."""
     spec = config.get("portfolio") or {}
@@ -191,6 +218,19 @@ def _portfolio_spec(config: dict, args) -> tuple[int, int, float]:
         raise InvalidConfig("portfolio 'cases' must be nonnegative")
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
     return cases, seed, float(spec.get("magnitude", 0.5))
+
+
+@_reads_config
+def _mechanism_spec(config: dict) -> tuple[list[str], str]:
+    """(selected mechanisms, cost basis) of the config; both by default."""
+    selected = [str(m).lower() for m in config.get("mechanisms", ["sp", "vcg"])]
+    bad = [m for m in selected if m not in ("sp", "vcg")]
+    if bad:
+        raise InvalidConfig(f"unknown mechanism(s): {bad}; choose from 'sp', 'vcg'")
+    cost_basis = config.get("cost_basis", "true")
+    if cost_basis not in ("true", "reported"):
+        raise InvalidConfig(f"cost_basis must be 'true' or 'reported', got {cost_basis!r}")
+    return selected, cost_basis
 
 
 def _out_dir(config: dict, args) -> str:
@@ -262,11 +302,7 @@ def cmd_mechanism(args) -> int:
     config, base = _load_config(args.config)
     instance, _ = _resolve_instance(config, base, args.seed)
     problem = _apply_reports(config, instance)
-    selected = [str(m).lower() for m in config.get("mechanisms", ["sp", "vcg"])]
-    bad = [m for m in selected if m not in ("sp", "vcg")]
-    if bad:
-        raise InvalidConfig(f"unknown mechanism(s): {bad}; choose from 'sp', 'vcg'")
-    cost_basis = config.get("cost_basis", "true")
+    selected, cost_basis = _mechanism_spec(config)
     outcomes = []
     if "sp" in selected:
         outcomes.append(sp_for_problem(problem, cost_basis=cost_basis))
@@ -430,7 +466,7 @@ def main(argv=None) -> int:
     except DisqoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:  # unreadable input files
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

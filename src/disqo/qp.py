@@ -23,6 +23,12 @@ fixed and the polish is deterministic, so every active set on a repair
 trajectory that failed is remembered, and later polishes of the same solve
 that reach one stop without solving anything.
 
+With the active set fixed, a polish step is affine in the linear term:
+``RepeatedQp.step_map`` writes it out as a matrix, and ``_step_verdict``,
+the rule a polish step is accepted by, judges a whole batch of candidates
+at once. Together they let a caller with many warm QPs take their first
+polish steps as one batch (see ``admm``).
+
 Dual convention: a solution satisfies ``Px + q + E'lam + G'alpha = 0`` with
 ``alpha >= 0``. Callers that need the opposite sign on the equality dual flip
 it themselves (see ``problem.centralized_solve``).
@@ -78,6 +84,9 @@ class QpSolution:
     active: tuple[int, ...]
     residuals: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.residuals = {name: float(value) for name, value in self.residuals.items()}
+
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
@@ -95,7 +104,7 @@ class _ReducedSystem(NamedTuple):
     """
 
     act: np.ndarray  # sorted active rows
-    inactive: np.ndarray  # sorted inactive rows
+    act_mask: np.ndarray  # the same rows as a mask over all rows
     fix_rows: np.ndarray
     fix_cols: np.ndarray
     fix_coef: np.ndarray
@@ -141,30 +150,74 @@ def _check_psd(P: np.ndarray) -> None:
         raise NonPsdHessian(f"Hessian has eigenvalue {eigmin:.3e}")
 
 
-def _kkt_residuals(P, q, E, h, G, u, x, lam, alpha) -> dict[str, float]:
-    stat = P @ x + q
-    if E.shape[0]:
-        stat = stat + E.T @ lam
-    if G.shape[0]:
-        stat = stat + G.T @ alpha
-    res = {
-        "stationarity": float(np.max(np.abs(stat))) if stat.size else 0.0,
-        "eq_feasibility": float(np.max(np.abs(E @ x - h))) if E.shape[0] else 0.0,
-        "ineq_feasibility": float(np.max(G @ x - u)) if G.shape[0] else 0.0,
-        "dual_nonneg": float(max(0.0, -alpha.min())) if alpha.size else 0.0,
-        "comp_slack": float(np.max(np.abs(alpha * (G @ x - u)))) if G.shape[0] else 0.0,
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``M @ v`` over the leading axes of ``v`` (and of ``M`` when it has them)."""
+    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
+
+
+def _vm(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``M' v`` over the leading axes of ``v`` (and of ``M`` when it has them)."""
+    return v @ M if M.ndim == 2 else (v[..., None, :] @ M)[..., 0, :]
+
+
+def _kkt_residuals(P, q, E, h, G, u, x, lam, alpha) -> dict[str, np.ndarray]:
+    """Maxima of the KKT residuals of (x, lam, alpha): one value, or one per
+    candidate when the arguments carry a leading axis of candidates (and the
+    matrices one of problems); see ``_step_verdict``."""
+    viol = _mv(G, x) - u
+    stat = _mv(P, x) + q + _vm(alpha, G)
+    eq = 0.0
+    if E.shape[-2]:
+        stat += _vm(lam, E)
+        eq = np.abs(_mv(E, x) - h).max(-1)
+    return {
+        "stationarity": np.abs(stat).max(-1, initial=0.0),
+        "eq_feasibility": eq,
+        "ineq_feasibility": viol.max(-1, initial=0.0),
+        "dual_nonneg": (-alpha).max(-1, initial=0.0),
+        "comp_slack": np.abs(alpha * viol).max(-1, initial=0.0),
     }
-    return res
 
 
-def _residuals_pass(res: dict[str, float], tol: float) -> bool:
+def _residuals_pass(res: dict[str, np.ndarray], tol: float) -> np.ndarray:
     return (
-        res["stationarity"] <= tol
-        and res["eq_feasibility"] <= tol
-        and res["ineq_feasibility"] <= tol
-        and res["dual_nonneg"] <= tol
-        and res["comp_slack"] <= tol
+        (res["stationarity"] <= tol)
+        & (res["eq_feasibility"] <= tol)
+        & (res["ineq_feasibility"] <= tol)
+        & (res["dual_nonneg"] <= tol)
+        & (res["comp_slack"] <= tol)
     )
+
+
+def _step_verdict(P, q, E, h, G, u, x, lam, alpha, act: np.ndarray, tol: float):
+    """The acceptance rule of one polish step on its candidate (x, lam, alpha).
+
+    ``act`` masks the candidate's active rows, and ``alpha`` is zero off them.
+    The candidate arguments may carry a leading axis of candidates and the
+    problem matrices one of problems, so one call judges a whole batch.
+    Returns (ok, drop, add, alpha, res, tight):
+
+    - ``drop``: an active row's multiplier is below ``-drop_tol``;
+    - ``add``: an inactive row's slack is below ``-drop_tol``;
+    - ``ok``: neither, and every KKT residual of the point with its
+      multipliers clamped at zero passes ``tol``;
+    - ``alpha`` clamped, its residuals ``res``, and ``tight``, the active
+      rows with a positive multiplier or a zero slack.
+
+    A single candidate that must drop or add a row gets ``None`` for
+    ``res`` and ``tight``: a repair step does not need them.
+    """
+    drop_tol = max(tol, 1e-11)
+    slack = u - _mv(G, x)
+    drop = alpha.min(-1, initial=0.0) < -drop_tol  # alpha is zero off the active rows
+    add = np.where(act, np.inf, slack).min(-1, initial=np.inf) < -drop_tol
+    alpha = np.maximum(alpha, 0.0)
+    if drop.ndim == 0 and (drop or add):
+        return False, drop, add, alpha, None, None
+    res = _kkt_residuals(P, q, E, h, G, u, x, lam, alpha)
+    ok = ~drop & ~add & _residuals_pass(res, tol)
+    tight = act & ((alpha > 0) | (slack <= tol))
+    return ok, drop, add, alpha, res, tight
 
 
 class RepeatedQp:
@@ -234,17 +287,18 @@ class RepeatedQp:
         if guess is not None:
             polished = self._polish(q, h, guess, failed)
             if polished is not None:
-                self._remember(polished)
+                self._remember(polished.x, polished.active)
                 return polished
 
         sol = self._admm(q, h, failed)
         if sol.optimal:
-            self._remember(sol)
+            self._remember(sol.x, sol.active)
         return sol
 
-    def _remember(self, sol: QpSolution) -> None:
-        self._last_x = sol.x.copy()
-        self._last_active = frozenset(sol.active)
+    def _remember(self, x: np.ndarray, active) -> None:
+        """Keep a solution's point and tight set for the next solve's warm start."""
+        self._last_x = x.copy()
+        self._last_active = frozenset(active)
 
     def _solve_empty(self, h: np.ndarray) -> QpSolution:
         """No variables: the empty point is optimal when it is feasible (h = 0, u >= 0)."""
@@ -283,8 +337,7 @@ class RepeatedQp:
         not recorded, since a polish started further along it has budget left.
         """
         P, E, G, u, tol = self.P, self.E, self.G, self.u, self.tol
-        n, me, mi = self.n, self.me, self.mi
-        drop_tol = max(tol, 1e-11)
+        me, mi = self.me, self.mi
         seen: set[frozenset[int]] = set()
         for _ in range(2 * mi + 8):
             if active in seen or active in failed:
@@ -292,7 +345,7 @@ class RepeatedQp:
                 return None
             seen.add(active)
             red = self._reduced_system(active)
-            act, inactive, nf, fixed = red.act, red.inactive, red.n_free, red.rhs_fixed
+            nf, fixed = red.n_free, red.rhs_fixed
             rhs = np.concatenate([-(q[red.free] + fixed[:nf]), h - fixed[nf : nf + me], fixed[nf + me :]])
             sol = _solve_reduced(red, rhs)
             if sol is None:
@@ -306,24 +359,46 @@ class RepeatedQp:
             # A fixed column's stationarity residual is its bound's multiplier.
             grad = P @ x + q + E.T @ lam + red.G_rows.T @ sol[nf + me :]
             alpha[red.fix_rows] = -grad[red.fix_cols] / red.fix_coef
-            alpha_act = alpha[act]
 
-            if alpha_act.size and alpha_act.min() < -drop_tol:
-                active = active - {int(act[np.argmin(alpha_act)])}
+            ok, drop, add, alpha_c, res, tight = _step_verdict(P, q, E, h, G, u, x, lam, alpha, red.act_mask, tol)
+            if drop:  # the most negative multiplier
+                active = active - {int(np.argmin(alpha))}
                 continue
-            slack = u - G @ x
-            if inactive.size and slack[inactive].min() < -drop_tol:
-                active = active | {int(inactive[np.argmin(slack[inactive])])}
+            if add:  # the most violated inactive row
+                active = active | {int(np.argmax(np.where(red.act_mask, -np.inf, G @ x - u)))}
                 continue
-
-            alpha[act] = np.maximum(alpha_act, 0.0)
-            res = _kkt_residuals(P, q, E, h, G, u, x, lam, alpha)
-            if _residuals_pass(res, tol):
-                tight = tuple(act[(alpha[act] > 0) | (slack[act] <= tol)].tolist())
-                return QpSolution(x=x, lam=lam, alpha=alpha, status="optimal", iterations=0, active=tight, residuals=res)
+            if ok:
+                return QpSolution(x=x, lam=lam, alpha=alpha_c, status="optimal", iterations=0, active=tuple(tight.nonzero()[0].tolist()), residuals=res)
             failed.update(seen)
             return None
         return None
+
+    def step_map(self, active: frozenset[int]) -> tuple[np.ndarray, np.ndarray] | None:
+        """The polish's first step on ``active`` as an affine map of the linear
+        term: for the template ``h``, the step's candidate is
+        ``[x; alpha] = L @ q + c``. Returns (L, c), or ``None`` when the
+        set's reduced system is singular (the polish then turns to least
+        squares). Like a polish of ``active``, it keeps that reduced system.
+        """
+        red = self._reduced_system(active)
+        if red.lu is None and red.kkt.size:
+            return None
+        P, E, n, me, mi = self.P, self.E, self.n, self.me, self.mi
+        nf, fixed = red.n_free, red.rhs_fixed
+        # Column 0 is the constant part, column 1 + j the response to q_j.
+        rhs = np.zeros((fixed.size, 1 + n))
+        rhs[:, 0] = np.concatenate([-fixed[:nf], self.h - fixed[nf : nf + me], fixed[nf + me :]])
+        rhs[np.arange(nf), 1 + np.flatnonzero(red.free)] = -1.0
+        sol = scipy.linalg.lu_solve(red.lu, rhs, check_finite=False) if rhs.size else rhs
+        x = np.zeros((n, 1 + n))
+        x[:, 0] = red.x_fixed
+        x[red.free] = sol[:nf]
+        alpha = np.zeros((mi, 1 + n))
+        alpha[red.rows] = sol[nf + me :]
+        grad = P @ x + np.eye(n, 1 + n, 1) + E.T @ sol[nf : nf + me] + red.G_rows.T @ sol[nf + me :]
+        alpha[red.fix_rows] = -grad[red.fix_cols] / red.fix_coef[:, None]
+        step = np.vstack([x, alpha])
+        return step[:, 1:], step[:, 0]
 
     def _reduced_system(self, active: frozenset[int]) -> _ReducedSystem:
         """The reduced system of an active set; the last one is kept, since
@@ -333,8 +408,8 @@ class RepeatedQp:
         P, E, G, u = self.P, self.E, self.G, self.u
         n, me, mi = self.n, self.me, self.mi
         act = np.array(sorted(active), dtype=int)
-        inactive = np.ones(mi, dtype=bool)
-        inactive[act] = False
+        act_mask = np.zeros(mi, dtype=bool)
+        act_mask[act] = True
         cols = self._bound_col[act]
         bounds = np.flatnonzero(cols >= 0)
         _, first = np.unique(cols[bounds], return_index=True)
@@ -366,7 +441,7 @@ class RepeatedQp:
             if not np.all(np.diagonal(lu[0])):
                 lu = None
         rhs_fixed = np.concatenate([(P @ x_fixed)[free], E @ x_fixed, u[rows] - Gr @ x_fixed])
-        red = _ReducedSystem(act, np.flatnonzero(inactive), fix_rows, fix_cols, fix_coef, x_fixed, rows, Gr, free, nf, kkt, lu, rhs_fixed)
+        red = _ReducedSystem(act, act_mask, fix_rows, fix_cols, fix_coef, x_fixed, rows, Gr, free, nf, kkt, lu, rhs_fixed)
         self._system = (active, red)
         return red
 

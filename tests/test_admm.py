@@ -2,6 +2,7 @@
 behavior, per-iteration identities, convergence against the centralized
 oracle, mode equivalence, and trace output."""
 
+import copy
 import csv
 import dataclasses
 import math
@@ -12,6 +13,7 @@ import pytest
 from disqo.admm import (
     IterTrace,
     SolverParams,
+    _finish_round,
     accelerated_subproblem,
     communication_round_tracking,
     init_state,
@@ -402,6 +404,65 @@ def test_stacked_round_matches_per_agent_loops(mode, seed):
         close(state.own_block_x(), np.concatenate([state.Y[i, p.block(i)] for i in range(4)]))
         gap = sum(np.linalg.norm(state.Y[i] - state.Y[j]) for i in range(4) for j in range(4) if i != j)
         close(metrics(state)["violation"], np.linalg.norm(coupling - p.d) + gap)
+
+
+def _per_agent_round(state):
+    """One accelerated round with every subproblem solved on its own."""
+    gamma, ell = communication_round_tracking(state.H, state.Lam, state.W)
+    state.Gamma = gamma
+    Y_new = np.array([accelerated_subproblem(state, i, gamma[i], ell[i])[2] for i in range(state.n_agents)])
+    _finish_round(state, gamma, ell, Y_new)
+
+
+def _desk_state(seed):
+    inst = random_instance((4, 2, 3, 2), seed=seed)
+    return init_state(inst.problem, random_connected_graph(4, np.random.default_rng(seed)), SolverParams(mode="accelerated"))
+
+
+def _twin_state():
+    return init_state(twin_agent_problem(), build_graph(2, [(0, 1)]), SolverParams(mode="accelerated"))
+
+
+@pytest.mark.parametrize("make", [lambda: _desk_state(0), lambda: _desk_state(1), lambda: _desk_state(2), _twin_state], ids=["seed0", "seed1", "seed2", "twin"])
+def test_batched_round_matches_per_agent_solves(make):
+    batched, looped = make(), make()
+    for _ in range(50):
+        iterate(batched)
+        _per_agent_round(looped)
+        for name in ("Y", "H", "Lam"):
+            np.testing.assert_allclose(getattr(batched, name), getattr(looped, name), rtol=1e-12, atol=1e-12)
+        assert [c.qp._last_active for c in batched._caches] == [c.qp._last_active for c in looped._caches]
+    assert batched.warm_hits > batched.repairs
+    assert batched.warm_hits + batched.repairs == 50 * batched.n_agents
+
+
+def test_batched_round_repairs_an_agent_whose_active_set_changes():
+    state = _desk_state(0)
+    for _ in range(20):
+        iterate(state)
+    before = state._caches[0].qp._last_active
+    state.V[0] -= 50.0  # pulls agent 0's whole copy down onto its bounds
+    twin = copy.deepcopy(state)
+    repairs = state.repairs
+    iterate(state)
+    assert state.repairs > repairs
+    assert state._caches[0].qp._last_active != before
+
+    gamma, ell = communication_round_tracking(twin.H, twin.Lam, twin.W)
+    np.testing.assert_array_equal(state.Y[0], accelerated_subproblem(twin, 0, gamma[0], ell[0])[2])
+    assert state._caches[0].qp._last_active == twin._caches[0].qp._last_active
+
+
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+@pytest.mark.parametrize("seed,rounds", [(0, 564), (1, 537), (2, 512)])
+def test_pinned_round_counts(mode, seed, rounds):
+    p = random_instance((4, 2, 3, 2), seed=seed).problem
+    g = random_connected_graph(4, np.random.default_rng(0))
+    res = solve(p, g, SolverParams(mode=mode, violation_tol=1e-7, step_tol=1e-7))
+    assert res.converged
+    assert res.iterations == rounds
+    assert res.stats["warm_hits"] + res.stats["repairs"] == res.iterations * p.n_agents
+    assert (res.stats["warm_hits"] > res.stats["repairs"]) if mode == "accelerated" else res.stats["warm_hits"] == 0
 
 
 def test_warm_start_from_optimum_converges_to_same_point():

@@ -214,6 +214,28 @@ def test_solve_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malformed_config_values_exit_one(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", generator=STAR_GEN, solver={"sigma": "high"})
+    assert main(["solve", "--config", cfg]) == 1
+    cfg2 = write_config(tmp_path / "cfg2.json", generator={"star": {"c": [2.0, "x"]}})
+    assert main(["solve", "--config", cfg2]) == 1
+    cfg3 = write_config(tmp_path / "cfg3.json", generator=STAR_GEN, cost_basis="imagined")
+    assert main(["mechanism", "--config", cfg3, "--out", str(tmp_path / "run")]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_program_errors_escape_main(tmp_path, monkeypatch):
+    # An error raised past the config readers is a bug, not bad input: it
+    # must not be reported as an input error with exit 1.
+    def broken(*args, **kwargs):
+        raise ValueError("a bug in the solver")
+
+    monkeypatch.setattr(disqo.cli, "distributed_solve", broken)
+    cfg = star_config(tmp_path / "cfg.json")
+    with pytest.raises(ValueError, match="a bug in the solver"):
+        main(["solve", "--config", cfg, "--out", str(tmp_path / "run")])
+
+
 def test_cli_flag_and_command_errors(capsys):
     assert main(["bogus"]) == 1
     assert main(["--help"]) == 0

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from disqo.errors import DimensionMismatch, Infeasible, NonPsdHessian
-from disqo.qp import QpSpec, RepeatedQp, solve_qp
+from disqo.qp import QpSpec, RepeatedQp, _step_verdict, solve_qp
 
 from oracles import enumerate_box_qp, enumerate_qp, qp_value
 
@@ -295,3 +295,59 @@ def test_solution_on_a_bound_in_every_column_needs_no_kernel(kernel_calls):
     np.testing.assert_allclose(sol.x, [0.0, 0.0, 1.0])
     np.testing.assert_allclose(sol.alpha, [0.0, 0.0, 2.0, 4.0, 6.0, 0.0])
     assert not kernel_calls
+
+
+def _bounded_sum_qp():
+    """Unit box plus a row on the sum: solutions fix some columns at a bound
+    and keep the sum row active."""
+    rng = np.random.default_rng(5)
+    S = rng.normal(size=(5, 5)) * 0.1
+    P = np.eye(5) + S @ S.T
+    G, u = box_rows(5, np.zeros(5), np.ones(5))
+    return P, np.vstack([G, np.ones((1, 5))]), np.append(u, 2.0)
+
+
+def test_step_map_is_the_warm_polish_step():
+    P, G, u = _bounded_sum_qp()
+    kernel = RepeatedQp(P, G=G, u=u)
+    q0 = np.array([-3.0, -3.0, -3.0, 4.0, 4.0])
+    first = kernel.solve(q0)
+    assert {3 + 5, 4 + 5, 10} <= set(first.active)  # two lower bounds and the sum row
+    L, c = kernel.step_map(frozenset(first.active))
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        q = q0 + rng.normal(size=5) * 1e-2
+        sol = kernel.solve(q)
+        assert sol.active == first.active
+        np.testing.assert_allclose(L @ q + c, np.concatenate([sol.x, sol.alpha]), rtol=1e-12, atol=1e-12)
+
+
+def test_step_verdict_judges_a_batch_like_each_candidate_alone():
+    P, G, u = _bounded_sum_qp()
+    rng = np.random.default_rng(1)
+    k, (m, n) = 6, G.shape
+    sol = solve_qp(QpSpec(P=P, q=np.array([-3.0, -3.0, -3.0, 4.0, 4.0]), G=G, u=u))
+    act = rng.random((k, m)) < 0.4
+    act[0] = np.isin(np.arange(m), sol.active)
+    x = rng.random((k, n))
+    x[0] = sol.x
+    q = rng.normal(size=(k, n))
+    q[0] = [-3.0, -3.0, -3.0, 4.0, 4.0]
+    alpha = np.where(act, rng.normal(size=(k, m)), 0.0)
+    alpha[0] = sol.alpha
+    # Candidate 1 is the solution of a shifted q: nothing to repair, but not stationary.
+    act[1], x[1], q[1], alpha[1] = act[0], x[0], q[0] + 1e-3, alpha[0]
+    E, h, lam = np.zeros((0, n)), np.zeros(0), np.zeros((k, 0))
+    batch = _step_verdict(np.broadcast_to(P, (k, n, n)), q, E, h, G, u, x, lam, alpha, act, 1e-9)
+    assert batch[0][0] and not batch[0][1:].any() and (batch[1] | batch[2]).any()
+    assert not (batch[1][1] or batch[2][1]) and batch[4]["stationarity"][1] > 1e-4
+    for j in range(k):
+        alone = _step_verdict(P, q[j], E, h, G, u, x[j], lam[j], alpha[j], act[j], 1e-9)
+        for got, want in zip(batch[:4], alone[:4]):
+            np.testing.assert_array_equal(got[j], want)
+        if alone[4] is None:  # a lone candidate due a repair step skips the rest
+            assert alone[1] or alone[2]
+            continue
+        np.testing.assert_array_equal(batch[5][j], alone[5])
+        for name in alone[4]:
+            np.testing.assert_allclose(np.broadcast_to(batch[4][name], (k,))[j], alone[4][name], rtol=1e-14, atol=1e-300)
