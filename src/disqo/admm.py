@@ -31,19 +31,17 @@ subproblems' linear terms q_i one expression for all agents, the eta update
 an A~ contraction of the copies' change, and the anchor update an adjacency
 product.
 
-In accelerated mode the subproblems themselves are batched too. Nearly every
-agent's QP keeps its active set from one round to the next, and with the
-active set fixed its solution is affine in q_i. So each agent keeps one
-affine map, for the set its last solve ended on: from q_i to its new copy
-(own block and eliminated rest) and to its local rows' multipliers. A round
-applies every map in one contraction and judges all candidates at once by
-the rule a polish accepts its first step by (multipliers and slacks
-nonnegative, every KKT residual recomputed from the candidate within the
-subproblem tolerance). Each accepted agent's QP records the point and tight
-set its own solve would have. An agent that fails the check, has no map for
-its guess yet, or whose active set has a singular reduced system is solved
-on its own by the usual warm-started, repairing QP solve, so every returned
-point is KKT-certified. ``SolveResult.stats`` counts both kinds.
+In accelerated mode the subproblems themselves are batched too. Each agent's
+Schur reduction is one static lift of its linear term q_i: Psi_i = R_i q_i
+is the reduced QP's linear term, and y_i = Kw_i w_i + Kq_i q_i its new copy
+from the own-block solution w_i. A round maps every q_i to Psi_i, hands the
+reduced QPs to one ``qp.WarmBatch``, which takes every warm QP's first
+polish step together and certifies each by the rule its own solve would
+apply, and lifts the accepted w_i back to copies. An agent the batch
+rejects (the check fails, it has no warm guess yet, or its guess set is
+singular) is solved on its own by the usual warm-started, repairing QP
+solve, so every returned point is KKT-certified. ``SolveResult.stats``
+counts both kinds.
 
 Plain mode keeps one QP solve per agent and round: it is the reference the
 accelerated mode is checked against.
@@ -62,7 +60,7 @@ from ._csv import write_csv
 from .errors import DimensionMismatch, InfeasibleInitialPoint
 from .graphs import CommGraph, metropolis_weights
 from .problem import CoupledProblem, feasible_point
-from .qp import RepeatedQp, _step_verdict
+from .qp import RepeatedQp, WarmBatch
 
 __all__ = [
     "SolverParams",
@@ -152,128 +150,32 @@ class _AcceleratedCache:
     """Per-agent reduction of the subproblem to the agent's own block.
 
     The subproblem Hessian P never changes, so its partition into the own
-    block (w) and the rest (z) is reduced once: with S = P and
-    T = S_zz^-1 S_zw, the reduced Hessian is Phi = S_ww - S_wz T. Per
-    iteration the reduced linear term is Psi = q_w - T' q_z and then
-    z = -(T w + S_zz^-1 q_z); both are kept as maps of the full linear term
-    q (``R`` and ``Zq``), which the warm map composes with the QP's step.
+    block (w) and the rest (z) is reduced once: with T = S_zz^-1 S_zw, the
+    reduced Hessian is Phi = S_ww - S_wz T. The rest of the copy is then a
+    static lift of w and the full linear term q: the reduced linear term is
+    Psi = R q = q_w - T' q_z, and the full copy y = Kw w + Kq q, which is w
+    on the own block and z = -(T w + S_zz^-1 q_z) on the rest.
     """
 
     def __init__(self, P: np.ndarray, blk: slice, B, m):
         n = P.shape[0]
-        self.blk = blk
-        own = self.own = np.arange(blk.start, blk.stop)
-        self.rest = np.array([j for j in range(n) if not (blk.start <= j < blk.stop)], dtype=int)
-        self.S_wz = P[np.ix_(own, self.rest)]
-        self.T = np.zeros((self.rest.size, own.size))
-        self.R = np.zeros((own.size, n))  # Psi = R q
-        self.R[:, own] = np.eye(own.size)
-        self.Zq = np.zeros((self.rest.size, n))  # S_zz^-1 q_z = Zq q
-        if self.rest.size:
-            cho = scipy.linalg.cho_factor(P[np.ix_(self.rest, self.rest)])
-            self.T = scipy.linalg.cho_solve(cho, self.S_wz.T)
-            self.R[:, self.rest] = -self.T.T
-            self.Zq[:, self.rest] = scipy.linalg.cho_solve(cho, np.eye(self.rest.size))
-        phi = P[np.ix_(own, own)] - self.S_wz @ self.T
-        phi = (phi + phi.T) / 2.0
-        self.qp = RepeatedQp(phi, G=B, u=m, tol=_SUBPROBLEM_TOL)
+        own = np.arange(blk.start, blk.stop)
+        rest = np.setdiff1d(np.arange(n), own)
+        self.S_wz = P[np.ix_(own, rest)]
+        self.R, self.Kw, self.Kq = np.zeros((own.size, n)), np.zeros((n, own.size)), np.zeros((n, n))
+        self.R[:, own] = self.Kw[own] = np.eye(own.size)
+        phi = P[np.ix_(own, own)]
+        if rest.size:
+            cho = scipy.linalg.cho_factor(P[np.ix_(rest, rest)])
+            T = scipy.linalg.cho_solve(cho, self.S_wz.T)
+            self.R[:, rest], self.Kw[rest] = -T.T, -T
+            self.Kq[np.ix_(rest, rest)] = -scipy.linalg.cho_solve(cho, np.eye(rest.size))
+            phi = phi - self.S_wz @ T
+        self.qp = RepeatedQp((phi + phi.T) / 2.0, G=B, u=m, tol=_SUBPROBLEM_TOL)
 
-    def solve(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The own block w and the eliminated rest z for the full linear term q."""
-        w = self.qp.solve(self.R @ q).x
-        return w, -(self.T @ w + self.Zq @ q)
-
-    def warm_map(self, active: frozenset[int]):
-        """The agent's warm update when its QP keeps the active set ``active``,
-        as one affine map of its full linear term q: the new copy is
-        y = My @ q + cy and the local rows' multipliers alpha = Ma @ q + ca.
-        Returns (My, cy, Ma, ca), or ``None`` when the set's reduced system
-        is singular."""
-        step = self.qp.step_map(active)
-        if step is None:
-            return None
-        L, c = step
-        b, n = self.R.shape
-        Lw, cw = L[:b] @ self.R, c[:b]
-        My, cy = np.empty((n, n)), np.empty(n)
-        My[self.own], cy[self.own] = Lw, cw
-        My[self.rest], cy[self.rest] = -(self.T @ Lw) - self.Zq, -(self.T @ cw)
-        return My, cy, L[b:] @ self.R, c[b:]
-
-
-class _WarmPass:
-    """The accelerated round's certified batch over every agent.
-
-    Each agent keeps one affine map, for the active set its QP will try
-    first (the set its last solve ended on), stacked here with the others
-    and padded: rows [0, n) give the new copy y, the next ``r`` the
-    multipliers of the agent's local rows and the last ``b`` its reduced
-    linear term Psi. One contraction with the linear terms gives every
-    candidate, and ``qp._step_verdict``, the rule a polish accepts its first
-    step by, judges them all at once from the reduced Hessians and local
-    rows. An agent that fails it, has no map for its guess, or whose
-    reduced system is singular is solved on its own.
-    """
-
-    def __init__(self, caches: list[_AcceleratedCache], n: int):
-        N = len(caches)
-        b = max(cache.R.shape[0] for cache in caches)
-        r = max(cache.qp.mi for cache in caches)
-        self.n, self.r = n, r
-        self.M = np.zeros((N, n + r + b, n))
-        self.c = np.zeros((N, n + r + b))
-        self.Phi = np.zeros((N, b, b))
-        self.B = np.zeros((N, r, b))
-        self.u = np.zeros((N, r))
-        self.E, self.h, self.lam = np.zeros((0, b)), np.zeros(0), np.zeros((N, 0))  # no equality rows
-        self.act = np.zeros((N, r), dtype=bool)
-        self.own = np.zeros((N, b), dtype=int)
-        self.is_own = np.zeros((N, b), dtype=bool)
-        self.sets: list[frozenset[int] | None] = [None] * N
-        for i, cache in enumerate(caches):
-            bi, ri = cache.R.shape[0], cache.qp.mi
-            self.M[i, n + r : n + r + bi] = cache.R
-            self.Phi[i, :bi, :bi] = cache.qp.P
-            self.B[i, :ri, :bi] = cache.qp.G
-            self.u[i, :ri] = cache.qp.u
-            self.own[i, :bi] = cache.own
-            self.is_own[i, :bi] = True
-
-    def _load(self, i: int, cache: _AcceleratedCache, active: frozenset[int]) -> bool:
-        """Replace agent i's map by the one for ``active``; False when singular."""
-        built = cache.warm_map(active)
-        if built is None:
-            self.sets[i] = None
-            return False
-        My, cy, Ma, ca = built
-        n, ri = self.n, cache.qp.mi
-        self.M[i, :n], self.c[i, :n] = My, cy
-        self.M[i, n : n + ri], self.c[i, n : n + ri] = Ma, ca
-        self.act[i] = False
-        self.act[i, list(active)] = True
-        self.sets[i] = active
-        return True
-
-    def run(self, caches: list[_AcceleratedCache], Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every agent's candidate copy from its linear term (row of Q), and the
-        mask of the certified ones; each certified agent's QP keeps its point
-        and tight set, as its own solve would have."""
-        N, n, r = len(caches), self.n, self.r
-        warm = np.zeros(N, dtype=bool)
-        for i, cache in enumerate(caches):
-            guess = cache.qp._last_active
-            if guess is not None:
-                warm[i] = guess == self.sets[i] or self._load(i, cache, guess)
-        out = (self.M @ Q[..., None])[..., 0] + self.c
-        Y, alpha, psi = out[:, :n].copy(), out[:, n : n + r], out[:, n + r :]
-        w = np.where(self.is_own, Y[np.arange(N)[:, None], self.own], 0.0)
-        ok, _, _, _, _, tight = _step_verdict(self.Phi, psi, self.E, self.h, self.B, self.u, w, self.lam, alpha, self.act, _SUBPROBLEM_TOL)
-        ok &= warm
-        same = (tight == self.act).all(axis=1)
-        for i in np.flatnonzero(ok):
-            qp = caches[i].qp
-            qp._remember(w[i, : qp.n], self.sets[i] if same[i] else np.flatnonzero(tight[i]).tolist())
-        return Y, ok
+    def solve(self, q: np.ndarray) -> np.ndarray:
+        """The agent's new full copy for its full linear term q."""
+        return self.Kw @ self.qp.solve(self.R @ q).x + self.Kq @ q
 
 
 @dataclass
@@ -297,10 +199,12 @@ class SolverState:
     warm_hits: int = 0  # subproblems the batched warm pass certified
     repairs: int = 0  # subproblems solved one agent at a time
     # One subproblem cache per agent: a RepeatedQp over the full copy in plain
-    # mode, an _AcceleratedCache over the own block in accelerated mode, whose
-    # warm maps the accelerated round's batch stacks.
+    # mode, an _AcceleratedCache over the own block in accelerated mode. There
+    # the round batches the caches' QPs and applies their lifts (R, Kw, Kq),
+    # stacked and zero-padded to the largest block.
     _caches: list = field(default_factory=list, repr=False)
-    _warm: _WarmPass | None = field(default=None, repr=False)
+    _batch: WarmBatch | None = field(default=None, repr=False)
+    _lift: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n_agents(self) -> int:
@@ -369,7 +273,7 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         adjacency=graph.adjacency().astype(float),
     )
     _build_subproblem_caches(state)
-    _check_tracking_identity(state)
+    _check_tracking_identity(state, H.mean(axis=0))
     return state
 
 
@@ -390,7 +294,12 @@ def _build_subproblem_caches(state: SolverState) -> None:
                 G[:, blk] = poly.B
             state._caches.append(RepeatedQp(P, G=G, u=m, tol=_SUBPROBLEM_TOL))
     if state.params.mode == "accelerated":
-        state._warm = _WarmPass(state._caches, p.n_total)
+        N, n, b = p.n_agents, p.n_total, max(p.dims)
+        R, Kw = np.zeros((N, b, n)), np.zeros((N, n, b))
+        for i, cache in enumerate(state._caches):
+            R[i, : p.dims[i]], Kw[i, :, : p.dims[i]] = cache.R, cache.Kw
+        state._lift = (R, Kw, np.stack([cache.Kq for cache in state._caches]))
+        state._batch = WarmBatch([cache.qp for cache in state._caches])
 
 
 def communication_round_tracking(eta: np.ndarray, lam: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,14 +328,10 @@ def subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray)
 def accelerated_subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Block-reduced subproblem for agent i (accelerated-mode state): returns
     (own block w, eliminated rest z, reassembled full copy y)."""
-    cache = state._caches[i]
     q = _linear_terms(state, gamma_i[None], l_i[None], slice(i, i + 1))[0]
+    y = state._caches[i].solve(q)
     blk = state.problem.block(i)
-    w, z = cache.solve(q)
-    y = np.empty(state.problem.n_total)
-    y[blk] = w
-    y[cache.rest] = z
-    return w, z, y
+    return y[blk], np.delete(y, blk), y
 
 
 def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:
@@ -440,8 +345,8 @@ def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def _check_tracking_identity(state: SolverState) -> None:
-    lhs = state.n_agents * state.H.mean(axis=0)
+def _check_tracking_identity(state: SolverState, H_mean: np.ndarray) -> None:
+    lhs = state.n_agents * H_mean
     rhs = state.coupling_values() - state.problem.d
     res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
     if res > _IDENTITY_TOL:
@@ -458,7 +363,10 @@ def iterate(state: SolverState) -> None:
     state.Gamma = gamma_all
 
     if params.mode == "accelerated":
-        Y_new, certified = state._warm.run(state._caches, _linear_terms(state, gamma_all, l_all))
+        R, Kw, Kq = state._lift
+        Q = _linear_terms(state, gamma_all, l_all)
+        W, certified = state._batch.solve((R @ Q[..., None])[..., 0])
+        Y_new = (Kw @ W[..., None] + Kq @ Q[..., None])[..., 0]
         repair = np.flatnonzero(~certified)
         for i in repair:
             _, _, Y_new[i] = accelerated_subproblem(state, i, gamma_all[i], l_all[i])
@@ -487,8 +395,9 @@ def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, 
     state.Y, state.H, state.Lam, state.V = Y_new, H_new, Lam_new, V_new
     state.k += 1
 
-    _check_tracking_identity(state)
-    dual_res = float(np.max(np.abs(state.Lam.mean(axis=0) - (lam_old_mean + params.sigma * state.H.mean(axis=0)))))
+    H_mean = H_new.mean(axis=0)
+    _check_tracking_identity(state, H_mean)
+    dual_res = float(np.max(np.abs(Lam_new.mean(axis=0) - (lam_old_mean + params.sigma * H_mean))))
     if dual_res > _IDENTITY_TOL:
         raise AssertionError(f"mean-dual recursion violated by {dual_res:.3e} at iteration {state.k}")
 
@@ -516,15 +425,16 @@ def metrics(state: SolverState, reference_value: float | None = None) -> dict:
         if reference_value != 0:
             rel /= abs(reference_value)
 
+    lambda_bar = state.Lam.mean(axis=0)
     eps1 = float(np.linalg.norm(state.H - state.H.mean(axis=0)))
-    eps2 = float(np.linalg.norm(state.Lam - state.Lam.mean(axis=0)))
+    eps2 = float(np.linalg.norm(state.Lam - lambda_bar))
     return {
         "iter": state.k,
         "rel_error": rel,
         "violation": violation,
         "eps1_norm": eps1,
         "eps2_norm": eps2,
-        "lambda_bar": state.Lam.mean(axis=0),
+        "lambda_bar": lambda_bar,
     }
 
 

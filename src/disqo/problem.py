@@ -275,7 +275,8 @@ def feasible_point(poly: LocalPolyhedron) -> np.ndarray:
 @dataclass(frozen=True)
 class SlackMap:
     """Coordinate bookkeeping for the inequality-to-equality conversion:
-    ``lift[j]`` is where original coordinate j sits in the converted vector."""
+    ``lift[j]`` is where original coordinate j sits in the converted vector.
+    Library-only, like ``convert_inequality_coupling``."""
 
     lift: np.ndarray
 
@@ -292,6 +293,7 @@ def convert_inequality_coupling(problem: CoupledProblem) -> tuple[CoupledProblem
     coupling row) so that sum_i (A_i x_i + s_i) = d. Objectives are zero on the
     slacks, so optimal x parts coincide with the inequality problem's optimum;
     the split of total slack across agents is not unique and carries no cost.
+    Library-only: the CLI's configs describe equality-coupled instances.
     """
     n0 = problem.n_coupling
     n_new = problem.n_total + problem.n_agents * n0

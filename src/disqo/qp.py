@@ -26,8 +26,9 @@ that reach one stop without solving anything.
 With the active set fixed, a polish step is affine in the linear term:
 ``RepeatedQp.step_map`` writes it out as a matrix, and ``_step_verdict``,
 the rule a polish step is accepted by, judges a whole batch of candidates
-at once. Together they let a caller with many warm QPs take their first
-polish steps as one batch (see ``admm``).
+at once. ``WarmBatch`` uses both to take the first polish steps of many
+warm QPs as one batch, and leaves each QP in the state its own solve would
+have (see ``admm``).
 
 Dual convention: a solution satisfies ``Px + q + E'lam + G'alpha = 0`` with
 ``alpha >= 0``. Callers that need the opposite sign on the equality dual flip
@@ -45,7 +46,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, Infeasible, NonPsdHessian
 
-__all__ = ["QpSpec", "QpSolution", "solve_qp", "RepeatedQp"]
+__all__ = ["QpSpec", "QpSolution", "solve_qp", "RepeatedQp", "WarmBatch"]
 
 _CHECK_EVERY = 25
 _RELAX = 1.6
@@ -528,6 +529,72 @@ class RepeatedQp:
             support += float(self.u @ np.maximum(v[me:], 0.0))
         if support < -1e-7 * scale:
             raise Infeasible("constraints admit no common point (certificate found)")
+
+
+class WarmBatch:
+    """Warm ``RepeatedQp``s whose first polish steps are taken as one batch.
+
+    For each QP the batch keeps the step map (``RepeatedQp.step_map``) of
+    the active set its next solve would try first, the set its last solve
+    ended on, padded to the largest QP. ``solve`` then evaluates every
+    candidate with one batched matmul and judges them all at once by the
+    rule a polish accepts its first step by, at the smallest tolerance of
+    the QPs. The batch judges inequality rows only, so QPs with equality
+    rows are rejected.
+    """
+
+    def __init__(self, qps: list[RepeatedQp]):
+        self.qps = list(qps)
+        if any(qp.me for qp in self.qps):
+            raise DimensionMismatch("WarmBatch takes QPs without equality rows")
+        N = len(self.qps)
+        n, m = max(qp.n for qp in self.qps), max(qp.mi for qp in self.qps)
+        self.n, self.tol = n, min(qp.tol for qp in self.qps)
+        self.L, self.c = np.zeros((N, n + m, n)), np.zeros((N, n + m))  # [x; alpha] = L q + c
+        self.P, self.G, self.u = np.zeros((N, n, n)), np.zeros((N, m, n)), np.zeros((N, m))
+        self.act = np.zeros((N, m), dtype=bool)
+        self.sets: list[frozenset[int] | None] = [None] * N  # the set each map is for
+        for i, qp in enumerate(self.qps):
+            self.P[i, : qp.n, : qp.n] = qp.P
+            self.G[i, : qp.mi, : qp.n] = qp.G
+            self.u[i, : qp.mi] = qp.u
+
+    def _load(self, i: int, active: frozenset[int]) -> bool:
+        """Replace QP i's map by the one for ``active``; False when singular."""
+        qp, n = self.qps[i], self.n
+        step = qp.step_map(active)
+        self.sets[i] = None if step is None else active
+        if step is None:
+            return False
+        L, c = step
+        self.L[i, : qp.n, : qp.n], self.c[i, : qp.n] = L[: qp.n], c[: qp.n]
+        self.L[i, n : n + qp.mi, : qp.n], self.c[i, n : n + qp.mi] = L[qp.n :], c[qp.n :]
+        self.act[i] = False
+        self.act[i, list(active)] = True
+        return True
+
+    def solve(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Take every QP's first polish step for its linear term, row i of
+        ``Q`` zero-padded to the largest QP. Returns (X, ok): the candidate
+        points, padded the same way, and the mask of the accepted ones. Each
+        accepted QP keeps its point and tight set, as its own solve would
+        have. A rejected QP, one with no guess yet and one whose guess set
+        is singular are left untouched for their own ``solve``.
+        """
+        n, N = self.n, len(self.qps)
+        warm = np.zeros(N, dtype=bool)
+        for i, qp in enumerate(self.qps):
+            if qp._last_active is not None:
+                warm[i] = qp._last_active == self.sets[i] or self._load(i, qp._last_active)
+        out = (self.L @ Q[..., None])[..., 0] + self.c
+        X, alpha = out[:, :n], out[:, n:]
+        ok, _, _, _, _, tight = _step_verdict(self.P, Q, _empty(n), np.zeros(0), self.G, self.u, X, np.zeros((N, 0)), alpha, self.act, self.tol)
+        ok &= warm
+        same = (tight == self.act).all(axis=1)
+        for i in np.flatnonzero(ok):
+            qp = self.qps[i]
+            qp._remember(X[i, : qp.n], self.sets[i] if same[i] else np.flatnonzero(tight[i]).tolist())
+        return X, ok
 
 
 def _solve_reduced(red: _ReducedSystem, rhs: np.ndarray) -> np.ndarray | None:

@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from disqo.errors import DimensionMismatch, Infeasible, NonPsdHessian
-from disqo.qp import QpSpec, RepeatedQp, _step_verdict, solve_qp
+from disqo.qp import QpSpec, RepeatedQp, WarmBatch, _step_verdict, solve_qp
 
 from oracles import enumerate_box_qp, enumerate_qp, qp_value
 
@@ -351,3 +353,45 @@ def test_step_verdict_judges_a_batch_like_each_candidate_alone():
         np.testing.assert_array_equal(batch[5][j], alone[5])
         for name in alone[4]:
             np.testing.assert_allclose(np.broadcast_to(batch[4][name], (k,))[j], alone[4][name], rtol=1e-14, atol=1e-300)
+
+
+def _box_qp(n):
+    rng = np.random.default_rng(n)
+    S = rng.normal(size=(n, n)) * 0.3
+    return (np.eye(n) + S @ S.T, *box_rows(n, np.zeros(n), np.ones(n)))
+
+
+def test_warm_batch_takes_each_qps_own_first_step():
+    P, G, u = _bounded_sum_qp()
+    # Box QPs of four sizes, one more left without a guess, and the sum QP
+    # with its sum row twice, so that its guess set is singular.
+    specs = [_box_qp(n) for n in (2, 3, 4, 6)] + [_box_qp(3), (P, np.vstack([G, G[-1:]]), np.append(u, u[-1]))]
+    qps = [RepeatedQp(P, G=G, u=u) for P, G, u in specs]
+    rng = np.random.default_rng(0)
+    q0 = [rng.normal(size=qp.n) * 2 for qp in qps]
+    q0[-1] = np.array([-3.0, -3.0, -3.0, 4.0, 4.0])
+    for i in (0, 1, 2, 3, 5):
+        qps[i].solve(q0[i])
+    assert qps[-1].step_map(qps[-1]._last_active) is None
+    q = [qi + rng.normal(size=qi.size) * 1e-3 for qi in q0]
+    q[3] = -q0[3]  # moves QP 3 off its active set
+    batch = WarmBatch(qps)
+    before = copy.deepcopy(qps)
+    Q = np.zeros((len(qps), batch.n))
+    for i, qi in enumerate(q):
+        Q[i, : qi.size] = qi
+    X, ok = batch.solve(Q)
+    assert ok.tolist() == [True, True, True, False, False, False]
+    for i, (qp, twin) in enumerate(zip(qps, before)):
+        if ok[i]:
+            np.testing.assert_allclose(X[i, : qp.n], twin.solve(q[i]).x, rtol=1e-12, atol=1e-12)
+            assert qp._last_active == twin._last_active
+            np.testing.assert_allclose(qp._last_x, twin._last_x, rtol=1e-12, atol=1e-12)
+        else:
+            assert qp._last_active == twin._last_active
+            np.testing.assert_array_equal(np.asarray(qp._last_x), np.asarray(twin._last_x))
+
+
+def test_warm_batch_rejects_equality_rows():
+    with pytest.raises(DimensionMismatch):
+        WarmBatch([RepeatedQp(np.eye(2), G=np.eye(2), u=np.ones(2)), RepeatedQp(np.eye(2), E=np.ones((1, 2)), h_template=np.ones(1))])
