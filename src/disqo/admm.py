@@ -146,38 +146,6 @@ class IterTrace:
         write_csv(path, self.header(), self.rows())
 
 
-class _AcceleratedCache:
-    """Per-agent reduction of the subproblem to the agent's own block.
-
-    The subproblem Hessian P never changes, so its partition into the own
-    block (w) and the rest (z) is reduced once: with T = S_zz^-1 S_zw, the
-    reduced Hessian is Phi = S_ww - S_wz T. The rest of the copy is then a
-    static lift of w and the full linear term q: the reduced linear term is
-    Psi = R q = q_w - T' q_z, and the full copy y = Kw w + Kq q, which is w
-    on the own block and z = -(T w + S_zz^-1 q_z) on the rest.
-    """
-
-    def __init__(self, P: np.ndarray, blk: slice, B, m):
-        n = P.shape[0]
-        own = np.arange(blk.start, blk.stop)
-        rest = np.setdiff1d(np.arange(n), own)
-        self.S_wz = P[np.ix_(own, rest)]
-        self.R, self.Kw, self.Kq = np.zeros((own.size, n)), np.zeros((n, own.size)), np.zeros((n, n))
-        self.R[:, own] = self.Kw[own] = np.eye(own.size)
-        phi = P[np.ix_(own, own)]
-        if rest.size:
-            cho = scipy.linalg.cho_factor(P[np.ix_(rest, rest)])
-            T = scipy.linalg.cho_solve(cho, self.S_wz.T)
-            self.R[:, rest], self.Kw[rest] = -T.T, -T
-            self.Kq[np.ix_(rest, rest)] = -scipy.linalg.cho_solve(cho, np.eye(rest.size))
-            phi = phi - self.S_wz @ T
-        self.qp = RepeatedQp((phi + phi.T) / 2.0, G=B, u=m, tol=_SUBPROBLEM_TOL)
-
-    def solve(self, q: np.ndarray) -> np.ndarray:
-        """The agent's new full copy for its full linear term q."""
-        return self.Kw @ self.qp.solve(self.R @ q).x + self.Kq @ q
-
-
 @dataclass
 class SolverState:
     problem: CoupledProblem
@@ -198,11 +166,12 @@ class SolverState:
     Gamma: np.ndarray | None = None
     warm_hits: int = 0  # subproblems the batched warm pass certified
     repairs: int = 0  # subproblems solved one agent at a time
-    # One subproblem cache per agent: a RepeatedQp over the full copy in plain
-    # mode, an _AcceleratedCache over the own block in accelerated mode. There
-    # the round batches the caches' QPs and applies their lifts (R, Kw, Kq),
-    # stacked and zero-padded to the largest block.
-    _caches: list = field(default_factory=list, repr=False)
+    # One subproblem QP per agent: over the full copy in plain mode, over the
+    # own block in accelerated mode. There the agents' Schur lifts (R, Kw, Kq,
+    # see _schur_lift) are kept once, stacked and zero-padded to the largest
+    # block: the round batches the QPs and applies the lifts to all agents,
+    # and the repair path applies agent i's slice.
+    _qps: list[RepeatedQp] = field(default_factory=list, repr=False)
     _batch: WarmBatch | None = field(default=None, repr=False)
     _lift: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
@@ -272,34 +241,54 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         owner=np.repeat(np.arange(N), problem.dims),
         adjacency=graph.adjacency().astype(float),
     )
-    _build_subproblem_caches(state)
+    _build_subproblem_qps(state)
     _check_tracking_identity(state, H.mean(axis=0))
     return state
 
 
-def _build_subproblem_caches(state: SolverState) -> None:
+def _build_subproblem_qps(state: SolverState) -> None:
     p = state.problem
-    for i in range(p.n_agents):
-        blk = p.block(i)
-        P = _subproblem_hessian(state, i)
-        poly = p.local[i]
-        B = poly.B if poly.n_rows else None
-        m = poly.m if poly.n_rows else None
-        if state.params.mode == "accelerated":
-            state._caches.append(_AcceleratedCache(P, blk, B, m))
-        else:
-            G = None
-            if poly.n_rows:
-                G = np.zeros((poly.n_rows, p.n_total))
-                G[:, blk] = poly.B
-            state._caches.append(RepeatedQp(P, G=G, u=m, tol=_SUBPROBLEM_TOL))
-    if state.params.mode == "accelerated":
+    accelerated = state.params.mode == "accelerated"
+    if accelerated:
         N, n, b = p.n_agents, p.n_total, max(p.dims)
-        R, Kw = np.zeros((N, b, n)), np.zeros((N, n, b))
-        for i, cache in enumerate(state._caches):
-            R[i, : p.dims[i]], Kw[i, :, : p.dims[i]] = cache.R, cache.Kw
-        state._lift = (R, Kw, np.stack([cache.Kq for cache in state._caches]))
-        state._batch = WarmBatch([cache.qp for cache in state._caches])
+        state._lift = R, Kw, Kq = np.zeros((N, b, n)), np.zeros((N, n, b)), np.zeros((N, n, n))
+    for i, poly in enumerate(p.local):
+        blk, b_i = p.block(i), p.dims[i]
+        P, G = _subproblem_hessian(state, i), poly.B
+        if accelerated:
+            P, R[i, :b_i], Kw[i, :, :b_i], Kq[i] = _schur_lift(P, blk)
+        else:
+            G = np.zeros((poly.n_rows, p.n_total))
+            G[:, blk] = poly.B
+        state._qps.append(RepeatedQp(P, G=G, u=poly.m, tol=_SUBPROBLEM_TOL))
+    if accelerated:
+        state._batch = WarmBatch(state._qps)
+
+
+def _schur_lift(P: np.ndarray, blk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Agent i's subproblem reduced to its own block by partial minimization.
+
+    The subproblem Hessian P never changes, so its partition into the own
+    block (w) and the rest (z) is reduced once: with T = P_zz^-1 P_zw, the
+    reduced Hessian is Phi = P_ww - P_wz T. The rest of the copy is then a
+    static lift of w and the full linear term q: the reduced linear term is
+    R q = q_w - T' q_z, and the full copy y = Kw w + Kq q, which is w on the
+    own block and z = -(T w + P_zz^-1 q_z) on the rest. Returns (Phi, R, Kw, Kq).
+    """
+    n = P.shape[0]
+    own = np.arange(blk.start, blk.stop)
+    rest = np.setdiff1d(np.arange(n), own)
+    R, Kw, Kq = np.zeros((own.size, n)), np.zeros((n, own.size)), np.zeros((n, n))
+    R[:, own] = Kw[own] = np.eye(own.size)
+    phi = P[np.ix_(own, own)]
+    if rest.size:
+        P_wz = P[np.ix_(own, rest)]
+        cho = scipy.linalg.cho_factor(P[np.ix_(rest, rest)])
+        T = scipy.linalg.cho_solve(cho, P_wz.T)
+        R[:, rest], Kw[rest] = -T.T, -T
+        Kq[np.ix_(rest, rest)] = -scipy.linalg.cho_solve(cho, np.eye(rest.size))
+        phi = phi - P_wz @ T
+    return (phi + phi.T) / 2.0, R, Kw, Kq
 
 
 def communication_round_tracking(eta: np.ndarray, lam: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,15 +311,16 @@ def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray, agents=s
 def subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray) -> np.ndarray:
     """Plain full-dimension subproblem solve for agent i (plain-mode state)."""
     q = _linear_terms(state, gamma_i[None], l_i[None], slice(i, i + 1))[0]
-    return state._caches[i].solve(q).x
+    return state._qps[i].solve(q).x
 
 
 def accelerated_subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Block-reduced subproblem for agent i (accelerated-mode state): returns
     (own block w, eliminated rest z, reassembled full copy y)."""
     q = _linear_terms(state, gamma_i[None], l_i[None], slice(i, i + 1))[0]
-    y = state._caches[i].solve(q)
-    blk = state.problem.block(i)
+    R, Kw, Kq = state._lift
+    blk, b_i = state.problem.block(i), state.problem.dims[i]
+    y = Kw[i, :, :b_i] @ state._qps[i].solve(R[i, :b_i] @ q).x + Kq[i] @ q
     return y[blk], np.delete(y, blk), y
 
 

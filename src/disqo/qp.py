@@ -24,11 +24,12 @@ trajectory that failed is remembered, and later polishes of the same solve
 that reach one stop without solving anything.
 
 With the active set fixed, a polish step is affine in the linear term:
-``RepeatedQp.step_map`` writes it out as a matrix, and ``_step_verdict``,
-the rule a polish step is accepted by, judges a whole batch of candidates
-at once. ``WarmBatch`` uses both to take the first polish steps of many
-warm QPs as one batch, and leaves each QP in the state its own solve would
-have (see ``admm``).
+``RepeatedQp.step_map`` writes it out as a matrix by taking the polish's
+own step on the columns of the identity, and ``_step_verdict``, the rule a
+polish step is accepted by, judges a whole batch of candidates at once.
+``WarmBatch`` uses both to take the first polish steps of many warm QPs as
+one batch, and leaves each QP in the state its own solve would have (see
+``admm``).
 
 Dual convention: a solution satisfies ``Px + q + E'lam + G'alpha = 0`` with
 ``alpha >= 0``. Callers that need the opposite sign on the equality dual flip
@@ -275,9 +276,6 @@ class RepeatedQp:
 
         if self.n == 0:
             return self._solve_empty(h)
-        # Unconstrained: direct solve.
-        if self.me + self.mi == 0:
-            return self._solve_unconstrained(q)
 
         # Active sets whose repair failed for this (q, h); shared by every polish below.
         failed: set[frozenset[int]] = set()
@@ -290,6 +288,8 @@ class RepeatedQp:
             if polished is not None:
                 self._remember(polished.x, polished.active)
                 return polished
+        if self.me + self.mi == 0:  # the polish solved P x = -q: no point is stationary
+            raise Infeasible("objective is unbounded below (no constraints, gradient not in range of P)")
 
         sol = self._admm(q, h, failed)
         if sol.optimal:
@@ -308,16 +308,6 @@ class RepeatedQp:
         if not _residuals_pass(res, self.tol):
             raise Infeasible("a QP without variables needs h = 0 and u >= 0")
         return QpSolution(x=x, lam=lam, alpha=alpha, status="optimal", iterations=0, active=(), residuals=res)
-
-    def _solve_unconstrained(self, q: np.ndarray) -> QpSolution:
-        try:
-            x = scipy.linalg.solve(self.P, -q, assume_a="sym")
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            x, *_ = np.linalg.lstsq(self.P, -q, rcond=None)
-        res = _kkt_residuals(self.P, q, self.E, np.zeros(0), self.G, self.u, x, np.zeros(0), np.zeros(0))
-        if not _residuals_pass(res, max(self.tol, 1e-9 * max(1.0, float(np.max(np.abs(q)) if q.size else 0.0)))):
-            raise Infeasible("objective is unbounded below (no constraints, gradient not in range of P)")
-        return QpSolution(x=x, lam=np.zeros(0), alpha=np.zeros(0), status="optimal", iterations=0, active=(), residuals=res)
 
     def _polish(self, q: np.ndarray, h: np.ndarray, active: frozenset[int], failed: set[frozenset[int]]) -> QpSolution | None:
         """Solve the KKT equality system for a candidate active set, then repair it.
@@ -338,28 +328,18 @@ class RepeatedQp:
         not recorded, since a polish started further along it has budget left.
         """
         P, E, G, u, tol = self.P, self.E, self.G, self.u, self.tol
-        me, mi = self.me, self.mi
         seen: set[frozenset[int]] = set()
-        for _ in range(2 * mi + 8):
+        for _ in range(2 * self.mi + 8):
             if active in seen or active in failed:
                 failed.update(seen)
                 return None
             seen.add(active)
             red = self._reduced_system(active)
-            nf, fixed = red.n_free, red.rhs_fixed
-            rhs = np.concatenate([-(q[red.free] + fixed[:nf]), h - fixed[nf : nf + me], fixed[nf + me :]])
-            sol = _solve_reduced(red, rhs)
-            if sol is None:
+            step = self._step(red, q, h, 1.0)
+            if step is None:
                 failed.update(seen)
                 return None
-            x = red.x_fixed.copy()
-            x[red.free] = sol[:nf]
-            lam = sol[nf : nf + me]
-            alpha = np.zeros(mi)
-            alpha[red.rows] = sol[nf + me :]
-            # A fixed column's stationarity residual is its bound's multiplier.
-            grad = P @ x + q + E.T @ lam + red.G_rows.T @ sol[nf + me :]
-            alpha[red.fix_rows] = -grad[red.fix_cols] / red.fix_coef
+            x, lam, alpha = step
 
             ok, drop, add, alpha_c, res, tight = _step_verdict(P, q, E, h, G, u, x, lam, alpha, red.act_mask, tol)
             if drop:  # the most negative multiplier
@@ -374,6 +354,27 @@ class RepeatedQp:
             return None
         return None
 
+    def _step(self, red: _ReducedSystem, q: np.ndarray, h: np.ndarray, s: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """A polish step on ``red``'s set: (x, lam, alpha) from its reduced KKT
+        system, or ``None`` when that has no finite answer. The step is linear
+        in ``(q, h, s u)``, so ``q``, ``h`` and ``s`` may also carry a
+        trailing axis of columns, one step each (see ``step_map``)."""
+        P, E, me, mi = self.P, self.E, self.me, self.mi
+        nf, fixed = red.n_free, np.multiply.outer(red.rhs_fixed, s)
+        rhs = np.concatenate([-(q[red.free] + fixed[:nf]), h - fixed[nf : nf + me], fixed[nf + me :]])
+        sol = _solve_reduced(red, rhs)
+        if sol is None:
+            return None
+        x = np.multiply.outer(red.x_fixed, s)
+        x[red.free] = sol[:nf]
+        lam = sol[nf : nf + me]
+        alpha = np.zeros((mi,) + np.shape(s))
+        alpha[red.rows] = sol[nf + me :]
+        # A fixed column's stationarity residual is its bound's multiplier.
+        grad = P @ x + q + E.T @ lam + red.G_rows.T @ sol[nf + me :]
+        alpha[red.fix_rows] = (-grad[red.fix_cols].T / red.fix_coef).T
+        return x, lam, alpha
+
     def step_map(self, active: frozenset[int]) -> tuple[np.ndarray, np.ndarray] | None:
         """The polish's first step on ``active`` as an affine map of the linear
         term: for the template ``h``, the step's candidate is
@@ -384,20 +385,9 @@ class RepeatedQp:
         red = self._reduced_system(active)
         if red.lu is None and red.kkt.size:
             return None
-        P, E, n, me, mi = self.P, self.E, self.n, self.me, self.mi
-        nf, fixed = red.n_free, red.rhs_fixed
         # Column 0 is the constant part, column 1 + j the response to q_j.
-        rhs = np.zeros((fixed.size, 1 + n))
-        rhs[:, 0] = np.concatenate([-fixed[:nf], self.h - fixed[nf : nf + me], fixed[nf + me :]])
-        rhs[np.arange(nf), 1 + np.flatnonzero(red.free)] = -1.0
-        sol = scipy.linalg.lu_solve(red.lu, rhs, check_finite=False) if rhs.size else rhs
-        x = np.zeros((n, 1 + n))
-        x[:, 0] = red.x_fixed
-        x[red.free] = sol[:nf]
-        alpha = np.zeros((mi, 1 + n))
-        alpha[red.rows] = sol[nf + me :]
-        grad = P @ x + np.eye(n, 1 + n, 1) + E.T @ sol[nf : nf + me] + red.G_rows.T @ sol[nf + me :]
-        alpha[red.fix_rows] = -grad[red.fix_cols] / red.fix_coef[:, None]
+        e0 = np.eye(1, 1 + self.n)[0]
+        x, _, alpha = self._step(red, np.eye(self.n, 1 + self.n, 1), np.outer(self.h, e0), e0)
         step = np.vstack([x, alpha])
         return step[:, 1:], step[:, 0]
 

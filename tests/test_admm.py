@@ -14,6 +14,8 @@ from disqo.admm import (
     IterTrace,
     SolverParams,
     _finish_round,
+    _schur_lift,
+    _subproblem_hessian,
     accelerated_subproblem,
     communication_round_tracking,
     init_state,
@@ -231,15 +233,34 @@ def test_accelerated_unconstrained_step_is_schur_solve():
     gamma = np.array([-1.0])
     ell = np.array([0.5])
     w, z, y = accelerated_subproblem(state, 0, gamma, ell)
-    cache = state._caches[0]
+    S_wz = _subproblem_hessian(state, 0)[:1, 1:]
     q = p.algorithmic[0].psi - 1.0 * state.V[0]
     q[0] += 1.0 * (ell[0] + 1.0 * (gamma[0] - 0.0))
-    phi = cache.qp.P
-    psi_red = q[0] - cache.S_wz @ np.linalg.solve(np.array([[3.0]]), q[1:])
+    phi = state._qps[0].P
+    psi_red = q[0] - S_wz @ np.linalg.solve(np.array([[3.0]]), q[1:])
     expected_w = -psi_red / phi[0, 0]
     if expected_w < 0:  # own-block row x >= 0
         expected_w = 0.0
     np.testing.assert_allclose(w, [expected_w], atol=1e-9)
+
+
+@pytest.mark.parametrize("blk", [slice(0, 3), slice(2, 5), slice(4, 7)], ids=["first", "middle", "last"])
+def test_schur_lift_is_partial_minimization(blk):
+    # y = Kw w + Kq q keeps w on the own block and minimizes over the rest,
+    # and the reduced gradient Phi w + R q is the full gradient on the block.
+    rng = np.random.default_rng(11)
+    n = 7
+    M = rng.normal(size=(n, n))
+    P = M.T @ M + np.eye(n)
+    Phi, R, Kw, Kq = _schur_lift(P, blk)
+    rest = np.setdiff1d(np.arange(n), np.arange(blk.start, blk.stop))
+    for _ in range(5):
+        q, w = rng.normal(size=n), rng.normal(size=blk.stop - blk.start)
+        y = Kw @ w + Kq @ q
+        grad = P @ y + q
+        np.testing.assert_allclose(y[blk], w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad[rest], 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Phi @ w + R @ q, grad[blk], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +452,7 @@ def test_batched_round_matches_per_agent_solves(make):
         _per_agent_round(looped)
         for name in ("Y", "H", "Lam"):
             np.testing.assert_allclose(getattr(batched, name), getattr(looped, name), rtol=1e-12, atol=1e-12)
-        assert [c.qp._last_active for c in batched._caches] == [c.qp._last_active for c in looped._caches]
+        assert [qp._last_active for qp in batched._qps] == [qp._last_active for qp in looped._qps]
     assert batched.warm_hits > batched.repairs
     assert batched.warm_hits + batched.repairs == 50 * batched.n_agents
 
@@ -440,17 +461,17 @@ def test_batched_round_repairs_an_agent_whose_active_set_changes():
     state = _desk_state(0)
     for _ in range(20):
         iterate(state)
-    before = state._caches[0].qp._last_active
+    before = state._qps[0]._last_active
     state.V[0] -= 50.0  # pulls agent 0's whole copy down onto its bounds
     twin = copy.deepcopy(state)
     repairs = state.repairs
     iterate(state)
     assert state.repairs > repairs
-    assert state._caches[0].qp._last_active != before
+    assert state._qps[0]._last_active != before
 
     gamma, ell = communication_round_tracking(twin.H, twin.Lam, twin.W)
     np.testing.assert_array_equal(state.Y[0], accelerated_subproblem(twin, 0, gamma[0], ell[0])[2])
-    assert state._caches[0].qp._last_active == twin._caches[0].qp._last_active
+    assert state._qps[0]._last_active == twin._qps[0]._last_active
 
 
 @pytest.mark.parametrize("mode", ["plain", "accelerated"])

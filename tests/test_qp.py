@@ -91,6 +91,20 @@ def test_unconstrained_solve():
     assert_kkt(None, sol)
     assert sol.x == pytest.approx([1.0, 2.0], abs=1e-10)
 
+    # Singular P: bounded below exactly when q lies in its range.
+    P = np.diag([1.0, 0.0])
+    with pytest.raises(Infeasible, match="unbounded"):
+        solve_qp(QpSpec(P=P, q=np.array([-1.0, 1.0])))
+    sol = solve_qp(QpSpec(P=P, q=np.array([-1.0, 0.0])))
+    assert_kkt(None, sol)
+    assert sol.x == pytest.approx([1.0, 0.0], abs=1e-10)
+
+    # Ill-conditioned P with a large linear term.
+    rng = np.random.default_rng(8)
+    M = rng.normal(size=(6, 6))
+    sol = solve_qp(QpSpec(P=M.T @ M + 1e-3 * np.eye(6), q=1e3 * rng.normal(size=6)))
+    assert sol.optimal, sol.residuals
+
 
 def test_max_iter_reports_partial_result():
     rng = np.random.default_rng(0)
@@ -194,6 +208,7 @@ def test_polish_with_both_bounds_of_a_column_active(c):
     # bound on each column fixes it and the second enters as an ordinary row.
     rng = np.random.default_rng(5)
     n = 4
+    dropped = 0
     for case in range(20):
         M = rng.normal(size=(n, n))
         P = M.T @ M + 0.2 * np.eye(n)
@@ -209,6 +224,17 @@ def test_polish_with_both_bounds_of_a_column_active(c):
         assert_kkt(None, sol)
         assert np.max(np.abs(sol.x - x_ref)) <= 1e-7, f"case {case}"
         assert abs(qp_value(P, q, sol.x) - val_ref) <= 1e-7
+        # The solution's active set is the guess rows that stay tight, not the
+        # guess. When the two bounds of column 0 meet (c = 0), a repair step
+        # may drop the fixing row although it stays tight, so there the set
+        # only lies between the positive multipliers and the tight rows.
+        tight = tuple(np.flatnonzero((sol.alpha > 0) | (u - G @ sol.x <= kernel.tol)).tolist())
+        if c:
+            assert sol.active == tight, f"case {case}"
+        else:
+            assert set(np.flatnonzero(sol.alpha > 0).tolist()) <= set(sol.active) <= set(tight), f"case {case}"
+        dropped += len(sol.active) < 2 * n
+    assert dropped
 
 
 @pytest.fixture
