@@ -288,7 +288,7 @@ class RepeatedQp:
             if polished is not None:
                 self._remember(polished.x, polished.active)
                 return polished
-        if self.me + self.mi == 0:  # the polish solved P x = -q: no point is stationary
+        if self.me + self.mi == 0:  # no solution of P x = -q passed the check
             raise Infeasible("objective is unbounded below (no constraints, gradient not in range of P)")
 
         sol = self._admm(q, h, failed)
@@ -328,6 +328,8 @@ class RepeatedQp:
         not recorded, since a polish started further along it has budget left.
         """
         P, E, G, u, tol = self.P, self.E, self.G, self.u, self.tol
+        if self.me + self.mi == 0:  # P x = -q: the round-off in x grows with |q|
+            tol = max(tol, 1e-9 * max(1.0, float(np.max(np.abs(q)))))
         seen: set[frozenset[int]] = set()
         for _ in range(2 * self.mi + 8):
             if active in seen or active in failed:

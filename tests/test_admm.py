@@ -354,6 +354,25 @@ def test_accelerated_solve_with_a_supplier_without_routes():
     assert abs(p.total_value(res.x, "actual") - ref.value) <= 1e-6 * abs(ref.value)
 
 
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+def test_solve_agents_without_local_rows_and_a_large_linear_term(mode):
+    # No agent has local rows, so each subproblem is a QP without rows whose
+    # solution is large (|psi| ~ 1e5): its round-off must not read as an
+    # objective unbounded below.
+    g = build_graph(2, [(0, 1)])
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        agents = []
+        for _ in range(2):
+            M = rng.normal(size=(4, 4))
+            agents.append((M.T @ M + np.eye(4), 1e5 * rng.normal(size=4), None, None))
+        p = assemble_problem(agents=agents, A=[rng.normal(size=(1, 2)) for _ in range(2)], d=np.array([1.0]))
+        ref = centralized_solve(p)
+        res = solve(p, g, SolverParams(mode=mode, max_iter=1000))
+        assert res.converged, f"seed {seed}"
+        np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-9 * np.abs(ref.x).max())
+
+
 def test_star_solve_matches_centralized():
     p = star_problem()
     ref = centralized_solve(p)

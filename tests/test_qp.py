@@ -104,6 +104,13 @@ def test_unconstrained_solve():
     M = rng.normal(size=(6, 6))
     sol = solve_qp(QpSpec(P=M.T @ M + 1e-3 * np.eye(6), q=1e3 * rng.normal(size=6)))
     assert sol.optimal, sol.residuals
+    # Worse conditioned: P is positive definite, so each solve has a
+    # stationary point, found to a round-off that grows with |q|.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(6, 6))
+        sol = solve_qp(QpSpec(P=M.T @ M + 1e-5 * np.eye(6), q=1e3 * rng.normal(size=6)))
+        assert sol.optimal, f"seed {seed}"
 
 
 def test_max_iter_reports_partial_result():
