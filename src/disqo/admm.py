@@ -15,8 +15,9 @@ and a consensus anchor ``v_i``. One iteration is bulk-synchronous:
    delta_i = y_i(new) - y_i(old)/2;
 4. second exchange — v_i += mean of neighbors' delta minus y_i(old)/2.
 
-Two exact identities hold at every iteration and are enforced at 1e-10:
-the tracking identity N*mean(eta) = sum_i A~_i y_i - d, and the mean-dual
+Two exact identities hold at every iteration and are enforced at 1e-10,
+scaled by the size of the terms compared (exactly 1e-10 at unit scale): the
+tracking identity N*mean(eta) = sum_i A~_i y_i - d, and the mean-dual
 recursion mean(lam)(k+1) = mean(lam)(k) + sigma*mean(eta)(k+1).
 
 The accelerated mode solves each subproblem in the agent's own block only:
@@ -31,20 +32,19 @@ subproblems' linear terms q_i one expression for all agents, the eta update
 an A~ contraction of the copies' change, and the anchor update an adjacency
 product.
 
-In accelerated mode the subproblems themselves are batched too. Each agent's
-Schur reduction is one static lift of its linear term q_i: Psi_i = R_i q_i
-is the reduced QP's linear term, and y_i = Kw_i w_i + Kq_i q_i its new copy
-from the own-block solution w_i. A round maps every q_i to Psi_i, hands the
-reduced QPs to one ``qp.WarmBatch``, which takes every warm QP's first
-polish step together and certifies each by the rule its own solve would
-apply, and lifts the accepted w_i back to copies. An agent the batch
-rejects (the check fails, it has no warm guess yet, or its guess set is
-singular) is solved on its own by the usual warm-started, repairing QP
-solve, so every returned point is KKT-certified. ``SolveResult.stats``
-counts both kinds.
-
-Plain mode keeps one QP solve per agent and round: it is the reference the
-accelerated mode is checked against.
+The subproblems themselves are batched too, in both modes. A round computes
+every agent's linear term q_i, hands the agents' QPs to one ``qp.WarmBatch``,
+which takes every warm QP's first polish step together and certifies each by
+the rule its own solve would apply, and keeps the accepted points. Plain mode
+batches the full-copy QPs on q_i directly: it stays the reference the
+accelerated mode is checked against. In accelerated mode each agent's Schur
+reduction is one static lift of q_i: Psi_i = R_i q_i is the reduced QP's
+linear term, and y_i = Kw_i w_i + Kq_i q_i its new copy from the own-block
+solution w_i, so the batch solves the reduced QPs on Psi_i and the accepted
+w_i are lifted back to copies. An agent the batch rejects (the check fails,
+it has no warm guess yet, or its guess set is singular) is solved on its own
+by the usual warm-started, repairing QP solve, so every returned point is
+KKT-certified. ``SolverState`` and ``SolveResult.stats`` count both kinds.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial.distance import pdist
 
 from ._csv import write_csv
 from .errors import DimensionMismatch, InfeasibleInitialPoint
@@ -162,15 +161,16 @@ class SolverState:
     psi: np.ndarray  # (N, n) the agents' linear objective terms
     owner: np.ndarray  # (n,) agent owning each column
     adjacency: np.ndarray  # (N, N) 1.0 where two agents are neighbours
+    pairs: tuple[np.ndarray, np.ndarray]  # (i, j) of every agent pair i < j
     k: int = 0
     Gamma: np.ndarray | None = None
     warm_hits: int = 0  # subproblems the batched warm pass certified
     repairs: int = 0  # subproblems solved one agent at a time
-    # One subproblem QP per agent: over the full copy in plain mode, over the
-    # own block in accelerated mode. There the agents' Schur lifts (R, Kw, Kq,
-    # see _schur_lift) are kept once, stacked and zero-padded to the largest
-    # block: the round batches the QPs and applies the lifts to all agents,
-    # and the repair path applies agent i's slice.
+    # One subproblem QP per agent, batched by one WarmBatch in both modes: over
+    # the full copy in plain mode, over the own block in accelerated mode.
+    # There the agents' Schur lifts (R, Kw, Kq, see _schur_lift) are kept
+    # once, stacked and zero-padded to the largest block: the round applies
+    # the lifts to all agents, and the repair path applies agent i's slice.
     _qps: list[RepeatedQp] = field(default_factory=list, repr=False)
     _batch: WarmBatch | None = field(default=None, repr=False)
     _lift: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -240,6 +240,7 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         psi=np.stack([problem.algorithmic[i].psi for i in range(N)]),
         owner=np.repeat(np.arange(N), problem.dims),
         adjacency=graph.adjacency().astype(float),
+        pairs=np.triu_indices(N, 1),
     )
     _build_subproblem_qps(state)
     _check_tracking_identity(state, H.mean(axis=0))
@@ -261,8 +262,7 @@ def _build_subproblem_qps(state: SolverState) -> None:
             G = np.zeros((poly.n_rows, p.n_total))
             G[:, blk] = poly.B
         state._qps.append(RepeatedQp(P, G=G, u=poly.m, tol=_SUBPROBLEM_TOL))
-    if accelerated:
-        state._batch = WarmBatch(state._qps)
+    state._batch = WarmBatch(state._qps)
 
 
 def _schur_lift(P: np.ndarray, blk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -308,19 +308,24 @@ def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray, agents=s
     return state.psi[agents] - anchor + (mixed[:, None] @ A)[:, 0]
 
 
+def _solve_agent(state: SolverState, i: int, q: np.ndarray) -> np.ndarray:
+    """Agent i's new full copy from its own QP solve on its linear term q."""
+    if state._lift is None:
+        return state._qps[i].solve(q).x
+    R, Kw, Kq = state._lift
+    b_i = state.problem.dims[i]
+    return Kw[i, :, :b_i] @ state._qps[i].solve(R[i, :b_i] @ q).x + Kq[i] @ q
+
+
 def subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray) -> np.ndarray:
-    """Plain full-dimension subproblem solve for agent i (plain-mode state)."""
-    q = _linear_terms(state, gamma_i[None], l_i[None], slice(i, i + 1))[0]
-    return state._qps[i].solve(q).x
+    """Agent i's subproblem solved on its own: its new full copy."""
+    return _solve_agent(state, i, _linear_terms(state, gamma_i[None], l_i[None], slice(i, i + 1))[0])
 
 
 def accelerated_subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block-reduced subproblem for agent i (accelerated-mode state): returns
-    (own block w, eliminated rest z, reassembled full copy y)."""
-    q = _linear_terms(state, gamma_i[None], l_i[None], slice(i, i + 1))[0]
-    R, Kw, Kq = state._lift
-    blk, b_i = state.problem.block(i), state.problem.dims[i]
-    y = Kw[i, :, :b_i] @ state._qps[i].solve(R[i, :b_i] @ q).x + Kq[i] @ q
+    """Agent i's subproblem solved on its own, split as (own block w,
+    eliminated rest z, full copy y); block-reduced on an accelerated state."""
+    y, blk = subproblem(state, i, gamma_i, l_i), state.problem.block(i)
     return y[blk], np.delete(y, blk), y
 
 
@@ -338,33 +343,30 @@ def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:
 def _check_tracking_identity(state: SolverState, H_mean: np.ndarray) -> None:
     lhs = state.n_agents * H_mean
     rhs = state.coupling_values() - state.problem.d
-    res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-    if res > _IDENTITY_TOL:
-        raise AssertionError(f"tracking identity violated by {res:.3e} at iteration {state.k}")
+    res = float(np.abs(lhs - rhs).max(initial=0.0))
+    if res > _IDENTITY_TOL:  # the bound is 1e-10 max(1, |A~||Y|, |d|); read the scale only past 1e-10
+        scale = max(np.abs(state.A_pad).max(initial=0.0) * np.abs(state.Y).max(initial=0.0), np.abs(state.problem.d).max())
+        if res > _IDENTITY_TOL * scale:
+            raise AssertionError(f"tracking identity violated by {res:.3e} at iteration {state.k}")
 
 
 def iterate(state: SolverState) -> None:
     """Advance the state by one synchronous round (two exchanges), enforcing
-    the tracking identity and the mean-dual recursion at 1e-10."""
-    params = state.params
-    N = state.n_agents
-
+    the tracking identity and the mean-dual recursion at a scaled 1e-10."""
     gamma_all, l_all = communication_round_tracking(state.H, state.Lam, state.W)
     state.Gamma = gamma_all
-
-    if params.mode == "accelerated":
+    Q = _linear_terms(state, gamma_all, l_all)
+    if state._lift is None:
+        Y_new, certified = state._batch.solve(Q)
+    else:
         R, Kw, Kq = state._lift
-        Q = _linear_terms(state, gamma_all, l_all)
         W, certified = state._batch.solve((R @ Q[..., None])[..., 0])
         Y_new = (Kw @ W[..., None] + Kq @ Q[..., None])[..., 0]
-        repair = np.flatnonzero(~certified)
-        for i in repair:
-            _, _, Y_new[i] = accelerated_subproblem(state, i, gamma_all[i], l_all[i])
-    else:
-        repair = range(N)
-        Y_new = np.array([subproblem(state, i, gamma_all[i], l_all[i]) for i in repair])
+    repair = np.flatnonzero(~certified)
+    for i in repair:
+        Y_new[i] = _solve_agent(state, i, Q[i])
     state.repairs += len(repair)
-    state.warm_hits += N - len(repair)
+    state.warm_hits += state.n_agents - len(repair)
     _finish_round(state, gamma_all, l_all, Y_new)
 
 
@@ -388,7 +390,7 @@ def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, 
     H_mean = H_new.mean(axis=0)
     _check_tracking_identity(state, H_mean)
     dual_res = float(np.max(np.abs(Lam_new.mean(axis=0) - (lam_old_mean + params.sigma * H_mean))))
-    if dual_res > _IDENTITY_TOL:
+    if dual_res > _IDENTITY_TOL and dual_res > _IDENTITY_TOL * np.abs(Lam_new).max():  # 1e-10 max(1, |Lam|)
         raise AssertionError(f"mean-dual recursion violated by {dual_res:.3e} at iteration {state.k}")
 
 
@@ -404,7 +406,8 @@ def metrics(state: SolverState, reference_value: float | None = None) -> dict:
     p = state.problem
     N = state.n_agents
     coupling_gap = float(np.linalg.norm(state.coupling_values() - p.d))
-    consensus_gap = 2.0 * float(pdist(state.Y).sum())  # each unordered pair twice
+    first, second = state.pairs
+    consensus_gap = 2.0 * float(np.linalg.norm(state.Y[first] - state.Y[second], axis=1).sum())  # each unordered pair twice
     violation = coupling_gap + consensus_gap
 
     if reference_value is None:
@@ -438,7 +441,8 @@ class SolveResult:
     consensus_x: np.ndarray  # average of all copies (diagnostic)
     state: SolverState
     # Subproblems the batched warm pass certified ("warm_hits") and those
-    # solved one agent at a time ("repairs"); they add up to iterations * N.
+    # solved one agent at a time ("repairs"), in either mode; they add up to
+    # iterations * N.
     stats: dict[str, int] = field(default_factory=dict)
 
     @property
