@@ -303,11 +303,12 @@ def cmd_mechanism(args) -> int:
     instance, _ = _resolve_instance(config, base, args.seed)
     problem = _apply_reports(config, instance)
     selected, cost_basis = _mechanism_spec(config)
+    solution = centralized_solve(problem, which="reported")  # one solve serves both mechanisms
     outcomes = []
     if "sp" in selected:
-        outcomes.append(sp_for_problem(problem, cost_basis=cost_basis))
+        outcomes.append(sp_for_problem(problem, cost_basis=cost_basis, solution=solution))
     if "vcg" in selected:
-        outcomes.append(vcg_payments(problem, cost_basis=cost_basis))
+        outcomes.append(vcg_payments(problem, cost_basis=cost_basis, solution=solution))
     out = _out_dir(config, args)
     payments_csv(outcomes, os.path.join(out, "payments.csv"))
     for outc in outcomes:

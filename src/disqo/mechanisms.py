@@ -6,6 +6,14 @@ imposes on everyone else; the administrator computes it from one solve. The
 VCG payment is a lump sum equal to the cost the rest of the market saves by
 agent i's presence; it needs one solve per agent plus one with everyone.
 
+The mechanisms solve the market many times, and every solve after the first
+starts warm: VCG's drop-one solves from the full optimum's tight local rows
+without the dropped agent's, and the misreport sweep's and portfolio's
+reported solves from the truthful optimum's. A start that does not polish to
+a certified optimum is a miss, and its solve runs as a solve without a start
+(see ``qp``). No start is kept between calls, so each result depends only on
+the call's inputs.
+
 Conventions: mechanisms only ever see *reported* objectives — prices,
 allocations, and payments are computed from reports, while net costs evaluate
 each agent's *true* objective at the implemented allocation (a reported-cost
@@ -29,6 +37,7 @@ from .problem import (
     centralized_solve,
     eval_cost,
     exclude_agent,
+    exclude_agent_rows,
     reconcile_dual,
     resolve,
     stationarity_residual,
@@ -165,13 +174,8 @@ def sp_equilibrium_check(problem, x: np.ndarray, prices, tol: float = 1e-6) -> n
 # VCG
 
 
-def _objective_value(problem, which: str, distributed=None) -> tuple[np.ndarray, float]:
-    """(x, total reported cost) of the given problem, by the centralized
-    oracle or, when ``distributed`` is given, by the consensus solver."""
-    p = resolve(problem, which)
-    if distributed is None:
-        sol = centralized_solve(p)
-        return sol.x, sol.value
+def _distributed_value(p: CoupledProblem, distributed) -> tuple[np.ndarray, float]:
+    """(x, total cost) of ``p`` by the consensus solver."""
     from . import admm
     from .graphs import random_connected_graph
 
@@ -185,25 +189,36 @@ def _objective_value(problem, which: str, distributed=None) -> tuple[np.ndarray,
     return res.x, p.total_value(res.x, "actual")
 
 
-def vcg_payments(problem, cost_basis: str = "true", distributed=None) -> MechanismOutcome:
+def vcg_payments(problem, cost_basis: str = "true", distributed=None, solution: CentralSolution | None = None) -> MechanismOutcome:
     """Lump-sum payments Pi_i = (optimal cost without i) - (everyone else's
     reported cost at the full optimum). Requires the market to stay feasible
     after removing any single agent; raises ``InfeasibleWithoutAgent`` if not.
 
-    ``distributed`` may be a (graph, SolverParams) pair to run the N+1 solves
-    with the consensus algorithm instead of the centralized oracle; a solve
-    that does not converge raises ``MaxIterReached``.
+    ``solution`` is the centralized solve of the reported market when the
+    caller has one; it is solved here otherwise. Each drop-one solve starts
+    from its tight rows. ``distributed`` may be a (graph, SolverParams) pair
+    to run the N+1 solves with the consensus algorithm instead of the
+    centralized oracle; a solve that does not converge raises
+    ``MaxIterReached``.
     """
     if not isinstance(problem, ReportedProblem):
         problem = ReportedProblem.truthful(problem)
-    x_hat, total_hat = _objective_value(problem, "reported", distributed)
-    n = problem.reported.n_agents
+    p = problem.reported
+    if distributed is None:
+        full = solution or centralized_solve(p)
+        x_hat, total_hat = full.x, full.value
+        value_without = lambda i: centralized_solve(exclude_agent(p, i), active=exclude_agent_rows(p, full.active, i)).value
+    elif solution is not None:
+        raise ValueError("a centralized solution cannot seed distributed VCG")
+    else:
+        x_hat, total_hat = _distributed_value(p, distributed)
+        value_without = lambda i: _distributed_value(exclude_agent(p, i), distributed)[1]
+    n = p.n_agents
     payments = np.empty(n)
     costs = np.empty(n)
     for i in range(n):
-        reduced = exclude_agent(problem, i)
         try:
-            _, without_i = _objective_value(reduced, "reported", distributed)
+            without_i = value_without(i)
         except Infeasible as exc:
             raise InfeasibleWithoutAgent(f"market infeasible without agent {i}") from exc
         others_at_hat = total_hat - eval_cost(problem, i, x_hat, which="reported")
@@ -253,6 +268,12 @@ def vcg_ic_check(true_problem: CoupledProblem, cases, tol: float = 1e-8) -> ICRe
 # Misreport experiments (transport instances)
 
 
+def _sp_from(reported: ReportedProblem, truthful: CentralSolution) -> MechanismOutcome:
+    """Shadow pricing of a misreport, its solve started from the truthful
+    optimum's tight rows."""
+    return sp_for_problem(reported, solution=centralized_solve(reported, which="reported", active=truthful.active))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     agent: int
@@ -270,10 +291,11 @@ def misreport_sweep(instance, agent: int, deltas) -> SweepResult:
     benefit under shadow pricing."""
     deltas = np.asarray(deltas, float).ravel()
     n = instance.problem.n_agents
+    truthful = centralized_solve(instance.problem)
     benefits = np.empty((deltas.shape[0], n))
     for di, delta in enumerate(deltas):
         reported = instance.perturbed_reports({agent: float(delta)})
-        benefits[di] = sp_for_problem(reported).benefits
+        benefits[di] = _sp_from(reported, truthful).benefits
     return SweepResult(agent=int(agent), deltas=deltas, benefits=benefits)
 
 
@@ -295,7 +317,8 @@ def misreport_portfolio(instance, n_cases: int, seed: int, magnitude: float = 0.
     (reported costs floor at zero); everyone's true-cost benefit under shadow
     pricing is recorded next to the truthful baseline."""
     rng = np.random.default_rng(seed)
-    baseline = sp_for_problem(ReportedProblem.truthful(instance.problem)).benefits
+    truthful = centralized_solve(instance.problem)
+    baseline = sp_for_problem(ReportedProblem.truthful(instance.problem), solution=truthful).benefits
     n = instance.problem.n_agents
     benefits = np.empty((int(n_cases), n))
     for ci in range(int(n_cases)):
@@ -312,7 +335,7 @@ def misreport_portfolio(instance, n_cases: int, seed: int, magnitude: float = 0.
                 costs[e] = max(costs[e] + delta, 0.0)
             reports[i] = costs
         reported = instance.with_reported_costs(reports)
-        benefits[ci] = sp_for_problem(reported).benefits
+        benefits[ci] = _sp_from(reported, truthful).benefits
     return PortfolioResult(baseline=baseline, benefits=benefits)
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "residuals",
     "centralized_solve",
     "exclude_agent",
+    "exclude_agent_rows",
     "reconcile_dual",
     "stationarity_residual",
     "feasible_point",
@@ -361,42 +362,42 @@ class CentralSolution:
 
     ``lam`` follows the convention  grad f(x*) = A' lam - B_active' alpha,
     i.e. the gradient of the total cost equals A' lam minus the active local
-    rows weighted by alpha >= 0.
+    rows weighted by alpha >= 0. ``active`` lists the local rows tight at
+    x*, numbered as the rows of ``local_stacked()``.
     """
 
     x: np.ndarray
     lam: np.ndarray
     alpha: np.ndarray
     value: float
+    active: tuple[int, ...]
 
 
-def centralized_solve(problem, which: str = "true", tol: float = 1e-9, max_iter: int = 200000) -> CentralSolution:
+def centralized_solve(problem, which: str = "true", tol: float = 1e-9, max_iter: int = 200000, active=None) -> CentralSolution:
+    """Solve the coupled problem as one QP. ``active``, when given, is a
+    first guess at the tight local rows (``CentralSolution.active`` of a
+    nearby problem); a guess that does not polish to a certified optimum
+    leaves the solve as it is without one."""
     p = resolve(problem, which)
     sigma, psi = p.total_quadratic("actual")
     G, u = p.local_stacked()
     spec = QpSpec(P=sigma, q=psi, E=p.stacked_A(), h=p.d, G=G if G.shape[0] else None, u=u if u.shape[0] else None)
-    sol = solve_qp(spec, tol=tol, max_iter=max_iter)
+    sol = solve_qp(spec, tol=tol, max_iter=max_iter, active=active)
     if sol.status == "max_iter":
         raise MaxIterReached(f"centralized solve stopped at residuals {sol.residuals}")
     lam = -sol.lam  # flip from the Px+q+E'lam+G'alpha=0 convention
-    return CentralSolution(x=sol.x, lam=lam, alpha=sol.alpha, value=p.total_value(sol.x, "actual"))
+    return CentralSolution(x=sol.x, lam=lam, alpha=sol.alpha, value=p.total_value(sol.x, "actual"), active=sol.active)
 
 
-def exclude_agent(problem, i: int):
-    """The same market without agent i: its block is removed (fixed at zero).
-
-    Works on ``CoupledProblem`` and ``ReportedProblem`` alike.
-    """
-    if isinstance(problem, ReportedProblem):
-        return ReportedProblem(true=exclude_agent(problem.true, i), reported=exclude_agent(problem.reported, i))
-    p: CoupledProblem = problem
-    if not 0 <= i < p.n_agents:
-        raise UnknownAgent(f"agent {i} of {p.n_agents}")
+def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
+    """The same market without agent i: its block is removed (fixed at zero)."""
+    blk = p.block(i)
     keep = [j for j in range(p.n_agents) if j != i]
-    keep_idx = np.concatenate([np.arange(p.block(j).start, p.block(j).stop) for j in keep]) if keep else np.zeros(0, dtype=int)
+    # Agent i's block is one index range: the rest is what lies before and after it.
+    parts = (slice(None, blk.start), slice(blk.stop, None))
 
     def restrict(obj: QuadObjective) -> QuadObjective:
-        return QuadObjective(sigma=obj.sigma[np.ix_(keep_idx, keep_idx)], psi=obj.psi[keep_idx])
+        return QuadObjective(sigma=np.block([[obj.sigma[r, c] for c in parts] for r in parts]), psi=np.concatenate([obj.psi[r] for r in parts]))
 
     return CoupledProblem(
         dims=tuple(p.dims[j] for j in keep),
@@ -406,6 +407,17 @@ def exclude_agent(problem, i: int):
         algorithmic=tuple(restrict(p.algorithmic[j]) for j in keep),
         actual=tuple(restrict(p.actual[j]) for j in keep),
     )
+
+
+def exclude_agent_rows(p: CoupledProblem, rows, i: int) -> tuple[int, ...]:
+    """The local rows ``rows`` (numbered as in ``local_stacked()``) of the
+    market without agent i: agent i's rows are dropped and the rows after
+    them move up, as they do in ``local_stacked()`` of ``exclude_agent``."""
+    if not 0 <= i < p.n_agents:
+        raise UnknownAgent(f"agent {i} of {p.n_agents}")
+    start = sum(poly.n_rows for poly in p.local[:i])
+    k = p.local[i].n_rows
+    return tuple(r if r < start else r - k for r in rows if not start <= r < start + k)
 
 
 def stationarity_residual(grad: np.ndarray, free_cols: np.ndarray | None, nonneg_cols: np.ndarray | None) -> float:

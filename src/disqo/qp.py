@@ -23,6 +23,14 @@ fixed and the polish is deterministic, so every active set on a repair
 trajectory that failed is remembered, and later polishes of the same solve
 that reach one stop without solving anything.
 
+A solve may be given a first guess at the active set, such as the tight
+rows of a nearby problem's optimum. The polish tries it before any splitting
+iteration. A guess that ends in a certified point is a hit. A miss leaves the
+solve as it is without a guess: the splitting iteration runs from the same
+start with the same polishes, so it returns the unguessed answer bit for bit.
+The splitting system is factored when a solve first needs it, so a hit pays
+no factorization of the full ``(n + m)``-square system.
+
 With the active set fixed, a polish step is affine in the linear term:
 ``RepeatedQp.step_map`` writes it out as a matrix by taking the polish's
 own step on the columns of the identity, and ``_step_verdict``, the rule a
@@ -225,9 +233,10 @@ def _step_verdict(P, q, E, h, G, u, x, lam, alpha, act: np.ndarray, tol: float):
 class RepeatedQp:
     """A QP family sharing (P, E, G, u) with a varying linear term.
 
-    Factors the splitting system once; subsequent solves warm-start from the
-    previous solution and try its active set first, which usually reduces a
-    solve to one small KKT factorization.
+    Factors the splitting system once, when a solve first needs a splitting
+    iteration; subsequent solves warm-start from the previous solution and
+    try its active set first, which usually reduces a solve to one small KKT
+    factorization.
     """
 
     def __init__(
@@ -251,15 +260,7 @@ class RepeatedQp:
         m = me + mi
         self.C = np.vstack([self.E, self.G]) if m else _empty(n)
         self.rho = np.concatenate([np.full(me, _RHO_EQ_FACTOR * _RHO_INEQ), np.full(mi, _RHO_INEQ)])
-        if m:
-            kkt = np.zeros((n + m, n + m))
-            kkt[:n, :n] = self.P + _SIGMA_REG * np.eye(n)
-            kkt[:n, n:] = self.C.T
-            kkt[n:, :n] = self.C
-            kkt[n:, n:] = -np.diag(1.0 / self.rho)
-            self._lu = scipy.linalg.lu_factor(kkt)
-        else:
-            self._lu = None
+        self._lu = None  # the splitting system's LU factors, made by the first ``_admm``
         # Column of each simple-bound row (one nonzero entry in G), -1 elsewhere.
         nonzero = self.G != 0
         single = nonzero.sum(axis=1) == 1
@@ -268,7 +269,13 @@ class RepeatedQp:
         self._last_active: frozenset[int] | None = None
         self._system: tuple[frozenset[int], _ReducedSystem] | None = None  # the last active set's
 
-    def solve(self, q: np.ndarray, h: np.ndarray | None = None) -> QpSolution:
+    def solve(self, q: np.ndarray, h: np.ndarray | None = None, active=None) -> QpSolution:
+        """Solve for the linear term ``q`` (and equality right-hand side
+        ``h``, default the template's). The polish first tries ``active``, a
+        collection of inequality rows, when it is given, else the last
+        solve's tight set. When that guess does not end in a certified
+        point, the solve goes on to the splitting iteration as if it had
+        had no guess (see the module docstring)."""
         q = np.asarray(q, dtype=float).ravel()
         h = self.h if h is None else np.asarray(h, dtype=float).ravel()
         if q.shape[0] != self.n or h.shape[0] != self.me:
@@ -279,8 +286,9 @@ class RepeatedQp:
 
         # Active sets whose repair failed for this (q, h); shared by every polish below.
         failed: set[frozenset[int]] = set()
-        # Warm active-set guess: the previous solve's.
-        guess = self._last_active
+        guess = self._last_active if active is None else frozenset(int(r) for r in active)
+        if active is not None and not all(0 <= r < self.mi for r in guess):
+            raise DimensionMismatch(f"active rows must lie in [0, {self.mi})")
         if guess is None and self.mi == 0:
             guess = frozenset()
         if guess is not None:
@@ -444,6 +452,13 @@ class RepeatedQp:
         C, rho = self.C, self.rho
         lower = np.concatenate([h, np.full(mi, -np.inf)])
         upper = np.concatenate([h, self.u])
+        if self._lu is None:
+            kkt = np.zeros((n + m, n + m))
+            kkt[:n, :n] = self.P + _SIGMA_REG * np.eye(n)
+            kkt[:n, n:] = C.T
+            kkt[n:, :n] = C
+            kkt[n:, n:] = -np.diag(1.0 / rho)
+            self._lu = scipy.linalg.lu_factor(kkt)
 
         x = np.zeros(n) if self._last_x is None else self._last_x.copy()
         z = np.clip(C @ x, lower, upper)
@@ -604,11 +619,13 @@ def _solve_reduced(red: _ReducedSystem, rhs: np.ndarray) -> np.ndarray | None:
     return sol if np.all(np.isfinite(sol)) else None
 
 
-def solve_qp(spec: QpSpec, tol: float = 1e-9, max_iter: int = 200000) -> QpSolution:
+def solve_qp(spec: QpSpec, tol: float = 1e-9, max_iter: int = 200000, active=None) -> QpSolution:
     """Solve one QP. See module docstring for the dual convention.
 
-    Raises ``NonPsdHessian`` for an indefinite Hessian and ``Infeasible`` when a
-    primal-infeasibility certificate is found; returns ``status="max_iter"``
-    (with the best iterate and its residuals) when the budget runs out.
+    ``active``, when given, is the polish's first guess at the tight
+    inequality rows (see ``RepeatedQp.solve``). Raises ``NonPsdHessian`` for
+    an indefinite Hessian and ``Infeasible`` when a primal-infeasibility
+    certificate is found; returns ``status="max_iter"`` (with the best
+    iterate and its residuals) when the budget runs out.
     """
-    return RepeatedQp(spec.P, spec.E, spec.h, spec.G, spec.u, tol=tol, max_iter=max_iter).solve(spec.q)
+    return RepeatedQp(spec.P, spec.E, spec.h, spec.G, spec.u, tol=tol, max_iter=max_iter).solve(spec.q, active=active)

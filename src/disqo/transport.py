@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, NoPathExists
 from .graphs import CommGraph, build_graph, random_connected_graph
-from .problem import CoupledProblem, ReportedProblem, assemble_problem, centralized_solve, exclude_agent
+from .problem import CoupledProblem, ReportedProblem, assemble_problem, centralized_solve, exclude_agent, exclude_agent_rows
 
 __all__ = [
     "TransportNetwork",
@@ -236,10 +236,8 @@ def to_coupled_problem(network: TransportNetwork, paths: PathSet, incidence: Inc
         B_i = np.vstack(rows)
         m_i = np.concatenate(rhs)
 
-        # Linear term: private edge costs summed along each variable's route.
         psi = np.zeros(n)
-        for col, (j, k, r) in enumerate(layout[i]):
-            psi[offsets[i] + col] = sum(network.edge_costs[i, e] for e in paths.paths[(i, j)][r])
+        psi[offsets[i] : offsets[i + 1]] = _route_costs(paths, layout[i], i, network.edge_costs[i])
 
         sigma_alg = 2.0 * c0 * Q_total.T @ np.diag(incidence.kappa[i]) @ Q_total
         q_pad = np.zeros((n_edges_used, n))
@@ -251,6 +249,12 @@ def to_coupled_problem(network: TransportNetwork, paths: PathSet, incidence: Inc
 
     d = network.demands.reshape(-1)  # (j, k) j-major
     return assemble_problem(agents, A_blocks, d, actual=actual)
+
+
+def _route_costs(paths: PathSet, labels, i: int, edge_costs: np.ndarray) -> np.ndarray:
+    """Agent i's linear cost of each variable of its block (``labels`` as in
+    ``_var_layout``): its private edge costs summed along the variable's route."""
+    return np.array([sum(edge_costs[e] for e in paths.paths[(i, j)][r]) for j, k, r in labels], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -278,16 +282,24 @@ class TransportInstance:
 
     def with_reported_costs(self, reports: dict[int, np.ndarray]) -> ReportedProblem:
         """Reported problem where each agent in ``reports`` declares the given
-        private edge-cost vector (length n_edges) instead of its true one."""
-        costs = np.array(self.network.edge_costs, dtype=float)
+        private edge-cost vector (length n_edges) instead of its true one.
+
+        Edge costs enter only the linear terms ``psi``, so the reported
+        problem is the true one with each reporting agent's ``psi`` swapped:
+        its Hessians, coupling and local rows are the true problem's arrays.
+        """
+        p, layout = self.problem, self.var_labels
+        algorithmic, actual = list(p.algorithmic), list(p.actual)
         for i, c in reports.items():
             c = np.asarray(c, float).ravel()
             if c.shape != (self.network.n_edges,):
                 raise DimensionMismatch(f"reported cost vector of agent {i} has length {c.shape[0]}")
-            costs[i] = c
-        reported_net = dataclasses.replace(self.network, edge_costs=costs)
-        reported_problem = to_coupled_problem(reported_net, self.paths, self.incidence)
-        return ReportedProblem(true=self.problem, reported=reported_problem)
+            psi = np.zeros(p.n_total)
+            psi[p.block(i)] = _route_costs(self.paths, layout[i], i, c)
+            algorithmic[i] = dataclasses.replace(algorithmic[i], psi=psi)
+            actual[i] = dataclasses.replace(actual[i], psi=psi)
+        reported = dataclasses.replace(p, algorithmic=tuple(algorithmic), actual=tuple(actual))
+        return ReportedProblem(true=p, reported=reported)
 
     def perturbed_reports(self, deltas: dict[int, float]) -> ReportedProblem:
         """Each listed agent shifts every edge cost on its used edges by its delta
@@ -361,15 +373,15 @@ def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c
         paths = instance.paths
         if any(sum(1 for i in range(N) if paths.count(i, j) > 0) < 2 for j in range(M)):
             continue
+        # Each drop-one screen starts from the full optimum's tight rows.
+        problem = instance.problem
         try:
-            centralized_solve(instance.problem, tol=1e-8)
-            ok = True
+            full = centralized_solve(problem, tol=1e-8)
             for i in range(N):
-                centralized_solve(exclude_agent(instance.problem, i), tol=1e-8)
+                centralized_solve(exclude_agent(problem, i), tol=1e-8, active=exclude_agent_rows(problem, full.active, i))
         except Infeasible:
-            ok = False
-        if ok:
-            return network
+            continue
+        return network
     raise Infeasible(f"no feasible draw at scale {scale} in {_MAX_DRAWS} tries")
 
 

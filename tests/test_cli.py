@@ -311,6 +311,26 @@ def test_mechanism_respects_reported_costs_and_basis(tmp_path):
     assert benefits == pytest.approx([10.0, 4.5, 2.0], abs=1e-2)
 
 
+def test_mechanism_solves_the_reported_market_once(tmp_path, monkeypatch):
+    # Both mechanisms share one solve of the reported market; VCG's
+    # drop-one solves start from its tight rows.
+    unguessed = []
+
+    def counted(name):
+        def solve(*args, active=None, **kwargs):
+            if active is None:
+                unguessed.append(name)
+            return centralized_solve(*args, active=active, **kwargs)
+
+        return solve
+
+    for module in (disqo.cli, disqo.mechanisms):
+        monkeypatch.setattr(module, "centralized_solve", counted(module.__name__))
+    cfg = star_config(tmp_path / "cfg.json", report_deltas={"0": -1.0})
+    assert main(["mechanism", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert unguessed == ["disqo.cli"]
+
+
 def test_mechanism_rejects_unknown_selection(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", generator=STAR_GEN, mechanisms=["sp", "auction"])
     assert main(["mechanism", "--config", cfg, "--out", str(tmp_path / "run")]) == 1

@@ -18,6 +18,7 @@ from disqo.problem import (
     convert_inequality_coupling,
     eval_cost,
     exclude_agent,
+    exclude_agent_rows,
     reconcile_dual,
     residuals,
 )
@@ -195,6 +196,47 @@ def test_exclude_agent_restricts_costs():
     lifted = np.array([1.0, 0.0, 2.0])
     assert eval_cost(sub, 0, x) == pytest.approx(eval_cost(p, 0, lifted), abs=1e-12)
     assert eval_cost(sub, 1, x) == pytest.approx(eval_cost(p, 2, lifted), abs=1e-12)
+
+
+def blocks_problem() -> CoupledProblem:
+    """Three agents with blocks of 2, 3 and 1 and random dense objectives;
+    agent 1 has no local rows."""
+    rng = np.random.default_rng(8)
+    dims, rows = (2, 3, 1), (2, 0, 1)
+    n = sum(dims)
+
+    def psd():
+        M = rng.normal(size=(n, n))
+        return M.T @ M
+
+    agents = [(psd(), rng.normal(size=n), -np.eye(k, ni), np.zeros(k)) for ni, k in zip(dims, rows)]
+    A = [rng.normal(size=(2, ni)) for ni in dims]
+    return assemble_problem(agents, A, np.ones(2), actual=[(psd(), rng.normal(size=n)) for _ in dims])
+
+
+def test_exclude_agent_restricts_by_blocks_bitwise():
+    p = blocks_problem()
+    for i in range(p.n_agents):
+        keep = np.concatenate([np.arange(p.block(j).start, p.block(j).stop) for j in range(p.n_agents) if j != i])
+        sub = exclude_agent(p, i)
+        objs = [o for side in ("algorithmic", "actual") for j, o in enumerate(getattr(p, side)) if j != i]
+        subs = [*sub.algorithmic, *sub.actual]
+        for o, r in zip(objs, subs, strict=True):
+            assert r.sigma.tobytes() == o.sigma[np.ix_(keep, keep)].tobytes()
+            assert r.psi.tobytes() == o.psi[keep].tobytes()
+
+
+def test_exclude_agent_rows_renumbers_the_rest():
+    p = blocks_problem()  # local rows: agent 0 owns 0-1, agent 2 owns 2
+    assert exclude_agent_rows(p, (0, 1, 2), 0) == (0,)
+    assert exclude_agent_rows(p, (1, 2), 1) == (1, 2)
+    assert exclude_agent_rows(p, (0, 2), 2) == (0,)
+    G, _ = p.local_stacked()
+    for i in range(p.n_agents):
+        kept = exclude_agent_rows(p, range(G.shape[0]), i)
+        assert kept == tuple(range(exclude_agent(p, i).local_stacked()[0].shape[0]))
+    with pytest.raises(UnknownAgent):
+        exclude_agent_rows(p, (0,), 3)
 
 
 def test_reported_problem_selection():

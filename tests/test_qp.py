@@ -309,6 +309,23 @@ def test_warm_solves_factor_each_active_set_once(kernel_calls):
     assert "solve" not in kernel_calls and "lstsq" not in kernel_calls
 
 
+def test_a_guess_that_holds_needs_no_splitting_system(kernel_calls):
+    rng = np.random.default_rng(5)
+    n = 4
+    M = rng.normal(size=(n, n))
+    G, u = box_rows(n, np.zeros(n), np.ones(n))
+    spec = QpSpec(P=np.eye(n) + 0.05 * M.T @ M, q=np.array([5.0, -5.0, 0.0, 0.1]), E=np.ones((1, n)), h=np.array([2.0]), G=G, u=u)
+    cold = solve_qp(spec)
+    assert cold.iterations > 0 and cold.active == (1, n)  # x1 at its upper, x0 at its lower bound
+    kernel_calls.clear()
+    warm = solve_qp(spec, active=cold.active)
+    assert warm.optimal and warm.iterations == 0 and warm.active == cold.active
+    np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
+    assert kernel_calls == ["lu_factor", "lu_solve"]  # the reduced system's, and nothing else
+    with pytest.raises(DimensionMismatch):
+        solve_qp(spec, active=[2 * n])
+
+
 def test_singular_reduced_system_goes_straight_to_lstsq(kernel_calls):
     # Duplicate equality rows make the KKT matrix singular: its LU has an exact zero pivot.
     E = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])

@@ -1,6 +1,7 @@
 """Transport-instance layer: path enumeration, incidence/kappa structure,
 objective decompositions, generators, and serialization."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -20,6 +21,7 @@ from disqo.transport import (
     random_instance,
     save_instance,
     star_network,
+    to_coupled_problem,
 )
 
 
@@ -232,6 +234,16 @@ def test_generator_draws_are_pinned():
     assert digest.hexdigest() == "161e1095fbdce733c7361e4b2e240294cb6d2ec2f21f9737807745cf55ad922f"
 
 
+def test_saved_instances_are_pinned(tmp_path):
+    # The drop-one screens start warm; the files they accept must not move.
+    digest = hashlib.sha256()
+    for scale, s in [((4, 2, 3, 2), 0), ((4, 2, 3, 2), 1), ((4, 2, 3, 2), 2), ((6, 3, 3, 2), 0), ((6, 3, 3, 2), 1), ((8, 3, 3, 2), 7)]:
+        inst = random_instance(scale, seed=s)
+        save_instance(tmp_path / "inst.json", inst.network, inst.R, inst.L)
+        digest.update((tmp_path / "inst.json").read_bytes())
+    assert digest.hexdigest() == "8b805bce0fa2e4f61297f4085c9323483c63bbc616d4b575ea63f73b176177b8"
+
+
 def test_coupling_rows_match_demand_layout():
     inst = random_instance((3, 2, 2, 2), seed=5)
     p, net = inst.problem, inst.network
@@ -254,6 +266,25 @@ def test_reported_costs_rebuild_matches_known_optimum():
     np.testing.assert_allclose(sol.lam, [16.0], atol=1e-8)
     truth = centralized_solve(rp.pick("true"))
     np.testing.assert_allclose(truth.x, [13.0 / 6.0, 5.0 / 3.0, 7.0 / 6.0], atol=1e-8)
+
+
+def test_reported_problem_swaps_only_psi():
+    inst = random_instance((4, 2, 3, 2), seed=1)
+    net, p = inst.network, inst.problem
+    reports = {0: 0.5 * net.edge_costs[0], 2: net.edge_costs[2] + 1.0}
+    reported = inst.with_reported_costs(reports).reported
+    costs = net.edge_costs.copy()
+    for i, c in reports.items():
+        costs[i] = c
+    rebuilt = to_coupled_problem(dataclasses.replace(net, edge_costs=costs), inst.paths, inst.incidence)
+    same = lambda a, b: a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for side in ("algorithmic", "actual"):
+        for new, ref, true in zip(getattr(reported, side), getattr(rebuilt, side), getattr(p, side)):
+            assert same(new.sigma, ref.sigma) and same(new.psi, ref.psi)
+            assert new.sigma is true.sigma
+    assert reported.dims == rebuilt.dims and same(reported.d, rebuilt.d)
+    assert all(same(a, b) for a, b in zip(reported.A, rebuilt.A))
+    assert all(same(a.B, b.B) and same(a.m, b.m) for a, b in zip(reported.local, rebuilt.local))
 
 
 def test_perturbed_reports_shift_used_edges_and_clip():
