@@ -433,6 +433,10 @@ def metrics(state: SolverState, reference_value: float | None = None) -> dict:
 
 @dataclass
 class SolveResult:
+    """Outcome of ``solve``. Dual sign: ``lam`` and ``lambda_bar`` estimate
+    the negative of ``CentralSolution.lam``; at convergence ``-lambda_bar``
+    approaches ``centralized_solve(problem).lam``."""
+
     x: np.ndarray  # each agent's own block taken from its own copy
     lam: np.ndarray  # (N, n0) final per-agent dual estimates
     trace: IterTrace

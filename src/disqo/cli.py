@@ -28,7 +28,10 @@ The generator spec may instead be a star template with explicit costs:
 ``{"star": {"c": [3, 4, 5], "c0": 1.0, "d": 5.0}}``.
 
 All emitted CSVs are byte-stable across reruns of the same config and seed,
-except the ``wall_ms`` trace column, which records measured time.
+except the ``wall_ms`` trace column, which records measured time. The
+``lambda`` rows of ``solution.csv`` hold ``-lambda_bar``, the coupling dual
+in the sign of ``CentralSolution.lam``, whether or not the run converged;
+the ``lambda_bar_*`` columns of ``trace.csv`` keep the consensus sign.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ import numpy as np
 
 from ._csv import write_csv
 from .admm import SolverParams, solve as distributed_solve
-from .errors import ConventionMismatch, DisqoError, InvalidConfig, MaxIterReached
+from .errors import DisqoError, InvalidConfig, MaxIterReached
 from .graphs import CommGraph, build_graph, metropolis_weights, validate_weights
 from .mechanisms import misreport_portfolio, misreport_sweep, payments_csv, sp_for_problem, vcg_payments
-from .problem import CoupledProblem, centralized_solve, reconcile_dual, resolve
+from .problem import CoupledProblem, centralized_solve, resolve
 from .transport import (
     TransportInstance,
     build_instance,
@@ -244,10 +247,7 @@ def _out_dir(config: dict, args) -> str:
 
 
 def _write_solution_csv(path: str, instance: TransportInstance, problem: CoupledProblem, result) -> None:
-    try:
-        lam = reconcile_dual(problem, result.x, result.lambda_bar)
-    except ConventionMismatch:
-        lam = result.lambda_bar
+    lam = -result.lambda_bar  # the sign of CentralSolution.lam (see SolveResult)
     labels = [f"s{i}:d{j}:k{k}:r{r}" for i, agent_vars in enumerate(instance.var_labels) for (j, k, r) in agent_vars]
     K = instance.network.n_commodities
     rows = [("x", pos, label, result.x[pos]) for pos, label in enumerate(labels)]

@@ -122,12 +122,6 @@ class ValidationReport:
     def failures(self) -> list[str]:
         return [name for name, passed, _ in self.checks if not passed]
 
-    def __str__(self) -> str:
-        lines = []
-        for name, passed, residual in self.checks:
-            lines.append(f"{'PASS' if passed else 'FAIL'}  {name}  (residual {residual:.3e})")
-        return "\n".join(lines)
-
 
 def validate_weights(w: np.ndarray, graph: CommGraph) -> ValidationReport:
     """Check a candidate weight matrix against every mixing-matrix invariant."""

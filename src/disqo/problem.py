@@ -32,7 +32,7 @@ from .errors import (
     NonConvexObjective,
     UnknownAgent,
 )
-from .qp import QpSpec, solve_qp
+from .qp import solve_qp
 
 __all__ = [
     "QuadObjective",
@@ -45,7 +45,6 @@ __all__ = [
     "convert_inequality_coupling",
     "SlackMap",
     "eval_cost",
-    "residuals",
     "centralized_solve",
     "exclude_agent",
     "exclude_agent_rows",
@@ -267,7 +266,7 @@ def feasible_point(poly: LocalPolyhedron) -> np.ndarray:
     x0 = np.zeros(n)
     if poly.contains(x0):
         return x0
-    sol = solve_qp(QpSpec(P=np.eye(n), q=np.zeros(n), G=poly.B, u=poly.m), tol=1e-9)
+    sol = solve_qp(np.eye(n), np.zeros(n), G=poly.B, u=poly.m, tol=1e-9)
     if not sol.optimal:
         raise Infeasible("could not certify local set nonempty")
     return sol.x
@@ -344,18 +343,6 @@ def eval_cost(problem, i: int, x: np.ndarray, which: str = "true") -> float:
     return p.actual[i].value(x)
 
 
-def residuals(problem, x: np.ndarray, which: str = "true") -> tuple[float, float]:
-    """(coupling residual ||sum A_i x_i - d||, worst local-constraint violation)."""
-    p = resolve(problem, which)
-    x = np.asarray(x, float).ravel()
-    coupled = float(np.linalg.norm(p.stacked_A() @ x - p.d))
-    worst = 0.0
-    for i, poly in enumerate(p.local):
-        if poly.n_rows:
-            worst = max(worst, float(np.max(np.maximum(poly.B @ x[p.block(i)] - poly.m, 0.0))))
-    return coupled, worst
-
-
 @dataclass(frozen=True)
 class CentralSolution:
     """Primal/dual optimum of the coupled problem.
@@ -380,9 +367,7 @@ def centralized_solve(problem, which: str = "true", tol: float = 1e-9, max_iter:
     leaves the solve as it is without one."""
     p = resolve(problem, which)
     sigma, psi = p.total_quadratic("actual")
-    G, u = p.local_stacked()
-    spec = QpSpec(P=sigma, q=psi, E=p.stacked_A(), h=p.d, G=G if G.shape[0] else None, u=u if u.shape[0] else None)
-    sol = solve_qp(spec, tol=tol, max_iter=max_iter, active=active)
+    sol = solve_qp(sigma, psi, p.stacked_A(), p.d, *p.local_stacked(), tol=tol, max_iter=max_iter, active=active)
     if sol.status == "max_iter":
         raise MaxIterReached(f"centralized solve stopped at residuals {sol.residuals}")
     lam = -sol.lam  # flip from the Px+q+E'lam+G'alpha=0 convention

@@ -8,7 +8,10 @@ intervals, "polishes" the current active-set guess by solving the reduced KKT
 equality system directly. A polished point is accepted only when every KKT
 residual (stationarity, primal feasibility, dual nonnegativity, complementary
 slackness) passes the requested tolerance, which is what makes the returned
-duals reliable enough to price with.
+duals reliable enough to price with. That is the one acceptance rule: a
+solve is ``optimal`` only by a polish step that ``_step_verdict`` certified
+(or, without variables, by a feasible empty point), never by a splitting
+iterate; a spent budget returns ``max_iter`` with the best iterate.
 
 Rows of ``G`` with a single nonzero entry are simple bounds. An active bound
 fixes its variable instead of adding a multiplier row, so the polish solves a
@@ -55,7 +58,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, Infeasible, NonPsdHessian
 
-__all__ = ["QpSpec", "QpSolution", "solve_qp", "RepeatedQp", "WarmBatch"]
+__all__ = ["QpSolution", "solve_qp", "RepeatedQp", "WarmBatch"]
 
 _CHECK_EVERY = 25
 _RELAX = 1.6
@@ -63,18 +66,6 @@ _SIGMA_REG = 1e-6
 _RHO_INEQ = 1.0
 _RHO_EQ_FACTOR = 1e3
 _CERT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QpSpec:
-    """Problem data. ``E``/``h`` and ``G``/``u`` may be ``None`` (empty)."""
-
-    P: np.ndarray
-    q: np.ndarray
-    E: np.ndarray | None = None
-    h: np.ndarray | None = None
-    G: np.ndarray | None = None
-    u: np.ndarray | None = None
 
 
 @dataclass
@@ -103,7 +94,7 @@ class QpSolution:
 
 
 class _ReducedSystem(NamedTuple):
-    """What a polish needs of one active set, independent of ``q`` and ``h``.
+    """What a polish needs of one active set, independent of ``q``.
 
     The first active simple bound on a column fixes it (``fix_*``, ``x_fixed``
     holds the fixed values and zeros elsewhere); the other active rows are
@@ -113,8 +104,7 @@ class _ReducedSystem(NamedTuple):
     its right-hand side.
     """
 
-    act: np.ndarray  # sorted active rows
-    act_mask: np.ndarray  # the same rows as a mask over all rows
+    act_mask: np.ndarray  # the active rows as a mask over all rows
     fix_rows: np.ndarray
     fix_cols: np.ndarray
     fix_coef: np.ndarray
@@ -231,7 +221,7 @@ def _step_verdict(P, q, E, h, G, u, x, lam, alpha, act: np.ndarray, tol: float):
 
 
 class RepeatedQp:
-    """A QP family sharing (P, E, G, u) with a varying linear term.
+    """A QP family sharing (P, E, h, G, u) with a varying linear term.
 
     Factors the splitting system once, when a solve first needs a splitting
     iteration; subsequent solves warm-start from the previous solution and
@@ -243,13 +233,13 @@ class RepeatedQp:
         self,
         P: np.ndarray,
         E: np.ndarray | None = None,
-        h_template: np.ndarray | None = None,
+        h: np.ndarray | None = None,
         G: np.ndarray | None = None,
         u: np.ndarray | None = None,
         tol: float = 1e-9,
         max_iter: int = 200000,
     ):
-        self.P, self.E, self.h, self.G, self.u = _normalize(P, E, h_template, G, u)
+        self.P, self.E, self.h, self.G, self.u = _normalize(P, E, h, G, u)
         _check_psd(self.P)
         self.tol = tol
         self.max_iter = max_iter
@@ -269,22 +259,20 @@ class RepeatedQp:
         self._last_active: frozenset[int] | None = None
         self._system: tuple[frozenset[int], _ReducedSystem] | None = None  # the last active set's
 
-    def solve(self, q: np.ndarray, h: np.ndarray | None = None, active=None) -> QpSolution:
-        """Solve for the linear term ``q`` (and equality right-hand side
-        ``h``, default the template's). The polish first tries ``active``, a
-        collection of inequality rows, when it is given, else the last
-        solve's tight set. When that guess does not end in a certified
-        point, the solve goes on to the splitting iteration as if it had
-        had no guess (see the module docstring)."""
+    def solve(self, q: np.ndarray, active=None) -> QpSolution:
+        """Solve for the linear term ``q``. The polish first tries
+        ``active``, a collection of inequality rows, when it is given, else
+        the last solve's tight set. When that guess does not end in a
+        certified point, the solve goes on to the splitting iteration as if
+        it had had no guess (see the module docstring)."""
         q = np.asarray(q, dtype=float).ravel()
-        h = self.h if h is None else np.asarray(h, dtype=float).ravel()
-        if q.shape[0] != self.n or h.shape[0] != self.me:
-            raise DimensionMismatch("linear term / equality rhs size mismatch")
+        if q.shape[0] != self.n:
+            raise DimensionMismatch(f"linear term has length {q.shape[0]}, expected {self.n}")
 
         if self.n == 0:
-            return self._solve_empty(h)
+            return self._solve_empty()
 
-        # Active sets whose repair failed for this (q, h); shared by every polish below.
+        # Active sets whose repair failed for this q; shared by every polish below.
         failed: set[frozenset[int]] = set()
         guess = self._last_active if active is None else frozenset(int(r) for r in active)
         if active is not None and not all(0 <= r < self.mi for r in guess):
@@ -292,32 +280,27 @@ class RepeatedQp:
         if guess is None and self.mi == 0:
             guess = frozenset()
         if guess is not None:
-            polished = self._polish(q, h, guess, failed)
+            polished = self._polish(q, guess, failed)
             if polished is not None:
-                self._remember(polished.x, polished.active)
                 return polished
         if self.me + self.mi == 0:  # no solution of P x = -q passed the check
             raise Infeasible("objective is unbounded below (no constraints, gradient not in range of P)")
-
-        sol = self._admm(q, h, failed)
-        if sol.optimal:
-            self._remember(sol.x, sol.active)
-        return sol
+        return self._admm(q, failed)
 
     def _remember(self, x: np.ndarray, active) -> None:
-        """Keep a solution's point and tight set for the next solve's warm start."""
+        """Keep a certified point and its tight set for the next solve's warm start."""
         self._last_x = x.copy()
         self._last_active = frozenset(active)
 
-    def _solve_empty(self, h: np.ndarray) -> QpSolution:
+    def _solve_empty(self) -> QpSolution:
         """No variables: the empty point is optimal when it is feasible (h = 0, u >= 0)."""
         x, lam, alpha = np.zeros(0), np.zeros(self.me), np.zeros(self.mi)
-        res = _kkt_residuals(self.P, x, self.E, h, self.G, self.u, x, lam, alpha)
+        res = _kkt_residuals(self.P, x, self.E, self.h, self.G, self.u, x, lam, alpha)
         if not _residuals_pass(res, self.tol):
             raise Infeasible("a QP without variables needs h = 0 and u >= 0")
         return QpSolution(x=x, lam=lam, alpha=alpha, status="optimal", iterations=0, active=(), residuals=res)
 
-    def _polish(self, q: np.ndarray, h: np.ndarray, active: frozenset[int], failed: set[frozenset[int]]) -> QpSolution | None:
+    def _polish(self, q: np.ndarray, active: frozenset[int], failed: set[frozenset[int]]) -> QpSolution | None:
         """Solve the KKT equality system for a candidate active set, then repair it.
 
         An active simple bound fixes its column at ``u_i / G_ij``; the first
@@ -327,15 +310,16 @@ class RepeatedQp:
         column's multiplier is read off its stationarity residual.
 
         Violated inactive rows are added and negative-multiplier rows dropped,
-        one at a time, until the candidate is KKT-consistent or the attempt
-        fails. Failure by a cycle, by a singular system without a finite
-        least-squares answer or by the final residual check records every
-        active set of the trajectory in ``failed``, which must only be shared
-        between polishes with the same ``q`` and ``h``; a polish that reaches a
-        recorded set stops at once. A trajectory cut by the iteration budget is
-        not recorded, since a polish started further along it has budget left.
+        one at a time, until the candidate is KKT-consistent, and then kept
+        for the next solve's warm start, or the attempt fails. Failure by a
+        cycle, by a singular system without a finite least-squares answer or
+        by the final residual check records every active set of the
+        trajectory in ``failed``, which must only be shared between polishes
+        with the same ``q``; a polish that reaches a recorded set stops at
+        once. A trajectory cut by the iteration budget is not recorded, since
+        a polish started further along it has budget left.
         """
-        P, E, G, u, tol = self.P, self.E, self.G, self.u, self.tol
+        P, E, h, G, u, tol = self.P, self.E, self.h, self.G, self.u, self.tol
         if self.me + self.mi == 0:  # P x = -q: the round-off in x grows with |q|
             tol = max(tol, 1e-9 * max(1.0, float(np.max(np.abs(q)))))
         seen: set[frozenset[int]] = set()
@@ -345,7 +329,7 @@ class RepeatedQp:
                 return None
             seen.add(active)
             red = self._reduced_system(active)
-            step = self._step(red, q, h, 1.0)
+            step = self._step(red, q, 1.0)
             if step is None:
                 failed.update(seen)
                 return None
@@ -359,19 +343,21 @@ class RepeatedQp:
                 active = active | {int(np.argmax(np.where(red.act_mask, -np.inf, G @ x - u)))}
                 continue
             if ok:
-                return QpSolution(x=x, lam=lam, alpha=alpha_c, status="optimal", iterations=0, active=tuple(tight.nonzero()[0].tolist()), residuals=res)
+                sol = QpSolution(x=x, lam=lam, alpha=alpha_c, status="optimal", iterations=0, active=tuple(tight.nonzero()[0].tolist()), residuals=res)
+                self._remember(sol.x, sol.active)
+                return sol
             failed.update(seen)
             return None
         return None
 
-    def _step(self, red: _ReducedSystem, q: np.ndarray, h: np.ndarray, s: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def _step(self, red: _ReducedSystem, q: np.ndarray, s: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """A polish step on ``red``'s set: (x, lam, alpha) from its reduced KKT
         system, or ``None`` when that has no finite answer. The step is linear
-        in ``(q, h, s u)``, so ``q``, ``h`` and ``s`` may also carry a
-        trailing axis of columns, one step each (see ``step_map``)."""
+        in ``(q, s h, s u)``, so ``q`` and ``s`` may also carry a trailing
+        axis of columns, one step each (see ``step_map``)."""
         P, E, me, mi = self.P, self.E, self.me, self.mi
         nf, fixed = red.n_free, np.multiply.outer(red.rhs_fixed, s)
-        rhs = np.concatenate([-(q[red.free] + fixed[:nf]), h - fixed[nf : nf + me], fixed[nf + me :]])
+        rhs = np.concatenate([-(q[red.free] + fixed[:nf]), np.multiply.outer(self.h, s) - fixed[nf : nf + me], fixed[nf + me :]])
         sol = _solve_reduced(red, rhs)
         if sol is None:
             return None
@@ -387,17 +373,16 @@ class RepeatedQp:
 
     def step_map(self, active: frozenset[int]) -> tuple[np.ndarray, np.ndarray] | None:
         """The polish's first step on ``active`` as an affine map of the linear
-        term: for the template ``h``, the step's candidate is
-        ``[x; alpha] = L @ q + c``. Returns (L, c), or ``None`` when the
-        set's reduced system is singular (the polish then turns to least
-        squares). Like a polish of ``active``, it keeps that reduced system.
-        """
+        term: the step's candidate is ``[x; alpha] = L @ q + c``. Returns
+        (L, c), or ``None`` when the set's reduced system is singular (the
+        polish then turns to least squares). Like a polish of ``active``, it
+        keeps that reduced system."""
         red = self._reduced_system(active)
         if red.lu is None and red.kkt.size:
             return None
         # Column 0 is the constant part, column 1 + j the response to q_j.
         e0 = np.eye(1, 1 + self.n)[0]
-        x, _, alpha = self._step(red, np.eye(self.n, 1 + self.n, 1), np.outer(self.h, e0), e0)
+        x, _, alpha = self._step(red, np.eye(self.n, 1 + self.n, 1), e0)
         step = np.vstack([x, alpha])
         return step[:, 1:], step[:, 0]
 
@@ -442,14 +427,14 @@ class RepeatedQp:
             if not np.all(np.diagonal(lu[0])):
                 lu = None
         rhs_fixed = np.concatenate([(P @ x_fixed)[free], E @ x_fixed, u[rows] - Gr @ x_fixed])
-        red = _ReducedSystem(act, act_mask, fix_rows, fix_cols, fix_coef, x_fixed, rows, Gr, free, nf, kkt, lu, rhs_fixed)
+        red = _ReducedSystem(act_mask, fix_rows, fix_cols, fix_coef, x_fixed, rows, Gr, free, nf, kkt, lu, rhs_fixed)
         self._system = (active, red)
         return red
 
-    def _admm(self, q: np.ndarray, h: np.ndarray, failed: set[frozenset[int]]) -> QpSolution:
+    def _admm(self, q: np.ndarray, failed: set[frozenset[int]]) -> QpSolution:
         n, me, mi = self.n, self.me, self.mi
         m = me + mi
-        C, rho = self.C, self.rho
+        C, rho, h = self.C, self.rho, self.h
         lower = np.concatenate([h, np.full(mi, -np.inf)])
         upper = np.concatenate([h, self.u])
         if self._lu is None:
@@ -464,8 +449,7 @@ class RepeatedQp:
         z = np.clip(C @ x, lower, upper)
         y = np.zeros(m)
         y_mark = y.copy()
-        best: QpSolution | None = None
-        best_res = np.inf
+        best, best_score = None, np.inf  # best: (k, x, y, act_tol) of the best iterate so far
 
         for k in range(1, self.max_iter + 1):
             rhs = np.concatenate([_SIGMA_REG * x - q, z - y / rho])
@@ -486,46 +470,34 @@ class RepeatedQp:
 
                 act_tol = max(10.0 * r_prim, 1e-8)
                 near = (self.u - cx[me:] <= act_tol) | (y[me:] > act_tol)
-                polished = self._polish(q, h, frozenset(np.flatnonzero(near).tolist()), failed)
+                polished = self._polish(q, frozenset(np.flatnonzero(near).tolist()), failed)
                 if polished is not None:
                     polished.iterations = k
                     return polished
 
-                if r_prim <= self.tol and r_dual <= self.tol:
-                    lam = y[:me]
-                    alpha = np.maximum(y[me:], 0.0)
-                    res = _kkt_residuals(self.P, q, self.E, h, self.G, self.u, x, lam, alpha)
-                    cand = QpSolution(
-                        x=x.copy(), lam=lam.copy(), alpha=alpha, status="optimal", iterations=k,
-                        active=tuple(i for i in range(mi) if alpha[i] > self.tol), residuals=res,
-                    )
-                    if _residuals_pass(res, 10.0 * self.tol):
-                        return cand
                 score = r_prim + r_dual
-                if score < best_res:
-                    best_res = score
-                    lam = y[:me]
-                    alpha = np.maximum(y[me:], 0.0)
-                    best = QpSolution(
-                        x=x.copy(), lam=lam.copy(), alpha=alpha, status="max_iter", iterations=k,
-                        active=tuple(i for i in range(mi) if alpha[i] > act_tol),
-                        residuals=_kkt_residuals(self.P, q, self.E, h, self.G, self.u, x, lam, alpha),
-                    )
+                if score < best_score:
+                    best, best_score = (k, x, y, act_tol), score  # x and y are rebound, never updated in place
 
                 if k >= 200:
-                    self._certify_infeasible(y - y_mark, h)
+                    self._certify_infeasible(y - y_mark)
                 y_mark = y.copy()
 
         assert best is not None
-        return best
+        k, x, y, act_tol = best
+        lam, alpha = y[:me], np.maximum(y[me:], 0.0)
+        return QpSolution(
+            x=x, lam=lam, alpha=alpha, status="max_iter", iterations=k, active=tuple(np.flatnonzero(alpha > act_tol).tolist()),
+            residuals=_kkt_residuals(self.P, q, self.E, h, self.G, self.u, x, lam, alpha),
+        )
 
-    def _certify_infeasible(self, dy: np.ndarray, h: np.ndarray) -> None:
+    def _certify_infeasible(self, dy: np.ndarray) -> None:
         """Raise ``Infeasible`` when the dual drift is a primal-infeasibility certificate."""
         vn = float(np.max(np.abs(dy))) if dy.size else 0.0
         if vn <= 1e-13:
             return
         v = dy / vn
-        me = self.me
+        h, me = self.h, self.me
         if self.mi and float(v[me:].min()) < -_CERT_TOL:
             return  # rows without lower bounds need nonnegative certificate entries
         if float(np.max(np.abs(self.C.T @ v))) > _CERT_TOL * max(1.0, float(np.max(np.abs(self.C)))):
@@ -619,13 +591,14 @@ def _solve_reduced(red: _ReducedSystem, rhs: np.ndarray) -> np.ndarray | None:
     return sol if np.all(np.isfinite(sol)) else None
 
 
-def solve_qp(spec: QpSpec, tol: float = 1e-9, max_iter: int = 200000, active=None) -> QpSolution:
+def solve_qp(P, q, E=None, h=None, G=None, u=None, *, tol: float = 1e-9, max_iter: int = 200000, active=None) -> QpSolution:
     """Solve one QP. See module docstring for the dual convention.
 
-    ``active``, when given, is the polish's first guess at the tight
-    inequality rows (see ``RepeatedQp.solve``). Raises ``NonPsdHessian`` for
-    an indefinite Hessian and ``Infeasible`` when a primal-infeasibility
-    certificate is found; returns ``status="max_iter"`` (with the best
-    iterate and its residuals) when the budget runs out.
+    ``E``/``h`` and ``G``/``u`` may be ``None`` or have no rows. ``active``,
+    when given, is the polish's first guess at the tight inequality rows
+    (see ``RepeatedQp.solve``). Raises ``NonPsdHessian`` for an indefinite
+    Hessian and ``Infeasible`` when a primal-infeasibility certificate is
+    found; returns ``status="max_iter"`` (with the best iterate and its
+    residuals) when the budget runs out.
     """
-    return RepeatedQp(spec.P, spec.E, spec.h, spec.G, spec.u, tol=tol, max_iter=max_iter).solve(spec.q, active=active)
+    return RepeatedQp(P, E, h, G, u, tol=tol, max_iter=max_iter).solve(q, active=active)

@@ -356,11 +356,12 @@ def star_network(c_norms, c0: float = 1.0, d: float = 5.0, spoke_costs=None) -> 
     )
 
 
-def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c0: float = 1.0) -> TransportNetwork:
+def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c0: float = 1.0) -> TransportInstance:
     """Seeded random layered network at scale (N suppliers, M demanders,
-    K commodities, R routes). Redraws (deterministically) until every demander
-    is reachable by at least two suppliers and the instance stays feasible
-    even after removing any single supplier."""
+    K commodities, R routes), returned as the instance built to screen it.
+    Redraws (deterministically) until every demander is reachable by at
+    least two suppliers and the instance stays feasible even after removing
+    any single supplier."""
     N, M, K, R = scale
     for _ in range(_MAX_DRAWS):
         network = _draw_network(scale, rng, c0)
@@ -381,7 +382,7 @@ def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c
                 centralized_solve(exclude_agent(problem, i), tol=1e-8, active=exclude_agent_rows(problem, full.active, i))
         except Infeasible:
             continue
-        return network
+        return instance
     raise Infeasible(f"no feasible draw at scale {scale} in {_MAX_DRAWS} tries")
 
 
@@ -437,9 +438,7 @@ def _draw_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c0
 
 
 def random_instance(scale: tuple[int, int, int, int], seed: int, c0: float = 1.0) -> TransportInstance:
-    rng = np.random.default_rng(seed)
-    network = random_network(scale, rng, c0=c0)
-    return build_instance(network, R=scale[3], L=4)
+    return random_network(scale, np.random.default_rng(seed), c0=c0)
 
 
 def default_comm_graph(n_agents: int, seed: int) -> CommGraph:

@@ -101,6 +101,38 @@ def test_gen_requires_seed_and_spec(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gen_c0_sets_the_congestion_coefficient(tmp_path):
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["gen", "--scale", "3,2,2,2", "--seed", "3", "--out", str(out1)]) == 0
+    assert main(["gen", "--scale", "3,2,2,2", "--seed", "3", "--c0", "2.5", "--out", str(out2)]) == 0
+    assert load_instance(out1)[0].network.c0 == 1.0
+    assert load_instance(out2)[0].network.c0 == 2.5
+    assert out1.read_bytes() != out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("solve", [1, 2], "top level must be a JSON object"),
+        ("solve", {"generator": {"scale": [4, 2, "x", 2], "seed": 1}}, "scale must be four integers"),
+        ("solve", {"generator": {"star": {"c0": 1.0}}}, "star generator needs a cost list 'c'"),
+        ("solve", {"generator": {"seed": 1}}, "generator spec needs 'scale' or 'star'"),
+        ("mechanism", {"instance": "nowhere.json"}, "instance file not found"),
+        ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"cases": -1}}, "portfolio 'cases' must be nonnegative"),
+    ],
+)
+def test_config_input_errors_exit_one_with_their_message(tmp_path, capsys, command, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config if isinstance(config, list) else {"schema_version": 1, **config}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_gen_without_out_exits_one(capsys):
+    assert main(["gen", "--scale", "4,2,3,2", "--seed", "1"]) == 1
+    assert "--out file path is required" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -175,6 +207,25 @@ def test_solve_outputs_are_stable_and_finite(tmp_path):
                 assert np.isfinite(float(val)), f"{key} not finite at iter {row['iter']}"
     strip = lambda p: [r[:-1] for r in csv.reader(open(p))]  # all but wall_ms
     assert strip(out1 / "trace.csv") == strip(out2 / "trace.csv")
+
+
+def test_solution_lambda_rows_are_the_negated_consensus_dual(tmp_path, monkeypatch):
+    # Converged or not, the lambda rows are -lambda_bar, in the sign of
+    # CentralSolution.lam; this run stops at its budget.
+    results = []
+    solve = disqo.cli.distributed_solve
+
+    def recorded(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(disqo.cli, "distributed_solve", recorded)
+    cfg = write_config(tmp_path / "cfg.json", generator={"scale": [4, 2, 3, 2], "seed": 0})
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--max-iter", "50", "--out", str(out)]) == 2
+    _, lam, _, converged = read_solution(out / "solution.csv")
+    assert converged == 0
+    np.testing.assert_array_equal(lam, -results[0].lambda_bar)
 
 
 def test_solve_reported_config_solves_the_reported_problem(tmp_path):
@@ -309,6 +360,18 @@ def test_mechanism_respects_reported_costs_and_basis(tmp_path):
     sp = [r for r in rows if r["mechanism"] == "ShadowPricing" and r["agent"] != "total"]
     benefits = [float(r["benefit"]) for r in sp]
     assert benefits == pytest.approx([10.0, 4.5, 2.0], abs=1e-2)
+
+
+def test_explicit_reports_match_the_same_shift_as_deltas(tmp_path, capsys):
+    # Agent 0 uses its spoke (edge 0, cost 2) and the trunk (edge 3, cost 0):
+    # a delta of -1 reports costs (1, 0, 0, 0), the trunk floored at zero.
+    runs = {"deltas": {"report_deltas": {"0": -1.0}}, "reports": {"reports": {"0": [1.0, 0.0, 0.0, 0.0]}}}
+    for name, section in runs.items():
+        cfg = write_config(tmp_path / f"{name}.json", generator=STAR_GEN, **section)
+        assert main(["mechanism", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        assert main(["validate", "--config", cfg]) == 0
+        assert "ok: reported costs" in capsys.readouterr().out
+    assert (tmp_path / "deltas" / "payments.csv").read_bytes() == (tmp_path / "reports" / "payments.csv").read_bytes()
 
 
 def test_mechanism_solves_the_reported_market_once(tmp_path, monkeypatch):

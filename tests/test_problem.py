@@ -20,9 +20,8 @@ from disqo.problem import (
     exclude_agent,
     exclude_agent_rows,
     reconcile_dual,
-    residuals,
 )
-from disqo.qp import QpSpec, solve_qp
+from disqo.qp import solve_qp
 
 
 def three_supplier_problem(costs=(2.0, 3.0, 4.0), c0=1.0, d=5.0) -> CoupledProblem:
@@ -83,17 +82,6 @@ def test_decompositions_sum_to_total():
         assert sum(p.algorithmic[i].value(x) for i in range(3)) == pytest.approx(total, abs=1e-12)
 
 
-def test_residuals():
-    p = three_supplier_problem()
-    coupled, local = residuals(p, X_STAR)
-    assert coupled <= 1e-9 and local <= 1e-12
-    coupled, local = residuals(p, np.zeros(3))
-    assert coupled == pytest.approx(5.0)
-    assert local == 0.0
-    coupled, local = residuals(p, np.array([-0.1, 2.6, 2.5]))
-    assert local == pytest.approx(0.1, abs=1e-12)
-
-
 def test_single_agent_forced_allocation():
     agents = [(np.array([[2.0]]), np.zeros(1), np.array([[1.0], [-1.0]]), np.array([2.0, 0.0]))]
     p = assemble_problem(agents, [np.ones((1, 1))], [1.0])
@@ -146,12 +134,10 @@ def test_convert_inequality_coupling_interior_optimum():
     assert sol.lam == pytest.approx([0.0], abs=1e-7)
 
     direct = solve_qp(
-        QpSpec(
-            P=np.diag([2.0, 2.0]),
-            q=np.array([-2.0, -2.0]),
-            G=np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
-            u=np.array([5.0, 5.0, 5.0]),
-        )
+        P=np.diag([2.0, 2.0]),
+        q=np.array([-2.0, -2.0]),
+        G=np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        u=np.array([5.0, 5.0, 5.0]),
     )
     assert abs(sol.value - (0.5 * direct.x @ np.diag([2.0, 2.0]) @ direct.x + np.array([-2.0, -2.0]) @ direct.x)) <= 1e-8
 

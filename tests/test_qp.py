@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from disqo.errors import DimensionMismatch, Infeasible, NonPsdHessian
-from disqo.qp import QpSpec, RepeatedQp, WarmBatch, _step_verdict, solve_qp
+from disqo.qp import RepeatedQp, WarmBatch, _step_verdict, solve_qp
 
 from oracles import enumerate_box_qp, enumerate_qp, qp_value
 
@@ -24,16 +24,16 @@ def assert_kkt(spec, sol, tol=1e-8):
 
 
 def test_scalar_box_interior_optimum():
-    spec = QpSpec(P=np.array([[1.0]]), q=np.array([-1.0]), G=np.array([[1.0], [-1.0]]), u=np.array([10.0, 0.0]))
-    sol = solve_qp(spec)
+    spec = dict(P=np.array([[1.0]]), q=np.array([-1.0]), G=np.array([[1.0], [-1.0]]), u=np.array([10.0, 0.0]))
+    sol = solve_qp(**spec)
     assert_kkt(spec, sol)
     assert sol.x == pytest.approx([1.0], abs=1e-9)
     assert sol.alpha == pytest.approx([0.0, 0.0], abs=1e-9)
 
 
 def test_equality_symmetric_split():
-    spec = QpSpec(P=2 * np.eye(2), q=np.zeros(2), E=np.array([[1.0, 1.0]]), h=np.array([5.0]))
-    sol = solve_qp(spec)
+    spec = dict(P=2 * np.eye(2), q=np.zeros(2), E=np.array([[1.0, 1.0]]), h=np.array([5.0]))
+    sol = solve_qp(**spec)
     assert_kkt(spec, sol)
     assert sol.x == pytest.approx([2.5, 2.5], abs=1e-9)
     # Stationarity 2x + lam*1 = 0 pins the equality dual at -5.
@@ -45,8 +45,8 @@ def test_three_agent_reduced_allocation():
     # min sum(x_i^2) + (sum x)^2 + (2,3,4).x  s.t. sum x = 5, x >= 0.
     P = 2.0 * (np.eye(3) + np.ones((3, 3)))
     q = np.array([2.0, 3.0, 4.0])
-    spec = QpSpec(P=P, q=q, E=np.ones((1, 3)), h=np.array([5.0]), G=-np.eye(3), u=np.zeros(3))
-    sol = solve_qp(spec)
+    spec = dict(P=P, q=q, E=np.ones((1, 3)), h=np.array([5.0]), G=-np.eye(3), u=np.zeros(3))
+    sol = solve_qp(**spec)
     assert_kkt(spec, sol)
     assert sol.x == pytest.approx([13 / 6, 5 / 3, 7 / 6], abs=1e-9)
     assert sol.lam == pytest.approx([-49 / 3], abs=1e-9)
@@ -54,62 +54,62 @@ def test_three_agent_reduced_allocation():
 
 def test_active_bound_with_dual():
     # min (x-3)^2 on [0,1]: active upper bound, alpha = -grad = 4.
-    spec = QpSpec(P=np.array([[2.0]]), q=np.array([-6.0]), G=np.array([[1.0], [-1.0]]), u=np.array([1.0, 0.0]))
-    sol = solve_qp(spec)
+    spec = dict(P=np.array([[2.0]]), q=np.array([-6.0]), G=np.array([[1.0], [-1.0]]), u=np.array([1.0, 0.0]))
+    sol = solve_qp(**spec)
     assert_kkt(spec, sol)
     assert sol.x == pytest.approx([1.0], abs=1e-9)
     assert sol.alpha == pytest.approx([4.0, 0.0], abs=1e-9)
 
 
 def test_infeasible_box_detected():
-    spec = QpSpec(P=np.eye(1), q=np.zeros(1), G=np.array([[1.0], [-1.0]]), u=np.array([-1.0, 0.0]))
+    spec = dict(P=np.eye(1), q=np.zeros(1), G=np.array([[1.0], [-1.0]]), u=np.array([-1.0, 0.0]))
     with pytest.raises(Infeasible):
-        solve_qp(spec)
+        solve_qp(**spec)
 
 
 def test_infeasible_equalities_detected():
-    spec = QpSpec(P=np.eye(2), q=np.zeros(2), E=np.array([[1.0, 1.0], [1.0, 1.0]]), h=np.array([1.0, 2.0]))
+    spec = dict(P=np.eye(2), q=np.zeros(2), E=np.array([[1.0, 1.0], [1.0, 1.0]]), h=np.array([1.0, 2.0]))
     with pytest.raises(Infeasible):
-        solve_qp(spec)
+        solve_qp(**spec)
 
 
 def test_non_psd_rejected():
-    spec = QpSpec(P=np.diag([1.0, -1.0]), q=np.zeros(2))
+    spec = dict(P=np.diag([1.0, -1.0]), q=np.zeros(2))
     with pytest.raises(NonPsdHessian):
-        solve_qp(spec)
+        solve_qp(**spec)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
-        solve_qp(QpSpec(P=np.eye(2), q=np.zeros(3)))
+        solve_qp(P=np.eye(2), q=np.zeros(3))
 
 
 def test_unconstrained_solve():
     P = np.diag([1.0, 4.0])
     q = np.array([-1.0, -8.0])
-    sol = solve_qp(QpSpec(P=P, q=q))
+    sol = solve_qp(P=P, q=q)
     assert_kkt(None, sol)
     assert sol.x == pytest.approx([1.0, 2.0], abs=1e-10)
 
     # Singular P: bounded below exactly when q lies in its range.
     P = np.diag([1.0, 0.0])
     with pytest.raises(Infeasible, match="unbounded"):
-        solve_qp(QpSpec(P=P, q=np.array([-1.0, 1.0])))
-    sol = solve_qp(QpSpec(P=P, q=np.array([-1.0, 0.0])))
+        solve_qp(P=P, q=np.array([-1.0, 1.0]))
+    sol = solve_qp(P=P, q=np.array([-1.0, 0.0]))
     assert_kkt(None, sol)
     assert sol.x == pytest.approx([1.0, 0.0], abs=1e-10)
 
     # Ill-conditioned P with a large linear term.
     rng = np.random.default_rng(8)
     M = rng.normal(size=(6, 6))
-    sol = solve_qp(QpSpec(P=M.T @ M + 1e-3 * np.eye(6), q=1e3 * rng.normal(size=6)))
+    sol = solve_qp(P=M.T @ M + 1e-3 * np.eye(6), q=1e3 * rng.normal(size=6))
     assert sol.optimal, sol.residuals
     # Worse conditioned: P is positive definite, so each solve has a
     # stationary point, found to a round-off that grows with |q|.
     for seed in range(200):
         rng = np.random.default_rng(seed)
         M = rng.normal(size=(6, 6))
-        sol = solve_qp(QpSpec(P=M.T @ M + 1e-5 * np.eye(6), q=1e3 * rng.normal(size=6)))
+        sol = solve_qp(P=M.T @ M + 1e-5 * np.eye(6), q=1e3 * rng.normal(size=6))
         assert sol.optimal, f"seed {seed}"
 
 
@@ -118,7 +118,7 @@ def test_max_iter_reports_partial_result():
     M = rng.normal(size=(6, 6))
     P = M.T @ M + 0.5 * np.eye(6)
     G, u = box_rows(6, -np.ones(6), np.ones(6))
-    sol = solve_qp(QpSpec(P=P, q=rng.normal(size=6), G=G, u=u), tol=0.0, max_iter=60)
+    sol = solve_qp(P=P, q=rng.normal(size=6), G=G, u=u, tol=0.0, max_iter=60)
     assert sol.status == "max_iter"
     assert np.all(np.isfinite(sol.x))
     assert "stationarity" in sol.residuals
@@ -137,8 +137,8 @@ def test_box_qps_match_enumeration_oracle():
         assert ref is not None
         x_ref, val_ref = ref
         G, u = box_rows(n, lo, hi)
-        spec = QpSpec(P=P, q=q, G=G, u=u)
-        sol = solve_qp(spec, tol=1e-9)
+        spec = dict(P=P, q=q, G=G, u=u)
+        sol = solve_qp(**spec, tol=1e-9)
         assert_kkt(spec, sol)
         assert np.max(np.abs(sol.x - x_ref)) <= 1e-7, f"case {case} (n={n})"
         assert abs(qp_value(P, q, sol.x) - val_ref) <= 1e-7
@@ -162,8 +162,8 @@ def test_general_qps_match_enumeration_oracle():
         ref = enumerate_qp(P, q, E, h, G, u)
         assert ref is not None
         x_ref, _, _, val_ref = ref
-        spec = QpSpec(P=P, q=q, E=E, h=h, G=G, u=u)
-        sol = solve_qp(spec, tol=1e-9)
+        spec = dict(P=P, q=q, E=E, h=h, G=G, u=u)
+        sol = solve_qp(**spec, tol=1e-9)
         assert_kkt(spec, sol)
         assert np.max(np.abs(sol.x - x_ref)) <= 1e-6, f"case {case}"
         assert abs(qp_value(P, q, sol.x) - val_ref) <= 1e-7
@@ -179,7 +179,7 @@ def test_repeated_qp_warm_start_matches_fresh_solves():
     for _ in range(25):
         q = rng.normal(size=n) * 2.0
         warm = kernel.solve(q)
-        fresh = solve_qp(QpSpec(P=P, q=q, G=G, u=u))
+        fresh = solve_qp(P=P, q=q, G=G, u=u)
         assert warm.optimal and fresh.optimal
         assert np.max(np.abs(warm.x - fresh.x)) <= 1e-8
 
@@ -188,8 +188,8 @@ def test_singular_hessian_with_pinning_constraints():
     # P singular along (1,-1); the equality pins that direction.
     P = np.array([[1.0, 1.0], [1.0, 1.0]])
     E = np.array([[1.0, -1.0]])
-    spec = QpSpec(P=P, q=np.array([1.0, 1.0]), E=E, h=np.array([2.0]))
-    sol = solve_qp(spec)
+    spec = dict(P=P, q=np.array([1.0, 1.0]), E=E, h=np.array([2.0]))
+    sol = solve_qp(**spec)
     assert_kkt(spec, sol)
     assert sol.x[0] - sol.x[1] == pytest.approx(2.0, abs=1e-9)
 
@@ -198,7 +198,7 @@ def test_empty_block_qp_returns_empty_point():
     sol = RepeatedQp(np.zeros((0, 0)), G=np.zeros((3, 0)), u=[1.0, 2.0, 0.0]).solve(np.zeros(0))
     assert sol.optimal and sol.x.shape == (0,)
     assert sol.alpha == pytest.approx([0.0, 0.0, 0.0])
-    sol = solve_qp(QpSpec(P=np.zeros((0, 0)), q=np.zeros(0), E=np.zeros((1, 0)), h=np.zeros(1)))
+    sol = solve_qp(P=np.zeros((0, 0)), q=np.zeros(0), E=np.zeros((1, 0)), h=np.zeros(1))
     assert sol.optimal and sol.x.shape == (0,) and sol.lam.shape == (1,)
 
 
@@ -206,7 +206,7 @@ def test_empty_block_qp_infeasible_when_zero_violates_constraints():
     with pytest.raises(Infeasible):
         RepeatedQp(np.zeros((0, 0)), G=np.zeros((3, 0)), u=[1.0, -2.0, 0.0]).solve(np.zeros(0))
     with pytest.raises(Infeasible):
-        solve_qp(QpSpec(P=np.zeros((0, 0)), q=np.zeros(0), E=np.zeros((1, 0)), h=np.ones(1)))
+        solve_qp(P=np.zeros((0, 0)), q=np.zeros(0), E=np.zeros((1, 0)), h=np.ones(1))
 
 
 @pytest.mark.parametrize("c", [0.0, 0.7])
@@ -226,7 +226,7 @@ def test_polish_with_both_bounds_of_a_column_active(c):
         x_ref, val_ref = enumerate_box_qp(P, q, lo, hi)
         G, u = box_rows(n, lo, hi)
         kernel = RepeatedQp(P, G=G, u=u)
-        sol = kernel._polish(q, kernel.h, frozenset(range(2 * n)), set())
+        sol = kernel._polish(q, frozenset(range(2 * n)), set())
         assert sol is not None, f"case {case}"
         assert_kkt(None, sol)
         assert np.max(np.abs(sol.x - x_ref)) <= 1e-7, f"case {case}"
@@ -268,16 +268,16 @@ def test_failed_polish_states_are_not_walked_again(kernel_calls):
     E = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
     h = np.array([1.0, 2.0])
     G, u = box_rows(3, np.zeros(3), np.ones(3))
-    kernel = RepeatedQp(P, E=E, h_template=h, G=G, u=u)
+    kernel = RepeatedQp(P, E=E, h=h, G=G, u=u)
     q = np.array([1.0, -1.0, 0.5])
     kernel_calls.clear()
     failed = set()
     start = frozenset({3, 4})
-    assert kernel._polish(q, h, start, failed) is None
+    assert kernel._polish(q, start, failed) is None
     assert kernel_calls and start in failed
     for state in failed:
         kernel_calls.clear()
-        assert kernel._polish(q, h, state, failed) is None
+        assert kernel._polish(q, state, failed) is None
         assert not kernel_calls
 
 
@@ -314,22 +314,22 @@ def test_a_guess_that_holds_needs_no_splitting_system(kernel_calls):
     n = 4
     M = rng.normal(size=(n, n))
     G, u = box_rows(n, np.zeros(n), np.ones(n))
-    spec = QpSpec(P=np.eye(n) + 0.05 * M.T @ M, q=np.array([5.0, -5.0, 0.0, 0.1]), E=np.ones((1, n)), h=np.array([2.0]), G=G, u=u)
-    cold = solve_qp(spec)
+    spec = dict(P=np.eye(n) + 0.05 * M.T @ M, q=np.array([5.0, -5.0, 0.0, 0.1]), E=np.ones((1, n)), h=np.array([2.0]), G=G, u=u)
+    cold = solve_qp(**spec)
     assert cold.iterations > 0 and cold.active == (1, n)  # x1 at its upper, x0 at its lower bound
     kernel_calls.clear()
-    warm = solve_qp(spec, active=cold.active)
+    warm = solve_qp(**spec, active=cold.active)
     assert warm.optimal and warm.iterations == 0 and warm.active == cold.active
     np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
     assert kernel_calls == ["lu_factor", "lu_solve"]  # the reduced system's, and nothing else
     with pytest.raises(DimensionMismatch):
-        solve_qp(spec, active=[2 * n])
+        solve_qp(**spec, active=[2 * n])
 
 
 def test_singular_reduced_system_goes_straight_to_lstsq(kernel_calls):
     # Duplicate equality rows make the KKT matrix singular: its LU has an exact zero pivot.
     E = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-    kernel = RepeatedQp(np.eye(3), E=E, h_template=np.array([1.0, 1.0]))
+    kernel = RepeatedQp(np.eye(3), E=E, h=np.array([1.0, 1.0]))
     kernel_calls.clear()
     sol = kernel.solve(np.zeros(3))
     assert sol.optimal and sol.iterations == 0
@@ -378,7 +378,7 @@ def test_step_verdict_judges_a_batch_like_each_candidate_alone():
     P, G, u = _bounded_sum_qp()
     rng = np.random.default_rng(1)
     k, (m, n) = 6, G.shape
-    sol = solve_qp(QpSpec(P=P, q=np.array([-3.0, -3.0, -3.0, 4.0, 4.0]), G=G, u=u))
+    sol = solve_qp(P=P, q=np.array([-3.0, -3.0, -3.0, 4.0, 4.0]), G=G, u=u)
     act = rng.random((k, m)) < 0.4
     act[0] = np.isin(np.arange(m), sol.active)
     x = rng.random((k, n))
@@ -444,4 +444,15 @@ def test_warm_batch_takes_each_qps_own_first_step():
 
 def test_warm_batch_rejects_equality_rows():
     with pytest.raises(DimensionMismatch):
-        WarmBatch([RepeatedQp(np.eye(2), G=np.eye(2), u=np.ones(2)), RepeatedQp(np.eye(2), E=np.ones((1, 2)), h_template=np.ones(1))])
+        WarmBatch([RepeatedQp(np.eye(2), G=np.eye(2), u=np.ones(2)), RepeatedQp(np.eye(2), E=np.ones((1, 2)), h=np.ones(1))])
+
+
+def test_only_a_certified_polish_is_optimal(monkeypatch):
+    # With every polish failing, the splitting iterates converge, but the
+    # solve never calls them optimal: the budget ends it as max_iter.
+    monkeypatch.setattr(RepeatedQp, "_polish", lambda self, *args: None)
+    G, u = box_rows(3, -np.ones(3), np.ones(3))
+    sol = solve_qp(np.eye(3), np.array([0.5, -0.2, 0.1]), G=G, u=u, max_iter=100)
+    assert sol.status == "max_iter" and sol.iterations <= 100
+    np.testing.assert_allclose(sol.x, [-0.5, 0.2, -0.1], atol=1e-8)
+    assert max(sol.residuals.values()) <= 1e-8
