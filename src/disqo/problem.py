@@ -121,7 +121,7 @@ class CoupledProblem:
         return slice(self.offsets[i], self.offsets[i + 1])
 
     def stacked_A(self) -> np.ndarray:
-        return np.hstack(self.A)
+        return np.hstack(self.A) if self.A else np.zeros((self.n_coupling, 0))
 
     def coupling_map(self, i: int) -> np.ndarray:
         """A_i zero-padded to the full vector (the tilde-A operator of agent i)."""
@@ -131,8 +131,9 @@ class CoupledProblem:
 
     def total_quadratic(self, which: str = "actual") -> tuple[np.ndarray, np.ndarray]:
         objs = self.actual if which == "actual" else self.algorithmic
-        sigma = sum(o.sigma for o in objs)
-        psi = sum(o.psi for o in objs)
+        # Zero starts give a market without agents (0, 0) and (0,) totals.
+        sigma = sum((o.sigma for o in objs), np.zeros((self.n_total, self.n_total)))
+        psi = sum((o.psi for o in objs), np.zeros(self.n_total))
         return np.asarray(sigma, float), np.asarray(psi, float)
 
     def total_value(self, x: np.ndarray, which: str = "actual") -> float:
@@ -371,7 +372,7 @@ def centralized_solve(problem, which: str = "true", tol: float = 1e-9, max_iter:
     if sol.status == "max_iter":
         raise MaxIterReached(f"centralized solve stopped at residuals {sol.residuals}")
     lam = -sol.lam  # flip from the Px+q+E'lam+G'alpha=0 convention
-    return CentralSolution(x=sol.x, lam=lam, alpha=sol.alpha, value=p.total_value(sol.x, "actual"), active=sol.active)
+    return CentralSolution(x=sol.x, lam=lam, alpha=sol.alpha, value=QuadObjective(sigma, psi).value(sol.x), active=sol.active)
 
 
 def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:

@@ -11,7 +11,8 @@ slackness) passes the requested tolerance, which is what makes the returned
 duals reliable enough to price with. That is the one acceptance rule: a
 solve is ``optimal`` only by a polish step that ``_step_verdict`` certified
 (or, without variables, by a feasible empty point), never by a splitting
-iterate; a spent budget returns ``max_iter`` with the best iterate.
+iterate. The last iteration of a budget is polished too; a spent budget
+returns ``max_iter`` with the best iterate.
 
 Rows of ``G`` with a single nonzero entry are simple bounds. An active bound
 fixes its variable instead of adding a multiplier row, so the polish solves a
@@ -239,6 +240,8 @@ class RepeatedQp:
         tol: float = 1e-9,
         max_iter: int = 200000,
     ):
+        if max_iter < 1:
+            raise DimensionMismatch("max_iter must be at least 1")
         self.P, self.E, self.h, self.G, self.u = _normalize(P, E, h, G, u)
         _check_psd(self.P)
         self.tol = tol
@@ -462,7 +465,7 @@ class RepeatedQp:
             z = np.clip(z_pre + y / rho, lower, upper)
             y = y + rho * (z_pre - z)
 
-            if k % _CHECK_EVERY == 0 or k == 8:
+            if k % _CHECK_EVERY == 0 or k == 8 or k == self.max_iter:
                 cx = C @ x
                 r_prim = float(np.max(np.abs(cx - z))) if m else 0.0
                 grad = self.P @ x + q + C.T @ y

@@ -110,10 +110,16 @@ class PathSet:
 class IncidenceData:
     """Edge-usage structure of the enumerated paths.
 
-    ``used_edges`` are the edge indices touched by at least one path; ``Q`` maps
-    each agent's local flow variables to loads on those edges; ``kappa[i]``
-    holds agent i's share of each used edge (its fraction of the paths through
-    the edge). Shares over each used edge sum to one.
+    ``Q`` is the one description of the routes that assembly reads.
+    ``used_edges`` are the edge indices touched by at least one path, in
+    increasing order; ``Q[i]`` is agent i's 0/1 incidence, whose column t is
+    the route of its variable t over those edges. ``Q[i] @ x_i`` are the loads
+    agent i puts on the used edges, from which both Hessians are built, and
+    agent i's linear costs are psi_i = Q[i]' c_i[used_edges].
+    ``kappa[i]`` holds agent i's share of each used edge: its routes through
+    the edge over all routes through it. Shares count routes, not variables
+    (a route carries one variable per commodity), and sum to one over each
+    used edge.
     """
 
     used_edges: tuple[int, ...]
@@ -149,112 +155,65 @@ def enumerate_paths(network: TransportNetwork, R: int, L: int = 4) -> PathSet:
     return PathSet(paths=paths)
 
 
-def _var_layout(network: TransportNetwork, paths: PathSet) -> list[list[tuple[int, int, int]]]:
-    """Per agent, the ordered (demander j, commodity k, route r) labels of its block."""
-    layout = []
-    for i in range(network.n_suppliers):
-        labels = []
-        for j in range(network.n_demanders):
-            for k in range(network.n_commodities):
-                for r in range(paths.count(i, j)):
-                    labels.append((j, k, r))
-        layout.append(labels)
-    return layout
+def _var_layout(network: TransportNetwork, paths: PathSet) -> list[np.ndarray]:
+    """Per agent, the (3, n_i) (demander j, commodity k, route r) labels of
+    its block's variables, ordered by j, then k, then r."""
+    N, M = network.n_suppliers, network.n_demanders
+    counts = np.array([[paths.count(i, j) for j in range(M)] for i in range(N)], dtype=int)
+    jkr = np.indices((M, network.n_commodities, counts.max(initial=0))).reshape(3, -1)
+    return [jkr[:, jkr[2] < counts[i, jkr[0]]] for i in range(N)]
 
 
 def build_incidence(paths: PathSet, network: TransportNetwork) -> IncidenceData:
     used = sorted({e for plist in paths.paths.values() for p in plist for e in p})
     pos = {e: row for row, e in enumerate(used)}
-    layout = _var_layout(network, paths)
-
-    Q = []
-    path_counts = np.zeros((network.n_suppliers, len(used)))
-    for i in range(network.n_suppliers):
-        qi = np.zeros((len(used), len(layout[i])))
-        for col, (j, k, r) in enumerate(layout[i]):
-            for e in paths.paths[(i, j)][r]:
-                qi[pos[e], col] = 1.0
-        Q.append(qi)
-        # kappa counts routes (not per-commodity variables) through each edge.
-        for j in range(network.n_demanders):
-            for p in paths.paths[(i, j)]:
-                for e in p:
-                    path_counts[i, pos[e]] += 1.0
+    Q, route_counts = [], []
+    for i, (j, _, r) in enumerate(_var_layout(network, paths)):
+        per_demander = [paths.paths[(i, jj)] for jj in range(network.n_demanders)]
+        routes = [p for rs in per_demander for p in rs]
+        on_route = np.zeros((len(used), len(routes)))  # column t: the edges of agent i's route t
+        on_route[[pos[e] for p in routes for e in p], [t for t, p in enumerate(routes) for _ in p]] = 1.0
+        # Variable (j, k, r) rides agent i's r-th route to demander j.
+        first = np.cumsum([0] + [len(rs) for rs in per_demander])
+        Q.append(on_route.take(first[j] + r, axis=1))
+        route_counts.append(on_route.sum(axis=1))
     # Every used edge lies on some route, so every total is positive.
-    kappa = path_counts / path_counts.sum(axis=0)
-    return IncidenceData(used_edges=tuple(used), Q=tuple(Q), kappa=tuple(kappa))
+    counts = np.array(route_counts)
+    return IncidenceData(used_edges=tuple(used), Q=tuple(Q), kappa=tuple(counts / counts.sum(axis=0)))
 
 
 def to_coupled_problem(network: TransportNetwork, paths: PathSet, incidence: IncidenceData) -> CoupledProblem:
     """Assemble the coupled problem with both objective decompositions."""
     N, M, K = network.n_suppliers, network.n_demanders, network.n_commodities
     layout = _var_layout(network, paths)
-    dims = [len(layout[i]) for i in range(N)]
-    n = sum(dims)
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    n_edges_used = len(incidence.used_edges)
-
-    # Q_total over the stacked vector; per-agent padded copies share its rows.
-    Q_total = np.zeros((n_edges_used, n))
-    for i in range(N):
-        Q_total[:, offsets[i] : offsets[i + 1]] = incidence.Q[i]
-
-    agents = []
-    actual = []
-    A_blocks = []
+    dims = [labels.shape[1] for labels in layout]
+    owner = np.repeat(np.arange(N), dims)  # the agent of each stacked variable
+    Q_total = np.hstack(incidence.Q)  # edge loads of the stacked vector
     c0 = float(network.c0)
-    for i in range(N):
-        ni = dims[i]
+    agents, actual, A_blocks = [], [], []
+    for i, (j, k, _) in enumerate(layout):
         # Coupling rows (j, k): demand satisfaction.
-        A_i = np.zeros((M * K, ni))
-        for col, (j, k, r) in enumerate(layout[i]):
-            A_i[j * K + k, col] = 1.0
-        A_blocks.append(A_i)
-
+        A_blocks.append((np.arange(M * K)[:, None] == j * K + k).astype(float))
         # Local polyhedron: nonnegativity, inventories per commodity,
         # pair capacities per demander (rows with infinite capacity dropped).
-        rows = [-np.eye(ni)]
-        rhs = [np.zeros(ni)]
-        inv = np.zeros((K, ni))
-        for col, (j, k, r) in enumerate(layout[i]):
-            inv[k, col] = 1.0
-        rows.append(inv)
-        rhs.append(network.inventories[i])
-        cap_rows = []
-        cap_rhs = []
-        for j in range(M):
-            if np.isfinite(network.pair_capacity[i, j]):
-                row = np.zeros(ni)
-                for col, (jj, k, r) in enumerate(layout[i]):
-                    if jj == j:
-                        row[col] = 1.0
-                cap_rows.append(row)
-                cap_rhs.append(network.pair_capacity[i, j])
-        if cap_rows:
-            rows.append(np.array(cap_rows))
-            rhs.append(np.array(cap_rhs))
-        B_i = np.vstack(rows)
-        m_i = np.concatenate(rhs)
+        finite = np.flatnonzero(np.isfinite(network.pair_capacity[i]))
+        B_i = np.vstack([-np.eye(dims[i]), np.arange(K)[:, None] == k, finite[:, None] == j])
+        m_i = np.concatenate([np.zeros(dims[i]), network.inventories[i], network.pair_capacity[i, finite]])
 
-        psi = np.zeros(n)
-        psi[offsets[i] : offsets[i + 1]] = _route_costs(paths, layout[i], i, network.edge_costs[i])
-
-        sigma_alg = 2.0 * c0 * Q_total.T @ np.diag(incidence.kappa[i]) @ Q_total
-        q_pad = np.zeros((n_edges_used, n))
-        q_pad[:, offsets[i] : offsets[i + 1]] = incidence.Q[i]
-        sigma_act = c0 * (Q_total.T @ q_pad + q_pad.T @ Q_total)
-
+        psi = np.zeros(len(owner))
+        psi[owner == i] = _route_costs(incidence, i, network.edge_costs[i])
+        sigma_alg = (2.0 * c0 * Q_total.T * incidence.kappa[i]) @ Q_total
+        own = Q_total * (owner == i)  # agent i's own edge loads
+        sigma_act = c0 * (Q_total.T @ own + own.T @ Q_total)
         agents.append((sigma_alg, psi, B_i, m_i))
         actual.append((sigma_act, psi))
-
-    d = network.demands.reshape(-1)  # (j, k) j-major
-    return assemble_problem(agents, A_blocks, d, actual=actual)
+    return assemble_problem(agents, A_blocks, network.demands.reshape(-1), actual=actual)  # d is (j, k) j-major
 
 
-def _route_costs(paths: PathSet, labels, i: int, edge_costs: np.ndarray) -> np.ndarray:
-    """Agent i's linear cost of each variable of its block (``labels`` as in
-    ``_var_layout``): its private edge costs summed along the variable's route."""
-    return np.array([sum(edge_costs[e] for e in paths.paths[(i, j)][r]) for j, k, r in labels], dtype=float)
+def _route_costs(incidence: IncidenceData, i: int, edge_costs: np.ndarray) -> np.ndarray:
+    """Agent i's linear cost of each variable of its block: its per-edge
+    ``edge_costs`` summed along the variable's route."""
+    return incidence.Q[i].T @ edge_costs[list(incidence.used_edges)]
 
 
 @dataclass(frozen=True)
@@ -270,15 +229,11 @@ class TransportInstance:
 
     @property
     def var_labels(self) -> list[list[tuple[int, int, int]]]:
-        return _var_layout(self.network, self.paths)
+        return [list(zip(*labels.tolist())) for labels in _var_layout(self.network, self.paths)]
 
     def used_edge_indices(self, i: int) -> list[int]:
         """Edge indices (original numbering) that agent i's routes traverse."""
-        used = set()
-        for j in range(self.network.n_demanders):
-            for p in self.paths.paths[(i, j)]:
-                used.update(p)
-        return sorted(used)
+        return [e for e, share in zip(self.incidence.used_edges, self.incidence.kappa[i]) if share > 0]
 
     def with_reported_costs(self, reports: dict[int, np.ndarray]) -> ReportedProblem:
         """Reported problem where each agent in ``reports`` declares the given
@@ -288,14 +243,14 @@ class TransportInstance:
         problem is the true one with each reporting agent's ``psi`` swapped:
         its Hessians, coupling and local rows are the true problem's arrays.
         """
-        p, layout = self.problem, self.var_labels
+        p = self.problem
         algorithmic, actual = list(p.algorithmic), list(p.actual)
         for i, c in reports.items():
             c = np.asarray(c, float).ravel()
             if c.shape != (self.network.n_edges,):
                 raise DimensionMismatch(f"reported cost vector of agent {i} has length {c.shape[0]}")
             psi = np.zeros(p.n_total)
-            psi[p.block(i)] = _route_costs(self.paths, layout[i], i, c)
+            psi[p.block(i)] = _route_costs(self.incidence, i, c)
             algorithmic[i] = dataclasses.replace(algorithmic[i], psi=psi)
             actual[i] = dataclasses.replace(actual[i], psi=psi)
         reported = dataclasses.replace(p, algorithmic=tuple(algorithmic), actual=tuple(actual))

@@ -119,6 +119,7 @@ def test_gen_c0_sets_the_congestion_coefficient(tmp_path):
         ("solve", {"generator": {"seed": 1}}, "generator spec needs 'scale' or 'star'"),
         ("mechanism", {"instance": "nowhere.json"}, "instance file not found"),
         ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"cases": -1}}, "portfolio 'cases' must be nonnegative"),
+        ("mechanism", {"generator": {"star": {"c": [3.0]}}}, "error: market infeasible without agent 0"),
     ],
 )
 def test_config_input_errors_exit_one_with_their_message(tmp_path, capsys, command, config, message):
@@ -328,11 +329,12 @@ def test_mechanism_table_for_star(tmp_path):
 
 
 def test_mechanism_zero_demand_pays_nothing(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", generator={"star": {"c": [2.0, 3.0, 4.0], "d": 0.0}})
-    out = tmp_path / "run"
-    assert main(["mechanism", "--config", cfg, "--out", str(out)]) == 0
-    for row in read_payments(out / "payments.csv"):
-        assert float(row["payment"]) == pytest.approx(0.0, abs=1e-8)
+    for c in ([2.0, 3.0, 4.0], [3.0]):  # one supplier: the drop-one market has no agents
+        cfg = write_config(tmp_path / "cfg.json", generator={"star": {"c": c, "d": 0.0}})
+        out = tmp_path / f"run{len(c)}"
+        assert main(["mechanism", "--config", cfg, "--out", str(out)]) == 0
+        for row in read_payments(out / "payments.csv"):
+            assert float(row["payment"]) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_mechanism_respects_reported_costs_and_basis(tmp_path):

@@ -205,10 +205,11 @@ def test_vcg_silent_agent_pays_nothing_and_gains_nothing():
 
 
 def test_vcg_zero_demand_is_all_zero():
-    inst = build_instance(star_network([2.0, 3.0], c0=1.0, d=0.0), R=1, L=2)
-    out = vcg_payments(inst.problem)
-    np.testing.assert_allclose(out.payments, 0.0, atol=1e-9)
-    np.testing.assert_allclose(out.net_costs, 0.0, atol=1e-9)
+    for c in ([2.0, 3.0], [3.0]):  # one supplier: the drop-one market has no agents
+        inst = build_instance(star_network(c, c0=1.0, d=0.0), R=1, L=2)
+        out = vcg_payments(inst.problem)
+        np.testing.assert_allclose(out.payments, 0.0, atol=1e-9)
+        np.testing.assert_allclose(out.net_costs, 0.0, atol=1e-9)
 
 
 def test_vcg_infeasible_without_agent():
@@ -217,6 +218,8 @@ def test_vcg_infeasible_without_agent():
     inst = build_instance(net, R=1, L=2)
     with pytest.raises(InfeasibleWithoutAgent):
         vcg_payments(inst.problem)
+    with pytest.raises(InfeasibleWithoutAgent, match="without agent 0"):
+        vcg_payments(build_instance(star_network([3.0], c0=1.0, d=4.0), R=1, L=2).problem)
 
 
 def test_vcg_truthful_ir_across_instances():

@@ -60,6 +60,7 @@ def test_centralized_three_supplier():
     assert sol.lam == pytest.approx([49 / 3], abs=1e-9)
     assert sol.alpha == pytest.approx(np.zeros(3), abs=1e-9)
     assert sol.value == pytest.approx(287 / 6, abs=1e-9)
+    assert sol.value == p.total_value(sol.x)
 
 
 def test_eval_cost_three_supplier():
@@ -210,6 +211,18 @@ def test_exclude_agent_restricts_by_blocks_bitwise():
         for o, r in zip(objs, subs, strict=True):
             assert r.sigma.tobytes() == o.sigma[np.ix_(keep, keep)].tobytes()
             assert r.psi.tobytes() == o.psi[keep].tobytes()
+
+
+def test_market_without_agents_has_empty_arrays():
+    # The one-agent market with agent 0 removed: demand d is met only when d = 0.
+    empty = lambda d: exclude_agent(assemble_problem([(2.0 * np.eye(1), [3.0], -np.eye(1), np.zeros(1))], [np.ones((1, 1))], [d]), 0)
+    assert empty(5.0).stacked_A().shape == (1, 0)
+    assert [a.shape for a in empty(5.0).total_quadratic()] == [(0, 0), (0,)]
+    assert [a.shape for a in empty(5.0).local_stacked()] == [(0, 0), (0,)]
+    with pytest.raises(Infeasible):
+        centralized_solve(empty(5.0))
+    sol = centralized_solve(empty(0.0))
+    assert sol.x.shape == (0,) and sol.value == 0.0
 
 
 def test_exclude_agent_rows_renumbers_the_rest():

@@ -124,6 +124,26 @@ def test_max_iter_reports_partial_result():
     assert "stationarity" in sol.residuals
 
 
+@pytest.mark.parametrize("budget", [1, 5, 7])
+def test_budgets_before_the_first_check_end_at_their_last_iteration(budget):
+    # The periodic checks start at iteration 8; the last iteration of any
+    # budget is polished and scored too.
+    G, u = box_rows(2, -np.ones(2), np.ones(2))
+    sol = solve_qp(np.eye(2), np.array([0.3, -0.2]), G=G, u=u, max_iter=budget)
+    assert sol.status == "optimal" and sol.iterations == budget
+    assert sol.x == pytest.approx([-0.3, 0.2], abs=1e-12)
+    rng = np.random.default_rng(0)
+    M = rng.normal(size=(6, 6))
+    G, u = box_rows(6, -np.ones(6), np.ones(6))
+    sol = solve_qp(P=M.T @ M + 0.5 * np.eye(6), q=rng.normal(size=6), G=G, u=u, tol=0.0, max_iter=budget)
+    assert sol.status == "max_iter" and sol.iterations == budget
+
+
+def test_zero_budget_rejected():
+    with pytest.raises(DimensionMismatch, match="max_iter"):
+        RepeatedQp(np.eye(2), G=np.eye(2), u=np.ones(2), max_iter=0)
+
+
 def test_box_qps_match_enumeration_oracle():
     rng = np.random.default_rng(42)
     dims = [int(rng.integers(1, 9)) for _ in range(90)] + [9, 9, 9, 9, 9, 10, 10, 10, 10, 10]

@@ -156,6 +156,65 @@ def test_star_bad_split_rejected():
 
 
 # ---------------------------------------------------------------------------
+# Assembly on a hand-built network: a 3-edge route, parallel edges, two
+# commodities, finite and infinite pair capacities
+
+
+def relay_network():
+    """Suppliers 0, 1; demanders 2, 3; relays 4, 5. Edges 3 and 4 both run
+    0 -> 2, and supplier 0's route (0, 1, 2) to node 2 has three edges."""
+    edges = ((0, 4), (4, 5), (5, 2), (0, 2), (0, 2), (1, 4), (4, 3), (1, 3), (4, 2))
+    return TransportNetwork(
+        n_nodes=6,
+        edges=edges,
+        suppliers=(0, 1),
+        demanders=(2, 3),
+        inventories=np.array([[6.0, 5.0], [4.0, 7.0]]),
+        demands=np.array([[2.0, 1.5], [1.0, 3.0]]),
+        edge_costs=np.random.default_rng(5).uniform(0.5, 3.0, size=(2, len(edges))),
+        c0=0.7,
+        pair_capacity=np.array([[np.inf, 6.0], [4.0, 7.0]]),
+    )
+
+
+def route_sums(inst, i, costs):
+    return [sum(costs[e] for e in inst.paths.paths[(i, j)][r]) for j, _, r in inst.var_labels[i]]
+
+
+def test_relay_psi_sums_edge_costs_along_each_route():
+    inst = build_instance(relay_network(), R=4, L=3)
+    assert inst.paths.paths[(0, 0)] == ((3,), (4,), (0, 8), (0, 1, 2))
+    p, costs = inst.problem, inst.network.edge_costs
+    for i in range(2):
+        for obj in (p.algorithmic[i], p.actual[i]):
+            np.testing.assert_allclose(obj.psi[p.block(i)], route_sums(inst, i, costs[i]), rtol=1e-15)
+            assert not np.delete(obj.psi, range(p.n_total)[p.block(i)]).any()
+    reported = costs[1] * np.linspace(0.5, 2.0, costs.shape[1])
+    rp = inst.with_reported_costs({1: reported}).reported
+    np.testing.assert_allclose(rp.algorithmic[1].psi[p.block(1)], route_sums(inst, 1, reported), rtol=1e-15)
+    np.testing.assert_array_equal(rp.actual[0].psi, p.actual[0].psi)
+
+
+def test_relay_coupling_and_local_rows_follow_the_labels():
+    inst = build_instance(relay_network(), R=4, L=3)
+    p, net = inst.problem, inst.network
+    for i, labels in enumerate(inst.var_labels):
+        j, k, _ = np.array(labels).T
+        n_i = len(labels)
+        np.testing.assert_array_equal(p.A[i], (np.arange(4)[:, None] == 2 * j + k).astype(float))
+        finite = [jj for jj in range(2) if np.isfinite(net.pair_capacity[i, jj])]
+        B, m = p.local[i].B, p.local[i].m
+        assert B.shape == (n_i + 2 + len(finite), n_i)
+        np.testing.assert_array_equal(B[:n_i], -np.eye(n_i))
+        for kk in range(2):
+            np.testing.assert_array_equal(B[n_i + kk], k == kk)
+        for row, jj in enumerate(finite):
+            np.testing.assert_array_equal(B[n_i + 2 + row], j == jj)
+        np.testing.assert_array_equal(m, np.concatenate([np.zeros(n_i), net.inventories[i], net.pair_capacity[i, finite]]))
+    assert len(p.local[0].m) == len(inst.var_labels[0]) + 3 and len(p.local[1].m) == len(inst.var_labels[1]) + 4
+
+
+# ---------------------------------------------------------------------------
 # Decomposition identities
 
 
