@@ -68,8 +68,6 @@ __all__ = [
     "SolveResult",
     "init_state",
     "communication_round_tracking",
-    "subproblem",
-    "accelerated_subproblem",
     "iterate",
     "metrics",
     "solve",
@@ -148,7 +146,6 @@ class IterTrace:
 @dataclass
 class SolverState:
     problem: CoupledProblem
-    graph: CommGraph
     params: SolverParams
     W: np.ndarray
     degrees: np.ndarray
@@ -163,7 +160,6 @@ class SolverState:
     adjacency: np.ndarray  # (N, N) 1.0 where two agents are neighbours
     pairs: tuple[np.ndarray, np.ndarray]  # (i, j) of every agent pair i < j
     k: int = 0
-    Gamma: np.ndarray | None = None
     warm_hits: int = 0  # subproblems the batched warm pass certified
     repairs: int = 0  # subproblems solved one agent at a time
     # One subproblem QP per agent, batched by one WarmBatch in both modes: over
@@ -227,7 +223,6 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
 
     state = SolverState(
         problem=problem,
-        graph=graph,
         params=params,
         W=metropolis_weights(graph),
         degrees=deg,
@@ -297,15 +292,14 @@ def communication_round_tracking(eta: np.ndarray, lam: np.ndarray, W: np.ndarray
     return W @ eta, W @ lam
 
 
-def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray, agents=slice(None)) -> np.ndarray:
-    """The subproblem linear terms q_i of the listed agents, one row each, from
-    their mixed tracking and dual estimates (rows of Gamma and L)."""
+def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Every agent's subproblem linear term q_i, one row each, from their
+    mixed tracking and dual estimates (rows of Gamma and L)."""
     params = state.params
-    A = state.A_pad[agents]
-    own_coupling = (A @ state.Y[agents, :, None])[..., 0]
+    own_coupling = (state.A_pad @ state.Y[..., None])[..., 0]
     mixed = L + params.sigma * (Gamma - own_coupling)
-    anchor = params.rho * state.degrees[agents, None] * state.V[agents]
-    return state.psi[agents] - anchor + (mixed[:, None] @ A)[:, 0]
+    anchor = params.rho * state.degrees[:, None] * state.V
+    return state.psi - anchor + (mixed[:, None] @ state.A_pad)[:, 0]
 
 
 def _solve_agent(state: SolverState, i: int, q: np.ndarray) -> np.ndarray:
@@ -315,18 +309,6 @@ def _solve_agent(state: SolverState, i: int, q: np.ndarray) -> np.ndarray:
     R, Kw, Kq = state._lift
     b_i = state.problem.dims[i]
     return Kw[i, :, :b_i] @ state._qps[i].solve(R[i, :b_i] @ q).x + Kq[i] @ q
-
-
-def subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray) -> np.ndarray:
-    """Agent i's subproblem solved on its own: its new full copy."""
-    return _solve_agent(state, i, _linear_terms(state, gamma_i[None], l_i[None], slice(i, i + 1))[0])
-
-
-def accelerated_subproblem(state: SolverState, i: int, gamma_i: np.ndarray, l_i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Agent i's subproblem solved on its own, split as (own block w,
-    eliminated rest z, full copy y); block-reduced on an accelerated state."""
-    y, blk = subproblem(state, i, gamma_i, l_i), state.problem.block(i)
-    return y[blk], np.delete(y, blk), y
 
 
 def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:
@@ -354,7 +336,6 @@ def iterate(state: SolverState) -> None:
     """Advance the state by one synchronous round (two exchanges), enforcing
     the tracking identity and the mean-dual recursion at a scaled 1e-10."""
     gamma_all, l_all = communication_round_tracking(state.H, state.Lam, state.W)
-    state.Gamma = gamma_all
     Q = _linear_terms(state, gamma_all, l_all)
     if state._lift is None:
         Y_new, certified = state._batch.solve(Q)

@@ -18,7 +18,7 @@ Config files are JSON with a ``schema_version`` field::
       "report_deltas": {"0": -1.0},                 # optional misreports, or
       "reports": {"0": [per-edge costs...]},        #   explicit reported costs
       "mechanisms": ["sp", "vcg"],
-      "cost_basis": "true",
+      "cost_basis": "true",                         # or "reported": the costs payments.csv's true_cost holds
       "sweep": {"agent": 0, "deltas": [-1.0, 0.0]},
       "portfolio": {"cases": 30, "seed": 11, "magnitude": 0.5},
       "out": "results"

@@ -76,8 +76,8 @@ class MechanismOutcome:
 
     @property
     def benefits(self) -> np.ndarray:
-        """-u_i, the payment net of the cost."""
-        return -self.net_costs
+        """-u_i, the payment net of the cost (a zero benefit is +0)."""
+        return self.payments - self.costs
 
     @property
     def total_payout(self) -> float:
@@ -92,7 +92,7 @@ class MechanismOutcome:
 # Shadow pricing
 
 
-def shadow_prices(problem, x: np.ndarray, lam: np.ndarray, which: str = "reported") -> tuple[np.ndarray, ...]:
+def shadow_prices(problem, x: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-agent unit price vectors pi_i = A_i' lam - sum_{s != i} grad_i f_s(x).
 
     The gradients use the (reported) interaction objectives, so the price both
@@ -101,7 +101,7 @@ def shadow_prices(problem, x: np.ndarray, lam: np.ndarray, which: str = "reporte
     ``centralized_solve`` (grad f = A' lam on free directions); a stationarity
     check enforces that and raises ``ConventionMismatch`` otherwise.
     """
-    p = resolve(problem, which)
+    p = resolve(problem, "reported")
     x = np.asarray(x, float).ravel()
     lam = np.asarray(lam, float).ravel()
     fixed = reconcile_dual(p, x, lam)
@@ -149,7 +149,7 @@ def sp_for_problem(problem, cost_basis: str = "true", solution: CentralSolution 
     return sp_outcome(problem, sol.x, prices, cost_basis=cost_basis)
 
 
-def sp_equilibrium_check(problem, x: np.ndarray, prices, tol: float = 1e-6) -> np.ndarray:
+def sp_equilibrium_check(problem, x: np.ndarray, prices) -> np.ndarray:
     """Best-response optimality residuals at x under the given prices.
 
     Agent i's game problem is: minimize f_i(x_i, x_-i) - prices_i . x_i over
@@ -345,7 +345,8 @@ def misreport_portfolio(instance, n_cases: int, seed: int, magnitude: float = 0.
 
 def payments_csv(outcomes, path) -> None:
     """Payment table with columns agent, mechanism, payment, true_cost,
-    net_cost, benefit. Rows: every agent of each outcome in order, then one
+    net_cost, benefit; ``true_cost`` holds the costs at the outcome's
+    ``cost_basis``. Rows: every agent of each outcome in order, then one
     ``total`` row per outcome (column sums), then, when both ShadowPricing and
     VCG are present, a ``total,SP-VCG`` row of their differences."""
     if isinstance(outcomes, MechanismOutcome):

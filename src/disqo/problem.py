@@ -76,10 +76,10 @@ class LocalPolyhedron:
     def n_rows(self) -> int:
         return self.B.shape[0]
 
-    def contains(self, x_i: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, x_i: np.ndarray) -> bool:
         if self.n_rows == 0:
             return True
-        return bool(np.max(self.B @ x_i - self.m) <= tol)
+        return bool(np.max(self.B @ x_i - self.m) <= 1e-9)
 
     def active_rows(self, x_i: np.ndarray) -> np.ndarray:
         """Rows tight at x_i: slack at most 1e-6 times max(1, max |m|)."""
@@ -130,6 +130,8 @@ class CoupledProblem:
         return out
 
     def total_quadratic(self, which: str = "actual") -> tuple[np.ndarray, np.ndarray]:
+        if which not in ("actual", "algorithmic"):
+            raise ValueError(f"which must be 'actual' or 'algorithmic', got {which!r}")
         objs = self.actual if which == "actual" else self.algorithmic
         # Zero starts give a market without agents (0, 0) and (0,) totals.
         sigma = sum((o.sigma for o in objs), np.zeros((self.n_total, self.n_total)))
@@ -194,14 +196,14 @@ def _check_symmetric(sigma: np.ndarray, label: str) -> np.ndarray:
     return (sigma + sigma.T) / 2.0
 
 
-def assemble_problem(agents, A, d, actual=None, validate: str = "basic") -> CoupledProblem:
+def assemble_problem(agents, A, d, actual=None) -> CoupledProblem:
     """Build and validate a coupled problem.
 
     ``agents`` is a list of (sigma_i, psi_i, B_i, m_i) with the quadratics over
     the full stacked vector; ``A`` the list of coupling blocks, ``d`` the
     target. ``actual``, when given, is a list of (sigma_i, psi_i) used for the
     mechanism-facing cost decomposition (defaults to the same objectives).
-    ``validate="full"`` additionally proves each local set nonempty.
+    Each local set is proved nonempty (``EmptyLocalSet`` otherwise).
     """
     d = np.asarray(d, float).ravel()
     n0 = d.shape[0]
@@ -250,22 +252,19 @@ def assemble_problem(agents, A, d, actual=None, validate: str = "basic") -> Coup
         if eigmin < -1e-8 * max(1.0, float(np.max(np.abs(sigma_total)))):
             raise NonConvexObjective(f"summed Hessian has eigenvalue {eigmin:.3e}")
 
-    if validate == "full":
-        for i, poly in enumerate(problem.local):
-            try:
-                feasible_point(poly)
-            except Infeasible as exc:
-                raise EmptyLocalSet(f"agent {i} local set is empty") from exc
+    for i, poly in enumerate(problem.local):
+        try:
+            feasible_point(poly)
+        except Infeasible as exc:
+            raise EmptyLocalSet(f"agent {i} local set is empty") from exc
     return problem
 
 
 def feasible_point(poly: LocalPolyhedron) -> np.ndarray:
     """Minimum-norm point of {x : Bx <= m}; raises ``Infeasible`` if empty."""
     n = poly.B.shape[1]
-    if poly.n_rows == 0:
-        return np.zeros(n)
     x0 = np.zeros(n)
-    if poly.contains(x0):
+    if poly.contains(x0):  # always so without rows
         return x0
     sol = solve_qp(np.eye(n), np.zeros(n), G=poly.B, u=poly.m, tol=1e-9)
     if not sol.optimal:
@@ -361,14 +360,14 @@ class CentralSolution:
     active: tuple[int, ...]
 
 
-def centralized_solve(problem, which: str = "true", tol: float = 1e-9, max_iter: int = 200000, active=None) -> CentralSolution:
+def centralized_solve(problem, which: str = "true", tol: float = 1e-9, active=None) -> CentralSolution:
     """Solve the coupled problem as one QP. ``active``, when given, is a
     first guess at the tight local rows (``CentralSolution.active`` of a
     nearby problem); a guess that does not polish to a certified optimum
     leaves the solve as it is without one."""
     p = resolve(problem, which)
     sigma, psi = p.total_quadratic("actual")
-    sol = solve_qp(sigma, psi, p.stacked_A(), p.d, *p.local_stacked(), tol=tol, max_iter=max_iter, active=active)
+    sol = solve_qp(sigma, psi, p.stacked_A(), p.d, *p.local_stacked(), tol=tol, active=active)
     if sol.status == "max_iter":
         raise MaxIterReached(f"centralized solve stopped at residuals {sol.residuals}")
     lam = -sol.lam  # flip from the Px+q+E'lam+G'alpha=0 convention
@@ -428,14 +427,14 @@ def stationarity_residual(grad: np.ndarray, free_cols: np.ndarray | None, nonneg
     return float(resid)
 
 
-def reconcile_dual(problem, x: np.ndarray, lam: np.ndarray, which: str = "reported", tol: float = 1e-5) -> np.ndarray:
+def reconcile_dual(problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Map a coupling dual of unknown sign convention onto the convention of
     ``centralized_solve`` (grad f = A' lam - B_active' alpha, alpha >= 0).
 
-    Tries both signs and keeps the one whose stationarity residual at x passes;
-    raises ``ConventionMismatch`` when neither does.
+    Tries both signs on the reported side and keeps the one whose stationarity
+    residual at x is at most 1e-5 max(1, |grad|); raises ``ConventionMismatch`` otherwise.
     """
-    p = resolve(problem, which)
+    p = resolve(problem, "reported")
     x = np.asarray(x, float).ravel()
     lam = np.asarray(lam, float).ravel()
     sigma, psi = p.total_quadratic("actual")
@@ -454,8 +453,8 @@ def reconcile_dual(problem, x: np.ndarray, lam: np.ndarray, which: str = "report
     for s in (1.0, -1.0):
         # grad - A'(s lam) must be -B_act' alpha with alpha >= 0.
         scores[s] = stationarity_residual(grad - At @ (s * lam), None, act)
-    scale = max(1.0, float(np.max(np.abs(grad))))
+    bound = 1e-5 * max(1.0, float(np.max(np.abs(grad))))
     best = min(scores, key=scores.get)
-    if scores[best] > tol * scale:
-        raise ConventionMismatch(f"stationarity residuals {scores} exceed tolerance {tol * scale:.2e}")
+    if scores[best] > bound:
+        raise ConventionMismatch(f"stationarity residuals {scores} exceed tolerance {bound:.2e}")
     return best * lam

@@ -185,10 +185,10 @@ def star_misreport_equilibrium(inst: StarInstance) -> StarReportOutcome:
     return star_reported_outcome(inst, deltas)
 
 
-def random_star(rng: np.random.Generator, n_range=(3, 8)) -> StarInstance:
-    """Seeded random instance; costs are drawn well inside [0.5, 5] so active
-    sets are stable under the small perturbations tests apply."""
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
+def random_star(rng: np.random.Generator) -> StarInstance:
+    """Seeded random instance of 3 to 8 suppliers; costs are drawn well inside
+    [0.5, 5] so active sets are stable under the small perturbations tests apply."""
+    n = int(rng.integers(3, 8 + 1))
     return StarInstance(
         c_norms=rng.uniform(0.5, 5.0, size=n),
         c0=float(rng.uniform(0.5, 2.0)),

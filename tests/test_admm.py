@@ -14,15 +14,15 @@ from disqo.admm import (
     IterTrace,
     SolverParams,
     _finish_round,
+    _linear_terms,
     _schur_lift,
+    _solve_agent,
     _subproblem_hessian,
-    accelerated_subproblem,
     communication_round_tracking,
     init_state,
     iterate,
     metrics,
     solve,
-    subproblem,
 )
 from disqo.errors import DimensionMismatch, InfeasibleInitialPoint
 from disqo.graphs import build_graph, metropolis_weights, random_connected_graph
@@ -32,6 +32,11 @@ from disqo.transport import build_instance, random_instance, star_network
 
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 P3 = build_graph(3, [(0, 1), (1, 2)])
+
+
+def agent_step(state, i, gamma, ell):
+    """Agent i's subproblem solved on its own from the mixed estimates (one row per agent, or one row for all): its new full copy."""
+    return _solve_agent(state, i, _linear_terms(state, gamma, ell)[i])
 
 
 def star_problem():
@@ -168,7 +173,7 @@ def test_subproblem_single_agent_hand_computed():
     )
     g1 = build_graph(1, [])
     state = init_state(p, g1, SolverParams())
-    y = subproblem(state, 0, state.H[0], state.Lam[0])
+    y = agent_step(state, 0, state.H, state.Lam)
     np.testing.assert_allclose(y, [2.0 / 3.0], atol=1e-10)
     iterate(state)
     np.testing.assert_allclose(state.Y[0], [2.0 / 3.0], atol=1e-10)
@@ -189,7 +194,7 @@ def test_subproblem_vanishing_penalties_recover_local_minimum():
     g = build_graph(2, [(0, 1)])
     params = SolverParams(sigma=1e-9, rho=1e-9)
     state = init_state(p, g, params)
-    y = subproblem(state, 0, np.zeros(1), np.zeros(1))
+    y = agent_step(state, 0, np.zeros(1), np.zeros(1))
     expected = np.linalg.solve(sigma, -psi)
     np.testing.assert_allclose(y, expected, atol=1e-6)
 
@@ -201,7 +206,7 @@ def test_subproblem_larger_rho_pulls_toward_anchor():
     for rho in (1.0, 10.0, 100.0):
         state = init_state(p, K3, SolverParams(rho=rho))
         state.V[0] = target
-        y = subproblem(state, 0, state.H[0], state.Lam[0])
+        y = agent_step(state, 0, state.H, state.Lam)
         dists.append(float(np.linalg.norm(y - target)))
     assert dists[0] > dists[1] > dists[2]
 
@@ -216,10 +221,11 @@ def test_accelerated_subproblem_matches_plain():
         gamma = rng.normal(size=inst.problem.n_coupling)
         ell = rng.normal(size=inst.problem.n_coupling)
         plain.V[i] = accel.V[i] = rng.normal(size=inst.problem.n_total) * 0.1
-        y_plain = subproblem(plain, i, gamma, ell)
-        w, z, y_acc = accelerated_subproblem(accel, i, gamma, ell)
+        y_plain = agent_step(plain, i, gamma, ell)
+        y_acc = agent_step(accel, i, gamma, ell)
         np.testing.assert_allclose(y_acc, y_plain, atol=1e-8)
         blk = inst.problem.block(i)
+        w, z = y_acc[blk], np.delete(y_acc, blk)
         np.testing.assert_allclose(w, y_plain[blk], atol=1e-8)
         assert w.shape[0] == inst.problem.dims[i]
         assert z.shape[0] == inst.problem.n_total - inst.problem.dims[i]
@@ -232,7 +238,7 @@ def test_accelerated_unconstrained_step_is_schur_solve():
     state.V[0] = np.array([0.4, 0.6])
     gamma = np.array([-1.0])
     ell = np.array([0.5])
-    w, z, y = accelerated_subproblem(state, 0, gamma, ell)
+    w = agent_step(state, 0, gamma, ell)[p.block(0)]
     S_wz = _subproblem_hessian(state, 0)[:1, 1:]
     q = p.algorithmic[0].psi - 1.0 * state.V[0]
     q[0] += 1.0 * (ell[0] + 1.0 * (gamma[0] - 0.0))
@@ -414,7 +420,7 @@ def test_star_solve_matches_centralized():
     # centralized one; reconciliation maps it back
     for i in range(3):
         np.testing.assert_allclose(res.lam[i], -ref.lam, atol=1e-4)
-    fixed = reconcile_dual(p, res.x, res.lambda_bar, which="true")
+    fixed = reconcile_dual(p, res.x, res.lambda_bar)
     np.testing.assert_allclose(fixed, ref.lam, atol=1e-4)
 
 
@@ -458,9 +464,9 @@ def test_stacked_round_matches_per_agent_loops(mode, seed):
         np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
 
     for _ in range(5):
-        Y_old, V_old = state.Y.copy(), state.V.copy()
+        Y_old, V_old, Gamma = state.Y.copy(), state.V.copy(), state.W @ state.H
         iterate(state)
-        H_ref = np.array([state.Gamma[i] + p.A[i] @ (state.Y[i, p.block(i)] - Y_old[i, p.block(i)]) for i in range(4)])
+        H_ref = np.array([Gamma[i] + p.A[i] @ (state.Y[i, p.block(i)] - Y_old[i, p.block(i)]) for i in range(4)])
         Delta = state.Y - 0.5 * Y_old
         V_ref = V_old.copy()
         for i in range(4):
@@ -478,11 +484,7 @@ def test_stacked_round_matches_per_agent_loops(mode, seed):
 def _per_agent_round(state):
     """One round with every subproblem solved on its own."""
     gamma, ell = communication_round_tracking(state.H, state.Lam, state.W)
-    state.Gamma = gamma
-    if state.params.mode == "plain":
-        Y_new = np.array([subproblem(state, i, gamma[i], ell[i]) for i in range(state.n_agents)])
-    else:
-        Y_new = np.array([accelerated_subproblem(state, i, gamma[i], ell[i])[2] for i in range(state.n_agents)])
+    Y_new = np.array([agent_step(state, i, gamma, ell) for i in range(state.n_agents)])
     _finish_round(state, gamma, ell, Y_new)
 
 
@@ -527,7 +529,7 @@ def test_batched_round_repairs_an_agent_whose_active_set_changes():
     assert state._qps[0]._last_active != before
 
     gamma, ell = communication_round_tracking(twin.H, twin.Lam, twin.W)
-    np.testing.assert_array_equal(state.Y[0], accelerated_subproblem(twin, 0, gamma[0], ell[0])[2])
+    np.testing.assert_array_equal(state.Y[0], agent_step(twin, 0, gamma, ell))
     assert state._qps[0]._last_active == twin._qps[0]._last_active
 
 

@@ -15,8 +15,8 @@ import disqo
 from disqo.cli import main
 from disqo.errors import MaxIterReached
 from disqo.mechanisms import misreport_sweep, sp_for_problem
-from disqo.problem import ReportedProblem, centralized_solve
-from disqo.transport import build_instance, load_instance, star_network
+from disqo.problem import ReportedProblem, centralized_solve, eval_cost
+from disqo.transport import build_instance, load_instance, random_instance, star_network
 
 STAR_GEN = {"star": {"c": [2.0, 3.0, 4.0], "c0": 1.0, "d": 5.0}}
 STAR_X = np.array([13 / 6, 5 / 3, 7 / 6])
@@ -335,6 +335,8 @@ def test_mechanism_zero_demand_pays_nothing(tmp_path):
         assert main(["mechanism", "--config", cfg, "--out", str(out)]) == 0
         for row in read_payments(out / "payments.csv"):
             assert float(row["payment"]) == pytest.approx(0.0, abs=1e-8)
+        with open(out / "payments.csv") as fh:
+            assert "-0" not in [cell for row in csv.reader(fh) for cell in row]  # a zero benefit reads 0
 
 
 def test_mechanism_respects_reported_costs_and_basis(tmp_path):
@@ -362,6 +364,25 @@ def test_mechanism_respects_reported_costs_and_basis(tmp_path):
     sp = [r for r in rows if r["mechanism"] == "ShadowPricing" and r["agent"] != "total"]
     benefits = [float(r["benefit"]) for r in sp]
     assert benefits == pytest.approx([10.0, 4.5, 2.0], abs=1e-2)
+
+
+def test_mechanism_cost_basis_sets_only_the_cost_columns(tmp_path):
+    # The true_cost column holds each agent's cost at the configured basis;
+    # payments are priced from the reports either way.
+    tables = {}
+    for basis in ("true", "reported"):
+        cfg = write_config(tmp_path / f"{basis}.json", generator={"scale": [4, 2, 3, 2], "seed": 1}, report_deltas={"0": -1.0}, cost_basis=basis)
+        assert main(["mechanism", "--config", cfg, "--out", str(tmp_path / basis)]) == 0
+        tables[basis] = read_payments(tmp_path / basis / "payments.csv")
+    assert [r["payment"] for r in tables["reported"]] == [r["payment"] for r in tables["true"]]
+
+    rp = random_instance((4, 2, 3, 2), 1).perturbed_reports({0: -1.0})
+    x = centralized_solve(rp, which="reported").x
+    for mech in ("ShadowPricing", "VCG"):
+        true_row, rep_row = ({r["mechanism"]: r for r in tables[b] if r["agent"] == "0"}[mech] for b in ("true", "reported"))
+        assert float(rep_row["true_cost"]) == eval_cost(rp, 0, x, which="reported")
+        assert float(true_row["true_cost"]) == eval_cost(rp, 0, x, which="true")
+        assert float(rep_row["true_cost"]) < float(true_row["true_cost"])
 
 
 def test_explicit_reports_match_the_same_shift_as_deltas(tmp_path, capsys):

@@ -85,7 +85,7 @@ def test_prices_from_distributed_duals_match_centralized():
     graph = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     res = admm_solve(inst.problem, graph, SolverParams(max_iter=1500, violation_tol=1e-9, step_tol=1e-9))
     assert res.converged
-    lam = reconcile_dual(inst.problem, res.x, res.lambda_bar, which="true")
+    lam = reconcile_dual(inst.problem, res.x, res.lambda_bar)
     got = shadow_prices(inst.problem, res.x, lam)
     want = shadow_prices(inst.problem, sol.x, sol.lam)
     for g, w in zip(got, want):

@@ -83,6 +83,16 @@ def test_decompositions_sum_to_total():
         assert sum(p.algorithmic[i].value(x) for i in range(3)) == pytest.approx(total, abs=1e-12)
 
 
+@pytest.mark.parametrize("which", ["true", "reported", "Actual", ""])
+def test_total_rejects_unknown_decomposition(which):
+    # "true"/"reported" name the sides of a ReportedProblem, not decompositions.
+    p = three_supplier_problem()
+    with pytest.raises(ValueError, match="'actual' or 'algorithmic'"):
+        p.total_value(X_STAR, which)
+    with pytest.raises(ValueError, match="'actual' or 'algorithmic'"):
+        p.total_quadratic(which)
+
+
 def test_single_agent_forced_allocation():
     agents = [(np.array([[2.0]]), np.zeros(1), np.array([[1.0], [-1.0]]), np.array([2.0, 0.0]))]
     p = assemble_problem(agents, [np.ones((1, 1))], [1.0])
@@ -106,7 +116,7 @@ def test_dimension_mismatch_rejected():
 def test_empty_local_set_detected():
     agents = [(np.array([[2.0]]), np.zeros(1), np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))]
     with pytest.raises(EmptyLocalSet):
-        assemble_problem(agents, [np.ones((1, 1))], [0.0], validate="full")
+        assemble_problem(agents, [np.ones((1, 1))], [0.0])
 
 
 def test_coupling_map_supported_on_own_block():
