@@ -84,7 +84,6 @@ class SolverParams:
     max_iter: int = 2000
     violation_tol: float = 1e-6
     step_tol: float = 1e-6
-    rel_error_tol: float | None = None
     mode: str = "plain"
 
     def __post_init__(self):
@@ -443,9 +442,8 @@ def solve(
     reference_value: float | None = None,
 ) -> SolveResult:
     """Run the distributed iteration to the stopping rule: both the violation
-    metric <= violation_tol and the max-norm iterate change <= step_tol (plus
-    rel_error <= rel_error_tol when both a reference value and that tolerance
-    are given). Hitting max_iter returns the trace flagged unconverged."""
+    metric <= violation_tol and the max-norm iterate change <= step_tol.
+    Hitting max_iter returns the trace flagged unconverged."""
     params = params or SolverParams()
     state = init_state(problem, graph, params, y0=y0)
     trace = IterTrace(n_coupling=problem.n_coupling)
@@ -460,10 +458,7 @@ def solve(
         row = metrics(state, reference_value)
         trace.append(row["iter"], row["rel_error"], row["violation"], row["eps1_norm"], row["eps2_norm"], row["lambda_bar"], wall)
         step = float(np.max(np.abs(state.Y - state.Y_prev)))
-        ok = row["violation"] <= params.violation_tol and step <= params.step_tol
-        if ok and params.rel_error_tol is not None and reference_value is not None:
-            ok = row["rel_error"] <= params.rel_error_tol
-        if ok:
+        if row["violation"] <= params.violation_tol and step <= params.step_tol:
             converged = True
             break
 

@@ -6,13 +6,15 @@ imposes on everyone else; the administrator computes it from one solve. The
 VCG payment is a lump sum equal to the cost the rest of the market saves by
 agent i's presence; it needs one solve per agent plus one with everyone.
 
-The mechanisms solve the market many times, and every solve after the first
-starts warm: VCG's drop-one solves from the full optimum's tight local rows
-without the dropped agent's, and the misreport sweep's and portfolio's
-reported solves from the truthful optimum's. A start that does not polish to
-a certified optimum is a miss, and its solve runs as a solve without a start
-(see ``qp``). No start is kept between calls, so each result depends only on
-the call's inputs.
+Each step has one path. Every drop-one solve of centralized VCG is
+``problem.solve_without``, started from the full optimum's tight local rows
+(distributed VCG runs the consensus solver on ``exclude_agent``). Both
+mechanisms settle through ``_costs``, every agent's own cost on one side.
+The sweep and the portfolio price their reported problems through
+``_misreport_benefits``, which solves the truthful market once and starts
+each reported solve from its tight rows. A start that does not polish to a
+certified optimum is a miss, and its solve runs as one without a start (see
+``qp``). No start is kept between calls.
 
 Conventions: mechanisms only ever see *reported* objectives — prices,
 allocations, and payments are computed from reports, while net costs evaluate
@@ -37,9 +39,9 @@ from .problem import (
     centralized_solve,
     eval_cost,
     exclude_agent,
-    exclude_agent_rows,
     reconcile_dual,
     resolve,
+    solve_without,
     stationarity_residual,
 )
 
@@ -120,26 +122,18 @@ def shadow_prices(problem, x: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, 
     return tuple(prices)
 
 
+def _costs(problem, x: np.ndarray, which: str) -> np.ndarray:
+    """Every agent's own cost at x, on the ``which`` side ("true" or "reported")."""
+    return np.array([eval_cost(problem, i, x, which=which) for i in range(resolve(problem, which).n_agents)])
+
+
 def sp_outcome(problem, x: np.ndarray, prices, cost_basis: str = "true") -> MechanismOutcome:
     """Settlement under shadow pricing: each agent is paid prices_i . x_i and
     bears its own cost at the implemented allocation."""
-    p_true = resolve(problem, cost_basis)
     x = np.asarray(x, float).ravel()
-    n = p_true.n_agents
-    payments = np.empty(n)
-    costs = np.empty(n)
-    for i in range(n):
-        blk = p_true.block(i)
-        payments[i] = float(prices[i] @ x[blk])
-        costs[i] = eval_cost(problem, i, x, which=cost_basis)
-    return MechanismOutcome(
-        mechanism="ShadowPricing",
-        x=x,
-        prices=tuple(np.array(v) for v in prices),
-        payments=payments,
-        costs=costs,
-        cost_basis=cost_basis,
-    )
+    p = resolve(problem, cost_basis)
+    payments = np.array([float(prices[i] @ x[p.block(i)]) for i in range(p.n_agents)])
+    return MechanismOutcome("ShadowPricing", x, tuple(np.array(v) for v in prices), payments, _costs(problem, x, cost_basis), cost_basis)
 
 
 def sp_for_problem(problem, cost_basis: str = "true", solution: CentralSolution | None = None) -> MechanismOutcome:
@@ -201,37 +195,24 @@ def vcg_payments(problem, cost_basis: str = "true", distributed=None, solution: 
     centralized oracle; a solve that does not converge raises
     ``MaxIterReached``.
     """
-    if not isinstance(problem, ReportedProblem):
-        problem = ReportedProblem.truthful(problem)
-    p = problem.reported
+    p = resolve(problem, "reported")
     if distributed is None:
         full = solution or centralized_solve(p)
         x_hat, total_hat = full.x, full.value
-        value_without = lambda i: centralized_solve(exclude_agent(p, i), active=exclude_agent_rows(p, full.active, i)).value
+        value_without = lambda i: solve_without(p, i, full).value
     elif solution is not None:
         raise ValueError("a centralized solution cannot seed distributed VCG")
     else:
         x_hat, total_hat = _distributed_value(p, distributed)
         value_without = lambda i: _distributed_value(exclude_agent(p, i), distributed)[1]
-    n = p.n_agents
-    payments = np.empty(n)
-    costs = np.empty(n)
-    for i in range(n):
+    without_i = np.empty(p.n_agents)
+    for i in range(p.n_agents):
         try:
-            without_i = value_without(i)
+            without_i[i] = value_without(i)
         except Infeasible as exc:
             raise InfeasibleWithoutAgent(f"market infeasible without agent {i}") from exc
-        others_at_hat = total_hat - eval_cost(problem, i, x_hat, which="reported")
-        payments[i] = without_i - others_at_hat
-        costs[i] = eval_cost(problem, i, x_hat, which=cost_basis)
-    return MechanismOutcome(
-        mechanism="VCG",
-        x=x_hat,
-        prices=None,
-        payments=payments,
-        costs=costs,
-        cost_basis=cost_basis,
-    )
+    own_i = _costs(problem, x_hat, "reported")
+    return MechanismOutcome("VCG", x_hat, None, without_i - (total_hat - own_i), _costs(problem, x_hat, cost_basis), cost_basis)
 
 
 @dataclass(frozen=True)
@@ -268,10 +249,14 @@ def vcg_ic_check(true_problem: CoupledProblem, cases, tol: float = 1e-8) -> ICRe
 # Misreport experiments (transport instances)
 
 
-def _sp_from(reported: ReportedProblem, truthful: CentralSolution) -> MechanismOutcome:
-    """Shadow pricing of a misreport, its solve started from the truthful
-    optimum's tight rows."""
-    return sp_for_problem(reported, solution=centralized_solve(reported, which="reported", active=truthful.active))
+def _misreport_benefits(instance, reports) -> tuple[CentralSolution, np.ndarray]:
+    """The truthful optimum of ``instance``, solved once, and everyone's
+    true-cost benefit under shadow pricing of each reported problem in
+    ``reports``, one row each; every reported solve starts from the
+    truthful optimum's tight rows."""
+    truthful = centralized_solve(instance.problem)
+    rows = [sp_for_problem(r, solution=centralized_solve(r, which="reported", active=truthful.active)).benefits for r in reports]
+    return truthful, np.array(rows).reshape(len(rows), instance.problem.n_agents)
 
 
 @dataclass(frozen=True)
@@ -290,12 +275,7 @@ def misreport_sweep(instance, agent: int, deltas) -> SweepResult:
     costs floor at zero), re-solve, price, and record everyone's true-cost
     benefit under shadow pricing."""
     deltas = np.asarray(deltas, float).ravel()
-    n = instance.problem.n_agents
-    truthful = centralized_solve(instance.problem)
-    benefits = np.empty((deltas.shape[0], n))
-    for di, delta in enumerate(deltas):
-        reported = instance.perturbed_reports({agent: float(delta)})
-        benefits[di] = _sp_from(reported, truthful).benefits
+    _, benefits = _misreport_benefits(instance, (instance.perturbed_reports({agent: float(delta)}) for delta in deltas))
     return SweepResult(agent=int(agent), deltas=deltas, benefits=benefits)
 
 
@@ -317,25 +297,23 @@ def misreport_portfolio(instance, n_cases: int, seed: int, magnitude: float = 0.
     (reported costs floor at zero); everyone's true-cost benefit under shadow
     pricing is recorded next to the truthful baseline."""
     rng = np.random.default_rng(seed)
-    truthful = centralized_solve(instance.problem)
-    baseline = sp_for_problem(ReportedProblem.truthful(instance.problem), solution=truthful).benefits
+
+    def shifted(i: int) -> np.ndarray:
+        used = instance.used_edge_indices(i)
+        costs = np.array(instance.network.edge_costs[i], dtype=float)
+        scale = float(np.mean(np.abs(costs[used]))) if used else 1.0
+        delta = float(rng.uniform(-magnitude, magnitude)) * max(scale, 1e-9)
+        k = int(rng.integers(1, len(used) + 1)) if used else 0
+        chosen = rng.choice(len(used), size=k, replace=False) if used else []
+        for e_idx in np.sort(np.asarray(chosen, int)):
+            e = used[int(e_idx)]
+            costs[e] = max(costs[e] + delta, 0.0)
+        return costs
+
     n = instance.problem.n_agents
-    benefits = np.empty((int(n_cases), n))
-    for ci in range(int(n_cases)):
-        reports = {}
-        for i in range(n):
-            used = instance.used_edge_indices(i)
-            costs = np.array(instance.network.edge_costs[i], dtype=float)
-            scale = float(np.mean(np.abs(costs[used]))) if used else 1.0
-            delta = float(rng.uniform(-magnitude, magnitude)) * max(scale, 1e-9)
-            k = int(rng.integers(1, len(used) + 1)) if used else 0
-            chosen = rng.choice(len(used), size=k, replace=False) if used else []
-            for e_idx in np.sort(np.asarray(chosen, int)):
-                e = used[int(e_idx)]
-                costs[e] = max(costs[e] + delta, 0.0)
-            reports[i] = costs
-        reported = instance.with_reported_costs(reports)
-        benefits[ci] = _sp_from(reported, truthful).benefits
+    cases = (instance.with_reported_costs({i: shifted(i) for i in range(n)}) for _ in range(int(n_cases)))
+    truthful, benefits = _misreport_benefits(instance, cases)
+    baseline = sp_for_problem(ReportedProblem.truthful(instance.problem), solution=truthful).benefits
     return PortfolioResult(baseline=baseline, benefits=benefits)
 
 

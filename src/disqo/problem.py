@@ -11,7 +11,9 @@ vector, stored twice:
   evaluate utilities with.
 
 Both decompositions sum to the same total objective; they differ only in how
-cross-terms are attributed to agents.
+cross-terms are attributed to agents. ``exclude_agent`` keeps that so: the
+others keep their actual objectives, and take equal shares of the cross-terms
+the algorithmic split had charged the agent that left.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ __all__ = [
     "eval_cost",
     "centralized_solve",
     "exclude_agent",
-    "exclude_agent_rows",
+    "solve_without",
     "reconcile_dual",
     "stationarity_residual",
     "feasible_point",
@@ -182,8 +184,8 @@ class ReportedProblem:
 
 def resolve(problem, which: str) -> CoupledProblem:
     """The ``which`` side ("true" or "reported") of a ``ReportedProblem``; a
-    plain ``CoupledProblem`` is returned as it is."""
-    return problem.pick(which) if isinstance(problem, ReportedProblem) else problem
+    plain ``CoupledProblem`` is both sides of a truthful report."""
+    return (problem if isinstance(problem, ReportedProblem) else ReportedProblem.truthful(problem)).pick(which)
 
 
 def _check_symmetric(sigma: np.ndarray, label: str) -> np.ndarray:
@@ -375,7 +377,10 @@ def centralized_solve(problem, which: str = "true", tol: float = 1e-9, active=No
 
 
 def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
-    """The same market without agent i: its block is removed (fixed at zero)."""
+    """The same market without agent i: its block is removed (fixed at zero).
+    The others' algorithmic objectives share agent i's algorithmic minus
+    actual objective equally, so both decompositions keep the same total (on
+    a transport market, the kappa shares on agent i's edges sum to one again)."""
     blk = p.block(i)
     keep = [j for j in range(p.n_agents) if j != i]
     # Agent i's block is one index range: the rest is what lies before and after it.
@@ -384,25 +389,29 @@ def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
     def restrict(obj: QuadObjective) -> QuadObjective:
         return QuadObjective(sigma=np.block([[obj.sigma[r, c] for c in parts] for r in parts]), psi=np.concatenate([obj.psi[r] for r in parts]))
 
+    alg, act = p.algorithmic[i], p.actual[i]
+    gap = restrict(QuadObjective(sigma=alg.sigma - act.sigma, psi=alg.psi - act.psi))
+    share = lambda o: QuadObjective(sigma=o.sigma + gap.sigma / len(keep), psi=o.psi + gap.psi / len(keep))
     return CoupledProblem(
         dims=tuple(p.dims[j] for j in keep),
         A=tuple(p.A[j] for j in keep),
         d=p.d,
         local=tuple(p.local[j] for j in keep),
-        algorithmic=tuple(restrict(p.algorithmic[j]) for j in keep),
+        algorithmic=tuple(share(restrict(p.algorithmic[j])) for j in keep),
         actual=tuple(restrict(p.actual[j]) for j in keep),
     )
 
 
-def exclude_agent_rows(p: CoupledProblem, rows, i: int) -> tuple[int, ...]:
-    """The local rows ``rows`` (numbered as in ``local_stacked()``) of the
-    market without agent i: agent i's rows are dropped and the rows after
-    them move up, as they do in ``local_stacked()`` of ``exclude_agent``."""
-    if not 0 <= i < p.n_agents:
-        raise UnknownAgent(f"agent {i} of {p.n_agents}")
+def solve_without(p: CoupledProblem, i: int, full: CentralSolution, tol: float = 1e-9) -> CentralSolution:
+    """``centralized_solve`` of the market without agent i, started from the
+    tight local rows of ``full``, the optimum with everyone: agent i's rows
+    are dropped and the rows after them move up, as in ``local_stacked()``
+    of ``exclude_agent``."""
+    without = exclude_agent(p, i)
     start = sum(poly.n_rows for poly in p.local[:i])
     k = p.local[i].n_rows
-    return tuple(r if r < start else r - k for r in rows if not start <= r < start + k)
+    active = tuple(r if r < start else r - k for r in full.active if not start <= r < start + k)
+    return centralized_solve(without, tol=tol, active=active)
 
 
 def stationarity_residual(grad: np.ndarray, free_cols: np.ndarray | None, nonneg_cols: np.ndarray | None) -> float:

@@ -22,10 +22,7 @@ set does not depend on the linear term, so it is LU-factored when a polish
 moves to that set and kept: warm solves that keep the active set cost one
 pair of triangular solves each. An exact zero pivot marks the system
 singular, as it is whenever x is not unique on the free columns, and such a
-system goes straight to least squares. Within one solve the linear term is
-fixed and the polish is deterministic, so every active set on a repair
-trajectory that failed is remembered, and later polishes of the same solve
-that reach one stop without solving anything.
+system goes straight to least squares.
 
 A solve may be given a first guess at the active set, such as the tight
 rows of a nearby problem's optimum. The polish tries it before any splitting
@@ -275,20 +272,18 @@ class RepeatedQp:
         if self.n == 0:
             return self._solve_empty()
 
-        # Active sets whose repair failed for this q; shared by every polish below.
-        failed: set[frozenset[int]] = set()
         guess = self._last_active if active is None else frozenset(int(r) for r in active)
         if active is not None and not all(0 <= r < self.mi for r in guess):
             raise DimensionMismatch(f"active rows must lie in [0, {self.mi})")
         if guess is None and self.mi == 0:
             guess = frozenset()
         if guess is not None:
-            polished = self._polish(q, guess, failed)
+            polished = self._polish(q, guess)
             if polished is not None:
                 return polished
         if self.me + self.mi == 0:  # no solution of P x = -q passed the check
             raise Infeasible("objective is unbounded below (no constraints, gradient not in range of P)")
-        return self._admm(q, failed)
+        return self._admm(q)
 
     def _remember(self, x: np.ndarray, active) -> None:
         """Keep a certified point and its tight set for the next solve's warm start."""
@@ -303,7 +298,7 @@ class RepeatedQp:
             raise Infeasible("a QP without variables needs h = 0 and u >= 0")
         return QpSolution(x=x, lam=lam, alpha=alpha, status="optimal", iterations=0, active=(), residuals=res)
 
-    def _polish(self, q: np.ndarray, active: frozenset[int], failed: set[frozenset[int]]) -> QpSolution | None:
+    def _polish(self, q: np.ndarray, active: frozenset[int]) -> QpSolution | None:
         """Solve the KKT equality system for a candidate active set, then repair it.
 
         An active simple bound fixes its column at ``u_i / G_ij``; the first
@@ -314,27 +309,21 @@ class RepeatedQp:
 
         Violated inactive rows are added and negative-multiplier rows dropped,
         one at a time, until the candidate is KKT-consistent, and then kept
-        for the next solve's warm start, or the attempt fails. Failure by a
-        cycle, by a singular system without a finite least-squares answer or
-        by the final residual check records every active set of the
-        trajectory in ``failed``, which must only be shared between polishes
-        with the same ``q``; a polish that reaches a recorded set stops at
-        once. A trajectory cut by the iteration budget is not recorded, since
-        a polish started further along it has budget left.
+        for the next solve's warm start, or the attempt fails (by a cycle, by
+        a singular system without a finite least-squares answer, by the final
+        residual check or by the step budget).
         """
         P, E, h, G, u, tol = self.P, self.E, self.h, self.G, self.u, self.tol
         if self.me + self.mi == 0:  # P x = -q: the round-off in x grows with |q|
             tol = max(tol, 1e-9 * max(1.0, float(np.max(np.abs(q)))))
         seen: set[frozenset[int]] = set()
         for _ in range(2 * self.mi + 8):
-            if active in seen or active in failed:
-                failed.update(seen)
+            if active in seen:
                 return None
             seen.add(active)
             red = self._reduced_system(active)
             step = self._step(red, q, 1.0)
             if step is None:
-                failed.update(seen)
                 return None
             x, lam, alpha = step
 
@@ -349,7 +338,6 @@ class RepeatedQp:
                 sol = QpSolution(x=x, lam=lam, alpha=alpha_c, status="optimal", iterations=0, active=tuple(tight.nonzero()[0].tolist()), residuals=res)
                 self._remember(sol.x, sol.active)
                 return sol
-            failed.update(seen)
             return None
         return None
 
@@ -434,7 +422,7 @@ class RepeatedQp:
         self._system = (active, red)
         return red
 
-    def _admm(self, q: np.ndarray, failed: set[frozenset[int]]) -> QpSolution:
+    def _admm(self, q: np.ndarray) -> QpSolution:
         n, me, mi = self.n, self.me, self.mi
         m = me + mi
         C, rho, h = self.C, self.rho, self.h
@@ -473,7 +461,7 @@ class RepeatedQp:
 
                 act_tol = max(10.0 * r_prim, 1e-8)
                 near = (self.u - cx[me:] <= act_tol) | (y[me:] > act_tol)
-                polished = self._polish(q, frozenset(np.flatnonzero(near).tolist()), failed)
+                polished = self._polish(q, frozenset(np.flatnonzero(near).tolist()))
                 if polished is not None:
                     polished.iterations = k
                     return polished

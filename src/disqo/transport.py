@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, NoPathExists
 from .graphs import CommGraph, build_graph, random_connected_graph
-from .problem import CoupledProblem, ReportedProblem, assemble_problem, centralized_solve, exclude_agent, exclude_agent_rows
+from .problem import CoupledProblem, ReportedProblem, assemble_problem, centralized_solve, solve_without
 
 __all__ = [
     "TransportNetwork",
@@ -334,7 +334,7 @@ def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c
         try:
             full = centralized_solve(problem, tol=1e-8)
             for i in range(N):
-                centralized_solve(exclude_agent(problem, i), tol=1e-8, active=exclude_agent_rows(problem, full.active, i))
+                solve_without(problem, i, full, tol=1e-8)
         except Infeasible:
             continue
         return instance

@@ -568,16 +568,6 @@ def test_max_iter_returns_flagged_trace():
     assert len(res.trace) == 4  # initial row plus three iterations
 
 
-def test_rel_error_tolerance_gates_stopping():
-    p = star_problem()
-    ref = centralized_solve(p)
-    params = SolverParams(max_iter=2000, violation_tol=10.0, step_tol=10.0, rel_error_tol=1e-6)
-    res = solve(p, K3, params, reference_value=ref.value)
-    assert res.converged
-    assert res.trace.rel_error[-1] <= 1e-6
-    assert res.iterations > 5
-
-
 def test_deterministic_traces():
     inst = random_instance((3, 2, 2, 2), seed=5)
     g = random_connected_graph(3, np.random.default_rng(7))

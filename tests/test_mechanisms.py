@@ -9,7 +9,7 @@ import pytest
 
 from disqo.admm import SolverParams, solve as admm_solve
 from disqo.errors import ConventionMismatch, InfeasibleWithoutAgent, MaxIterReached
-from disqo.graphs import build_graph
+from disqo.graphs import build_graph, random_connected_graph
 from disqo.mechanisms import (
     misreport_portfolio,
     misreport_sweep,
@@ -255,6 +255,17 @@ def test_vcg_distributed_solves_match_centralized():
     dist = vcg_payments(inst.problem, distributed=(graph, params))
     np.testing.assert_allclose(dist.payments, central.payments, atol=1e-4)
     np.testing.assert_allclose(dist.benefits, central.benefits, atol=1e-4)
+
+
+def test_vcg_distributed_drop_one_solves_match_centralized_on_a_network():
+    # Unlike ex3's star, the agents share edges whose load moves when one of
+    # them leaves, so the drop-one market's algorithmic split must still sum
+    # to its actual total.
+    p = random_instance((3, 2, 2, 2), seed=0).problem
+    central = vcg_payments(p)
+    graph = random_connected_graph(3, np.random.default_rng(0))
+    dist = vcg_payments(p, distributed=(graph, SolverParams(violation_tol=1e-9, step_tol=1e-9)))
+    np.testing.assert_allclose(dist.payments, central.payments, atol=1e-6)
 
 
 def test_vcg_distributed_solve_out_of_rounds_is_not_infeasible():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from disqo import problem as problem_module
 from disqo.errors import (
     ConventionMismatch,
     DimensionMismatch,
@@ -18,10 +21,11 @@ from disqo.problem import (
     convert_inequality_coupling,
     eval_cost,
     exclude_agent,
-    exclude_agent_rows,
     reconcile_dual,
+    solve_without,
 )
 from disqo.qp import solve_qp
+from disqo.transport import random_instance
 
 
 def three_supplier_problem(costs=(2.0, 3.0, 4.0), c0=1.0, d=5.0) -> CoupledProblem:
@@ -91,6 +95,16 @@ def test_total_rejects_unknown_decomposition(which):
         p.total_value(X_STAR, which)
     with pytest.raises(ValueError, match="'actual' or 'algorithmic'"):
         p.total_quadratic(which)
+
+
+def test_plain_problem_rejects_an_unknown_side():
+    # A plain problem is both sides of a truthful report, and only those.
+    p = three_supplier_problem()
+    with pytest.raises(ValueError, match="'true' or 'reported'"):
+        eval_cost(p, 0, X_STAR, which="nonsense")
+    with pytest.raises(ValueError, match="'true' or 'reported'"):
+        centralized_solve(p, which="actual")
+    assert eval_cost(p, 0, X_STAR, which="reported") == eval_cost(p, 0, X_STAR, which="true")
 
 
 def test_single_agent_forced_allocation():
@@ -212,15 +226,34 @@ def blocks_problem() -> CoupledProblem:
 
 
 def test_exclude_agent_restricts_by_blocks_bitwise():
+    # Actual objectives are restricted as they are; each algorithmic one also
+    # takes an equal share of agent i's algorithmic minus actual objective.
     p = blocks_problem()
     for i in range(p.n_agents):
         keep = np.concatenate([np.arange(p.block(j).start, p.block(j).stop) for j in range(p.n_agents) if j != i])
+        cut = np.ix_(keep, keep)
         sub = exclude_agent(p, i)
-        objs = [o for side in ("algorithmic", "actual") for j, o in enumerate(getattr(p, side)) if j != i]
-        subs = [*sub.algorithmic, *sub.actual]
-        for o, r in zip(objs, subs, strict=True):
-            assert r.sigma.tobytes() == o.sigma[np.ix_(keep, keep)].tobytes()
-            assert r.psi.tobytes() == o.psi[keep].tobytes()
+        others = [j for j in range(p.n_agents) if j != i]
+        for j, r in zip(others, sub.actual, strict=True):
+            assert r.sigma.tobytes() == p.actual[j].sigma[cut].tobytes()
+            assert r.psi.tobytes() == p.actual[j].psi[keep].tobytes()
+        alg, act = p.algorithmic[i], p.actual[i]
+        share_sigma = (alg.sigma - act.sigma)[cut] / len(others)
+        share_psi = (alg.psi - act.psi)[keep] / len(others)
+        for j, r in zip(others, sub.algorithmic, strict=True):
+            assert r.sigma.tobytes() == (p.algorithmic[j].sigma[cut] + share_sigma).tobytes()
+            assert r.psi.tobytes() == (p.algorithmic[j].psi[keep] + share_psi).tobytes()
+
+
+def test_exclude_agent_keeps_both_totals_equal():
+    # Transport markets split edge congestion by kappa shares, so the
+    # algorithmic and actual objectives of one agent differ.
+    p = random_instance((4, 2, 3, 2), seed=1).problem
+    for i in range(p.n_agents):
+        sub = exclude_agent(p, i)
+        alg, act = sub.total_quadratic("algorithmic"), sub.total_quadratic("actual")
+        for a, b in zip(alg, act):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
 def test_market_without_agents_has_empty_arrays():
@@ -235,17 +268,25 @@ def test_market_without_agents_has_empty_arrays():
     assert sol.x.shape == (0,) and sol.value == 0.0
 
 
-def test_exclude_agent_rows_renumbers_the_rest():
+def test_exclude_agent_rows_renumbers_the_rest(monkeypatch):
+    # solve_without starts the drop-one solve from the full optimum's tight
+    # rows, renumbered as in the market without the agent.
     p = blocks_problem()  # local rows: agent 0 owns 0-1, agent 2 owns 2
-    assert exclude_agent_rows(p, (0, 1, 2), 0) == (0,)
-    assert exclude_agent_rows(p, (1, 2), 1) == (1, 2)
-    assert exclude_agent_rows(p, (0, 2), 2) == (0,)
+    starts = []
+    solve = problem_module.centralized_solve
+    monkeypatch.setattr(problem_module, "centralized_solve", lambda q, tol, active: starts.append(active) or solve(q, tol=tol, active=active))
+    full = lambda rows: dataclasses.replace(centralized_solve(p), active=rows)
+    for i, rows, kept in ((0, (0, 1, 2), (0,)), (1, (1, 2), (1, 2)), (2, (0, 2), (0,))):
+        sol = solve_without(p, i, full(rows))
+        assert starts.pop() == kept
+        ref = centralized_solve(exclude_agent(p, i))
+        assert sol.value == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
     G, _ = p.local_stacked()
     for i in range(p.n_agents):
-        kept = exclude_agent_rows(p, range(G.shape[0]), i)
-        assert kept == tuple(range(exclude_agent(p, i).local_stacked()[0].shape[0]))
+        solve_without(p, i, full(tuple(range(G.shape[0]))))
+        assert starts.pop() == tuple(range(exclude_agent(p, i).local_stacked()[0].shape[0]))
     with pytest.raises(UnknownAgent):
-        exclude_agent_rows(p, (0,), 3)
+        solve_without(p, 3, full((0,)))
 
 
 def test_reported_problem_selection():

@@ -246,7 +246,7 @@ def test_polish_with_both_bounds_of_a_column_active(c):
         x_ref, val_ref = enumerate_box_qp(P, q, lo, hi)
         G, u = box_rows(n, lo, hi)
         kernel = RepeatedQp(P, G=G, u=u)
-        sol = kernel._polish(q, frozenset(range(2 * n)), set())
+        sol = kernel._polish(q, frozenset(range(2 * n)))
         assert sol is not None, f"case {case}"
         assert_kkt(None, sol)
         assert np.max(np.abs(sol.x - x_ref)) <= 1e-7, f"case {case}"
@@ -280,25 +280,6 @@ def kernel_calls(monkeypatch):
         monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
     monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
     return calls
-
-
-def test_failed_polish_states_are_not_walked_again(kernel_calls):
-    # Inconsistent equalities: every trajectory ends in the residual check.
-    P = np.eye(3)
-    E = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-    h = np.array([1.0, 2.0])
-    G, u = box_rows(3, np.zeros(3), np.ones(3))
-    kernel = RepeatedQp(P, E=E, h=h, G=G, u=u)
-    q = np.array([1.0, -1.0, 0.5])
-    kernel_calls.clear()
-    failed = set()
-    start = frozenset({3, 4})
-    assert kernel._polish(q, start, failed) is None
-    assert kernel_calls and start in failed
-    for state in failed:
-        kernel_calls.clear()
-        assert kernel._polish(q, state, failed) is None
-        assert not kernel_calls
 
 
 def test_warm_solves_factor_each_active_set_once(kernel_calls):
