@@ -89,8 +89,8 @@ class SolverParams:
     def __post_init__(self):
         if self.sigma <= 0 or self.rho <= 0:
             raise DimensionMismatch("sigma and rho must be strictly positive")
-        if self.max_iter < 1:
-            raise DimensionMismatch("max_iter must be at least 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise DimensionMismatch(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if self.violation_tol < 0 or self.step_tol < 0:
             raise DimensionMismatch("tolerances must be nonnegative")
         if self.mode not in ("plain", "accelerated"):
@@ -247,14 +247,13 @@ def _build_subproblem_qps(state: SolverState) -> None:
     if accelerated:
         N, n, b = p.n_agents, p.n_total, max(p.dims)
         state._lift = R, Kw, Kq = np.zeros((N, b, n)), np.zeros((N, n, b)), np.zeros((N, n, n))
+    G_full, _ = p.local_stacked()
     for i, poly in enumerate(p.local):
         blk, b_i = p.block(i), p.dims[i]
-        P, G = _subproblem_hessian(state, i), poly.B
+        P = _subproblem_hessian(state, i)
         if accelerated:
             P, R[i, :b_i], Kw[i, :, :b_i], Kq[i] = _schur_lift(P, blk)
-        else:
-            G = np.zeros((poly.n_rows, p.n_total))
-            G[:, blk] = poly.B
+        G = poly.B if accelerated else G_full[p.rows(i)]
         state._qps.append(RepeatedQp(P, G=G, u=poly.m, tol=_SUBPROBLEM_TOL))
     state._batch = WarmBatch(state._qps)
 

@@ -2,9 +2,10 @@
 
 Subcommands: ``gen`` (seeded instance files), ``solve`` (distributed run with
 trace/solution CSVs), ``mechanism`` (payment tables), ``misreport-sweep`` and
-``misreport-portfolio`` (misreport experiments), ``validate`` (config and
-instance checks).  Exit codes: 0 success, 1 input error, 2 the iterative
-solver hit its budget without converging.
+``misreport-portfolio`` (misreport experiments), ``validate`` (checks every
+config section a command reads, one ``ok:``/``FAIL:`` line each).  Exit
+codes: 0 success, 1 input error, 2 the iterative solver hit its budget
+without converging.
 
 Config files are JSON with a ``schema_version`` field::
 
@@ -386,6 +387,8 @@ def cmd_validate(args) -> int:
         record("sweep spec", check_sweep)
     if "portfolio" in config:
         record("portfolio spec", lambda: f"{_portfolio_spec(config, args)[0]} case(s)")
+    if "mechanisms" in config or "cost_basis" in config:
+        record("mechanism spec", lambda: "{}, cost basis {}".format(*_mechanism_spec(config)))
 
     ok = all(good for _, good, _ in checks)
     for name, good, detail in checks:

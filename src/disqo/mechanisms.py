@@ -107,7 +107,7 @@ def shadow_prices(problem, x: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, 
     x = np.asarray(x, float).ravel()
     lam = np.asarray(lam, float).ravel()
     fixed = reconcile_dual(p, x, lam)
-    if float(np.max(np.abs(fixed - lam))) > 1e-12 * max(1.0, float(np.max(np.abs(lam)))):
+    if float(np.abs(fixed - lam).max(initial=0.0)) > 1e-12 * max(1.0, float(np.abs(lam).max(initial=0.0))):
         raise ConventionMismatch("coupling dual appears to be in the mirrored sign convention; reconcile it first")
 
     sigma_tot, psi_tot = p.total_quadratic("actual")
@@ -154,13 +154,11 @@ def sp_equilibrium_check(problem, x: np.ndarray, prices) -> np.ndarray:
     p = resolve(problem, "reported")
     x = np.asarray(x, float).ravel()
     out = np.empty(p.n_agents)
+    tight = p.tight_rows(x)
     for i in range(p.n_agents):
-        blk = p.block(i)
         own = p.actual[i]
-        grad = (own.sigma @ x + own.psi)[blk] - np.asarray(prices[i], float)
-        active = p.local[i].active_rows(x[blk])
-        act_cols = p.local[i].B[active].T if active.size else None
-        out[i] = stationarity_residual(grad, p.A[i].T, act_cols)
+        grad = (own.sigma @ x + own.psi)[p.block(i)] - np.asarray(prices[i], float)
+        out[i] = stationarity_residual(grad, p.A[i].T, p.local[i].B[tight[p.rows(i)]].T)
     return out
 
 

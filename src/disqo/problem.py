@@ -14,6 +14,10 @@ Both decompositions sum to the same total objective; they differ only in how
 cross-terms are attributed to agents. ``exclude_agent`` keeps that so: the
 others keep their actual objectives, and take equal shares of the cross-terms
 the algorithmic split had charged the agent that left.
+
+One layout table places each agent: ``block(i)`` is its slice of x,
+``rows(i)`` its slice of the ``local_stacked()`` rows, and ``tight_rows(x)``
+marks the rows tight at x by one rule.
 """
 
 from __future__ import annotations
@@ -79,16 +83,7 @@ class LocalPolyhedron:
         return self.B.shape[0]
 
     def contains(self, x_i: np.ndarray) -> bool:
-        if self.n_rows == 0:
-            return True
-        return bool(np.max(self.B @ x_i - self.m) <= 1e-9)
-
-    def active_rows(self, x_i: np.ndarray) -> np.ndarray:
-        """Rows tight at x_i: slack at most 1e-6 times max(1, max |m|)."""
-        if self.n_rows == 0:
-            return np.zeros(0, dtype=int)
-        slack = self.m - self.B @ x_i
-        return np.flatnonzero(slack <= 1e-6 * max(1.0, float(np.max(np.abs(self.m)))))
+        return bool((self.B @ x_i - self.m).max(initial=-np.inf) <= 1e-9)
 
 
 @dataclass(frozen=True)
@@ -109,6 +104,11 @@ class CoupledProblem:
         """Start of each agent's block in the stacked vector, then its length."""
         return tuple(int(o) for o in itertools.accumulate(self.dims, initial=0))
 
+    @cached_property
+    def row_offsets(self) -> tuple[int, ...]:
+        """Start of each agent's rows in ``local_stacked()``, then their count."""
+        return tuple(int(o) for o in itertools.accumulate((poly.n_rows for poly in self.local), initial=0))
+
     @property
     def n_total(self) -> int:
         return self.offsets[-1]
@@ -118,9 +118,17 @@ class CoupledProblem:
         return int(self.d.shape[0])
 
     def block(self, i: int) -> slice:
+        """Agent i's coordinates in the stacked vector."""
+        return self._span(self.offsets, i)
+
+    def rows(self, i: int) -> slice:
+        """Agent i's rows of ``local_stacked()``."""
+        return self._span(self.row_offsets, i)
+
+    def _span(self, offsets: tuple[int, ...], i: int) -> slice:
         if not 0 <= i < self.n_agents:
             raise UnknownAgent(f"agent {i} of {self.n_agents}")
-        return slice(self.offsets[i], self.offsets[i + 1])
+        return slice(offsets[i], offsets[i + 1])
 
     def stacked_A(self) -> np.ndarray:
         return np.hstack(self.A) if self.A else np.zeros((self.n_coupling, 0))
@@ -146,17 +154,20 @@ class CoupledProblem:
 
     def local_stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """Block-diagonal stack of all local inequality rows over the full vector."""
-        rows = sum(p.n_rows for p in self.local)
-        G = np.zeros((rows, self.n_total))
-        u = np.zeros(rows)
-        r = 0
+        G, u = np.zeros((self.row_offsets[-1], self.n_total)), np.zeros(self.row_offsets[-1])
         for i, poly in enumerate(self.local):
-            k = poly.n_rows
-            if k:
-                G[r : r + k, self.block(i)] = poly.B
-                u[r : r + k] = poly.m
-            r += k
+            G[self.rows(i), self.block(i)] = poly.B
+            u[self.rows(i)] = poly.m
         return G, u
+
+    def tight_rows(self, x: np.ndarray) -> np.ndarray:
+        """Mask of the ``local_stacked()`` rows tight at the stacked point x:
+        agent i's row is tight when its slack is at most 1e-6 max(1, max |m_i|)."""
+        tight = np.zeros(self.row_offsets[-1], dtype=bool)
+        for i, poly in enumerate(self.local):
+            slack = poly.m - poly.B @ x[self.block(i)]
+            tight[self.rows(i)] = slack <= 1e-6 * max(1.0, float(np.abs(poly.m).max(initial=0.0)))
+        return tight
 
 
 @dataclass(frozen=True)
@@ -316,9 +327,7 @@ def convert_inequality_coupling(problem: CoupledProblem) -> tuple[CoupledProblem
         poly = problem.local[i]
         B = np.zeros((poly.n_rows + n0, ni + n0))
         m = np.zeros(poly.n_rows + n0)
-        if poly.n_rows:
-            B[: poly.n_rows, :ni] = poly.B
-            m[: poly.n_rows] = poly.m
+        B[: poly.n_rows, :ni], m[: poly.n_rows] = poly.B, poly.m
         B[poly.n_rows :, ni:] = -np.eye(n0)  # s_i >= 0
         agents.append((B, m))
         A_new.append(np.hstack([problem.A[i], np.eye(n0)]))
@@ -381,13 +390,9 @@ def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
     The others' algorithmic objectives share agent i's algorithmic minus
     actual objective equally, so both decompositions keep the same total (on
     a transport market, the kappa shares on agent i's edges sum to one again)."""
-    blk = p.block(i)
+    cols = np.delete(np.arange(p.n_total), p.block(i))
     keep = [j for j in range(p.n_agents) if j != i]
-    # Agent i's block is one index range: the rest is what lies before and after it.
-    parts = (slice(None, blk.start), slice(blk.stop, None))
-
-    def restrict(obj: QuadObjective) -> QuadObjective:
-        return QuadObjective(sigma=np.block([[obj.sigma[r, c] for c in parts] for r in parts]), psi=np.concatenate([obj.psi[r] for r in parts]))
+    restrict = lambda obj: QuadObjective(sigma=obj.sigma.take(cols, 0).take(cols, 1), psi=obj.psi[cols])
 
     alg, act = p.algorithmic[i], p.actual[i]
     gap = restrict(QuadObjective(sigma=alg.sigma - act.sigma, psi=alg.psi - act.psi))
@@ -408,9 +413,8 @@ def solve_without(p: CoupledProblem, i: int, full: CentralSolution, tol: float =
     are dropped and the rows after them move up, as in ``local_stacked()``
     of ``exclude_agent``."""
     without = exclude_agent(p, i)
-    start = sum(poly.n_rows for poly in p.local[:i])
-    k = p.local[i].n_rows
-    active = tuple(r if r < start else r - k for r in full.active if not start <= r < start + k)
+    own = range(p.rows(i).start, p.rows(i).stop)
+    active = tuple(r - len(own) if r >= own.stop else r for r in full.active if r not in own)
     return centralized_solve(without, tol=tol, active=active)
 
 
@@ -449,14 +453,7 @@ def reconcile_dual(problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     sigma, psi = p.total_quadratic("actual")
     grad = sigma @ x + psi
     At = p.stacked_A().T
-
-    act_cols = []
-    for i, poly in enumerate(p.local):
-        for r in poly.active_rows(x[p.block(i)]):
-            col = np.zeros(p.n_total)
-            col[p.block(i)] = poly.B[r]
-            act_cols.append(col)
-    act = np.column_stack(act_cols) if act_cols else None
+    act = p.local_stacked()[0][p.tight_rows(x)].T
 
     scores = {}
     for s in (1.0, -1.0):

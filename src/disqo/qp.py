@@ -237,8 +237,8 @@ class RepeatedQp:
         tol: float = 1e-9,
         max_iter: int = 200000,
     ):
-        if max_iter < 1:
-            raise DimensionMismatch("max_iter must be at least 1")
+        if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+            raise DimensionMismatch(f"max_iter must be an integer of at least 1, got {max_iter!r}")
         self.P, self.E, self.h, self.G, self.u = _normalize(P, E, h, G, u)
         _check_psd(self.P)
         self.tol = tol

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .errors import DimensionMismatch, Infeasible, NoPathExists
+from .errors import DimensionMismatch, Infeasible, NoPathExists, UnknownAgent
 from .graphs import CommGraph, build_graph, random_connected_graph
 from .problem import CoupledProblem, ReportedProblem, assemble_problem, centralized_solve, solve_without
 
@@ -246,11 +246,11 @@ class TransportInstance:
         p = self.problem
         algorithmic, actual = list(p.algorithmic), list(p.actual)
         for i, c in reports.items():
-            c = np.asarray(c, float).ravel()
+            blk, c = p.block(i), np.asarray(c, float).ravel()  # an unknown agent is rejected first
             if c.shape != (self.network.n_edges,):
                 raise DimensionMismatch(f"reported cost vector of agent {i} has length {c.shape[0]}")
             psi = np.zeros(p.n_total)
-            psi[p.block(i)] = _route_costs(self.incidence, i, c)
+            psi[blk] = _route_costs(self.incidence, i, c)
             algorithmic[i] = dataclasses.replace(algorithmic[i], psi=psi)
             actual[i] = dataclasses.replace(actual[i], psi=psi)
         reported = dataclasses.replace(p, algorithmic=tuple(algorithmic), actual=tuple(actual))
@@ -261,6 +261,8 @@ class TransportInstance:
         (reported costs are floored at zero)."""
         reports = {}
         for i, delta in deltas.items():
+            if not 0 <= i < self.problem.n_agents:
+                raise UnknownAgent(f"agent {i} of {self.problem.n_agents}")
             c = np.array(self.network.edge_costs[i], dtype=float)
             used = self.used_edge_indices(i)
             c[used] = np.maximum(c[used] + delta, 0.0)

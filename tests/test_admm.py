@@ -79,6 +79,13 @@ def test_params_validation():
         SolverParams(mode="fast")
 
 
+@pytest.mark.parametrize("max_iter", [1e3, 2.5, "100"])
+def test_params_reject_a_round_budget_that_is_not_an_integer(max_iter):
+    with pytest.raises(DimensionMismatch, match="max_iter must be an integer"):
+        SolverParams(max_iter=max_iter)
+    assert SolverParams(max_iter=np.int64(3)).max_iter == 3
+
+
 # ---------------------------------------------------------------------------
 # Initialization
 

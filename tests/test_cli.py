@@ -120,6 +120,8 @@ def test_gen_c0_sets_the_congestion_coefficient(tmp_path):
         ("mechanism", {"instance": "nowhere.json"}, "instance file not found"),
         ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"cases": -1}}, "portfolio 'cases' must be nonnegative"),
         ("mechanism", {"generator": {"star": {"c": [3.0]}}}, "error: market infeasible without agent 0"),
+        ("solve", {"generator": STAR_GEN, "solver": {"max_iter": 1e3}}, "error: max_iter must be an integer"),
+        ("solve", {"generator": STAR_GEN, "report_deltas": {"9": 1.0}}, "error: agent 9 of 3"),
     ],
 )
 def test_config_input_errors_exit_one_with_their_message(tmp_path, capsys, command, config, message):
@@ -490,11 +492,29 @@ def test_portfolio_zero_cases_writes_baseline_only(tmp_path):
 
 
 def test_validate_accepts_good_config(tmp_path, capsys):
-    cfg = star_config(tmp_path / "cfg.json", sweep={"agent": 0, "deltas": [0.0]}, portfolio={"cases": 2})
+    cfg = star_config(tmp_path / "cfg.json", sweep={"agent": 0, "deltas": [0.0]}, portfolio={"cases": 2}, mechanisms=["sp"], cost_basis="reported")
     assert main(["validate", "--config", cfg]) == 0
     out = capsys.readouterr().out
-    assert "ok: instance" in out and "ok: mixing weights" in out
+    assert "ok: instance" in out and "ok: mixing weights" in out and "ok: mechanism spec" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "section, value, check",
+    [
+        ("solver", {"max_iter": 1e3}, "solver params"),
+        ("reports", {"0": [1.0]}, "reported costs"),
+        ("report_deltas", {"9": 1.0}, "reported costs"),
+        ("mechanisms", ["foo"], "mechanism spec"),
+        ("cost_basis", "imagined", "mechanism spec"),
+        ("sweep", {"agent": 9}, "sweep spec"),
+        ("portfolio", {"cases": -1}, "portfolio spec"),
+    ],
+)
+def test_validate_fails_on_a_bad_value_in_any_section_a_command_reads(tmp_path, capsys, section, value, check):
+    cfg = write_config(tmp_path / "cfg.json", generator=STAR_GEN, **{section: value})
+    assert main(["validate", "--config", cfg]) == 1
+    assert f"FAIL: {check}" in capsys.readouterr().out
 
 
 def test_validate_accepts_bare_instance_file(tmp_path, capsys):

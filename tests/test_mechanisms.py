@@ -175,6 +175,24 @@ def test_equilibrium_residual_single_agent():
     assert float(res.max()) <= 1e-8
 
 
+def test_market_without_coupling_rows_is_priced():
+    # Two agents with one cross term and x_i >= 0, sharing no coupling row:
+    # agent 0 ships 1, agent 1 nothing, and agent 1's price is minus the
+    # marginal cost 0.5 x_0 its flow puts on agent 0.
+    agents = [
+        (np.array([[2.0, 0.5], [0.5, 0.0]]), np.array([-2.0, 0.0]), -np.eye(1), np.zeros(1)),
+        (np.array([[0.0, 0.5], [0.5, 2.0]]), np.array([0.0, 1.0]), -np.eye(1), np.zeros(1)),
+    ]
+    p = assemble_problem(agents, [np.zeros((0, 1))] * 2, np.zeros(0))
+    sol = centralized_solve(p)
+    assert sol.lam.shape == (0,) and sol.x == pytest.approx([1.0, 0.0], abs=1e-9)
+    out = sp_for_problem(p, solution=sol)
+    assert [float(v) for v in out.prices[0]] == pytest.approx([0.0], abs=1e-9)
+    assert [float(v) for v in out.prices[1]] == pytest.approx([-0.5], abs=1e-9)
+    assert out.benefits == pytest.approx([1.0, 0.0], abs=1e-9)
+    assert np.all(sp_equilibrium_check(p, sol.x, out.prices) <= 1e-9)
+
+
 def test_equilibrium_residuals_across_instances():
     rng = np.random.default_rng(77)
     for _ in range(10):

@@ -289,6 +289,61 @@ def test_exclude_agent_rows_renumbers_the_rest(monkeypatch):
         solve_without(p, 3, full((0,)))
 
 
+def layout_problems():
+    """blocks_problem, whose middle agent has no local rows, and random (4,2,3,2) markets."""
+    return [blocks_problem()] + [random_instance((4, 2, 3, 2), seed=s).problem for s in (0, 1, 2)]
+
+
+def test_rows_slice_the_stacked_local_rows():
+    for p in layout_problems():
+        G, u = p.local_stacked()
+        assert p.row_offsets[0] == 0 and p.row_offsets[-1] == G.shape[0] == u.shape[0]
+        for i, poly in enumerate(p.local):
+            rows, blk = p.rows(i), p.block(i)
+            assert rows.stop - rows.start == poly.n_rows
+            assert G[rows, blk].tobytes() == poly.B.tobytes() and u[rows].tobytes() == poly.m.tobytes()
+            assert not np.delete(G[rows], np.arange(blk.start, blk.stop), axis=1).any()
+        for i in (-1, p.n_agents):
+            with pytest.raises(UnknownAgent):
+                p.rows(i)
+    assert blocks_problem().row_offsets == (0, 2, 2, 3)
+
+
+def test_tight_rows_apply_each_agents_slack_rule():
+    rng = np.random.default_rng(3)
+    for p in layout_problems():
+        for x in (centralized_solve(p).x, np.maximum(rng.normal(size=p.n_total), 0.0)):
+            tight = p.tight_rows(x)
+            assert tight.dtype == bool and tight.shape == (p.row_offsets[-1],)
+            for i, poly in enumerate(p.local):
+                slack = poly.m - poly.B @ x[p.block(i)]
+                scale = max(1.0, float(np.max(np.abs(poly.m)))) if poly.n_rows else 1.0
+                assert np.array_equal(tight[p.rows(i)], slack <= 1e-6 * scale)
+    # blocks_problem's rows are -x_0, -x_1 (agent 0) and -x_5 (agent 2) <= 0.
+    x = np.array([0.0, 1.0, -3.0, 4.0, 5.0, 5e-7])
+    assert blocks_problem().tight_rows(x).tolist() == [True, False, True]
+
+
+def test_solve_without_remaps_rows_onto_the_same_rows(monkeypatch):
+    # Each start row handed to the drop-one solve is the same row of the
+    # market without the agent: its coefficients on the kept columns and its bound.
+    starts = []
+    monkeypatch.setattr(problem_module, "centralized_solve", lambda q, tol, active: starts.append(active))
+    for p in layout_problems():
+        G, u = p.local_stacked()
+        sol = centralized_solve(p)
+        for full in (sol, dataclasses.replace(sol, active=tuple(range(G.shape[0])))):
+            for i in range(p.n_agents):
+                solve_without(p, i, full)
+                G_without, u_without = exclude_agent(p, i).local_stacked()
+                kept = [r for r in full.active if r not in range(p.rows(i).start, p.rows(i).stop)]
+                cols = np.delete(np.arange(p.n_total), p.block(i))
+                remapped = list(starts.pop())
+                assert len(remapped) == len(kept) and len(set(remapped)) == len(kept)
+                assert G_without[remapped].tobytes() == G[kept][:, cols].tobytes()
+                assert u_without[remapped].tobytes() == u[kept].tobytes()
+
+
 def test_reported_problem_selection():
     p = three_supplier_problem()
     fake = three_supplier_problem(costs=(1.0, 3.0, 4.0))

@@ -144,6 +144,12 @@ def test_zero_budget_rejected():
         RepeatedQp(np.eye(2), G=np.eye(2), u=np.ones(2), max_iter=0)
 
 
+def test_a_budget_that_is_not_an_integer_is_rejected():
+    for budget in (2.5, 1e3):
+        with pytest.raises(DimensionMismatch, match="max_iter must be an integer"):
+            solve_qp(np.eye(2), np.array([0.3, -0.2]), G=np.eye(2), u=np.ones(2), max_iter=budget)
+
+
 def test_box_qps_match_enumeration_oracle():
     rng = np.random.default_rng(42)
     dims = [int(rng.integers(1, 9)) for _ in range(90)] + [9, 9, 9, 9, 9, 10, 10, 10, 10, 10]

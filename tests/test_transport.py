@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from disqo.errors import DimensionMismatch, NoPathExists
+from disqo.errors import DimensionMismatch, NoPathExists, UnknownAgent
+from disqo.mechanisms import misreport_sweep
 from disqo.problem import centralized_solve, eval_cost, exclude_agent
 from disqo.transport import (
     TransportNetwork,
@@ -354,6 +355,17 @@ def test_perturbed_reports_shift_used_edges_and_clip():
     np.testing.assert_allclose(rp.reported.algorithmic[1].psi, [0.0, 2.0, 0.0], atol=1e-15)
     rp2 = inst.perturbed_reports({0: -100.0})
     np.testing.assert_allclose(rp2.reported.algorithmic[0].psi, [0.0, 0.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("agent", [3, 99, -1])
+def test_reports_of_an_unknown_agent_are_rejected(agent):
+    inst = three_star()
+    with pytest.raises(UnknownAgent, match=f"agent {agent} of 3"):
+        inst.perturbed_reports({agent: 1.0})
+    with pytest.raises(UnknownAgent):
+        inst.with_reported_costs({agent: np.zeros(inst.network.n_edges)})
+    with pytest.raises(UnknownAgent):
+        misreport_sweep(inst, agent, [0.1])
 
 
 def test_reported_costs_dimension_check():
