@@ -45,6 +45,16 @@ w_i are lifted back to copies. An agent the batch rejects (the check fails,
 it has no warm guess yet, or its guess set is singular) is solved on its own
 by the usual warm-started, repairing QP solve, so every returned point is
 KKT-certified. ``SolverState`` and ``SolveResult.stats`` count both kinds.
+
+A round does each piece of work once. The identity checks reduce the new
+arrays to the coupling gap sum_i A~_i y_i - d and the means of eta and lam,
+and the state keeps these for ``metrics`` and the next round's mean-dual
+check. Reading or replacing Y, H or Lam from outside the module drops them,
+since the reader may edit the array in place; ``metrics`` then reduces the
+arrays itself, so its row always describes the state as it stands. Each
+reduction keeps the float operations of its textbook form (a mean is a sum
+over agents divided by N), so iterates and trace are bitwise the textbook
+ones. ``SolveResult.stats`` also holds the seconds spent per phase.
 """
 
 from __future__ import annotations
@@ -75,6 +85,32 @@ __all__ = [
 
 _IDENTITY_TOL = 1e-10
 _SUBPROBLEM_TOL = 1e-10
+PHASES = ("mix_s", "batch_s", "repair_s", "finish_s", "metrics_s")
+_max = np.maximum.reduce  # the ufunc itself: ndarray.max's wrapper costs as much as the reduction here
+
+
+def _norm(r: np.ndarray) -> float:
+    """The 2-norm of all of r, by the dot product ``np.linalg.norm`` takes."""
+    r = r.ravel()
+    return float(np.sqrt(r.dot(r)))
+
+
+def _round_array(name: str) -> property:
+    """A state array kept in ``_<name>`` behind a property. Reading or
+    replacing it through the property drops the reductions the last round
+    shared with ``metrics`` (``SolverState._shared``): the reader may edit the
+    array in place, so they may no longer describe it."""
+    slot = "_" + name
+
+    def get(state):
+        state._shared = None
+        return getattr(state, slot)
+
+    def put(state, value):
+        state._shared = None
+        setattr(state, slot, value)
+
+    return property(get, put)
 
 
 @dataclass(frozen=True)
@@ -157,10 +193,13 @@ class SolverState:
     psi: np.ndarray  # (N, n) the agents' linear objective terms
     owner: np.ndarray  # (n,) agent owning each column
     adjacency: np.ndarray  # (N, N) 1.0 where two agents are neighbours
-    pairs: tuple[np.ndarray, np.ndarray]  # (i, j) of every agent pair i < j
+    pair_diff: np.ndarray  # (N(N-1)/2, N) row p is e_i - e_j for the p-th pair i < j: pair_diff @ Y subtracts exactly
     k: int = 0
     warm_hits: int = 0  # subproblems the batched warm pass certified
     repairs: int = 0  # subproblems solved one agent at a time
+    # Seconds per phase: exchange and linear terms, batched warm pass and lifts,
+    # repairs, recursions and checks, and solve's metrics calls.
+    phase_s: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     # One subproblem QP per agent, batched by one WarmBatch in both modes: over
     # the full copy in plain mode, over the own block in accelerated mode.
     # There the agents' Schur lifts (R, Kw, Kq, see _schur_lift) are kept
@@ -169,6 +208,16 @@ class SolverState:
     _qps: list[RepeatedQp] = field(default_factory=list, repr=False)
     _batch: WarmBatch | None = field(default=None, repr=False)
     _lift: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    # Per-agent columns of the anchor update, fixed by the graph: deg_i and
+    # 1/2, and 1 and 0 for an agent without neighbours, whose anchor then
+    # stays put.
+    _anchor_deg: np.ndarray | None = field(default=None, repr=False)
+    _anchor_half: np.ndarray | None = field(default=None, repr=False)
+    # What the last identity check reduced the arrays to, (sum_i A~_i y_i - d,
+    # mean eta, mean lam) (see _reductions), for metrics and the next round's
+    # mean-dual check; None once Y, H or Lam was read or replaced from outside
+    # (see _round_array). The module reads them as _Y, _H and _Lam.
+    _shared: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n_agents(self) -> int:
@@ -176,11 +225,18 @@ class SolverState:
 
     def coupling_values(self) -> np.ndarray:
         """sum_i A~_i y_i over the agents' own copies."""
-        return np.einsum("ikn,in->k", self.A_pad, self.Y)
+        return np.einsum("ikn,in->k", self.A_pad, self._Y)
 
     def own_block_x(self) -> np.ndarray:
         """Each agent's own block, taken from its own copy."""
-        return self.Y[self.owner, np.arange(self.problem.n_total)]
+        return self._Y[self.owner, np.arange(self.problem.n_total)]
+
+
+# Set on the class after the dataclass is built, so Y, H and Lam stay its
+# plain fields while the arrays live in _Y, _H and _Lam.
+SolverState.Y = _round_array("Y")
+SolverState.H = _round_array("H")
+SolverState.Lam = _round_array("Lam")
 
 
 def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, y0=None) -> SolverState:
@@ -220,6 +276,7 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         else:
             V[i] = Y[i]
 
+    first, second = np.triu_indices(N, 1)
     state = SolverState(
         problem=problem,
         params=params,
@@ -234,10 +291,12 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         psi=np.stack([problem.algorithmic[i].psi for i in range(N)]),
         owner=np.repeat(np.arange(N), problem.dims),
         adjacency=graph.adjacency().astype(float),
-        pairs=np.triu_indices(N, 1),
+        pair_diff=np.eye(N)[first] - np.eye(N)[second],
+        _anchor_deg=np.where(deg > 0, deg, 1.0)[:, None],
+        _anchor_half=np.where(deg > 0, 0.5, 0.0)[:, None],
     )
     _build_subproblem_qps(state)
-    _check_tracking_identity(state, H.mean(axis=0))
+    state._shared = _check_identities(state)
     return state
 
 
@@ -294,7 +353,7 @@ def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray) -> np.nd
     """Every agent's subproblem linear term q_i, one row each, from their
     mixed tracking and dual estimates (rows of Gamma and L)."""
     params = state.params
-    own_coupling = (state.A_pad @ state.Y[..., None])[..., 0]
+    own_coupling = (state.A_pad @ state._Y[..., None])[..., 0]
     mixed = L + params.sigma * (Gamma - own_coupling)
     anchor = params.rho * state.degrees[:, None] * state.V
     return state.psi - anchor + (mixed[:, None] @ state.A_pad)[:, 0]
@@ -320,57 +379,76 @@ def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def _check_tracking_identity(state: SolverState, H_mean: np.ndarray) -> None:
-    lhs = state.n_agents * H_mean
-    rhs = state.coupling_values() - state.problem.d
-    res = float(np.abs(lhs - rhs).max(initial=0.0))
+def _reductions(state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sum_i A~_i y_i - d, mean eta, mean lam) of the state's arrays, each
+    mean a sum over agents divided by N: what the identity checks compare and
+    metrics reports."""
+    N = state.n_agents
+    return state.coupling_values() - state.problem.d, state._H.sum(axis=0) / N, state._Lam.sum(axis=0) / N
+
+
+def _check_identities(state: SolverState, lam_old_mean: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tracking identity N*mean(eta) = sum_i A~_i y_i - d and, given the
+    mean dual before the round, the mean-dual recursion, each at 1e-10 scaled
+    by the size of its terms (read only past 1e-10). Returns the reductions
+    it compared (``_reductions``)."""
+    shared = gap, H_mean, lam_mean = _reductions(state)
+    res = float(_max(np.abs(state.n_agents * H_mean - gap), initial=0.0))
     if res > _IDENTITY_TOL:  # the bound is 1e-10 max(1, |A~||Y|, |d|); read the scale only past 1e-10
-        scale = max(np.abs(state.A_pad).max(initial=0.0) * np.abs(state.Y).max(initial=0.0), np.abs(state.problem.d).max())
+        scale = max(np.abs(state.A_pad).max(initial=0.0) * np.abs(state._Y).max(initial=0.0), np.abs(state.problem.d).max())
         if res > _IDENTITY_TOL * scale:
             raise AssertionError(f"tracking identity violated by {res:.3e} at iteration {state.k}")
+    if lam_old_mean is not None:
+        dual_res = float(_max(np.abs(lam_mean - (lam_old_mean + state.params.sigma * H_mean)), initial=0.0))
+        if dual_res > _IDENTITY_TOL and dual_res > _IDENTITY_TOL * np.abs(state._Lam).max():  # 1e-10 max(1, |Lam|)
+            raise AssertionError(f"mean-dual recursion violated by {dual_res:.3e} at iteration {state.k}")
+    return shared
 
 
 def iterate(state: SolverState) -> None:
     """Advance the state by one synchronous round (two exchanges), enforcing
     the tracking identity and the mean-dual recursion at a scaled 1e-10."""
-    gamma_all, l_all = communication_round_tracking(state.H, state.Lam, state.W)
+    clock = time.perf_counter
+    t0 = clock()
+    gamma_all, l_all = communication_round_tracking(state._H, state._Lam, state.W)
     Q = _linear_terms(state, gamma_all, l_all)
+    t1 = clock()
     if state._lift is None:
         Y_new, certified = state._batch.solve(Q)
     else:
         R, Kw, Kq = state._lift
         W, certified = state._batch.solve((R @ Q[..., None])[..., 0])
         Y_new = (Kw @ W[..., None] + Kq @ Q[..., None])[..., 0]
+    t2 = clock()
     repair = np.flatnonzero(~certified)
     for i in repair:
         Y_new[i] = _solve_agent(state, i, Q[i])
     state.repairs += len(repair)
     state.warm_hits += state.n_agents - len(repair)
+    t3 = clock()
     _finish_round(state, gamma_all, l_all, Y_new)
+    spent = state.phase_s
+    spent["mix_s"] += t1 - t0
+    spent["batch_s"] += t2 - t1
+    spent["repair_s"] += t3 - t2
+    spent["finish_s"] += clock() - t3
 
 
 def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, Y_new: np.ndarray) -> None:
     """The round after the subproblems: recursion updates, the second exchange
     and the identity checks."""
-    params = state.params
-    H_new = gamma_all + np.einsum("ikn,in->ik", state.A_pad, Y_new - state.Y)
-    lam_old_mean = state.Lam.mean(axis=0)
-    Lam_new = l_all + params.sigma * H_new
+    Y, shared = state._Y, state._shared
+    H_new = gamma_all + np.einsum("ikn,in->ik", state.A_pad, Y_new - Y)
+    lam_old_mean = _reductions(state)[2] if shared is None else shared[2]
+    Lam_new = l_all + state.params.sigma * H_new
+    # v_i += mean over neighbours of (y_j(new) - y_j/2) - y_i/2; an agent
+    # without neighbours adds 0/1 - 0*y_i, so its anchor stays where it is.
+    V_new = state.V + ((state.adjacency @ (Y_new - 0.5 * Y)) / state._anchor_deg - state._anchor_half * Y)
 
-    Delta = Y_new - 0.5 * state.Y
-    V_new = np.array(state.V)
-    mixed = state.degrees > 0
-    V_new[mixed] += (state.adjacency[mixed] @ Delta) / state.degrees[mixed, None] - 0.5 * state.Y[mixed]
-
-    state.Y_prev = state.Y
+    state.Y_prev = Y
     state.Y, state.H, state.Lam, state.V = Y_new, H_new, Lam_new, V_new
     state.k += 1
-
-    H_mean = H_new.mean(axis=0)
-    _check_tracking_identity(state, H_mean)
-    dual_res = float(np.max(np.abs(Lam_new.mean(axis=0) - (lam_old_mean + params.sigma * H_mean))))
-    if dual_res > _IDENTITY_TOL and dual_res > _IDENTITY_TOL * np.abs(Lam_new).max():  # 1e-10 max(1, |Lam|)
-        raise AssertionError(f"mean-dual recursion violated by {dual_res:.3e} at iteration {state.k}")
+    state._shared = _check_identities(state, lam_old_mean)
 
 
 def metrics(state: SolverState, reference_value: float | None = None) -> dict:
@@ -382,31 +460,30 @@ def metrics(state: SolverState, reference_value: float | None = None) -> dict:
     |sum_i f_i(y_i)| when f* = 0; eps1/eps2 are the norms of the tracking and
     dual disagreement with their means.
     """
-    p = state.problem
-    N = state.n_agents
-    coupling_gap = float(np.linalg.norm(state.coupling_values() - p.d))
-    first, second = state.pairs
-    consensus_gap = 2.0 * float(np.linalg.norm(state.Y[first] - state.Y[second], axis=1).sum())  # each unordered pair twice
+    p, N, Y = state.problem, state.n_agents, state._Y
+    gap, H_mean, lambda_bar = _reductions(state) if state._shared is None else state._shared
+    coupling_gap = _norm(gap)
+    diff = state.pair_diff @ Y
+    consensus_gap = 2.0 * float(np.sqrt(np.add.reduce(diff * diff, axis=1)).sum())  # each unordered pair twice
     violation = coupling_gap + consensus_gap
 
     if reference_value is None:
         rel = float("nan")
     else:
-        total = sum(p.algorithmic[i].value(state.Y[i]) for i in range(N))
+        total = sum(p.algorithmic[i].value(Y[i]) for i in range(N))
         rel = abs(total - reference_value)
         if reference_value != 0:
             rel /= abs(reference_value)
 
-    lambda_bar = state.Lam.mean(axis=0)
-    eps1 = float(np.linalg.norm(state.H - state.H.mean(axis=0)))
-    eps2 = float(np.linalg.norm(state.Lam - lambda_bar))
+    eps1 = _norm(state._H - H_mean)
+    eps2 = _norm(state._Lam - lambda_bar)
     return {
         "iter": state.k,
         "rel_error": rel,
         "violation": violation,
         "eps1_norm": eps1,
         "eps2_norm": eps2,
-        "lambda_bar": lambda_bar,
+        "lambda_bar": lambda_bar.copy(),  # the kept mean stays the state's
     }
 
 
@@ -425,8 +502,9 @@ class SolveResult:
     state: SolverState
     # Subproblems the batched warm pass certified ("warm_hits") and those
     # solved one agent at a time ("repairs"), in either mode; they add up to
-    # iterations * N.
-    stats: dict[str, int] = field(default_factory=dict)
+    # iterations * N. Then the seconds spent per phase (``PHASES``, see
+    # ``SolverState.phase_s``), which add up to at most the solve's wall time.
+    stats: dict[str, float] = field(default_factory=dict)
 
     @property
     def lambda_bar(self) -> np.ndarray:
@@ -446,18 +524,22 @@ def solve(
     params = params or SolverParams()
     state = init_state(problem, graph, params, y0=y0)
     trace = IterTrace(n_coupling=problem.n_coupling)
+    clock = time.perf_counter
+    t0 = clock()
     row = metrics(state, reference_value)
+    state.phase_s["metrics_s"] += clock() - t0
     trace.append(row["iter"], row["rel_error"], row["violation"], row["eps1_norm"], row["eps2_norm"], row["lambda_bar"], 0.0)
 
     converged = False
     for _ in range(params.max_iter):
-        t0 = time.perf_counter()
+        t0 = clock()
         iterate(state)
-        wall = (time.perf_counter() - t0) * 1e3
+        t1 = clock()
         row = metrics(state, reference_value)
-        trace.append(row["iter"], row["rel_error"], row["violation"], row["eps1_norm"], row["eps2_norm"], row["lambda_bar"], wall)
-        step = float(np.max(np.abs(state.Y - state.Y_prev)))
-        if row["violation"] <= params.violation_tol and step <= params.step_tol:
+        state.phase_s["metrics_s"] += clock() - t1
+        trace.append(row["iter"], row["rel_error"], row["violation"], row["eps1_norm"], row["eps2_norm"], row["lambda_bar"], (t1 - t0) * 1e3)
+        # The step is read only once the violation passes: until then it cannot stop the run.
+        if row["violation"] <= params.violation_tol and float(np.max(np.abs(state._Y - state.Y_prev))) <= params.step_tol:
             converged = True
             break
 
@@ -469,5 +551,5 @@ def solve(
         iterations=state.k,
         consensus_x=state.Y.mean(axis=0),
         state=state,
-        stats={"warm_hits": state.warm_hits, "repairs": state.repairs},
+        stats={"warm_hits": state.warm_hits, "repairs": state.repairs, **state.phase_s},
     )

@@ -64,6 +64,9 @@ _SIGMA_REG = 1e-6
 _RHO_INEQ = 1.0
 _RHO_EQ_FACTOR = 1e3
 _CERT_TOL = 1e-9
+# The ufuncs' own reductions: ndarray.max and .min wrap them in Python, which
+# costs as much as the reduction on the small arrays of a batched polish step.
+_max, _min = np.maximum.reduce, np.minimum.reduce
 
 
 @dataclass
@@ -158,22 +161,22 @@ def _vm(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return v @ M if M.ndim == 2 else (v[..., None, :] @ M)[..., 0, :]
 
 
-def _kkt_residuals(P, q, E, h, G, u, x, lam, alpha) -> dict[str, np.ndarray]:
-    """Maxima of the KKT residuals of (x, lam, alpha): one value, or one per
-    candidate when the arguments carry a leading axis of candidates (and the
-    matrices one of problems); see ``_step_verdict``."""
-    viol = _mv(G, x) - u
+def _kkt_residuals(P, q, E, h, G, u, x, lam, alpha, Gx) -> dict[str, np.ndarray]:
+    """Maxima of the KKT residuals of (x, lam, alpha), given ``Gx = G x``: one
+    value, or one per candidate when the arguments carry a leading axis of
+    candidates (and the matrices one of problems); see ``_step_verdict``."""
+    viol = Gx - u
     stat = _mv(P, x) + q + _vm(alpha, G)
     eq = 0.0
     if E.shape[-2]:
         stat += _vm(lam, E)
         eq = np.abs(_mv(E, x) - h).max(-1)
     return {
-        "stationarity": np.abs(stat).max(-1, initial=0.0),
+        "stationarity": _max(np.abs(stat), -1, initial=0.0),
         "eq_feasibility": eq,
-        "ineq_feasibility": viol.max(-1, initial=0.0),
-        "dual_nonneg": (-alpha).max(-1, initial=0.0),
-        "comp_slack": np.abs(alpha * viol).max(-1, initial=0.0),
+        "ineq_feasibility": _max(viol, -1, initial=0.0),
+        "dual_nonneg": _max(-alpha, -1, initial=0.0),
+        "comp_slack": _max(np.abs(alpha * viol), -1, initial=0.0),
     }
 
 
@@ -206,13 +209,14 @@ def _step_verdict(P, q, E, h, G, u, x, lam, alpha, act: np.ndarray, tol: float):
     ``res`` and ``tight``: a repair step does not need them.
     """
     drop_tol = max(tol, 1e-11)
-    slack = u - _mv(G, x)
-    drop = alpha.min(-1, initial=0.0) < -drop_tol  # alpha is zero off the active rows
-    add = np.where(act, np.inf, slack).min(-1, initial=np.inf) < -drop_tol
+    Gx = _mv(G, x)
+    slack = u - Gx
+    drop = _min(alpha, -1, initial=0.0) < -drop_tol  # alpha is zero off the active rows
+    add = _min(np.where(act, np.inf, slack), -1, initial=np.inf) < -drop_tol
     alpha = np.maximum(alpha, 0.0)
     if drop.ndim == 0 and (drop or add):
         return False, drop, add, alpha, None, None
-    res = _kkt_residuals(P, q, E, h, G, u, x, lam, alpha)
+    res = _kkt_residuals(P, q, E, h, G, u, x, lam, alpha, Gx)
     ok = ~drop & ~add & _residuals_pass(res, tol)
     tight = act & ((alpha > 0) | (slack <= tol))
     return ok, drop, add, alpha, res, tight
@@ -285,15 +289,10 @@ class RepeatedQp:
             raise Infeasible("objective is unbounded below (no constraints, gradient not in range of P)")
         return self._admm(q)
 
-    def _remember(self, x: np.ndarray, active) -> None:
-        """Keep a certified point and its tight set for the next solve's warm start."""
-        self._last_x = x.copy()
-        self._last_active = frozenset(active)
-
     def _solve_empty(self) -> QpSolution:
         """No variables: the empty point is optimal when it is feasible (h = 0, u >= 0)."""
         x, lam, alpha = np.zeros(0), np.zeros(self.me), np.zeros(self.mi)
-        res = _kkt_residuals(self.P, x, self.E, self.h, self.G, self.u, x, lam, alpha)
+        res = _kkt_residuals(self.P, x, self.E, self.h, self.G, self.u, x, lam, alpha, self.G @ x)
         if not _residuals_pass(res, self.tol):
             raise Infeasible("a QP without variables needs h = 0 and u >= 0")
         return QpSolution(x=x, lam=lam, alpha=alpha, status="optimal", iterations=0, active=(), residuals=res)
@@ -336,7 +335,7 @@ class RepeatedQp:
                 continue
             if ok:
                 sol = QpSolution(x=x, lam=lam, alpha=alpha_c, status="optimal", iterations=0, active=tuple(tight.nonzero()[0].tolist()), residuals=res)
-                self._remember(sol.x, sol.active)
+                self._last_x, self._last_active = x.copy(), frozenset(sol.active)  # the next solve's warm start
                 return sol
             return None
         return None
@@ -479,7 +478,7 @@ class RepeatedQp:
         lam, alpha = y[:me], np.maximum(y[me:], 0.0)
         return QpSolution(
             x=x, lam=lam, alpha=alpha, status="max_iter", iterations=k, active=tuple(np.flatnonzero(alpha > act_tol).tolist()),
-            residuals=_kkt_residuals(self.P, q, self.E, h, self.G, self.u, x, lam, alpha),
+            residuals=_kkt_residuals(self.P, q, self.E, h, self.G, self.u, x, lam, alpha, self.G @ x),
         )
 
     def _certify_infeasible(self, dy: np.ndarray) -> None:
@@ -554,16 +553,24 @@ class WarmBatch:
         n, N = self.n, len(self.qps)
         warm = np.zeros(N, dtype=bool)
         for i, qp in enumerate(self.qps):
-            if qp._last_active is not None:
-                warm[i] = qp._last_active == self.sets[i] or self._load(i, qp._last_active)
+            last = qp._last_active
+            if last is not None:
+                warm[i] = last is self.sets[i] or last == self.sets[i] or self._load(i, last)
         out = (self.L @ Q[..., None])[..., 0] + self.c
         X, alpha = out[:, :n], out[:, n:]
         ok, _, _, _, _, tight = _step_verdict(self.P, Q, _empty(n), np.zeros(0), self.G, self.u, X, np.zeros((N, 0)), alpha, self.act, self.tol)
         ok &= warm
-        same = (tight == self.act).all(axis=1)
-        for i in np.flatnonzero(ok):
+        # What each accepted QP's own solve would remember: its point (one copy
+        # of the accepted rows serves them all) and, where the tight rows moved
+        # off the guessed set, the new tight set.
+        accepted = ok.nonzero()[0]
+        kept = X[accepted]
+        moved = np.logical_or.reduce(tight != self.act, axis=1).tolist()
+        for j, i in enumerate(accepted.tolist()):
             qp = self.qps[i]
-            qp._remember(X[i, : qp.n], self.sets[i] if same[i] else np.flatnonzero(tight[i]).tolist())
+            qp._last_x = kept[j, : qp.n]
+            if moved[i]:
+                qp._last_active = frozenset(tight[i].nonzero()[0].tolist())
         return X, ok
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .errors import DimensionMismatch, Infeasible, NoPathExists, UnknownAgent
+from .errors import DimensionMismatch, Infeasible, NoPathExists
 from .graphs import CommGraph, build_graph, random_connected_graph
 from .problem import CoupledProblem, ReportedProblem, assemble_problem, centralized_solve, solve_without
 
@@ -232,7 +232,9 @@ class TransportInstance:
         return [list(zip(*labels.tolist())) for labels in _var_layout(self.network, self.paths)]
 
     def used_edge_indices(self, i: int) -> list[int]:
-        """Edge indices (original numbering) that agent i's routes traverse."""
+        """Edge indices (original numbering) that agent i's routes traverse.
+        An agent outside [0, N) raises ``UnknownAgent``, as ``block`` does."""
+        self.problem.block(i)
         return [e for e, share in zip(self.incidence.used_edges, self.incidence.kappa[i]) if share > 0]
 
     def with_reported_costs(self, reports: dict[int, np.ndarray]) -> ReportedProblem:
@@ -261,10 +263,8 @@ class TransportInstance:
         (reported costs are floored at zero)."""
         reports = {}
         for i, delta in deltas.items():
-            if not 0 <= i < self.problem.n_agents:
-                raise UnknownAgent(f"agent {i} of {self.problem.n_agents}")
+            used = self.used_edge_indices(i)  # an unknown agent is rejected first
             c = np.array(self.network.edge_costs[i], dtype=float)
-            used = self.used_edge_indices(i)
             c[used] = np.maximum(c[used] + delta, 0.0)
             reports[i] = c
         return self.with_reported_costs(reports)

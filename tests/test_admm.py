@@ -6,6 +6,7 @@ import copy
 import csv
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -332,6 +333,51 @@ def test_metrics_counts_both_ordered_pairs():
     assert abs(row["violation"] - (coupling + 2 * 0.5)) < 1e-12
 
 
+def _metrics_from_arrays(state, reference_value):
+    """The trace row, by the textbook formula on each of the state's arrays."""
+    p, Y = state.problem, state.Y
+    first, second = np.triu_indices(state.n_agents, 1)
+    violation = float(np.linalg.norm(np.einsum("ikn,in->k", state.A_pad, Y) - p.d)) + 2.0 * float(np.linalg.norm(Y[first] - Y[second], axis=1).sum())
+    total = sum(p.algorithmic[i].value(Y[i]) for i in range(state.n_agents))
+    lambda_bar = state.Lam.mean(axis=0)
+    eps1 = float(np.linalg.norm(state.H - state.H.mean(axis=0)))
+    eps2 = float(np.linalg.norm(state.Lam - lambda_bar))
+    return [state.k, abs(total - reference_value) / abs(reference_value), violation, eps1, eps2, *lambda_bar.tolist()]
+
+
+@pytest.mark.parametrize("name", ["Y", "H", "Lam"])
+def test_metrics_reflect_an_in_place_edit_after_a_round(name):
+    # the round hands metrics the reductions of its identity checks; an edit
+    # of an array they came from must still show in the row
+    p = random_instance((4, 2, 3, 2), seed=1).problem
+    state = init_state(p, random_connected_graph(4, np.random.default_rng(1)), SolverParams())
+    for _ in range(3):
+        iterate(state)
+    getattr(state, name)[0] += 0.25
+    ref = centralized_solve(p).value
+    row = metrics(state, ref)
+    keys = ("iter", "rel_error", "violation", "eps1_norm", "eps2_norm")
+    assert [row[key] for key in keys] + row["lambda_bar"].tolist() == _metrics_from_arrays(state, ref)
+
+
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+def test_every_trace_row_is_the_metrics_of_its_state(mode):
+    # the round may share work with metrics only if every row solve records
+    # is, bit for bit, what the state's own arrays give
+    p = random_instance((4, 2, 3, 2), seed=1).problem
+    g = random_connected_graph(4, np.random.default_rng(1))
+    params = SolverParams(mode=mode, max_iter=50, violation_tol=0.0, step_tol=0.0)
+    ref = centralized_solve(p).value
+    res = solve(p, g, params, reference_value=ref)
+    rows = [row[:-1] for row in res.trace.rows()]  # without wall_ms
+    assert len(rows) == 51
+    state = init_state(p, g, params)
+    assert rows[0] == _metrics_from_arrays(state, ref)
+    for row in rows[1:]:
+        iterate(state)
+        assert row == _metrics_from_arrays(state, ref)
+
+
 def test_metrics_initial_violation_is_demand_norm():
     p = star_problem()
     state = init_state(p, K3, SolverParams())
@@ -552,6 +598,19 @@ def test_pinned_round_counts(mode, seed, rounds):
     assert res.stats["warm_hits"] > res.stats["repairs"]
 
 
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+def test_solve_reports_seconds_per_phase(mode):
+    p = random_instance((4, 2, 3, 2), seed=0).problem
+    g = random_connected_graph(4, np.random.default_rng(0))
+    t0 = time.perf_counter()
+    res = solve(p, g, SolverParams(mode=mode, max_iter=100))
+    wall = time.perf_counter() - t0
+    phases = [res.stats[name] for name in ("mix_s", "batch_s", "repair_s", "finish_s", "metrics_s")]
+    assert all(seconds >= 0.0 for seconds in phases)
+    assert sum(phases) <= wall
+    assert res.stats["warm_hits"] + res.stats["repairs"] == res.iterations * p.n_agents
+
+
 def test_warm_start_from_optimum_converges_to_same_point():
     # duals always start at zero, so a primal-only warm start still has to
     # rebuild the dual trajectory; it must converge to the same solution in a
@@ -597,6 +656,30 @@ def test_single_agent_solve_reduces_to_centralized():
     assert res.converged
     np.testing.assert_allclose(res.x, ref.x, atol=1e-8)
     np.testing.assert_allclose(res.lam[0], -ref.lam, atol=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+def test_an_agent_without_neighbours_keeps_its_anchor(mode):
+    state = init_state(single_agent_problem(), build_graph(1, []), SolverParams(mode=mode))
+    V0 = state.V.copy()
+    for _ in range(5):
+        iterate(state)
+        np.testing.assert_array_equal(state.V, V0)
+    assert not np.array_equal(state.Y, V0)  # the copy moved, the anchor did not
+
+
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+def test_solve_without_coupling_rows(mode):
+    # no coupling rows leaves only the consensus of the copies; the identity
+    # checks reduce over empty vectors
+    agents = [
+        (np.diag([2.0, 1.0]), np.array([-1.0, 1.0]), np.array([[-1.0]]), np.array([0.0])),
+        (np.diag([1.0, 3.0]), np.array([1.0, -2.0]), np.array([[-1.0]]), np.array([0.0])),
+    ]
+    p = assemble_problem(agents=agents, A=[np.zeros((0, 1))] * 2, d=np.zeros(0))
+    res = solve(p, build_graph(2, [(0, 1)]), SolverParams(mode=mode, violation_tol=1e-9, step_tol=1e-9))
+    assert res.converged
+    np.testing.assert_allclose(res.x, centralized_solve(p).x, atol=1e-8)
 
 
 def test_own_block_and_average_extractions_agree_at_convergence():

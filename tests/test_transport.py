@@ -357,6 +357,13 @@ def test_perturbed_reports_shift_used_edges_and_clip():
     np.testing.assert_allclose(rp2.reported.algorithmic[0].psi, [0.0, 0.0, 0.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("agent", [-1, 4])
+def test_used_edges_of_an_unknown_agent_are_rejected(agent):
+    inst = random_instance((4, 2, 3, 2), 1)
+    with pytest.raises(UnknownAgent, match=f"agent {agent} of 4"):
+        inst.used_edge_indices(agent)
+
+
 @pytest.mark.parametrize("agent", [3, 99, -1])
 def test_reports_of_an_unknown_agent_are_rejected(agent):
     inst = three_star()
