@@ -47,18 +47,18 @@ by the usual warm-started, repairing QP solve, so every returned point is
 KKT-certified. ``SolverState`` and ``SolveResult.stats`` count both kinds.
 
 A round does each piece of work once. The identity checks reduce the new
-arrays to the coupling gap sum_i A~_i y_i - d and the means of eta and lam,
-and the state keeps these for ``metrics`` and the next round's mean-dual
-check. Reading or replacing Y, H or Lam from outside the module drops them,
-since the reader may edit the array in place; ``metrics`` then reduces the
-arrays itself, so its row always describes the state as it stands. Each
-reduction keeps the float operations of its textbook form (a mean is a sum
-over agents divided by N), so iterates and trace are bitwise the textbook
-ones. ``SolveResult.stats`` also holds the seconds spent per phase.
+arrays to the coupling gap sum_i A~_i y_i - d and the means of eta and lam;
+``iterate`` returns these, and ``solve`` builds each round's trace row from
+them. ``metrics`` reduces the arrays as they stand, so its row describes the
+state even after an edit between rounds. Each reduction keeps the float
+operations of its textbook form (a mean is a sum over agents divided by N),
+so iterates and trace are bitwise the textbook ones. ``SolveResult.stats``
+also holds the seconds spent per phase.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -66,7 +66,7 @@ import numpy as np
 import scipy.linalg
 
 from ._csv import write_csv
-from .errors import DimensionMismatch, InfeasibleInitialPoint
+from .errors import DecompositionMismatch, DimensionMismatch, InfeasibleInitialPoint
 from .graphs import CommGraph, metropolis_weights
 from .problem import CoupledProblem, feasible_point
 from .qp import RepeatedQp, WarmBatch
@@ -92,25 +92,7 @@ _max = np.maximum.reduce  # the ufunc itself: ndarray.max's wrapper costs as muc
 def _norm(r: np.ndarray) -> float:
     """The 2-norm of all of r, by the dot product ``np.linalg.norm`` takes."""
     r = r.ravel()
-    return float(np.sqrt(r.dot(r)))
-
-
-def _round_array(name: str) -> property:
-    """A state array kept in ``_<name>`` behind a property. Reading or
-    replacing it through the property drops the reductions the last round
-    shared with ``metrics`` (``SolverState._shared``): the reader may edit the
-    array in place, so they may no longer describe it."""
-    slot = "_" + name
-
-    def get(state):
-        state._shared = None
-        return getattr(state, slot)
-
-    def put(state, value):
-        state._shared = None
-        setattr(state, slot, value)
-
-    return property(get, put)
+    return math.sqrt(r.dot(r))
 
 
 @dataclass(frozen=True)
@@ -198,7 +180,7 @@ class SolverState:
     warm_hits: int = 0  # subproblems the batched warm pass certified
     repairs: int = 0  # subproblems solved one agent at a time
     # Seconds per phase: exchange and linear terms, batched warm pass and lifts,
-    # repairs, recursions and checks, and solve's metrics calls.
+    # repairs, recursions and checks, and solve's trace rows.
     phase_s: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     # One subproblem QP per agent, batched by one WarmBatch in both modes: over
     # the full copy in plain mode, over the own block in accelerated mode.
@@ -213,11 +195,6 @@ class SolverState:
     # stays put.
     _anchor_deg: np.ndarray | None = field(default=None, repr=False)
     _anchor_half: np.ndarray | None = field(default=None, repr=False)
-    # What the last identity check reduced the arrays to, (sum_i A~_i y_i - d,
-    # mean eta, mean lam) (see _reductions), for metrics and the next round's
-    # mean-dual check; None once Y, H or Lam was read or replaced from outside
-    # (see _round_array). The module reads them as _Y, _H and _Lam.
-    _shared: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n_agents(self) -> int:
@@ -225,26 +202,25 @@ class SolverState:
 
     def coupling_values(self) -> np.ndarray:
         """sum_i A~_i y_i over the agents' own copies."""
-        return np.einsum("ikn,in->k", self.A_pad, self._Y)
+        return np.einsum("ikn,in->k", self.A_pad, self.Y)
 
     def own_block_x(self) -> np.ndarray:
         """Each agent's own block, taken from its own copy."""
-        return self._Y[self.owner, np.arange(self.problem.n_total)]
-
-
-# Set on the class after the dataclass is built, so Y, H and Lam stay its
-# plain fields while the arrays live in _Y, _H and _Lam.
-SolverState.Y = _round_array("Y")
-SolverState.H = _round_array("H")
-SolverState.Lam = _round_array("Lam")
+        return self.Y[self.owner, np.arange(self.problem.n_total)]
 
 
 def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, y0=None) -> SolverState:
     """Initial state: lam = 0, eta_i = A~_i y_i - d/N, v_i the average of the
     edge midpoints at agent i. Default start is y_i = 0 when feasible for the
-    agent's own set, else a minimum-norm feasible point on the own block."""
+    agent's own set, else a minimum-norm feasible point on the own block.
+    The solver optimizes the algorithmic decomposition, so it must sum to the
+    actual total objective (``DecompositionMismatch`` otherwise)."""
     if graph.n_agents != problem.n_agents:
         raise DimensionMismatch(f"graph has {graph.n_agents} agents, problem has {problem.n_agents}")
+    for name, alg, act in zip(("Hessian", "linear term"), problem.total_quadratic("algorithmic"), problem.total_quadratic("actual")):
+        gap = float(np.abs(alg - act).max(initial=0.0))
+        if gap > 1e-9 * max(np.abs(alg).max(initial=0.0), np.abs(act).max(initial=0.0)):
+            raise DecompositionMismatch(f"algorithmic and actual total {name}s differ by {gap:.3e}")
     N, n = problem.n_agents, problem.n_total
     Y = np.zeros((N, n))
     for i in range(N):
@@ -270,11 +246,8 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         mid = 0.5 * (Y[i] + Y[j])
         V[i] += mid
         V[j] += mid
-    for i in range(N):
-        if deg[i] > 0:
-            V[i] /= deg[i]
-        else:
-            V[i] = Y[i]
+    anchor_deg = np.where(deg > 0, deg, 1.0)[:, None]
+    V = np.where(deg[:, None] > 0, V / anchor_deg, Y)  # an agent without neighbours anchors at its copy
 
     first, second = np.triu_indices(N, 1)
     state = SolverState(
@@ -292,11 +265,11 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         owner=np.repeat(np.arange(N), problem.dims),
         adjacency=graph.adjacency().astype(float),
         pair_diff=np.eye(N)[first] - np.eye(N)[second],
-        _anchor_deg=np.where(deg > 0, deg, 1.0)[:, None],
+        _anchor_deg=anchor_deg,
         _anchor_half=np.where(deg > 0, 0.5, 0.0)[:, None],
     )
     _build_subproblem_qps(state)
-    state._shared = _check_identities(state)
+    _check_identities(state)
     return state
 
 
@@ -353,7 +326,7 @@ def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray) -> np.nd
     """Every agent's subproblem linear term q_i, one row each, from their
     mixed tracking and dual estimates (rows of Gamma and L)."""
     params = state.params
-    own_coupling = (state.A_pad @ state._Y[..., None])[..., 0]
+    own_coupling = (state.A_pad @ state.Y[..., None])[..., 0]
     mixed = L + params.sigma * (Gamma - own_coupling)
     anchor = params.rho * state.degrees[:, None] * state.V
     return state.psi - anchor + (mixed[:, None] @ state.A_pad)[:, 0]
@@ -384,7 +357,7 @@ def _reductions(state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     mean a sum over agents divided by N: what the identity checks compare and
     metrics reports."""
     N = state.n_agents
-    return state.coupling_values() - state.problem.d, state._H.sum(axis=0) / N, state._Lam.sum(axis=0) / N
+    return state.coupling_values() - state.problem.d, np.add.reduce(state.H, 0) / N, np.add.reduce(state.Lam, 0) / N
 
 
 def _check_identities(state: SolverState, lam_old_mean: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -392,25 +365,27 @@ def _check_identities(state: SolverState, lam_old_mean: np.ndarray | None = None
     mean dual before the round, the mean-dual recursion, each at 1e-10 scaled
     by the size of its terms (read only past 1e-10). Returns the reductions
     it compared (``_reductions``)."""
-    shared = gap, H_mean, lam_mean = _reductions(state)
+    reduced = gap, H_mean, lam_mean = _reductions(state)
     res = float(_max(np.abs(state.n_agents * H_mean - gap), initial=0.0))
     if res > _IDENTITY_TOL:  # the bound is 1e-10 max(1, |A~||Y|, |d|); read the scale only past 1e-10
-        scale = max(np.abs(state.A_pad).max(initial=0.0) * np.abs(state._Y).max(initial=0.0), np.abs(state.problem.d).max())
+        scale = max(np.abs(state.A_pad).max(initial=0.0) * np.abs(state.Y).max(initial=0.0), np.abs(state.problem.d).max())
         if res > _IDENTITY_TOL * scale:
             raise AssertionError(f"tracking identity violated by {res:.3e} at iteration {state.k}")
     if lam_old_mean is not None:
         dual_res = float(_max(np.abs(lam_mean - (lam_old_mean + state.params.sigma * H_mean)), initial=0.0))
-        if dual_res > _IDENTITY_TOL and dual_res > _IDENTITY_TOL * np.abs(state._Lam).max():  # 1e-10 max(1, |Lam|)
+        if dual_res > _IDENTITY_TOL and dual_res > _IDENTITY_TOL * np.abs(state.Lam).max():  # 1e-10 max(1, |Lam|)
             raise AssertionError(f"mean-dual recursion violated by {dual_res:.3e} at iteration {state.k}")
-    return shared
+    return reduced
 
 
-def iterate(state: SolverState) -> None:
+def iterate(state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance the state by one synchronous round (two exchanges), enforcing
-    the tracking identity and the mean-dual recursion at a scaled 1e-10."""
+    the tracking identity and the mean-dual recursion at a scaled 1e-10.
+    Returns what the checks reduced the new arrays to: (sum_i A~_i y_i - d,
+    mean eta, mean lam)."""
     clock = time.perf_counter
     t0 = clock()
-    gamma_all, l_all = communication_round_tracking(state._H, state._Lam, state.W)
+    gamma_all, l_all = communication_round_tracking(state.H, state.Lam, state.W)
     Q = _linear_terms(state, gamma_all, l_all)
     t1 = clock()
     if state._lift is None:
@@ -426,20 +401,21 @@ def iterate(state: SolverState) -> None:
     state.repairs += len(repair)
     state.warm_hits += state.n_agents - len(repair)
     t3 = clock()
-    _finish_round(state, gamma_all, l_all, Y_new)
+    reduced = _finish_round(state, gamma_all, l_all, Y_new)
     spent = state.phase_s
     spent["mix_s"] += t1 - t0
     spent["batch_s"] += t2 - t1
     spent["repair_s"] += t3 - t2
     spent["finish_s"] += clock() - t3
+    return reduced
 
 
-def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, Y_new: np.ndarray) -> None:
+def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, Y_new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The round after the subproblems: recursion updates, the second exchange
-    and the identity checks."""
-    Y, shared = state._Y, state._shared
+    and the identity checks, whose reductions it returns."""
+    Y = state.Y
     H_new = gamma_all + np.einsum("ikn,in->ik", state.A_pad, Y_new - Y)
-    lam_old_mean = _reductions(state)[2] if shared is None else shared[2]
+    lam_old_mean = np.add.reduce(state.Lam, 0) / state.n_agents
     Lam_new = l_all + state.params.sigma * H_new
     # v_i += mean over neighbours of (y_j(new) - y_j/2) - y_i/2; an agent
     # without neighbours adds 0/1 - 0*y_i, so its anchor stays where it is.
@@ -448,7 +424,7 @@ def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, 
     state.Y_prev = Y
     state.Y, state.H, state.Lam, state.V = Y_new, H_new, Lam_new, V_new
     state.k += 1
-    state._shared = _check_identities(state, lam_old_mean)
+    return _check_identities(state, lam_old_mean)
 
 
 def metrics(state: SolverState, reference_value: float | None = None) -> dict:
@@ -458,32 +434,28 @@ def metrics(state: SolverState, reference_value: float | None = None) -> dict:
     ||y_i - y_j||_2; rel_error = |sum_i f_i(y_i) - f*| / |f*| when a reference
     objective value f* is supplied (NaN otherwise), and the absolute error
     |sum_i f_i(y_i)| when f* = 0; eps1/eps2 are the norms of the tracking and
-    dual disagreement with their means.
+    dual disagreement with their means. The arrays are reduced as they stand.
     """
-    p, N, Y = state.problem, state.n_agents, state._Y
-    gap, H_mean, lambda_bar = _reductions(state) if state._shared is None else state._shared
-    coupling_gap = _norm(gap)
+    return _row(state, _reductions(state), reference_value)
+
+
+def _row(state: SolverState, reduced: tuple[np.ndarray, np.ndarray, np.ndarray], reference_value: float | None) -> dict:
+    """The ``metrics`` row of the state, given its ``_reductions``."""
+    p, N, Y = state.problem, state.n_agents, state.Y
+    gap, H_mean, lambda_bar = reduced
     diff = state.pair_diff @ Y
-    consensus_gap = 2.0 * float(np.sqrt(np.add.reduce(diff * diff, axis=1)).sum())  # each unordered pair twice
-    violation = coupling_gap + consensus_gap
-
-    if reference_value is None:
-        rel = float("nan")
-    else:
-        total = sum(p.algorithmic[i].value(Y[i]) for i in range(N))
-        rel = abs(total - reference_value)
-        if reference_value != 0:
-            rel /= abs(reference_value)
-
-    eps1 = _norm(state._H - H_mean)
-    eps2 = _norm(state._Lam - lambda_bar)
+    consensus_gap = 2.0 * float(np.add.reduce(np.sqrt(np.add.reduce(diff * diff, axis=1))))  # each unordered pair twice
+    rel = float("nan")
+    if reference_value is not None:
+        rel = abs(sum(p.algorithmic[i].value(Y[i]) for i in range(N)) - reference_value)
+        rel /= abs(reference_value) or 1.0  # the absolute error when f* = 0
     return {
         "iter": state.k,
         "rel_error": rel,
-        "violation": violation,
-        "eps1_norm": eps1,
-        "eps2_norm": eps2,
-        "lambda_bar": lambda_bar.copy(),  # the kept mean stays the state's
+        "violation": _norm(gap) + consensus_gap,
+        "eps1_norm": _norm(state.H - H_mean),
+        "eps2_norm": _norm(state.Lam - lambda_bar),
+        "lambda_bar": lambda_bar,
     }
 
 
@@ -491,7 +463,12 @@ def metrics(state: SolverState, reference_value: float | None = None) -> dict:
 class SolveResult:
     """Outcome of ``solve``. Dual sign: ``lam`` and ``lambda_bar`` estimate
     the negative of ``CentralSolution.lam``; at convergence ``-lambda_bar``
-    approaches ``centralized_solve(problem).lam``."""
+    approaches ``centralized_solve(problem).lam``.
+
+    The trace's first row is ``metrics`` of the initial state, which reduces
+    the arrays as they stand; each later row is built from the reductions
+    its round's ``iterate`` returned, and is bitwise what ``metrics`` gives
+    on that round's state."""
 
     x: np.ndarray  # each agent's own block taken from its own copy
     lam: np.ndarray  # (N, n0) final per-agent dual estimates
@@ -499,7 +476,6 @@ class SolveResult:
     converged: bool
     iterations: int
     consensus_x: np.ndarray  # average of all copies (diagnostic)
-    state: SolverState
     # Subproblems the batched warm pass certified ("warm_hits") and those
     # solved one agent at a time ("repairs"), in either mode; they add up to
     # iterations * N. Then the seconds spent per phase (``PHASES``, see
@@ -533,13 +509,13 @@ def solve(
     converged = False
     for _ in range(params.max_iter):
         t0 = clock()
-        iterate(state)
+        reduced = iterate(state)
         t1 = clock()
-        row = metrics(state, reference_value)
+        row = _row(state, reduced, reference_value)
         state.phase_s["metrics_s"] += clock() - t1
         trace.append(row["iter"], row["rel_error"], row["violation"], row["eps1_norm"], row["eps2_norm"], row["lambda_bar"], (t1 - t0) * 1e3)
         # The step is read only once the violation passes: until then it cannot stop the run.
-        if row["violation"] <= params.violation_tol and float(np.max(np.abs(state._Y - state.Y_prev))) <= params.step_tol:
+        if row["violation"] <= params.violation_tol and float(np.max(np.abs(state.Y - state.Y_prev))) <= params.step_tol:
             converged = True
             break
 
@@ -550,6 +526,5 @@ def solve(
         converged=converged,
         iterations=state.k,
         consensus_x=state.Y.mean(axis=0),
-        state=state,
         stats={"warm_hits": state.warm_hits, "repairs": state.repairs, **state.phase_s},
     )

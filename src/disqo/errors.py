@@ -65,3 +65,7 @@ class ActiveSetChanged(DisqoError):
 
 class InvalidConfig(DisqoError):
     """A configuration file is malformed, incomplete, or has a bad value."""
+
+
+class DecompositionMismatch(DisqoError):
+    """The algorithmic and actual decompositions sum to different total objectives."""

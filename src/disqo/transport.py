@@ -86,6 +86,9 @@ class TransportNetwork:
         for t, h in self.edges:
             if not (0 <= t < self.n_nodes and 0 <= h < self.n_nodes) or t == h:
                 raise DimensionMismatch(f"bad edge ({t},{h})")
+        outside = [v for v in (*self.suppliers, *self.demanders) if not 0 <= v < self.n_nodes]
+        if outside:
+            raise DimensionMismatch(f"supplier or demander node(s) {outside} outside [0, {self.n_nodes})")
         if self.inventories.shape != (self.n_suppliers, self.n_commodities):
             raise DimensionMismatch("inventories shape")
         if self.edge_costs.shape != (self.n_suppliers, E):

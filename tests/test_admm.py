@@ -16,6 +16,7 @@ from disqo.admm import (
     SolverParams,
     _finish_round,
     _linear_terms,
+    _reductions,
     _schur_lift,
     _solve_agent,
     _subproblem_hessian,
@@ -25,7 +26,7 @@ from disqo.admm import (
     metrics,
     solve,
 )
-from disqo.errors import DimensionMismatch, InfeasibleInitialPoint
+from disqo.errors import DecompositionMismatch, DimensionMismatch, InfeasibleInitialPoint
 from disqo.graphs import build_graph, metropolis_weights, random_connected_graph
 from disqo.problem import assemble_problem, centralized_solve, reconcile_dual
 from disqo.star import StarInstance, to_transport
@@ -143,6 +144,25 @@ def test_init_tracking_identity_holds():
 def test_init_graph_size_mismatch():
     with pytest.raises(DimensionMismatch):
         init_state(star_problem(), build_graph(2, [(0, 1)]), SolverParams())
+
+
+@pytest.mark.parametrize("actual_sigma, actual_psi", [((8.0, 2.0), (0.0, 0.0)), ((2.0, 2.0), (1.0, 0.0))], ids=["hessian", "linear-term"])
+def test_init_rejects_decompositions_with_different_totals(actual_sigma, actual_psi):
+    # x0 + x1 = 2 with algorithmic total diag(2, 2): the distributed solver
+    # would settle at [1, 1], while the actual costs put the optimum elsewhere
+    # (at [0.4, 1.6] for the actual Hessian diag(8, 2)).
+    e = np.eye(2)
+    p = assemble_problem(
+        agents=[(2.0 * np.outer(e[i], e[i]), np.zeros(2), None, None) for i in range(2)],
+        A=[np.array([[1.0]]), np.array([[1.0]])],
+        d=np.array([2.0]),
+        actual=[(actual_sigma[i] * np.outer(e[i], e[i]), actual_psi[i] * e[i]) for i in range(2)],
+    )
+    g = build_graph(2, [(0, 1)])
+    with pytest.raises(DecompositionMismatch, match="differ by"):
+        init_state(p, g, SolverParams())
+    with pytest.raises(DecompositionMismatch):
+        solve(p, g, SolverParams())
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +468,29 @@ def test_identity_checks_scale_with_the_data(mode):
         res = solve(p, g, SolverParams(mode=mode, max_iter=1000))
         assert res.converged, f"seed {seed}"
         np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-9 * np.abs(ref.x).max())
+
+
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+def test_iterate_returns_the_reductions_of_the_new_state(mode):
+    state = _desk_state(1, mode)
+    for _ in range(10):
+        reduced = iterate(state)
+        for got, want in zip(reduced, _reductions(state), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+def test_an_edit_of_lam_between_rounds_is_no_mean_dual_violation(mode):
+    # The next round's mean-dual check must start from the edited mean, not
+    # from the mean the previous round reduced.
+    state = _desk_state(1, mode)
+    for _ in range(5):
+        iterate(state)
+    state.Lam[0] += 0.25
+    lam_mean_before = state.Lam.mean(axis=0)
+    iterate(state)
+    expected = lam_mean_before + state.params.sigma * state.H.mean(axis=0)
+    assert float(np.abs(state.Lam.mean(axis=0) - expected).max()) <= 1e-10
 
 
 @pytest.mark.parametrize("mode", ["plain", "accelerated"])

@@ -517,6 +517,18 @@ def test_validate_fails_on_a_bad_value_in_any_section_a_command_reads(tmp_path, 
     assert f"FAIL: {check}" in capsys.readouterr().out
 
 
+def test_instance_with_a_supplier_outside_the_network_exits_one(tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    main(["gen", "--scale", "4,2,3,2", "--seed", "7", "--out", str(inst_file)])
+    data = json.loads(inst_file.read_text())
+    data["suppliers"][0] = data["n_nodes"]
+    inst_file.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(inst_file)]) == 1
+    assert "FAIL: instance (DimensionMismatch" in capsys.readouterr().out
+    assert main(["solve", "--config", str(inst_file), "--out", str(tmp_path / "run")]) == 1
+    assert "outside" in capsys.readouterr().err
+
+
 def test_validate_accepts_bare_instance_file(tmp_path, capsys):
     inst_file = tmp_path / "inst.json"
     main(["gen", "--scale", "3,2,2,2", "--seed", "3", "--out", str(inst_file)])

@@ -417,6 +417,18 @@ def test_infinite_capacity_round_trips_as_null():
     assert np.isinf(net2.pair_capacity).all()
 
 
+@pytest.mark.parametrize("field, nodes", [("suppliers", (0, 99)), ("suppliers", (-1, 1)), ("demanders", (4,))])
+def test_nodes_outside_the_network_are_rejected(tmp_path, field, nodes):
+    # Left unchecked, supplier 99 of a 4-node star had no routes and 0 variables.
+    net = dataclasses.replace(star_network([1.0, 2.0]), **{field: nodes})
+    with pytest.raises(DimensionMismatch, match="outside"):
+        build_instance(net, R=1)
+    path = tmp_path / "instance.json"
+    save_instance(path, net, 1, 4)
+    with pytest.raises(DimensionMismatch, match="outside"):
+        load_instance(path)
+
+
 def test_unsupported_schema_rejected():
     net = star_network([1.0, 2.0])
     data = network_to_dict(net, 1, 2)
