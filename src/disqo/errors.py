@@ -52,7 +52,7 @@ class InfeasibleInitialPoint(DisqoError):
 
 
 class ConventionMismatch(DisqoError):
-    """A dual vector does not satisfy the stationarity system in either sign."""
+    """A dual vector does not satisfy the stationarity system in the sign tested."""
 
 
 class NoPathExists(DisqoError):

@@ -164,8 +164,8 @@ def validate_weights(w: np.ndarray, graph: CommGraph) -> ValidationReport:
 
 def random_connected_graph(n_agents: int, rng: np.random.Generator) -> CommGraph:
     """Erdős–Rényi draw with p = 2 ln N / N (capped at 1), redrawn until connected."""
-    if n_agents == 1:
-        return CommGraph(n_agents=1, edges=frozenset())
+    if n_agents < 1:
+        raise InvalidEdge("need at least one agent")
     p = min(1.0, 2.0 * math.log(n_agents) / n_agents)
     pairs = [(i, j) for i in range(n_agents) for j in range(i + 1, n_agents)]
     for _ in range(_MAX_DRAWS):

@@ -14,7 +14,10 @@ The sweep and the portfolio price their reported problems through
 ``_misreport_benefits``, which solves the truthful market once and starts
 each reported solve from its tight rows. A start that does not polish to a
 certified optimum is a miss, and its solve runs as one without a start (see
-``qp``). No start is kept between calls.
+``qp``). No start is kept between calls. Shadow pricing tests the coupling
+dual in the sign it is given (``problem.dual_residual``) and raises
+``ConventionMismatch`` when it fails; the best-response check enters each
+agent's free coupling multiplier as the column pair A_i', -A_i'.
 
 Conventions: mechanisms only ever see *reported* objectives — prices,
 allocations, and payments are computed from reports, while net costs evaluate
@@ -30,16 +33,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import admm
 from ._csv import write_csv
 from .errors import ConventionMismatch, Infeasible, InfeasibleWithoutAgent, MaxIterReached
+from .graphs import random_connected_graph
 from .problem import (
     CentralSolution,
     CoupledProblem,
     ReportedProblem,
     centralized_solve,
+    dual_residual,
     eval_cost,
     exclude_agent,
-    reconcile_dual,
     resolve,
     solve_without,
     stationarity_residual,
@@ -100,18 +105,15 @@ def shadow_prices(problem, x: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, 
     The gradients use the (reported) interaction objectives, so the price both
     relays the coupling dual and charges each agent the marginal cost its flow
     imposes on the others. ``lam`` must be in the convention of
-    ``centralized_solve`` (grad f = A' lam on free directions); a stationarity
-    check enforces that and raises ``ConventionMismatch`` otherwise.
+    ``centralized_solve`` (grad f = A' lam on free directions) and is tested
+    in the sign given; a dual that fails raises ``ConventionMismatch``.
     """
     p = resolve(problem, "reported")
     x = np.asarray(x, float).ravel()
     lam = np.asarray(lam, float).ravel()
-    fixed = reconcile_dual(p, x, lam)
-    if float(np.abs(fixed - lam).max(initial=0.0)) > 1e-12 * max(1.0, float(np.abs(lam).max(initial=0.0))):
-        raise ConventionMismatch("coupling dual appears to be in the mirrored sign convention; reconcile it first")
-
-    sigma_tot, psi_tot = p.total_quadratic("actual")
-    grad_tot = sigma_tot @ x + psi_tot
+    resid, bound, grad_tot = dual_residual(p, x, lam)
+    if resid > bound:
+        raise ConventionMismatch(f"coupling dual fails stationarity in the sign given ({resid:.2e} > {bound:.2e}); reconcile it first")
     prices = []
     for i in range(p.n_agents):
         blk = p.block(i)
@@ -148,8 +150,8 @@ def sp_equilibrium_check(problem, x: np.ndarray, prices) -> np.ndarray:
 
     Agent i's game problem is: minimize f_i(x_i, x_-i) - prices_i . x_i over
     its local set and the coupling rows, with everyone else frozen. The
-    returned entry i is the KKT stationarity residual of that problem at x_i
-    (distance of the reduced gradient from the cone of active normals).
+    returned entry i is the KKT stationarity residual of that problem at x_i,
+    over the normals [A_i', -A_i', B_tight'] (the coupling rows' are free).
     """
     p = resolve(problem, "reported")
     x = np.asarray(x, float).ravel()
@@ -158,7 +160,7 @@ def sp_equilibrium_check(problem, x: np.ndarray, prices) -> np.ndarray:
     for i in range(p.n_agents):
         own = p.actual[i]
         grad = (own.sigma @ x + own.psi)[p.block(i)] - np.asarray(prices[i], float)
-        out[i] = stationarity_residual(grad, p.A[i].T, p.local[i].B[tight[p.rows(i)]].T)
+        out[i] = stationarity_residual(grad, np.hstack([p.A[i].T, -p.A[i].T, p.local[i].B[tight[p.rows(i)]].T]))
     return out
 
 
@@ -166,14 +168,13 @@ def sp_equilibrium_check(problem, x: np.ndarray, prices) -> np.ndarray:
 # VCG
 
 
-def _distributed_value(p: CoupledProblem, distributed) -> tuple[np.ndarray, float]:
-    """(x, total cost) of ``p`` by the consensus solver."""
-    from . import admm
-    from .graphs import random_connected_graph
-
-    graph, params = distributed
-    if graph is None or graph.n_agents != p.n_agents:
-        # drop-one solves have one agent fewer than the caller's graph
+def _distributed_value(p: CoupledProblem, graph, params) -> tuple[np.ndarray, float]:
+    """(x, total cost) of ``p`` by the consensus solver on ``graph`` (None: the
+    seeded draw); a market without agents is solved centrally."""
+    if not p.n_agents:
+        sol = centralized_solve(p)
+        return sol.x, sol.value
+    if graph is None:
         graph = random_connected_graph(p.n_agents, np.random.default_rng(0))
     res = admm.solve(p, graph, params)
     if not res.converged:
@@ -190,8 +191,10 @@ def vcg_payments(problem, cost_basis: str = "true", distributed=None, solution: 
     caller has one; it is solved here otherwise. Each drop-one solve starts
     from its tight rows. ``distributed`` may be a (graph, SolverParams) pair
     to run the N+1 solves with the consensus algorithm instead of the
-    centralized oracle; a solve that does not converge raises
-    ``MaxIterReached``.
+    centralized oracle: the full market on ``graph`` (``DimensionMismatch``
+    if it does not match), each drop-one market on the seeded draw
+    ``random_connected_graph(N - 1, default_rng(0))``. A solve that does not
+    converge raises ``MaxIterReached``.
     """
     p = resolve(problem, "reported")
     if distributed is None:
@@ -201,8 +204,9 @@ def vcg_payments(problem, cost_basis: str = "true", distributed=None, solution: 
     elif solution is not None:
         raise ValueError("a centralized solution cannot seed distributed VCG")
     else:
-        x_hat, total_hat = _distributed_value(p, distributed)
-        value_without = lambda i: _distributed_value(exclude_agent(p, i), distributed)[1]
+        graph, params = distributed
+        x_hat, total_hat = _distributed_value(p, graph, params)
+        value_without = lambda i: _distributed_value(exclude_agent(p, i), None, params)[1]
     without_i = np.empty(p.n_agents)
     for i in range(p.n_agents):
         try:

@@ -17,7 +17,10 @@ the algorithmic split had charged the agent that left.
 
 One layout table places each agent: ``block(i)`` is its slice of x,
 ``rows(i)`` its slice of the ``local_stacked()`` rows, and ``tight_rows(x)``
-marks the rows tight at x by one rule.
+marks the rows tight at x by one rule. A coupling dual has the one sign of
+``centralized_solve``; ``dual_residual`` tests it as given. Each stationarity
+certificate is one NNLS (``stationarity_residual``), a free multiplier
+entering as columns a, -a.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "exclude_agent",
     "solve_without",
     "reconcile_dual",
+    "dual_residual",
     "stationarity_residual",
     "feasible_point",
 ]
@@ -149,8 +153,7 @@ class CoupledProblem:
         return np.asarray(sigma, float), np.asarray(psi, float)
 
     def total_value(self, x: np.ndarray, which: str = "actual") -> float:
-        sigma, psi = self.total_quadratic(which)
-        return float(0.5 * x @ sigma @ x + psi @ x)
+        return QuadObjective(*self.total_quadratic(which)).value(x)
 
     def local_stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """Block-diagonal stack of all local inequality rows over the full vector."""
@@ -418,49 +421,41 @@ def solve_without(p: CoupledProblem, i: int, full: CentralSolution, tol: float =
     return centralized_solve(without, tol=tol, active=active)
 
 
-def stationarity_residual(grad: np.ndarray, free_cols: np.ndarray | None, nonneg_cols: np.ndarray | None) -> float:
-    """min over (mu free, alpha >= 0) of || grad + free_cols @ mu + nonneg_cols @ alpha ||_2.
-
-    Used to test whether a gradient is a conic combination of constraint
-    normals — the certificate behind both dual-sign reconciliation and
-    best-response optimality checks.
-    """
+def stationarity_residual(grad: np.ndarray, cols: np.ndarray) -> float:
+    """min over alpha >= 0 of || grad + cols @ alpha ||_2: zero when -grad is
+    a conic combination of the columns. A free multiplier on a column a
+    enters as the column pair a, -a."""
     g = np.asarray(grad, float).ravel()
-    F = None if free_cols is None or free_cols.size == 0 else np.atleast_2d(np.asarray(free_cols, float))
-    C = None if nonneg_cols is None or nonneg_cols.size == 0 else np.atleast_2d(np.asarray(nonneg_cols, float))
-    if F is not None:
-        # Project out the span of the free columns.
-        Q, _ = np.linalg.qr(F)
-        proj = lambda v: v - Q @ (Q.T @ v)
-        g = proj(g)
-        C = None if C is None else np.column_stack([proj(c) for c in C.T])
-    if C is None or C.size == 0:
+    C = np.atleast_2d(np.asarray(cols, float))
+    if C.size == 0:
         return float(np.linalg.norm(g))
     _, resid = scipy.optimize.nnls(C, -g)
     return float(resid)
 
 
-def reconcile_dual(problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Map a coupling dual of unknown sign convention onto the convention of
-    ``centralized_solve`` (grad f = A' lam - B_active' alpha, alpha >= 0).
-
-    Tries both signs on the reported side and keeps the one whose stationarity
-    residual at x is at most 1e-5 max(1, |grad|); raises ``ConventionMismatch`` otherwise.
-    """
+def dual_residual(problem, x: np.ndarray, lam: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(residual, bound, g) of the coupling dual lam in the sign given, on the
+    reported side at x: g = grad f(x) must be A' lam - B_tight' alpha with
+    alpha >= 0 (the convention of ``centralized_solve``), and lam passes when
+    the residual is at most the bound 1e-5 max(1, |g|)."""
     p = resolve(problem, "reported")
-    x = np.asarray(x, float).ravel()
-    lam = np.asarray(lam, float).ravel()
     sigma, psi = p.total_quadratic("actual")
     grad = sigma @ x + psi
-    At = p.stacked_A().T
-    act = p.local_stacked()[0][p.tight_rows(x)].T
+    tight = p.local_stacked()[0][p.tight_rows(x)].T
+    bound = 1e-5 * max(1.0, float(np.abs(grad).max(initial=0.0)))
+    return stationarity_residual(grad - p.stacked_A().T @ lam, tight), bound, grad
 
-    scores = {}
-    for s in (1.0, -1.0):
-        # grad - A'(s lam) must be -B_act' alpha with alpha >= 0.
-        scores[s] = stationarity_residual(grad - At @ (s * lam), None, act)
-    bound = 1e-5 * max(1.0, float(np.max(np.abs(grad))))
-    best = min(scores, key=scores.get)
-    if scores[best] > bound:
-        raise ConventionMismatch(f"stationarity residuals {scores} exceed tolerance {bound:.2e}")
-    return best * lam
+
+def reconcile_dual(problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Map a coupling dual of unknown sign onto the convention of
+    ``centralized_solve``: lam when it passes ``dual_residual``, else -lam
+    when that passes; raises ``ConventionMismatch`` otherwise."""
+    x = np.asarray(x, float).ravel()
+    lam = np.asarray(lam, float).ravel()
+    resid, bound, _ = dual_residual(problem, x, lam)
+    if resid <= bound:
+        return lam
+    mirrored, _, _ = dual_residual(problem, x, -lam)
+    if mirrored <= bound:
+        return -lam
+    raise ConventionMismatch(f"stationarity residuals {resid:.2e} (lam) and {mirrored:.2e} (-lam) exceed tolerance {bound:.2e}")

@@ -208,7 +208,7 @@ def test_solve_outputs_are_stable_and_finite(tmp_path):
         for row in rows:
             for key, val in row.items():
                 assert np.isfinite(float(val)), f"{key} not finite at iter {row['iter']}"
-    strip = lambda p: [r[:-1] for r in csv.reader(open(p))]  # all but wall_ms
+    strip = lambda p: [r[:-1] for r in csv.reader(p.read_text().splitlines())]  # all but wall_ms
     assert strip(out1 / "trace.csv") == strip(out2 / "trace.csv")
 
 

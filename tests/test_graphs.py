@@ -102,6 +102,18 @@ def test_random_connected_graph_deterministic():
     assert a.edges == b.edges
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_connected_graph_needs_an_agent(n):
+    with pytest.raises(InvalidEdge):
+        random_connected_graph(n, np.random.default_rng(0))
+
+
+def test_random_connected_graph_single_agent_uses_no_draw():
+    rng = np.random.default_rng(3)
+    assert random_connected_graph(1, rng) == build_graph(1, [])
+    assert rng.random() == np.random.default_rng(3).random()
+
+
 def _spectral_gap(w: np.ndarray) -> float:
     eig = np.sort(np.abs(np.linalg.eigvalsh(w)))
     return 1.0 - eig[-2]

@@ -6,9 +6,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from disqo.admm import SolverParams, solve as admm_solve
-from disqo.errors import ConventionMismatch, InfeasibleWithoutAgent, MaxIterReached
+from disqo.errors import ConventionMismatch, DimensionMismatch, InfeasibleWithoutAgent, MaxIterReached
 from disqo.graphs import build_graph, random_connected_graph
 from disqo.mechanisms import (
     misreport_portfolio,
@@ -21,7 +22,7 @@ from disqo.mechanisms import (
     vcg_ic_check,
     vcg_payments,
 )
-from disqo.problem import ReportedProblem, assemble_problem, centralized_solve, reconcile_dual
+from disqo.problem import ReportedProblem, assemble_problem, centralized_solve, dual_residual, reconcile_dual
 from disqo.star import StarInstance, random_star, star_misreport, star_prices_utilities, to_transport
 from disqo.transport import build_instance, random_instance, star_network
 
@@ -78,6 +79,52 @@ def test_prices_reject_mirrored_dual():
     inst, sol = ex3_solved()
     with pytest.raises(ConventionMismatch):
         shadow_prices(inst.problem, sol.x, -sol.lam)
+
+
+def test_sp_rejects_a_mirrored_solution():
+    inst, sol = ex3_solved()
+    with pytest.raises(ConventionMismatch):
+        sp_for_problem(inst.problem, solution=dataclasses.replace(sol, lam=-sol.lam))
+
+
+def test_a_valid_dual_is_kept_in_the_sign_given_when_its_mirror_is_valid_too():
+    # x = (1, 0) is forced and both local rows are tight there, so every lam
+    # in [-2, 1] is a valid dual. lam = 1 + 1e-8 passes within tolerance,
+    # and -lam, inside the interval, passes with a smaller residual.
+    p = assemble_problem(
+        [(np.zeros((2, 2)), np.array([-2.0, 1.0]), np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0]))],
+        [np.ones((1, 2))],
+        [1.0],
+    )
+    x, lam = np.array([1.0, 0.0]), np.array([1.0 + 1e-8])
+    resid, bound, grad = dual_residual(p, x, lam)
+    assert 0.0 < resid <= bound and dual_residual(p, x, -lam)[0] < resid
+    assert grad.tolist() == [-2.0, 1.0]
+    (price,) = shadow_prices(p, x, lam)
+    assert price.tolist() == [lam[0], lam[0]]
+    assert reconcile_dual(p, x, lam).tolist() == lam.tolist()
+    assert reconcile_dual(p, x, np.array([2.0])).tolist() == [-2.0]
+
+
+def test_sp_settlement_and_reconcile_each_make_one_nnls_call(monkeypatch):
+    inst = random_instance((4, 2, 3, 2), seed=1)
+    sol = centralized_solve(inst.problem)
+    assert inst.problem.tight_rows(sol.x).any()  # a market without tight rows needs no NNLS
+    calls = []
+    nnls = scipy.optimize.nnls
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda *args, **kwargs: calls.append(1) or nnls(*args, **kwargs))
+    sp_for_problem(inst.problem, solution=sol)
+    assert len(calls) == 1
+    reconcile_dual(inst.problem, sol.x, sol.lam)
+    assert len(calls) == 2
+
+
+def test_agentless_market_is_priced_empty():
+    p = assemble_problem([], [], np.zeros(1))
+    sol = centralized_solve(p)
+    assert shadow_prices(p, sol.x, sol.lam) == ()
+    out = sp_for_problem(p)
+    assert out.prices == () and out.payments.shape == out.costs.shape == (0,)
 
 
 def test_prices_from_distributed_duals_match_centralized():
@@ -161,6 +208,44 @@ def test_equilibrium_residuals_flag_non_optimal_point():
     x_bad[blk.start + 1] += 0.4  # push extra flow onto one of agent 0's routes
     res = sp_equilibrium_check(inst.problem, x_bad, prices)
     assert float(res.max()) > 0.01
+
+
+def _qr_equilibrium_residuals(p, x, prices) -> np.ndarray:
+    """Best-response residuals by the projection route: project the span of
+    A_i' out with a QR basis, then NNLS over the projected tight normals."""
+    tight = p.tight_rows(x)
+    out = []
+    for i in range(p.n_agents):
+        assert np.linalg.matrix_rank(p.A[i]) == p.A[i].shape[0]  # the QR basis spans exactly range(A_i')
+        Q, _ = np.linalg.qr(p.A[i].T)
+        proj = lambda v: v - Q @ (Q.T @ v)
+        own = p.actual[i]
+        g = proj((own.sigma @ x + own.psi)[p.block(i)] - prices[i])
+        C = proj(p.local[i].B[tight[p.rows(i)]].T)
+        out.append(np.linalg.norm(g) if C.size == 0 else scipy.optimize.nnls(C, -g)[1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("inst", [ex3_instance(), random_instance((4, 2, 3, 2), seed=1)], ids=["star", "4-2-3-2"])
+def test_equilibrium_residuals_match_the_projection_route(inst):
+    sol = centralized_solve(inst.problem)
+    prices = shadow_prices(inst.problem, sol.x, sol.lam)
+    x_off = np.array(sol.x)
+    x_off[inst.problem.block(0).start] += 0.4
+    for x in (sol.x, x_off):
+        got = sp_equilibrium_check(inst.problem, x, prices)
+        np.testing.assert_allclose(got, _qr_equilibrium_residuals(inst.problem, x, prices), rtol=0, atol=1e-10)
+
+
+def test_equilibrium_residual_counts_a_coupling_row_the_agent_does_not_touch():
+    # Agent 0 has no variable in coupling row 1, so A_0' has a zero column
+    # and frees only its first variable; the gradient (0, 1) of its second
+    # variable is a residual of 1. A QR basis of A_0' spans both axes and
+    # would project that residual away.
+    agents = [(np.zeros((3, 3)), np.array([0.0, 1.0, 0.0]), None, None), (np.zeros((3, 3)), np.zeros(3), None, None)]
+    p = assemble_problem(agents, [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])], np.ones(2))
+    res = sp_equilibrium_check(p, np.zeros(3), [np.zeros(2), np.zeros(1)])
+    assert res.tolist() == [1.0, 0.0]
 
 
 def test_equilibrium_residual_single_agent():
@@ -284,6 +369,19 @@ def test_vcg_distributed_drop_one_solves_match_centralized_on_a_network():
     graph = random_connected_graph(3, np.random.default_rng(0))
     dist = vcg_payments(p, distributed=(graph, SolverParams(violation_tol=1e-9, step_tol=1e-9)))
     np.testing.assert_allclose(dist.payments, central.payments, atol=1e-6)
+
+
+def test_vcg_distributed_one_supplier_market_is_infeasible_without_it():
+    inst = build_instance(star_network([2.0], d=3.0), R=1, L=2)
+    with pytest.raises(InfeasibleWithoutAgent):
+        vcg_payments(inst.problem, distributed=(build_graph(1, []), SolverParams()))
+
+
+def test_vcg_distributed_rejects_a_graph_of_another_size():
+    inst = ex3_instance()
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(DimensionMismatch):
+        vcg_payments(inst.problem, distributed=(graph, SolverParams()))
 
 
 def test_vcg_distributed_solve_out_of_rounds_is_not_infeasible():

@@ -19,6 +19,7 @@ from disqo.problem import (
     assemble_problem,
     centralized_solve,
     convert_inequality_coupling,
+    dual_residual,
     eval_cost,
     exclude_agent,
     reconcile_dual,
@@ -362,6 +363,14 @@ def test_reconcile_dual_sign_detection():
     assert reconcile_dual(p, sol.x, -sol.lam) == pytest.approx([49 / 3], abs=1e-9)
     with pytest.raises(ConventionMismatch):
         reconcile_dual(p, sol.x, sol.lam + 7.0)
+
+
+def test_agentless_market_dual_passes_as_given():
+    p = assemble_problem([], [], np.zeros(1))
+    x, lam = np.zeros(0), np.array([2.0])
+    resid, bound, grad = dual_residual(p, x, lam)
+    assert (resid, bound, grad.shape) == (0.0, 1e-5, (0,))
+    assert reconcile_dual(p, x, lam).tolist() == [2.0]
 
 
 def test_reconcile_dual_with_active_bound():
