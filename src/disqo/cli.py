@@ -2,10 +2,10 @@
 
 Subcommands: ``gen`` (seeded instance files), ``solve`` (distributed run with
 trace/solution CSVs), ``mechanism`` (payment tables), ``misreport-sweep`` and
-``misreport-portfolio`` (misreport experiments), ``validate`` (checks every
-config section a command reads, one ``ok:``/``FAIL:`` line each).  Exit
-codes: 0 success, 1 input error, 2 the iterative solver hit its budget
-without converging.
+``misreport-portfolio`` (misreport experiments), ``validate`` (runs the
+commands' own reader of every config section they read, ``out`` included but
+not created, one ``ok:``/``FAIL:`` line each).  Exit codes: 0 success, 1
+input error, 2 the iterative solver hit its budget without converging.
 
 Config files are JSON with a ``schema_version`` field::
 
@@ -13,7 +13,7 @@ Config files are JSON with a ``schema_version`` field::
       "schema_version": 1,
       "instance": "inst.json",                      # or a generator spec:
       "generator": {"scale": [4, 2, 3, 2], "seed": 7, "c0": 1.0},
-      "graph": {"edges": [[0, 1], [1, 2]]},         # optional; default seeded draw
+      "graph": {"edges": [[0, 1], [1, 2]]},         # optional; or {"seed": 3}, a seeded draw
       "solver": {"sigma": 1.0, "rho": 1.0, "max_iter": 2000,
                  "violation_tol": 1e-6, "step_tol": 1e-6, "mode": "plain"},
       "report_deltas": {"0": -1.0},                 # optional misreports, or
@@ -27,6 +27,12 @@ Config files are JSON with a ``schema_version`` field::
 
 The generator spec may instead be a star template with explicit costs:
 ``{"star": {"c": [3, 4, 5], "c0": 1.0, "d": 5.0}}``.
+
+One rule picks every seed: ``--seed`` when given, else the section's own
+``seed``, else the default (the generator's seed for the graph draw, else 0).
+Explicit ``graph.edges`` and an instance file's graph are data, not seeds.
+Integer values (scale, seeds, ``sweep.agent``, ``portfolio.cases``) must be
+JSON integers; a float or a bool is an input error, never truncated.
 
 All emitted CSVs are byte-stable across reruns of the same config and seed,
 except the ``wall_ms`` trace column, which records measured time. The
@@ -72,29 +78,19 @@ _SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverParams)}
 
 
 def _reads_config(fn):
-    """Report a malformed config value that a reader trips over (a missing
-    key, a value of the wrong type) as ``InvalidConfig``. Only the readers
-    below convert these errors; anywhere else they are bugs and surface as
-    such."""
+    """Report a malformed config file or value that a reader trips over (not
+    JSON, a missing key, a value or section of the wrong type) as
+    ``InvalidConfig``. Only the readers below convert these errors; anywhere
+    else they are bugs and surface as such."""
 
     @functools.wraps(fn)
     def reader(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except json.JSONDecodeError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidConfig(f"{type(exc).__name__}: {exc}") from exc
 
     return reader
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise InvalidConfig(f"{path}: top level must be a JSON object")
-    return data
 
 
 @_reads_config
@@ -104,7 +100,10 @@ def _load_config(path: str) -> tuple[dict, str]:
     A bare instance file (``"kind": "transport"``) is accepted and wrapped as
     a minimal config pointing at itself.
     """
-    data = _load_json(path)
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"{path}: top level must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
     if data.get("kind") == "transport":
         return {"schema_version": CONFIG_SCHEMA_VERSION, "instance": os.path.abspath(path)}, base
@@ -113,18 +112,36 @@ def _load_config(path: str) -> tuple[dict, str]:
     return data, base
 
 
+def _int(value, key: str) -> int:
+    """``value`` if a JSON integer, else ``InvalidConfig`` naming ``key`` (no float or bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _seed(args, spec: dict, section: str, default: int | None = 0) -> int | None:
+    """The one seed rule: ``--seed`` when given, else the section's own
+    ``seed``, else ``default``. A seed the section sets must be an integer
+    even when ``--seed`` overrides it."""
+    seed = spec.get("seed")
+    seed = default if seed is None else _int(seed, f"{section}.seed")
+    return seed if args.seed is None else args.seed
+
+
 def _scale_tuple(raw) -> tuple[int, int, int, int]:
+    """(N, M, K, R) from JSON integers, or from the strings ``--scale`` splits."""
     try:
-        parts = [int(v) for v in raw]
-    except (TypeError, ValueError) as exc:
+        parts = [int(v) if isinstance(v, str) else _int(v, "scale") for v in raw]
+    except (TypeError, ValueError, InvalidConfig) as exc:
         raise InvalidConfig(f"scale must be four integers, got {raw!r}") from exc
-    if len(parts) != 4 or any(v < 1 for v in parts):
+    if not isinstance(raw, list) or len(parts) != 4 or any(v < 1 for v in parts):  # a string iterates as digits
         raise InvalidConfig(f"scale must be four positive integers (N,M,K,R), got {raw!r}")
     return tuple(parts)
 
 
 @_reads_config
-def _instance_from_generator(gen: dict, seed_override: int | None) -> TransportInstance:
+def _instance_from_generator(gen: dict, args) -> TransportInstance:
+    """The spec's instance; ``gen --scale``/``--c0`` override a random spec's own."""
     if "star" in gen:
         star = gen["star"]
         if "c" not in star:
@@ -135,42 +152,40 @@ def _instance_from_generator(gen: dict, seed_override: int | None) -> TransportI
             d=float(star.get("d", 5.0)),
             spoke_costs=star.get("spoke_costs"),
         )
-        return build_instance(network, R=int(gen.get("R", 1)), L=int(gen.get("L", 2)))
-    if "scale" not in gen:
+        return build_instance(network, R=1, L=2)  # a star's one route per supplier has two edges
+    scale, c0 = getattr(args, "scale", None), getattr(args, "c0", None)
+    if not (scale or "scale" in gen):
         raise InvalidConfig("generator spec needs 'scale' or 'star'")
-    scale = _scale_tuple(gen["scale"])
-    seed = seed_override if seed_override is not None else gen.get("seed")
+    scale = _scale_tuple(scale.split(",") if scale else gen["scale"])
+    seed = _seed(args, gen, "generator", default=None)
     if seed is None:
         raise InvalidConfig("generator spec needs a seed (config 'seed' or --seed)")
-    return random_instance(scale, int(seed), c0=float(gen.get("c0", 1.0)))
+    return random_instance(scale, seed, c0=float(gen.get("c0", 1.0) if c0 is None else c0))
 
 
 @_reads_config
-def _resolve_instance(config: dict, base: str, seed_override: int | None) -> tuple[TransportInstance, CommGraph | None]:
+def _resolve_instance(config: dict, base: str, args) -> tuple[TransportInstance, CommGraph | None]:
     if "instance" in config:
-        path = config["instance"]
-        if not os.path.isabs(path):
-            path = os.path.join(base, path)
+        path = os.path.join(base, config["instance"])  # an absolute path stays as it is
         if not os.path.exists(path):
             raise InvalidConfig(f"instance file not found: {path}")
         return load_instance(path)
     if "generator" in config:
-        return _instance_from_generator(config["generator"], seed_override), None
+        return _instance_from_generator(config["generator"], args), None
     raise InvalidConfig("config needs an 'instance' path or a 'generator' spec")
 
 
 @_reads_config
-def _resolve_graph(config: dict, instance: TransportInstance, embedded: CommGraph | None, seed_override: int | None) -> CommGraph:
+def _resolve_graph(config: dict, instance: TransportInstance, embedded: CommGraph | None, args) -> CommGraph:
+    """``graph.edges``, else the instance file's graph, else a draw by the seed rule."""
     spec = config.get("graph") or {}
+    seed = _seed(args, spec, "graph", default=_seed(args, config.get("generator") or {}, "generator"))
     n = instance.problem.n_agents
     if "edges" in spec:
         return build_graph(n, [tuple(e) for e in spec["edges"]])
     if embedded is not None:
         return embedded
-    seed = spec.get("seed")
-    if seed is None:
-        seed = seed_override if seed_override is not None else config.get("generator", {}).get("seed", 0)
-    return default_comm_graph(n, int(seed))
+    return default_comm_graph(n, seed)
 
 
 @_reads_config
@@ -207,7 +222,7 @@ def _sweep_spec(config: dict, instance: TransportInstance) -> tuple[int, list[fl
     spec = config.get("sweep") or {}
     if "agent" not in spec:
         raise InvalidConfig("sweep spec needs an 'agent'")
-    agent = int(spec["agent"])
+    agent = _int(spec["agent"], "sweep.agent")
     if not 0 <= agent < instance.problem.n_agents:
         raise InvalidConfig(f"sweep agent {agent} out of range")
     return agent, [float(v) for v in spec.get("deltas", [])] or [0.0]
@@ -215,13 +230,12 @@ def _sweep_spec(config: dict, instance: TransportInstance) -> tuple[int, list[fl
 
 @_reads_config
 def _portfolio_spec(config: dict, args) -> tuple[int, int, float]:
-    """(cases, seed, magnitude) of the config's portfolio spec; --seed wins."""
+    """(cases, seed, magnitude) of the config's portfolio spec."""
     spec = config.get("portfolio") or {}
-    cases = int(spec.get("cases", 0))
+    cases = _int(spec.get("cases", 0), "portfolio.cases")
     if cases < 0:
         raise InvalidConfig("portfolio 'cases' must be nonnegative")
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    return cases, seed, float(spec.get("magnitude", 0.5))
+    return cases, _seed(args, spec, "portfolio"), float(spec.get("magnitude", 0.5))
 
 
 @_reads_config
@@ -237,10 +251,10 @@ def _mechanism_spec(config: dict) -> tuple[list[str], str]:
     return selected, cost_basis
 
 
-def _out_dir(config: dict, args) -> str:
-    out = getattr(args, "out", None) or config.get("out") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+@_reads_config
+def _out_path(config: dict, args) -> str:
+    """The output directory, not created here: ``--out``, else ``out``, else '.'."""
+    return os.fspath(getattr(args, "out", None) or config.get("out") or ".")
 
 
 # ---------------------------------------------------------------------------
@@ -266,33 +280,29 @@ def _write_solution_csv(path: str, instance: TransportInstance, problem: Coupled
 
 
 def cmd_gen(args) -> int:
-    gen: dict = {}
-    if args.config:
-        config, _ = _load_config(args.config)
-        gen = dict(config.get("generator") or {})
-    if args.scale:
-        gen["scale"] = args.scale.split(",")
-    if args.c0 is not None:
-        gen["c0"] = args.c0
-    seed_override = args.seed
-    instance = _instance_from_generator(gen, seed_override)
-    n = instance.problem.n_agents
-    seed = seed_override if seed_override is not None else int(gen.get("seed", 0))
-    comm = default_comm_graph(n, seed)
+    if not (args.config or args.scale):
+        raise InvalidConfig("provide --scale or --config with a generator spec")
+    if not args.out:
+        raise InvalidConfig("--out file path is required")
+    config = _load_config(args.config)[0] if args.config else {}
+    gen = config.get("generator") or {}
+    instance = _instance_from_generator(gen, args)
+    comm = _resolve_graph({"generator": gen}, instance, None, args)  # the config's graph section is solve's
     save_instance(args.out, instance.network, instance.R, instance.L, comm_edges=sorted(comm.edges))
-    print(f"wrote {args.out}: {n} agents, {instance.problem.n_total} variables, {instance.problem.n_coupling} coupling rows")
+    print(f"wrote {args.out}: {instance.problem.n_agents} agents, {instance.problem.n_total} variables, {instance.problem.n_coupling} coupling rows")
     return 0
 
 
 def cmd_solve(args) -> int:
     config, base = _load_config(args.config)
-    instance, embedded = _resolve_instance(config, base, args.seed)
-    graph = _resolve_graph(config, instance, embedded, args.seed)
+    instance, embedded = _resolve_instance(config, base, args)
+    graph = _resolve_graph(config, instance, embedded, args)
     params = _solver_params(config, args)
     problem = resolve(_apply_reports(config, instance), "reported")
     reference = centralized_solve(problem).value
     result = distributed_solve(problem, graph, params, reference_value=reference)
-    out = _out_dir(config, args)
+    out = _out_path(config, args)
+    os.makedirs(out, exist_ok=True)
     result.trace.to_csv(os.path.join(out, "trace.csv"))
     _write_solution_csv(os.path.join(out, "solution.csv"), instance, problem, result)
     print(f"converged={result.converged} iterations={result.iterations} mode={params.mode}")
@@ -301,7 +311,7 @@ def cmd_solve(args) -> int:
 
 def cmd_mechanism(args) -> int:
     config, base = _load_config(args.config)
-    instance, _ = _resolve_instance(config, base, args.seed)
+    instance, _ = _resolve_instance(config, base, args)
     problem = _apply_reports(config, instance)
     selected, cost_basis = _mechanism_spec(config)
     solution = centralized_solve(problem, which="reported")  # one solve serves both mechanisms
@@ -310,7 +320,8 @@ def cmd_mechanism(args) -> int:
         outcomes.append(sp_for_problem(problem, cost_basis=cost_basis, solution=solution))
     if "vcg" in selected:
         outcomes.append(vcg_payments(problem, cost_basis=cost_basis, solution=solution))
-    out = _out_dir(config, args)
+    out = _out_path(config, args)
+    os.makedirs(out, exist_ok=True)
     payments_csv(outcomes, os.path.join(out, "payments.csv"))
     for outc in outcomes:
         print(f"{outc.mechanism}: total payout {outc.total_payout:.6g}")
@@ -319,10 +330,11 @@ def cmd_mechanism(args) -> int:
 
 def cmd_misreport_sweep(args) -> int:
     config, base = _load_config(args.config)
-    instance, _ = _resolve_instance(config, base, args.seed)
+    instance, _ = _resolve_instance(config, base, args)
     agent, deltas = _sweep_spec(config, instance)
     result = misreport_sweep(instance, agent, deltas)
-    out = _out_dir(config, args)
+    out = _out_path(config, args)
+    os.makedirs(out, exist_ok=True)
     result.to_csv(os.path.join(out, "sweep.csv"))
     print(f"swept agent {agent} over {len(deltas)} delta(s)")
     return 0
@@ -330,71 +342,62 @@ def cmd_misreport_sweep(args) -> int:
 
 def cmd_misreport_portfolio(args) -> int:
     config, base = _load_config(args.config)
-    instance, _ = _resolve_instance(config, base, args.seed)
+    instance, _ = _resolve_instance(config, base, args)
     cases, seed, magnitude = _portfolio_spec(config, args)
     result = misreport_portfolio(instance, cases, seed, magnitude=magnitude)
-    out = _out_dir(config, args)
+    out = _out_path(config, args)
+    os.makedirs(out, exist_ok=True)
     result.to_csv(os.path.join(out, "portfolio.csv"))
     print(f"ran {cases} misreport case(s), seed {seed}")
     return 0
 
 
+class _Checks:
+    """The checks of one ``validate`` run; ``failed`` says whether any failed."""
+
+    failed = False
+
+    def line(self, name: str, ok: bool, detail: str) -> None:
+        print(f"{'ok' if ok else 'FAIL'}: {name} ({detail})")
+        self.failed = self.failed or not ok
+
+    def run(self, name: str, reader, *args):
+        """The reader's value, or None after printing the check's ``FAIL:`` line."""
+        try:
+            return reader(*args)
+        except (DisqoError, OSError) as exc:
+            self.line(name, False, f"{type(exc).__name__}: {exc}")
+
+
 def cmd_validate(args) -> int:
     config, base = _load_config(args.config)
-    checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, fn):
-        try:
-            detail = fn()
-            checks.append((name, True, detail or ""))
-        except Exception as exc:  # report every failure, keep checking
-            checks.append((name, False, f"{type(exc).__name__}: {exc}"))
-
-    holder: dict = {}
-
-    def check_instance():
-        instance, embedded = _resolve_instance(config, base, args.seed)
-        instance.network.validate()
-        holder["instance"] = instance
-        holder["embedded"] = embedded
+    checks = _Checks()
+    instance, embedded = checks.run("instance", _resolve_instance, config, base, args) or (None, None)
+    if instance:
         p = instance.problem
-        return f"{p.n_agents} agents, {p.n_total} variables, {p.n_coupling} coupling rows"
-
-    record("instance", check_instance)
-    if "instance" in holder:
-        def check_graph():
-            graph = _resolve_graph(config, holder["instance"], holder["embedded"], args.seed)
-            holder["graph"] = graph
-            return f"{graph.n_agents} nodes, {len(graph.edges)} edges, connected"
-
-        record("communication graph", check_graph)
-    if "graph" in holder:
-        def check_weights():
-            report = validate_weights(metropolis_weights(holder["graph"]), holder["graph"])
-            if not report.ok:
-                raise InvalidConfig("; ".join(report.failures()))
-            return "doubly stochastic, symmetric, spectrum in range"
-
-        record("mixing weights", check_weights)
-    record("solver params", lambda: str(_solver_params(config, args)))
-    if "instance" in holder and ("reports" in config or "report_deltas" in config):
-        record("reported costs", lambda: str(type(_apply_reports(config, holder["instance"])).__name__))
-    if "sweep" in config and "instance" in holder:
-        def check_sweep():
-            agent, deltas = _sweep_spec(config, holder["instance"])
-            return f"agent {agent}, {len(deltas)} delta(s)"
-
-        record("sweep spec", check_sweep)
+        checks.line("instance", True, f"{p.n_agents} agents, {p.n_total} variables, {p.n_coupling} coupling rows")
+        if graph := checks.run("communication graph", _resolve_graph, config, instance, embedded, args):
+            checks.line("communication graph", True, f"{graph.n_agents} nodes, {len(graph.edges)} edges, connected")
+            weights = validate_weights(metropolis_weights(graph), graph)
+            checks.line("mixing weights", weights.ok, "doubly stochastic, symmetric, spectrum in range" if weights.ok else "; ".join(weights.failures()))
+    if params := checks.run("solver params", _solver_params, config, args):
+        checks.line("solver params", True, str(params))
+    if instance and ("reports" in config or "report_deltas" in config):
+        if problem := checks.run("reported costs", _apply_reports, config, instance):
+            checks.line("reported costs", True, type(problem).__name__)
+    if instance and "sweep" in config:
+        if sweep := checks.run("sweep spec", _sweep_spec, config, instance):
+            checks.line("sweep spec", True, f"agent {sweep[0]}, {len(sweep[1])} delta(s)")
     if "portfolio" in config:
-        record("portfolio spec", lambda: f"{_portfolio_spec(config, args)[0]} case(s)")
+        if portfolio := checks.run("portfolio spec", _portfolio_spec, config, args):
+            checks.line("portfolio spec", True, f"{portfolio[0]} case(s)")
     if "mechanisms" in config or "cost_basis" in config:
-        record("mechanism spec", lambda: "{}, cost basis {}".format(*_mechanism_spec(config)))
-
-    ok = all(good for _, good, _ in checks)
-    for name, good, detail in checks:
-        tag = "ok" if good else "FAIL"
-        print(f"{tag}: {name}" + (f" ({detail})" if detail else ""))
-    return 0 if ok else 1
+        if mechanisms := checks.run("mechanism spec", _mechanism_spec, config):
+            checks.line("mechanism spec", True, "{}, cost basis {}".format(*mechanisms))
+    if "out" in config:
+        if out := checks.run("output directory", _out_path, config, args):
+            checks.line("output directory", True, out)
+    return 1 if checks.failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +459,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help exits 0; argument errors exit 1
         return int(exc.code or 0)
-    if args.func is cmd_gen and not (args.config or args.scale):
-        print("disqo gen: error: provide --scale or --config with a generator spec", file=sys.stderr)
-        return 1
-    if args.func is cmd_gen and not args.out:
-        print("disqo gen: error: --out file path is required", file=sys.stderr)
-        return 1
     try:
         return int(args.func(args))
     except MaxIterReached as exc:  # the budget ran out: not an input error
@@ -470,7 +467,7 @@ def main(argv=None) -> int:
     except DisqoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:  # unreadable input files
+    except OSError as exc:  # unreadable input files
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

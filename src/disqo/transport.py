@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .errors import DimensionMismatch, Infeasible, NoPathExists
+from .errors import DimensionMismatch, Infeasible, InvalidEdge, NoPathExists
 from .graphs import CommGraph, build_graph, random_connected_graph
 from .problem import CoupledProblem, ReportedProblem, assemble_problem, centralized_solve, solve_without
 
@@ -85,7 +85,7 @@ class TransportNetwork:
         E = self.n_edges
         for t, h in self.edges:
             if not (0 <= t < self.n_nodes and 0 <= h < self.n_nodes) or t == h:
-                raise DimensionMismatch(f"bad edge ({t},{h})")
+                raise InvalidEdge(f"bad edge ({t},{h})")
         outside = [v for v in (*self.suppliers, *self.demanders) if not 0 <= v < self.n_nodes]
         if outside:
             raise DimensionMismatch(f"supplier or demander node(s) {outside} outside [0, {self.n_nodes})")

@@ -16,7 +16,7 @@ from disqo.cli import main
 from disqo.errors import MaxIterReached
 from disqo.mechanisms import misreport_sweep, sp_for_problem
 from disqo.problem import ReportedProblem, centralized_solve, eval_cost
-from disqo.transport import build_instance, load_instance, random_instance, star_network
+from disqo.transport import build_instance, default_comm_graph, load_instance, random_instance, star_network
 
 STAR_GEN = {"star": {"c": [2.0, 3.0, 4.0], "c0": 1.0, "d": 5.0}}
 STAR_X = np.array([13 / 6, 5 / 3, 7 / 6])
@@ -122,6 +122,15 @@ def test_gen_c0_sets_the_congestion_coefficient(tmp_path):
         ("mechanism", {"generator": {"star": {"c": [3.0]}}}, "error: market infeasible without agent 0"),
         ("solve", {"generator": STAR_GEN, "solver": {"max_iter": 1e3}}, "error: max_iter must be an integer"),
         ("solve", {"generator": STAR_GEN, "report_deltas": {"9": 1.0}}, "error: agent 9 of 3"),
+        # integer values are JSON integers, never truncated
+        ("solve", {"generator": {"scale": [4.7, 2, 3, 2], "seed": 1}}, "scale must be four integers"),
+        ("solve", {"generator": {"scale": "4232", "seed": 1}}, "scale must be four positive integers"),
+        ("solve", {"generator": {"scale": [4, 2, 3, 2], "seed": 1.9}}, "generator.seed must be an integer"),
+        ("solve", {"generator": STAR_GEN, "graph": {"seed": 2.5}}, "graph.seed must be an integer"),
+        ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"cases": 2.7}}, "portfolio.cases must be an integer"),
+        ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"cases": True}}, "portfolio.cases must be an integer"),
+        ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"seed": 1.5}}, "portfolio.seed must be an integer"),
+        ("misreport-sweep", {"generator": STAR_GEN, "sweep": {"agent": True}}, "sweep.agent must be an integer"),
     ],
 )
 def test_config_input_errors_exit_one_with_their_message(tmp_path, capsys, command, config, message):
@@ -134,6 +143,57 @@ def test_config_input_errors_exit_one_with_their_message(tmp_path, capsys, comma
 def test_gen_without_out_exits_one(capsys):
     assert main(["gen", "--scale", "4,2,3,2", "--seed", "1"]) == 1
     assert "--out file path is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section, value",
+    [
+        ("solve", "graph", [[0, 1]]),
+        ("misreport-portfolio", "portfolio", [2]),
+        ("mechanism", "reports", [1]),
+        ("mechanism", "report_deltas", 5),
+        ("gen", "generator", 5),
+    ],
+)
+def test_a_section_of_the_wrong_json_type_is_an_input_error(tmp_path, capsys, command, section, value):
+    config = {"generator": STAR_GEN, section: value}
+    cfg = write_config(tmp_path / "cfg.json", **config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert main(["validate", "--config", cfg]) == 1
+    assert "FAIL: " in capsys.readouterr().out
+
+
+def test_out_of_the_wrong_type_is_an_input_error_and_validate_creates_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", generator=STAR_GEN, sweep={"agent": 0}, out=5)
+    for command in ("mechanism", "solve", "misreport-sweep", "misreport-portfolio"):
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+    assert main(["validate", "--config", cfg]) == 1
+    assert "FAIL: output directory (" in capsys.readouterr().out
+    cfg = write_config(tmp_path / "cfg.json", generator=STAR_GEN, out="results")
+    assert main(["validate", "--config", cfg]) == 0
+    assert "ok: output directory (results)" in capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_seed_flag_beats_every_section_seed(tmp_path, monkeypatch):
+    # --seed, else the section's own seed, else the default; graph.seed too.
+    graphs = []
+    solve = disqo.cli.distributed_solve
+
+    def recorded(problem, graph, *args, **kwargs):
+        graphs.append(graph)
+        return solve(problem, graph, *args, **kwargs)
+
+    monkeypatch.setattr(disqo.cli, "distributed_solve", recorded)
+    cfg = write_config(tmp_path / "cfg.json", generator={"scale": [4, 2, 3, 2], "seed": 1}, graph={"seed": 5})
+    for flags in ([], ["--seed", "3"]):
+        main(["solve", "--config", cfg, "--max-iter", "1", "--out", str(tmp_path / "run"), *flags])
+    assert [g.edges for g in graphs] == [default_comm_graph(4, 5).edges, default_comm_graph(4, 3).edges]
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +587,16 @@ def test_instance_with_a_supplier_outside_the_network_exits_one(tmp_path, capsys
     assert "FAIL: instance (DimensionMismatch" in capsys.readouterr().out
     assert main(["solve", "--config", str(inst_file), "--out", str(tmp_path / "run")]) == 1
     assert "outside" in capsys.readouterr().err
+
+
+def test_instance_with_a_bad_edge_fails_validate(tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    main(["gen", "--scale", "4,2,3,2", "--seed", "7", "--out", str(inst_file)])
+    data = json.loads(inst_file.read_text())
+    data["edges"][0] = [0, 0]
+    inst_file.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(inst_file)]) == 1
+    assert "FAIL: instance (InvalidEdge: bad edge (0,0))" in capsys.readouterr().out
 
 
 def test_validate_accepts_bare_instance_file(tmp_path, capsys):

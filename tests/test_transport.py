@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from disqo.errors import DimensionMismatch, NoPathExists, UnknownAgent
+from disqo.errors import DimensionMismatch, InvalidEdge, NoPathExists, UnknownAgent
 from disqo.mechanisms import misreport_sweep
 from disqo.problem import centralized_solve, eval_cost, exclude_agent
 from disqo.transport import (
@@ -427,6 +427,13 @@ def test_nodes_outside_the_network_are_rejected(tmp_path, field, nodes):
     save_instance(path, net, 1, 4)
     with pytest.raises(DimensionMismatch, match="outside"):
         load_instance(path)
+
+
+@pytest.mark.parametrize("edge", [(0, 0), (0, 4), (-1, 3)])
+def test_self_loops_and_edges_outside_the_network_are_invalid_edges(edge):
+    net = star_network([1.0, 2.0])  # nodes 0-3
+    with pytest.raises(InvalidEdge, match="bad edge"):
+        build_instance(dataclasses.replace(net, edges=(edge, *net.edges[1:])), R=1)
 
 
 def test_unsupported_schema_rejected():
