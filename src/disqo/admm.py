@@ -107,7 +107,7 @@ class SolverParams:
     def __post_init__(self):
         if self.sigma <= 0 or self.rho <= 0:
             raise DimensionMismatch("sigma and rho must be strictly positive")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise DimensionMismatch(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if self.violation_tol < 0 or self.step_tol < 0:
             raise DimensionMismatch("tolerances must be nonnegative")

@@ -287,7 +287,7 @@ def cmd_gen(args) -> int:
     config = _load_config(args.config)[0] if args.config else {}
     gen = config.get("generator") or {}
     instance = _instance_from_generator(gen, args)
-    comm = _resolve_graph({"generator": gen}, instance, None, args)  # the config's graph section is solve's
+    comm = _resolve_graph(config, instance, None, args)
     save_instance(args.out, instance.network, instance.R, instance.L, comm_edges=sorted(comm.edges))
     print(f"wrote {args.out}: {instance.problem.n_agents} agents, {instance.problem.n_total} variables, {instance.problem.n_coupling} coupling rows")
     return 0

@@ -18,11 +18,12 @@ Rows of ``G`` with a single nonzero entry are simple bounds. An active bound
 fixes its variable instead of adding a multiplier row, so the polish solves a
 KKT system over the free variables only and reads each bound's multiplier off
 the stationarity residual of its column. The reduced KKT matrix of an active
-set does not depend on the linear term, so it is LU-factored when a polish
-moves to that set and kept: warm solves that keep the active set cost one
-pair of triangular solves each. An exact zero pivot marks the system
-singular, as it is whenever x is not unique on the free columns, and such a
-system goes straight to least squares.
+set does not depend on the linear term. When P is definite, it is LU-factored
+when a polish moves to that set and kept: warm solves that keep the active set
+cost one pair of triangular solves each. When P is only semidefinite, or the
+LU meets an exact zero pivot, the system is solved by one complete orthogonal
+decomposition (LAPACK xGELSY, a column-pivoted QR) with rank cutoff ``n eps``:
+the minimum-norm least-squares answer, with no factor kept.
 
 A solve may be given a first guess at the active set, such as the tight
 rows of a nearby problem's optimum. The polish tries it before any splitting
@@ -100,9 +101,9 @@ class _ReducedSystem(NamedTuple):
     The first active simple bound on a column fixes it (``fix_*``, ``x_fixed``
     holds the fixed values and zeros elsewhere); the other active rows are
     ``rows``. ``kkt`` is the KKT matrix over the free columns, the equality
-    rows and ``rows``, ``lu`` its LU factors (``None`` when it is empty or
-    has an exact zero pivot), and ``rhs_fixed`` the fixed columns' share of
-    its right-hand side.
+    rows and ``rows``, ``lu`` its LU factors (``None`` when it is empty, P is
+    not definite or the LU has an exact zero pivot), and ``rhs_fixed`` the
+    fixed columns' share of its right-hand side.
     """
 
     act_mask: np.ndarray  # the active rows as a mask over all rows
@@ -142,13 +143,16 @@ def _normalize(P, E, h, G, u) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return (P + P.T) / 2.0, E, h, G, u
 
 
-def _check_psd(P: np.ndarray) -> None:
+def _check_psd(P: np.ndarray) -> bool:
+    """Raise ``NonPsdHessian`` for an indefinite P; else whether P is definite,
+    both by the margin ``1e-8 * scale`` on its least eigenvalue."""
     if P.shape[0] == 0:
-        return
+        return True
     eigmin = float(np.linalg.eigvalsh(P).min())
-    scale = max(1.0, float(np.max(np.abs(P))))
-    if eigmin < -1e-8 * scale:
+    margin = 1e-8 * max(1.0, float(np.max(np.abs(P))))
+    if eigmin < -margin:
         raise NonPsdHessian(f"Hessian has eigenvalue {eigmin:.3e}")
+    return eigmin > margin
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -241,10 +245,10 @@ class RepeatedQp:
         tol: float = 1e-9,
         max_iter: int = 200000,
     ):
-        if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
             raise DimensionMismatch(f"max_iter must be an integer of at least 1, got {max_iter!r}")
         self.P, self.E, self.h, self.G, self.u = _normalize(P, E, h, G, u)
-        _check_psd(self.P)
+        self._definite = _check_psd(self.P)  # reduced systems are LU-factored only then
         self.tol = tol
         self.max_iter = max_iter
         n = self.P.shape[0]
@@ -364,9 +368,10 @@ class RepeatedQp:
     def step_map(self, active: frozenset[int]) -> tuple[np.ndarray, np.ndarray] | None:
         """The polish's first step on ``active`` as an affine map of the linear
         term: the step's candidate is ``[x; alpha] = L @ q + c``. Returns
-        (L, c), or ``None`` when the set's reduced system is singular (the
-        polish then turns to least squares). Like a polish of ``active``, it
-        keeps that reduced system."""
+        (L, c), or ``None`` when the set's reduced system has no LU factors (P
+        is not definite or the LU has a zero pivot; the polish then solves it
+        by least squares). Like a polish of ``active``, it keeps that reduced
+        system."""
         red = self._reduced_system(active)
         if red.lu is None and red.kkt.size:
             return None
@@ -409,7 +414,7 @@ class RepeatedQp:
             kkt[:nf, nf + me :] = Gr[:, free].T
             kkt[nf + me :, :nf] = Gr[:, free]
         lu = None
-        if kkt.size:
+        if kkt.size and self._definite:
             with warnings.catch_warnings():
                 # An exact zero pivot only warns; it marks the system singular.
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -575,17 +580,19 @@ class WarmBatch:
 
 
 def _solve_reduced(red: _ReducedSystem, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve ``red.kkt @ sol = rhs``: by its LU factors when it is nonsingular,
-    else (or when the LU answer is not finite) by least squares. ``None`` when
-    neither gives a finite answer. An empty system (every column fixed, no
-    rows) needs no kernel at all."""
+    """Solve ``red.kkt @ sol = rhs``: by its LU factors when it has them,
+    else (or when the LU answer is not finite) by one xGELSY call, the
+    minimum-norm least-squares answer with rank cutoff ``n eps``, as
+    ``np.linalg.lstsq`` takes it. ``None`` when neither gives a finite
+    answer. An empty system (every column fixed, no rows) needs no kernel."""
     if not rhs.size:
         return rhs
     if red.lu is not None:
         sol = scipy.linalg.lu_solve(red.lu, rhs, check_finite=False)
         if np.all(np.isfinite(sol)):
             return sol
-    sol, *_ = np.linalg.lstsq(red.kkt, rhs, rcond=None)
+    cond = red.kkt.shape[0] * np.finfo(float).eps
+    sol, *_ = scipy.linalg.lstsq(red.kkt, rhs, cond=cond, lapack_driver="gelsy", check_finite=False)
     return sol if np.all(np.isfinite(sol)) else None
 
 

@@ -81,7 +81,7 @@ def test_params_validation():
         SolverParams(mode="fast")
 
 
-@pytest.mark.parametrize("max_iter", [1e3, 2.5, "100"])
+@pytest.mark.parametrize("max_iter", [1e3, 2.5, "100", True])
 def test_params_reject_a_round_budget_that_is_not_an_integer(max_iter):
     with pytest.raises(DimensionMismatch, match="max_iter must be an integer"):
         SolverParams(max_iter=max_iter)

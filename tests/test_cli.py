@@ -90,6 +90,19 @@ def test_gen_star_template_reproduces_known_optimum(tmp_path):
     assert sol.lam[0] == pytest.approx(49 / 3, abs=1e-8)
 
 
+def test_gen_writes_the_configs_graph_edges(tmp_path, capsys):
+    edges = [[0, 1], [1, 2], [2, 3]]
+    cfg = write_config(tmp_path / "cfg.json", generator={"scale": [4, 2, 3, 2], "seed": 7}, graph={"edges": edges})
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["comm_edges"] == edges
+    for bad in ([[0, 0], [1, 2], [2, 3]], [[0, 1], [2, 3]], [[0, 9]]):  # self-loop, disconnected, out of range
+        cfg = write_config(tmp_path / "bad.json", generator={"scale": [4, 2, 3, 2], "seed": 7}, graph={"edges": bad})
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "bad-inst.json")]) == 1
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "bad-inst.json").exists()
+
+
 def test_gen_rejects_bad_scale(tmp_path):
     assert main(["gen", "--scale", "4,2", "--seed", "1", "--out", str(tmp_path / "z.json")]) == 1
     assert main(["gen", "--scale", "0,2,3,2", "--seed", "1", "--out", str(tmp_path / "z.json")]) == 1
@@ -131,6 +144,7 @@ def test_gen_c0_sets_the_congestion_coefficient(tmp_path):
         ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"cases": True}}, "portfolio.cases must be an integer"),
         ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"seed": 1.5}}, "portfolio.seed must be an integer"),
         ("misreport-sweep", {"generator": STAR_GEN, "sweep": {"agent": True}}, "sweep.agent must be an integer"),
+        ("solve", {"generator": STAR_GEN, "solver": {"max_iter": True}}, "error: max_iter must be an integer"),
     ],
 )
 def test_config_input_errors_exit_one_with_their_message(tmp_path, capsys, command, config, message):
@@ -569,6 +583,7 @@ def test_validate_accepts_good_config(tmp_path, capsys):
         ("cost_basis", "imagined", "mechanism spec"),
         ("sweep", {"agent": 9}, "sweep spec"),
         ("portfolio", {"cases": -1}, "portfolio spec"),
+        ("solver", {"max_iter": True}, "solver params"),
     ],
 )
 def test_validate_fails_on_a_bad_value_in_any_section_a_command_reads(tmp_path, capsys, section, value, check):

@@ -1,11 +1,12 @@
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from disqo.errors import DimensionMismatch, Infeasible, NonPsdHessian
-from disqo.qp import RepeatedQp, WarmBatch, _step_verdict, solve_qp
+from disqo.qp import RepeatedQp, WarmBatch, _solve_reduced, _step_verdict, solve_qp
 
 from oracles import enumerate_box_qp, enumerate_qp, qp_value
 
@@ -145,7 +146,7 @@ def test_zero_budget_rejected():
 
 
 def test_a_budget_that_is_not_an_integer_is_rejected():
-    for budget in (2.5, 1e3):
+    for budget in (2.5, 1e3, True):  # a bool is an int, but not a budget
         with pytest.raises(DimensionMismatch, match="max_iter must be an integer"):
             solve_qp(np.eye(2), np.array([0.3, -0.2]), G=np.eye(2), u=np.ones(2), max_iter=budget)
 
@@ -282,9 +283,9 @@ def kernel_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("solve", "lu_factor", "lu_solve"):
+    for name in ("solve", "lu_factor", "lu_solve", "lstsq"):
         monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
-    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("np.linalg.lstsq", np.linalg.lstsq))  # no longer the kernel's
     return calls
 
 
@@ -342,6 +343,59 @@ def test_singular_reduced_system_goes_straight_to_lstsq(kernel_calls):
     assert sol.optimal and sol.iterations == 0
     np.testing.assert_allclose(sol.x, np.full(3, 1.0 / 3.0), atol=1e-12)
     assert kernel_calls == ["lu_factor", "lstsq"]
+
+
+def test_semidefinite_hessian_polishes_by_least_squares_alone(kernel_calls):
+    # P is singular, so no reduced system is LU-factored, even one (here x2
+    # fixed at its lower bound) whose KKT matrix is nonsingular.
+    G, u = box_rows(3, np.zeros(3), np.ones(3))
+    kernel = RepeatedQp(np.diag([1.0, 1.0, 0.0]), G=G, u=u)
+    kernel_calls.clear()
+    sol = kernel.solve(np.array([-0.5, -0.25, 1.0]), active=(5,))
+    assert sol.optimal and sol.iterations == 0 and sol.active == (5,)
+    np.testing.assert_allclose(sol.x, [0.5, 0.25, 0.0], atol=1e-12)
+    np.testing.assert_allclose(sol.alpha, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], atol=1e-12)
+    assert kernel_calls == ["lstsq"]
+
+
+@pytest.mark.parametrize("decades", [-1, 1])
+def test_least_squares_rank_cutoff_is_n_eps(decades):
+    # One singular value a decade below or above n eps (the largest is 1):
+    # below, its direction is dropped and the answer is the minimum-norm one;
+    # above, it is kept and dominates the answer, as np.linalg.lstsq has it.
+    rng = np.random.default_rng(0)
+    n = 6
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    small = 10.0**decades * n * np.finfo(float).eps
+    kkt = (Q * [1.0, 0.7, 0.5, 0.3, 0.2, small]) @ Q.T
+    rhs = Q[:, 0] + Q[:, -1]
+    sol = _solve_reduced(SimpleNamespace(lu=None, kkt=kkt), rhs)
+    want, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    assert rank == (n if decades > 0 else n - 1)
+    assert Q[:, 0] @ sol == pytest.approx(1.0, rel=1e-2)
+    if decades > 0:
+        assert Q[:, -1] @ sol == pytest.approx(1.0 / small, rel=1e-2)
+        assert Q[:, -1] @ sol == pytest.approx(Q[:, -1] @ want, rel=1e-2)
+    else:
+        assert abs(Q[:, -1] @ sol) < 1e-12
+        np.testing.assert_allclose(sol, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_least_squares_matches_numpy_on_rank_deficient_kkt_systems(seed):
+    # A rank-4 Hessian over 8 columns and a repeated equality row: the KKT
+    # matrix is symmetric and singular, the rank of a transport polish system.
+    rng = np.random.default_rng(seed)
+    n = 8
+    M = rng.normal(size=(n, 4))
+    E = rng.normal(size=(3, n))
+    E = np.vstack([E, E[:1]])
+    kkt = np.block([[M @ M.T, E.T], [E, np.zeros((4, 4))]])
+    red = SimpleNamespace(lu=None, kkt=kkt)
+    for rhs in (kkt @ rng.normal(size=n + 4), rng.normal(size=n + 4), rng.normal(size=(n + 4, 3))):
+        sol = _solve_reduced(red, rhs)
+        want = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        assert np.linalg.norm(sol - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_solution_on_a_bound_in_every_column_needs_no_kernel(kernel_calls):
