@@ -32,7 +32,8 @@ One rule picks every seed: ``--seed`` when given, else the section's own
 ``seed``, else the default (the generator's seed for the graph draw, else 0).
 Explicit ``graph.edges`` and an instance file's graph are data, not seeds.
 Integer values (scale, seeds, ``sweep.agent``, ``portfolio.cases``) must be
-JSON integers; a float or a bool is an input error, never truncated.
+JSON integers; a float or a bool is an input error, never truncated. Sweep
+deltas must be finite and a portfolio ``magnitude`` finite and at least 0.
 
 All emitted CSVs are byte-stable across reruns of the same config and seed,
 except the ``wall_ms`` trace column, which records measured time. The
@@ -47,6 +48,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -225,7 +227,10 @@ def _sweep_spec(config: dict, instance: TransportInstance) -> tuple[int, list[fl
     agent = _int(spec["agent"], "sweep.agent")
     if not 0 <= agent < instance.problem.n_agents:
         raise InvalidConfig(f"sweep agent {agent} out of range")
-    return agent, [float(v) for v in spec.get("deltas", [])] or [0.0]
+    deltas = [float(v) for v in spec.get("deltas", [])] or [0.0]
+    if not all(math.isfinite(v) for v in deltas):
+        raise InvalidConfig(f"sweep deltas must be finite numbers, got {deltas}")
+    return agent, deltas
 
 
 @_reads_config
@@ -235,7 +240,10 @@ def _portfolio_spec(config: dict, args) -> tuple[int, int, float]:
     cases = _int(spec.get("cases", 0), "portfolio.cases")
     if cases < 0:
         raise InvalidConfig("portfolio 'cases' must be nonnegative")
-    return cases, _seed(args, spec, "portfolio"), float(spec.get("magnitude", 0.5))
+    magnitude = float(spec.get("magnitude", 0.5))
+    if not 0.0 <= magnitude < math.inf:
+        raise InvalidConfig(f"portfolio 'magnitude' must be a finite number of at least 0, got {magnitude}")
+    return cases, _seed(args, spec, "portfolio"), magnitude
 
 
 @_reads_config

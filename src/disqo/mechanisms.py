@@ -6,15 +6,19 @@ imposes on everyone else; the administrator computes it from one solve. The
 VCG payment is a lump sum equal to the cost the rest of the market saves by
 agent i's presence; it needs one solve per agent plus one with everyone.
 
-Each step has one path. Every drop-one solve of centralized VCG is
-``problem.solve_without``, started from the full optimum's tight local rows
-(distributed VCG runs the consensus solver on ``exclude_agent``). Both
-mechanisms settle through ``_costs``, every agent's own cost on one side.
-The sweep and the portfolio price their reported problems through
-``_misreport_benefits``, which solves the truthful market once and starts
-each reported solve from its tight rows. A start that does not polish to a
-certified optimum is a miss, and its solve runs as one without a start (see
-``qp``). No start is kept between calls. Shadow pricing tests the coupling
+Each step has one path. A mechanism call builds its market's QP once
+(``problem._Market``: one Hessian sum, one PSD check, at most one factor of
+the splitting system) and runs every solve of the call on it. Every
+drop-one solve of centralized VCG is the market's ``solve_without``, a
+principal restriction of its arrays started from the full optimum's tight
+local rows (distributed VCG runs the consensus solver on
+``exclude_agent``). Both mechanisms settle through ``_costs``, every agent's
+own cost on one side. The sweep and the portfolio price their reported
+problems through ``_misreport_benefits``, which solves the truthful market
+once and each report, which changes only the linear terms, on the same QP
+from its tight rows. A start that does not polish to a certified optimum is
+a miss, and its solve runs as one without a start (see ``qp``). No start is
+kept between solves. Shadow pricing tests the coupling
 dual in the sign it is given (``problem.dual_residual``) and raises
 ``ConventionMismatch`` when it fails; the best-response check enters each
 agent's free coupling multiplier as the column pair A_i', -A_i'.
@@ -35,18 +39,18 @@ import numpy as np
 
 from . import admm
 from ._csv import write_csv
-from .errors import ConventionMismatch, Infeasible, InfeasibleWithoutAgent, MaxIterReached
+from .errors import ConventionMismatch, DimensionMismatch, Infeasible, InfeasibleWithoutAgent, MaxIterReached
 from .graphs import random_connected_graph
 from .problem import (
     CentralSolution,
     CoupledProblem,
     ReportedProblem,
+    _Market,
     centralized_solve,
     dual_residual,
     eval_cost,
     exclude_agent,
     resolve,
-    solve_without,
     stationarity_residual,
 )
 
@@ -198,9 +202,10 @@ def vcg_payments(problem, cost_basis: str = "true", distributed=None, solution: 
     """
     p = resolve(problem, "reported")
     if distributed is None:
-        full = solution or centralized_solve(p)
+        market = _Market(p)
+        full = solution or market.solve()
         x_hat, total_hat = full.x, full.value
-        value_without = lambda i: solve_without(p, i, full).value
+        value_without = lambda i: market.solve_without(i, full).value
     elif solution is not None:
         raise ValueError("a centralized solution cannot seed distributed VCG")
     else:
@@ -254,10 +259,11 @@ def vcg_ic_check(true_problem: CoupledProblem, cases, tol: float = 1e-8) -> ICRe
 def _misreport_benefits(instance, reports) -> tuple[CentralSolution, np.ndarray]:
     """The truthful optimum of ``instance``, solved once, and everyone's
     true-cost benefit under shadow pricing of each reported problem in
-    ``reports``, one row each; every reported solve starts from the
-    truthful optimum's tight rows."""
-    truthful = centralized_solve(instance.problem)
-    rows = [sp_for_problem(r, solution=centralized_solve(r, which="reported", active=truthful.active)).benefits for r in reports]
+    ``reports``, one row each. Every solve runs on one market; each reported
+    solve starts from the truthful optimum's tight rows."""
+    market = _Market(instance.problem)
+    truthful = market.solve()
+    rows = [sp_for_problem(r, solution=market.solve(resolve(r, "reported"), active=truthful.active)).benefits for r in reports]
     return truthful, np.array(rows).reshape(len(rows), instance.problem.n_agents)
 
 
@@ -277,6 +283,8 @@ def misreport_sweep(instance, agent: int, deltas) -> SweepResult:
     costs floor at zero), re-solve, price, and record everyone's true-cost
     benefit under shadow pricing."""
     deltas = np.asarray(deltas, float).ravel()
+    if not np.all(np.isfinite(deltas)):
+        raise DimensionMismatch(f"sweep deltas must be finite, got {deltas.tolist()}")
     _, benefits = _misreport_benefits(instance, (instance.perturbed_reports({agent: float(delta)}) for delta in deltas))
     return SweepResult(agent=int(agent), deltas=deltas, benefits=benefits)
 
@@ -297,7 +305,12 @@ def misreport_portfolio(instance, n_cases: int, seed: int, magnitude: float = 0.
     """Seeded batch of simultaneous misreports: per case, every agent shifts a
     random nonempty subvector of its route-edge costs by a random magnitude
     (reported costs floor at zero); everyone's true-cost benefit under shadow
-    pricing is recorded next to the truthful baseline."""
+    pricing is recorded next to the truthful baseline. ``n_cases`` must be a
+    nonnegative integer and ``magnitude`` a finite number of at least 0."""
+    if isinstance(n_cases, bool) or not isinstance(n_cases, (int, np.integer)) or n_cases < 0:
+        raise DimensionMismatch(f"n_cases must be a nonnegative integer, got {n_cases!r}")
+    if isinstance(magnitude, bool) or not isinstance(magnitude, (int, float, np.integer, np.floating)) or not 0 <= magnitude < np.inf:
+        raise DimensionMismatch(f"magnitude must be a finite number of at least 0, got {magnitude!r}")
     rng = np.random.default_rng(seed)
 
     def shifted(i: int) -> np.ndarray:
@@ -313,7 +326,7 @@ def misreport_portfolio(instance, n_cases: int, seed: int, magnitude: float = 0.
         return costs
 
     n = instance.problem.n_agents
-    cases = (instance.with_reported_costs({i: shifted(i) for i in range(n)}) for _ in range(int(n_cases)))
+    cases = (instance.with_reported_costs({i: shifted(i) for i in range(n)}) for _ in range(n_cases))
     truthful, benefits = _misreport_benefits(instance, cases)
     baseline = sp_for_problem(ReportedProblem.truthful(instance.problem), solution=truthful).benefits
     return PortfolioResult(baseline=baseline, benefits=benefits)

@@ -21,6 +21,12 @@ marks the rows tight at x by one rule. A coupling dual has the one sign of
 ``centralized_solve``; ``dual_residual`` tests it as given. Each stationarity
 certificate is one NNLS (``stationarity_residual``), a free multiplier
 entering as columns a, -a.
+
+The centralized solves of one market share one QP (``_Market``): its total
+Hessian is summed and proved PSD once, and ``centralized_solve``,
+``solve_without``, the mechanisms and the generator's screens run on it. A
+drop-one solve restricts the market's arrays to the other agents instead of
+building ``exclude_agent``, with bit-identical answers.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .errors import (
     NonConvexObjective,
     UnknownAgent,
 )
-from .qp import solve_qp
+from .qp import RepeatedQp, solve_qp
 
 __all__ = [
     "QuadObjective",
@@ -147,10 +153,8 @@ class CoupledProblem:
         if which not in ("actual", "algorithmic"):
             raise ValueError(f"which must be 'actual' or 'algorithmic', got {which!r}")
         objs = self.actual if which == "actual" else self.algorithmic
-        # Zero starts give a market without agents (0, 0) and (0,) totals.
-        sigma = sum((o.sigma for o in objs), np.zeros((self.n_total, self.n_total)))
-        psi = sum((o.psi for o in objs), np.zeros(self.n_total))
-        return np.asarray(sigma, float), np.asarray(psi, float)
+        n = self.n_total
+        return _summed((o.sigma for o in objs), (n, n)), _summed((o.psi for o in objs), n)
 
     def total_value(self, x: np.ndarray, which: str = "actual") -> float:
         return QuadObjective(*self.total_quadratic(which)).value(x)
@@ -200,6 +204,12 @@ def resolve(problem, which: str) -> CoupledProblem:
     """The ``which`` side ("true" or "reported") of a ``ReportedProblem``; a
     plain ``CoupledProblem`` is both sides of a truthful report."""
     return (problem if isinstance(problem, ReportedProblem) else ReportedProblem.truthful(problem)).pick(which)
+
+
+def _summed(arrays, shape) -> np.ndarray:
+    """The sum of ``arrays`` from a zero start, which gives a market without
+    agents its (0, 0) and (0,) totals."""
+    return np.asarray(sum(arrays, np.zeros(shape)), float)
 
 
 def _check_symmetric(sigma: np.ndarray, label: str) -> np.ndarray:
@@ -374,25 +384,80 @@ class CentralSolution:
     active: tuple[int, ...]
 
 
+class _Market:
+    """One market's centralized QP, built once: its total Hessian summed,
+    normalized and proved PSD by one ``eigvalsh``. Every solve of a mechanism
+    call runs on it: ``solve`` the market or a report that changes only the
+    linear terms, from the warm state of a new QP; ``without`` the market
+    without one agent, as a principal restriction of the market's arrays."""
+
+    def __init__(self, p: CoupledProblem, tol: float = 1e-9):
+        self.p = p
+        sigma, self.psi = p.total_quadratic("actual")
+        self.qp = RepeatedQp(sigma, p.stacked_A(), p.d, *p.local_stacked(), tol=tol)
+
+    def solve(self, reported: CoupledProblem | None = None, active=None) -> CentralSolution:
+        """The optimum of the market, or of ``reported``: the market with
+        other linear terms, which must share its Hessians, coupling and local
+        rows (by identity, as ``TransportInstance.with_reported_costs``
+        builds it)."""
+        psi = self.psi
+        if reported is not None:
+            p = self.p
+            shared = reported.A is p.A and reported.d is p.d and reported.local is p.local and len(reported.actual) == len(p.actual)
+            if not (shared and all(r.sigma is o.sigma for r, o in zip(reported.actual, p.actual))):
+                raise ValueError("a report on a market may change only its linear terms")
+            psi = _summed((o.psi for o in reported.actual), p.n_total)
+        return _optimum(self.qp._fresh(), psi, active)
+
+    def without(self, i: int, active=None) -> CentralSolution:
+        """The optimum of ``exclude_agent(p, i)``, ``active`` numbered as its
+        local rows. Where agent i's actual Hessian and linear term vanish off
+        its own block, as on every transport market, the restricted totals
+        are the totals of that market bit for bit, and its QP is a principal
+        restriction of this one's. Otherwise that market is built."""
+        p = self.p
+        blk, own = p.block(i), p.rows(i)
+        cols = np.r_[0 : blk.start, blk.stop : p.n_total]
+        outside = (slice(0, blk.start), slice(blk.stop, None))
+        mine = p.actual[i]
+        if np.any(mine.psi[cols]) or any(np.any(mine.sigma[a, b]) for a in outside for b in outside):
+            return _Market(exclude_agent(p, i), self.qp.tol).solve(active=active)
+        rows = np.r_[0 : own.start, own.stop : p.row_offsets[-1]]
+        return _optimum(self.qp._restrict(cols, rows), self.psi[cols], active)
+
+    def solve_without(self, i: int, full: CentralSolution) -> CentralSolution:
+        """The one drop-one path: ``without`` agent i, started from the tight
+        local rows of ``full``, the optimum with everyone. Agent i's rows are
+        dropped and the rows after them move up."""
+        rows = self.p.rows(i)
+        own = range(rows.start, rows.stop)
+        return self.without(i, active=tuple(r - len(own) if r >= own.stop else r for r in full.active if r not in own))
+
+
+def _optimum(qp: RepeatedQp, psi: np.ndarray, active) -> CentralSolution:
+    sol = qp.solve(psi, active=active)
+    if sol.status == "max_iter":
+        raise MaxIterReached(f"centralized solve stopped at residuals {sol.residuals}")
+    lam = -sol.lam  # flip from the Px+q+E'lam+G'alpha=0 convention
+    return CentralSolution(x=sol.x, lam=lam, alpha=sol.alpha, value=QuadObjective(qp.P, psi).value(sol.x), active=sol.active)
+
+
 def centralized_solve(problem, which: str = "true", tol: float = 1e-9, active=None) -> CentralSolution:
     """Solve the coupled problem as one QP. ``active``, when given, is a
     first guess at the tight local rows (``CentralSolution.active`` of a
     nearby problem); a guess that does not polish to a certified optimum
     leaves the solve as it is without one."""
-    p = resolve(problem, which)
-    sigma, psi = p.total_quadratic("actual")
-    sol = solve_qp(sigma, psi, p.stacked_A(), p.d, *p.local_stacked(), tol=tol, active=active)
-    if sol.status == "max_iter":
-        raise MaxIterReached(f"centralized solve stopped at residuals {sol.residuals}")
-    lam = -sol.lam  # flip from the Px+q+E'lam+G'alpha=0 convention
-    return CentralSolution(x=sol.x, lam=lam, alpha=sol.alpha, value=QuadObjective(sigma, psi).value(sol.x), active=sol.active)
+    return _Market(resolve(problem, which), tol).solve(active=active)
 
 
 def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
     """The same market without agent i: its block is removed (fixed at zero).
     The others' algorithmic objectives share agent i's algorithmic minus
     actual objective equally, so both decompositions keep the same total (on
-    a transport market, the kappa shares on agent i's edges sum to one again)."""
+    a transport market, the kappa shares on agent i's edges sum to one again).
+    The centralized drop-one solve does not build it (``solve_without``);
+    distributed VCG does."""
     cols = np.delete(np.arange(p.n_total), p.block(i))
     keep = [j for j in range(p.n_agents) if j != i]
     restrict = lambda obj: QuadObjective(sigma=obj.sigma.take(cols, 0).take(cols, 1), psi=obj.psi[cols])
@@ -411,14 +476,12 @@ def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
 
 
 def solve_without(p: CoupledProblem, i: int, full: CentralSolution, tol: float = 1e-9) -> CentralSolution:
-    """``centralized_solve`` of the market without agent i, started from the
-    tight local rows of ``full``, the optimum with everyone: agent i's rows
-    are dropped and the rows after them move up, as in ``local_stacked()``
-    of ``exclude_agent``."""
-    without = exclude_agent(p, i)
-    own = range(p.rows(i).start, p.rows(i).stop)
-    active = tuple(r - len(own) if r >= own.stop else r for r in full.active if r not in own)
-    return centralized_solve(without, tol=tol, active=active)
+    """``centralized_solve(exclude_agent(p, i))``, started from the tight
+    local rows of ``full``, the optimum with everyone: agent i's rows are
+    dropped and the rows after them move up, as in ``local_stacked()`` of
+    ``exclude_agent``. It restricts the market's own QP instead of building
+    that market."""
+    return _Market(p, tol).solve_without(i, full)
 
 
 def stationarity_residual(grad: np.ndarray, cols: np.ndarray) -> float:

@@ -25,13 +25,27 @@ LU meets an exact zero pivot, the system is solved by one complete orthogonal
 decomposition (LAPACK xGELSY, a column-pivoted QR) with rank cutoff ``n eps``:
 the minimum-norm least-squares answer, with no factor kept.
 
+The splitting iteration's x-update is solved through the n x n matrix
+``K = P + sigma I + C' diag(rho) C``, with ``C`` the equality rows over the
+inequality rows (OSQP's reduced system: Stellato et al., Math. Prog. Comp.
+12, 2020, section 3.1): ``x~ = K^-1 (sigma x - q + C'(rho z - y))`` and
+``z~ = C x~``. K is LU-factored when a solve first needs it, so a hit pays
+no factorization of it.
+
 A solve may be given a first guess at the active set, such as the tight
 rows of a nearby problem's optimum. The polish tries it before any splitting
 iteration. A guess that ends in a certified point is a hit. A miss leaves the
 solve as it is without a guess: the splitting iteration runs from the same
 start with the same polishes, so it returns the unguessed answer bit for bit.
-The splitting system is factored when a solve first needs it, so a hit pays
-no factorization of the full ``(n + m)``-square system.
+
+The checked constructor validates its numbers (finite arrays, a positive
+tolerance, an integer budget), normalizes P and runs one ``eigvalsh`` to
+prove it PSD. Two private routes reuse that work. ``_fresh`` is the same QP
+with the warm state of a new one; it shares the arrays and K's factor, so a
+solve on it returns what a new ``RepeatedQp`` would. ``_restrict`` is the QP
+over a principal restriction (kept columns, kept inequality rows): it checks
+nothing, since a principal submatrix of a PSD matrix is PSD, and it is
+definite when its parent is.
 
 With the active set fixed, a polish step is affine in the linear term:
 ``RepeatedQp.step_map`` writes it out as a matrix by taking the polish's
@@ -48,6 +62,7 @@ it themselves (see ``problem.centralized_solve``).
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -137,10 +152,20 @@ def _normalize(P, E, h, G, u) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
         raise DimensionMismatch(f"E shape {E.shape} vs h length {h.shape[0]}, n={n}")
     if G.shape != (u.shape[0], n):
         raise DimensionMismatch(f"G shape {G.shape} vs u length {u.shape[0]}, n={n}")
+    for name, a in (("P", P), ("E", E), ("h", h), ("G", G), ("u", u)):
+        if not np.all(np.isfinite(a)):
+            raise DimensionMismatch(f"{name} has entries that are not finite")
     asym = float(np.max(np.abs(P - P.T))) if n else 0.0
     if asym > 1e-10 * max(1.0, float(np.max(np.abs(P))) if n else 1.0):
         raise DimensionMismatch(f"P is not symmetric (asymmetry {asym:.3e})")
     return (P + P.T) / 2.0, E, h, G, u
+
+
+def _check_numbers(tol, max_iter) -> None:
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise DimensionMismatch(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) or not 0 < tol < np.inf:
+        raise DimensionMismatch(f"tol must be a finite positive number, got {tol!r}")
 
 
 def _check_psd(P: np.ndarray) -> bool:
@@ -226,6 +251,26 @@ def _step_verdict(P, q, E, h, G, u, x, lam, alpha, act: np.ndarray, tol: float):
     return ok, drop, add, alpha, res, tight
 
 
+class _Splitting:
+    """The splitting iteration's x-update by the n x n matrix
+    ``K = P + sigma I + C' diag(rho) C``, LU-factored when first needed. The
+    copies of a QP made by ``RepeatedQp._fresh`` share one. Each update is
+    one LAPACK ``getrs`` on the factor: the checks ``lu_solve`` wraps it in
+    cost twice the solve at market scale."""
+
+    def __init__(self, P: np.ndarray, C: np.ndarray, rho: np.ndarray):
+        self.P, self.C, self.rho = P, C, rho
+        self.lu = None
+
+    def x_update(self, x: np.ndarray, z: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """``x~ = K^-1 (sigma x - q + C'(rho z - y))``."""
+        if self.lu is None:
+            K = self.P + _SIGMA_REG * np.eye(self.P.shape[0]) + self.C.T @ (self.rho[:, None] * self.C)
+            self.lu = scipy.linalg.lu_factor(K)
+        x_t, _ = scipy.linalg.lapack.dgetrs(*self.lu, _SIGMA_REG * x - q + self.C.T @ (self.rho * z - y))
+        return x_t
+
+
 class RepeatedQp:
     """A QP family sharing (P, E, h, G, u) with a varying linear term.
 
@@ -245,27 +290,49 @@ class RepeatedQp:
         tol: float = 1e-9,
         max_iter: int = 200000,
     ):
-        if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-            raise DimensionMismatch(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-        self.P, self.E, self.h, self.G, self.u = _normalize(P, E, h, G, u)
-        self._definite = _check_psd(self.P)  # reduced systems are LU-factored only then
+        _check_numbers(tol, max_iter)
+        P, E, h, G, u = _normalize(P, E, h, G, u)
+        self._setup(P, E, h, G, u, _check_psd(P), tol, max_iter)
+
+    def _setup(self, P, E, h, G, u, definite: bool, tol: float, max_iter: int) -> None:
+        """The set-up of checked arrays that ``__init__`` and ``_restrict`` share."""
+        self.P, self.E, self.h, self.G, self.u = P, E, h, G, u
+        self._definite = definite  # reduced systems are LU-factored only then
         self.tol = tol
         self.max_iter = max_iter
-        n = self.P.shape[0]
+        n = P.shape[0]
         self.n = n
-        me, mi = self.E.shape[0], self.G.shape[0]
+        me, mi = E.shape[0], G.shape[0]
         self.me, self.mi = me, mi
-        m = me + mi
-        self.C = np.vstack([self.E, self.G]) if m else _empty(n)
+        self.C = np.vstack([E, G]) if me + mi else _empty(n)
         self.rho = np.concatenate([np.full(me, _RHO_EQ_FACTOR * _RHO_INEQ), np.full(mi, _RHO_INEQ)])
-        self._lu = None  # the splitting system's LU factors, made by the first ``_admm``
+        self._split = _Splitting(P, self.C, self.rho)
         # Column of each simple-bound row (one nonzero entry in G), -1 elsewhere.
-        nonzero = self.G != 0
+        nonzero = G != 0
         single = nonzero.sum(axis=1) == 1
         self._bound_col = np.where(single, nonzero.argmax(axis=1), -1) if n else np.full(mi, -1)
         self._last_x: np.ndarray | None = None
         self._last_active: frozenset[int] | None = None
         self._system: tuple[frozenset[int], _ReducedSystem] | None = None  # the last active set's
+
+    def _fresh(self) -> RepeatedQp:
+        """This QP with the warm state of a new one (no last point or set):
+        it shares the arrays and the splitting factor, which do not depend
+        on ``q``."""
+        qp = copy.copy(self)
+        qp._last_x = qp._last_active = None
+        return qp
+
+    def _restrict(self, cols: np.ndarray, rows: np.ndarray) -> RepeatedQp:
+        """The QP with only the columns ``cols`` (the others fixed at zero),
+        every equality row and the inequality rows ``rows``. Nothing is
+        checked again: a principal submatrix of a PSD matrix is PSD, and of
+        a definite one definite. A restriction of a semidefinite P that
+        happens to be definite keeps the least-squares polish."""
+        qp = object.__new__(RepeatedQp)
+        P = self.P.take(cols, 0).take(cols, 1)
+        qp._setup(P, self.E.take(cols, 1), self.h, self.G.take(rows, 0).take(cols, 1), self.u[rows], self._definite, self.tol, self.max_iter)
+        return qp
 
     def solve(self, q: np.ndarray, active=None) -> QpSolution:
         """Solve for the linear term ``q``. The polish first tries
@@ -276,6 +343,8 @@ class RepeatedQp:
         q = np.asarray(q, dtype=float).ravel()
         if q.shape[0] != self.n:
             raise DimensionMismatch(f"linear term has length {q.shape[0]}, expected {self.n}")
+        if not np.all(np.isfinite(q)):
+            raise DimensionMismatch("linear term has entries that are not finite")
 
         if self.n == 0:
             return self._solve_empty()
@@ -405,14 +474,15 @@ class RepeatedQp:
 
         nf, mo = n - fix_cols.size, rows.size
         Gr = G[rows]
+        cut = np.flatnonzero(free)  # index takes copy faster than boolean or np.ix_ indexing
         kkt = np.zeros((nf + me + mo, nf + me + mo))
-        kkt[:nf, :nf] = P[np.ix_(free, free)]
+        kkt[:nf, :nf] = P.take(cut, 0).take(cut, 1)
         if me:
-            kkt[:nf, nf : nf + me] = E[:, free].T
-            kkt[nf : nf + me, :nf] = E[:, free]
+            kkt[nf : nf + me, :nf] = E.take(cut, 1)
+            kkt[:nf, nf : nf + me] = kkt[nf : nf + me, :nf].T
         if mo:
-            kkt[:nf, nf + me :] = Gr[:, free].T
-            kkt[nf + me :, :nf] = Gr[:, free]
+            kkt[nf + me :, :nf] = Gr.take(cut, 1)
+            kkt[:nf, nf + me :] = kkt[nf + me :, :nf].T
         lu = None
         if kkt.size and self._definite:
             with warnings.catch_warnings():
@@ -432,14 +502,6 @@ class RepeatedQp:
         C, rho, h = self.C, self.rho, self.h
         lower = np.concatenate([h, np.full(mi, -np.inf)])
         upper = np.concatenate([h, self.u])
-        if self._lu is None:
-            kkt = np.zeros((n + m, n + m))
-            kkt[:n, :n] = self.P + _SIGMA_REG * np.eye(n)
-            kkt[:n, n:] = C.T
-            kkt[n:, :n] = C
-            kkt[n:, n:] = -np.diag(1.0 / rho)
-            self._lu = scipy.linalg.lu_factor(kkt)
-
         x = np.zeros(n) if self._last_x is None else self._last_x.copy()
         z = np.clip(C @ x, lower, upper)
         y = np.zeros(m)
@@ -447,11 +509,8 @@ class RepeatedQp:
         best, best_score = None, np.inf  # best: (k, x, y, act_tol) of the best iterate so far
 
         for k in range(1, self.max_iter + 1):
-            rhs = np.concatenate([_SIGMA_REG * x - q, z - y / rho])
-            sol = scipy.linalg.lu_solve(self._lu, rhs)
-            x_t = sol[:n]
-            nu = sol[n:]
-            z_t = z + (nu - y) / rho
+            x_t = self._split.x_update(x, z, y, q)
+            z_t = C @ x_t
             x = _RELAX * x_t + (1.0 - _RELAX) * x
             z_pre = _RELAX * z_t + (1.0 - _RELAX) * z
             z = np.clip(z_pre + y / rho, lower, upper)

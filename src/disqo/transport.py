@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, InvalidEdge, NoPathExists
 from .graphs import CommGraph, build_graph, random_connected_graph
-from .problem import CoupledProblem, ReportedProblem, assemble_problem, centralized_solve, solve_without
+from .problem import CoupledProblem, ReportedProblem, _Market, assemble_problem
 
 __all__ = [
     "TransportNetwork",
@@ -254,6 +254,8 @@ class TransportInstance:
             blk, c = p.block(i), np.asarray(c, float).ravel()  # an unknown agent is rejected first
             if c.shape != (self.network.n_edges,):
                 raise DimensionMismatch(f"reported cost vector of agent {i} has length {c.shape[0]}")
+            if not np.all(np.isfinite(c)):
+                raise DimensionMismatch(f"reported cost vector of agent {i} has entries that are not finite")
             psi = np.zeros(p.n_total)
             psi[blk] = _route_costs(self.incidence, i, c)
             algorithmic[i] = dataclasses.replace(algorithmic[i], psi=psi)
@@ -334,12 +336,13 @@ def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c
         paths = instance.paths
         if any(sum(1 for i in range(N) if paths.count(i, j) > 0) < 2 for j in range(M)):
             continue
-        # Each drop-one screen starts from the full optimum's tight rows.
-        problem = instance.problem
+        # One market per draw; each drop-one screen starts from the full
+        # optimum's tight rows.
+        market = _Market(instance.problem, tol=1e-8)
         try:
-            full = centralized_solve(problem, tol=1e-8)
+            full = market.solve()
             for i in range(N):
-                solve_without(problem, i, full, tol=1e-8)
+                market.solve_without(i, full)
         except Infeasible:
             continue
         return instance

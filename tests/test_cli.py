@@ -592,6 +592,29 @@ def test_validate_fails_on_a_bad_value_in_any_section_a_command_reads(tmp_path, 
     assert f"FAIL: {check}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, section, text, check",
+    [
+        ("misreport-sweep", "sweep", '{"agent": 0, "deltas": [0.5, NaN]}', "sweep spec"),
+        ("misreport-sweep", "sweep", '{"agent": 0, "deltas": [Infinity]}', "sweep spec"),
+        ("misreport-sweep", "sweep", '{"agent": 0, "deltas": [-Infinity]}', "sweep spec"),
+        ("misreport-portfolio", "portfolio", '{"cases": 2, "magnitude": -1}', "portfolio spec"),
+        ("misreport-portfolio", "portfolio", '{"cases": 2, "magnitude": NaN}', "portfolio spec"),
+        ("misreport-portfolio", "portfolio", '{"cases": 2, "magnitude": 1e400}', "portfolio spec"),
+        ("mechanism", "reports", '{"0": [NaN, 0.0, 0.0, 0.0]}', "reported costs"),
+    ],
+)
+def test_misreport_numbers_that_cannot_work_fail_validate_and_exit_one(tmp_path, capsys, command, section, text, check):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"schema_version": 1, "generator": {json.dumps(STAR_GEN)}, "{section}": {text}}}')
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert f"FAIL: {check}" in capsys.readouterr().out
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_instance_with_a_supplier_outside_the_network_exits_one(tmp_path, capsys):
     inst_file = tmp_path / "inst.json"
     main(["gen", "--scale", "4,2,3,2", "--seed", "7", "--out", str(inst_file)])

@@ -433,6 +433,20 @@ def test_sweep_csv_layout(tmp_path):
     assert float(rows[1][0]) == -0.5 and rows[1][1] == "0"
 
 
+def test_misreport_inputs_that_cannot_work_are_rejected():
+    inst = ex3_instance()
+    for delta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DimensionMismatch, match="sweep deltas must be finite"):
+            misreport_sweep(inst, 0, [0.5, delta])
+    for n_cases in (-2, 1.5, True):
+        with pytest.raises(DimensionMismatch, match="n_cases must be a nonnegative integer"):
+            misreport_portfolio(inst, n_cases, seed=1)
+    for magnitude in (-1.0, np.nan, np.inf, float("1e400"), True):
+        with pytest.raises(DimensionMismatch, match="magnitude must be a finite number"):
+            misreport_portfolio(inst, 1, seed=1, magnitude=magnitude)
+    assert misreport_portfolio(inst, np.int64(2), seed=1, magnitude=0).benefits.shape == (2, 3)
+
+
 def test_portfolio_deterministic_and_baseline_only_case(tmp_path):
     inst = ex3_instance()
     a = misreport_portfolio(inst, n_cases=5, seed=11)

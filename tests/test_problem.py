@@ -26,6 +26,7 @@ from disqo.problem import (
     solve_without,
 )
 from disqo.qp import solve_qp
+from disqo.star import random_star, to_transport
 from disqo.transport import random_instance
 
 
@@ -274,8 +275,8 @@ def test_exclude_agent_rows_renumbers_the_rest(monkeypatch):
     # rows, renumbered as in the market without the agent.
     p = blocks_problem()  # local rows: agent 0 owns 0-1, agent 2 owns 2
     starts = []
-    solve = problem_module.centralized_solve
-    monkeypatch.setattr(problem_module, "centralized_solve", lambda q, tol, active: starts.append(active) or solve(q, tol=tol, active=active))
+    without = problem_module._Market.without
+    monkeypatch.setattr(problem_module._Market, "without", lambda market, i, active: starts.append(active) or without(market, i, active=active))
     full = lambda rows: dataclasses.replace(centralized_solve(p), active=rows)
     for i, rows, kept in ((0, (0, 1, 2), (0,)), (1, (1, 2), (1, 2)), (2, (0, 2), (0,))):
         sol = solve_without(p, i, full(rows))
@@ -329,7 +330,7 @@ def test_solve_without_remaps_rows_onto_the_same_rows(monkeypatch):
     # Each start row handed to the drop-one solve is the same row of the
     # market without the agent: its coefficients on the kept columns and its bound.
     starts = []
-    monkeypatch.setattr(problem_module, "centralized_solve", lambda q, tol, active: starts.append(active))
+    monkeypatch.setattr(problem_module._Market, "without", lambda market, i, active: starts.append(active))
     for p in layout_problems():
         G, u = p.local_stacked()
         sol = centralized_solve(p)
@@ -343,6 +344,51 @@ def test_solve_without_remaps_rows_onto_the_same_rows(monkeypatch):
                 assert len(remapped) == len(kept) and len(set(remapped)) == len(kept)
                 assert G_without[remapped].tobytes() == G[kept][:, cols].tobytes()
                 assert u_without[remapped].tobytes() == u[kept].tobytes()
+
+
+def test_drop_one_restriction_equals_the_built_market_bitwise(monkeypatch):
+    # On a transport market (a star's P is definite, a layered one's is not)
+    # the drop-one QP is a principal restriction of the market's, and
+    # solves to the bits of the market exclude_agent builds, with and
+    # without a start. blocks_problem's dense actual objectives reach the
+    # others' columns, so there the market without the agent is built.
+    star = to_transport(random_star(np.random.default_rng(4))).problem
+    built = []
+    exclude = problem_module.exclude_agent
+    monkeypatch.setattr(problem_module, "exclude_agent", lambda p, i: built.append(i) or exclude(p, i))
+    for p in [star] + layout_problems():
+        full = centralized_solve(p)
+        market = problem_module._Market(p)
+        built.clear()
+        for i in range(p.n_agents):
+            own = range(p.rows(i).start, p.rows(i).stop)
+            start = tuple(r - len(own) if r >= own.stop else r for r in full.active if r not in own)
+            pairs = ((solve_without(p, i, full), centralized_solve(exclude(p, i), active=start)), (market.without(i), centralized_solve(exclude(p, i))))
+            for got, ref in pairs:
+                for name in ("x", "lam", "alpha"):
+                    assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+                assert got.value == ref.value and got.active == ref.active
+        assert built == ([] if p is star or p.n_agents == 4 else [0, 0, 1, 1, 2, 2])
+
+
+def test_a_report_on_a_market_may_change_only_its_linear_terms():
+    inst = random_instance((4, 2, 3, 2), seed=0)
+    p = inst.problem
+    market = problem_module._Market(p)
+    reported = inst.perturbed_reports({1: 0.5}).reported
+    ref = centralized_solve(inst.perturbed_reports({1: 0.5}), which="reported")
+    got = market.solve(reported)
+    assert got.x.tobytes() == ref.x.tobytes() and got.value == ref.value
+    sigma = [dataclasses.replace(o, sigma=o.sigma.copy()) for o in p.actual]
+    for other in (dataclasses.replace(p, actual=tuple(sigma)), dataclasses.replace(p, d=p.d.copy()), dataclasses.replace(p, local=tuple(list(p.local)))):
+        with pytest.raises(ValueError, match="only its linear terms"):
+            market.solve(other)
+
+
+def test_centralized_solve_rejects_a_tolerance_that_cannot_work():
+    for tol in (0.0, -1e-9, float("nan"), float("inf"), True):
+        with pytest.raises(DimensionMismatch, match="tol must be a finite positive number"):
+            centralized_solve(three_supplier_problem(), tol=tol)
 
 
 def test_reported_problem_selection():

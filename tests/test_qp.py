@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from disqo import qp as qp_module
 from disqo.errors import DimensionMismatch, Infeasible, NonPsdHessian
 from disqo.qp import RepeatedQp, WarmBatch, _solve_reduced, _step_verdict, solve_qp
 
@@ -119,7 +120,7 @@ def test_max_iter_reports_partial_result():
     M = rng.normal(size=(6, 6))
     P = M.T @ M + 0.5 * np.eye(6)
     G, u = box_rows(6, -np.ones(6), np.ones(6))
-    sol = solve_qp(P=P, q=rng.normal(size=6), G=G, u=u, tol=0.0, max_iter=60)
+    sol = solve_qp(P=P, q=rng.normal(size=6), G=G, u=u, tol=1e-300, max_iter=60)  # a tolerance no polish meets
     assert sol.status == "max_iter"
     assert np.all(np.isfinite(sol.x))
     assert "stationarity" in sol.residuals
@@ -136,7 +137,7 @@ def test_budgets_before_the_first_check_end_at_their_last_iteration(budget):
     rng = np.random.default_rng(0)
     M = rng.normal(size=(6, 6))
     G, u = box_rows(6, -np.ones(6), np.ones(6))
-    sol = solve_qp(P=M.T @ M + 0.5 * np.eye(6), q=rng.normal(size=6), G=G, u=u, tol=0.0, max_iter=budget)
+    sol = solve_qp(P=M.T @ M + 0.5 * np.eye(6), q=rng.normal(size=6), G=G, u=u, tol=1e-300, max_iter=budget)
     assert sol.status == "max_iter" and sol.iterations == budget
 
 
@@ -517,3 +518,58 @@ def test_only_a_certified_polish_is_optimal(monkeypatch):
     assert sol.status == "max_iter" and sol.iterations <= 100
     np.testing.assert_allclose(sol.x, [-0.5, 0.2, -0.1], atol=1e-8)
     assert max(sol.residuals.values()) <= 1e-8
+
+
+def test_splitting_update_is_the_block_systems_with_nu_eliminated(monkeypatch):
+    # The x-update by the n x n matrix K = P + sigma I + C' diag(rho) C gives
+    # the iterate of the (n + m)-square block system it replaces, and a
+    # splitting solve factors only K.
+    rng = np.random.default_rng(11)
+    n = 6
+    M = rng.normal(size=(n, n))
+    G, u = box_rows(n, -np.ones(n), np.ones(n))
+    kernel = RepeatedQp(M.T @ M + np.eye(n), E=rng.normal(size=(2, n)), h=rng.normal(size=2), G=G, u=u)
+    C, rho, m, sigma = kernel.C, kernel.rho, kernel.C.shape[0], qp_module._SIGMA_REG
+    block = np.block([[kernel.P + sigma * np.eye(n), C.T], [C, -np.diag(1.0 / rho)]])
+    for _ in range(5):
+        x, z, y, q = rng.normal(size=n), rng.normal(size=m), rng.normal(size=m), rng.normal(size=n)
+        sol = np.linalg.solve(block, np.concatenate([sigma * x - q, z - y / rho]))
+        x_old, z_old = sol[:n], z + (sol[n:] - y) / rho
+        x_new = kernel._split.x_update(x, z, y, q)
+        np.testing.assert_allclose(x_new, x_old, rtol=0, atol=1e-12 * np.abs(x_old).max())
+        np.testing.assert_allclose(C @ x_new, z_old, rtol=0, atol=1e-12 * np.abs(z_old).max())
+    shapes = []
+    lu_factor = scipy.linalg.lu_factor
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, **kw: shapes.append(a.shape) or lu_factor(a, **kw))
+    monkeypatch.setattr(RepeatedQp, "_polish", lambda self, *args: None)
+    cold = RepeatedQp(kernel.P, E=kernel.E, h=kernel.h, G=G, u=u, max_iter=60)
+    assert cold.solve(rng.normal(size=n)).status == "max_iter"
+    assert shapes == [(n, n)]
+
+
+def test_fresh_copies_share_the_splitting_factor_and_start_cold(kernel_calls):
+    G, u = box_rows(3, -np.ones(3), np.ones(3))
+    kernel = RepeatedQp(np.diag([1.0, 2.0, 0.0]), G=G, u=u, max_iter=400)
+    q = np.array([0.5, -0.2, 0.1])
+    first = kernel._fresh().solve(q)
+    assert first.iterations > 0 and kernel_calls.count("lu_factor") == 1
+    again = kernel._fresh().solve(q)  # no last set to try: it splits again, on the shared factor
+    assert kernel_calls.count("lu_factor") == 1
+    assert again.iterations == first.iterations and again.x.tobytes() == first.x.tobytes()
+    assert again.x.tobytes() == solve_qp(np.diag([1.0, 2.0, 0.0]), q, G=G, u=u, max_iter=400).x.tobytes()
+
+
+def test_numbers_that_cannot_work_are_rejected():
+    G, u = box_rows(2, -np.ones(2), np.ones(2))
+    spec = dict(P=np.eye(2), q=np.zeros(2), E=np.ones((1, 2)), h=np.ones(1), G=G, u=u)
+    for tol in (0.0, -1e-9, float("nan"), float("inf"), True, "1e-9"):
+        with pytest.raises(DimensionMismatch, match="tol must be a finite positive number"):
+            solve_qp(**spec, tol=tol)
+        with pytest.raises(DimensionMismatch, match="tol must be a finite positive number"):
+            RepeatedQp(np.eye(2), tol=tol)
+    for name in spec:
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = {**spec, name: np.array(spec[name], float)}
+            broken[name].flat[0] = bad
+            with pytest.raises(DimensionMismatch, match="not finite"):
+                solve_qp(**broken)

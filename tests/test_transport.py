@@ -379,6 +379,11 @@ def test_reported_costs_dimension_check():
     inst = three_star()
     with pytest.raises(DimensionMismatch):
         inst.with_reported_costs({0: np.zeros(3)})
+    for bad in (np.nan, np.inf, -np.inf):
+        costs = np.array(inst.network.edge_costs[0], float)
+        costs[0] = bad
+        with pytest.raises(DimensionMismatch, match="not finite"):
+            inst.with_reported_costs({0: costs})
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from disqo import mechanisms, qp
+from disqo import problem, qp, transport
 from disqo.mechanisms import misreport_portfolio, misreport_sweep, sp_for_problem, vcg_payments
 from disqo.problem import ReportedProblem, centralized_solve
 from disqo.star import StarInstance, random_star, to_transport
@@ -34,17 +35,21 @@ def market(scale, seed):
 
 def run_mechanisms(inst, monkeypatch, warm: bool):
     """VCG (when every drop-one market is feasible), a sweep and a portfolio,
-    with the value of every centralized solve they make; ``warm=False``
-    drops each solve's active-set guess."""
+    with the value of every centralized solve they make on their market;
+    ``warm=False`` drops each solve's active-set guess."""
     values = []
 
-    def solve(*args, active=None, **kwargs):
-        sol = centralized_solve(*args, active=active if warm else None, **kwargs)
-        values.append(sol.value)
-        return sol
+    def spy(method):
+        def solve(market, *args, active=None):
+            sol = method(market, *args, active=active if warm else None)
+            values.append(sol.value)
+            return sol
+
+        return solve
 
     with monkeypatch.context() as m:
-        m.setattr(mechanisms, "centralized_solve", solve)
+        for name in ("solve", "without"):
+            m.setattr(problem._Market, name, spy(getattr(problem._Market, name)))
         vcg = vcg_payments(inst.problem) if inst.problem.n_agents > 1 else None
         sweep = misreport_sweep(inst, 0, [-0.5, 0.25, 1.0])
         portfolio = misreport_portfolio(inst, 3, seed=5)
@@ -63,7 +68,7 @@ def test_warm_solves_match_unguessed_solves(scale, seed, monkeypatch):
     close(sweep_w.benefits, sweep_c.benefits)
     close(port_w.baseline, port_c.baseline)
     close(port_w.benefits, port_c.benefits)
-    assert values_w.shape == values_c.shape
+    assert values_w.shape == values_c.shape == ((inst.problem.n_agents + 1 if vcg_w is not None else 0) + 8,)
     close(values_w, values_c)
 
 
@@ -110,3 +115,43 @@ def test_a_missed_guess_gives_the_unguessed_answer_bitwise(monkeypatch):
     for name in ("x", "lam", "alpha"):
         assert getattr(missed, name).tobytes() == getattr(cold, name).tobytes(), name
     assert missed.active == cold.active and missed.value == cold.value
+
+
+def test_one_psd_check_per_mechanism_call_and_per_screening_draw(monkeypatch):
+    # A call builds its market's QP once: one eigvalsh proves the total
+    # Hessian PSD for the full solve, every drop-one and every report.
+    inst = random_instance((6, 3, 3, 2), 0)
+    n = inst.problem.n_total
+    checks = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: checks.append(a.shape) or eigvalsh(a))
+    for call in (lambda: vcg_payments(inst.problem), lambda: misreport_sweep(inst, 1, [-0.5, 0.5]), lambda: misreport_portfolio(inst, 3, seed=5)):
+        checks.clear()
+        call()
+        assert checks == [(n, n)]
+    # Each draw the generator screens (after its assembly's convexity
+    # check) makes one more: the full screen and the N drop-ones share it.
+    marks = []
+    build = transport.build_instance
+    monkeypatch.setattr(transport, "build_instance", lambda *args, **kw: (built := build(*args, **kw), marks.append(len(checks)))[0])
+    checks.clear()
+    random_instance((6, 3, 3, 2), 0)
+    screens = [end - start for start, end in zip(marks, [*marks[1:], len(checks)])]
+    assert screens[-1] == 1 and set(screens) <= {0, 1}
+
+
+def test_reported_solves_make_no_factorization_of_their_own(monkeypatch):
+    # The truthful solve factors the splitting system; every report, hit or
+    # miss, runs on that factor, and a market with a singular Hessian
+    # LU-factors no polish system.
+    inst = random_instance((6, 3, 3, 2), 1)
+    factors = []
+    lu_factor = scipy.linalg.lu_factor
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, **kw: factors.append(a.shape) or lu_factor(a, **kw))
+    problem._Market(inst.problem).solve()
+    truthful = list(factors)
+    assert truthful == [(inst.problem.n_total,) * 2]
+    factors.clear()
+    misreport_sweep(inst, 0, [-2.0, -0.5, 0.5, 2.0])
+    misreport_portfolio(inst, 4, seed=3, magnitude=2.0)
+    assert factors == 2 * truthful
