@@ -1,0 +1,36 @@
+"""The one copy of each rule for a number disqo takes from outside. Every rule
+raises ``DimensionMismatch`` naming the value, and no bool passes as a number."""
+
+import numpy as np
+
+from .errors import DimensionMismatch
+
+_REAL = (int, float, np.integer, np.floating)
+
+
+def integer(value, name: str, least: int):
+    """``value`` when it is an int or numpy integer of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DimensionMismatch(f"{name} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
+def positive(value, name: str):
+    """``value`` when it is a finite real number above 0."""
+    if isinstance(value, bool) or not isinstance(value, _REAL) or not 0 < value < np.inf:
+        raise DimensionMismatch(f"{name} must be a finite positive number, got {value!r}")
+    return value
+
+
+def nonnegative(value, name: str):
+    """``value`` when it is a finite real number of at least 0."""
+    if isinstance(value, bool) or not isinstance(value, _REAL) or not 0 <= value < np.inf:
+        raise DimensionMismatch(f"{name} must be a finite number of at least 0, got {value!r}")
+    return value
+
+
+def finite(array, name: str):
+    """``array`` when every entry is finite."""
+    if not np.all(np.isfinite(array)):
+        raise DimensionMismatch(f"{name} must be finite, got a value that is not finite")
+    return array

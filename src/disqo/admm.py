@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._checks import integer, nonnegative, positive
 from ._csv import write_csv
 from .errors import DecompositionMismatch, DimensionMismatch, InfeasibleInitialPoint
 from .graphs import CommGraph, metropolis_weights
@@ -105,12 +106,11 @@ class SolverParams:
     mode: str = "plain"
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.rho <= 0:
-            raise DimensionMismatch("sigma and rho must be strictly positive")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise DimensionMismatch(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
-        if self.violation_tol < 0 or self.step_tol < 0:
-            raise DimensionMismatch("tolerances must be nonnegative")
+        positive(self.sigma, "sigma")
+        positive(self.rho, "rho")
+        integer(self.max_iter, "max_iter", 1)
+        nonnegative(self.violation_tol, "violation_tol")  # 0 runs the whole budget
+        nonnegative(self.step_tol, "step_tol")
         if self.mode not in ("plain", "accelerated"):
             raise DimensionMismatch(f"mode must be 'plain' or 'accelerated', got {self.mode!r}")
 

@@ -31,9 +31,10 @@ The generator spec may instead be a star template with explicit costs:
 One rule picks every seed: ``--seed`` when given, else the section's own
 ``seed``, else the default (the generator's seed for the graph draw, else 0).
 Explicit ``graph.edges`` and an instance file's graph are data, not seeds.
-Integer values (scale, seeds, ``sweep.agent``, ``portfolio.cases``) must be
-JSON integers; a float or a bool is an input error, never truncated. Sweep
-deltas must be finite and a portfolio ``magnitude`` finite and at least 0.
+Integer values (scale, seeds, ``sweep.agent``, ``portfolio.cases``, an
+instance file's ``n_nodes``, ``R``, ``L`` and nodes) must be JSON integers,
+never a float or a bool. Every other number must be finite (a ``null`` pair
+capacity is no limit). Commands and ``validate`` apply the library's rules.
 
 All emitted CSVs are byte-stable across reruns of the same config and seed,
 except the ``wall_ms`` trace column, which records measured time. The
@@ -48,17 +49,17 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
+from ._checks import finite, integer, nonnegative
 from ._csv import write_csv
 from .admm import SolverParams, solve as distributed_solve
 from .errors import DisqoError, InvalidConfig, MaxIterReached
 from .graphs import CommGraph, build_graph, metropolis_weights, validate_weights
-from .mechanisms import misreport_portfolio, misreport_sweep, payments_csv, sp_for_problem, vcg_payments
+from .mechanisms import misreport_portfolio, misreport_sweep, payments_csv, settle
 from .problem import CoupledProblem, centralized_solve, resolve
 from .transport import (
     TransportInstance,
@@ -225,25 +226,15 @@ def _sweep_spec(config: dict, instance: TransportInstance) -> tuple[int, list[fl
     if "agent" not in spec:
         raise InvalidConfig("sweep spec needs an 'agent'")
     agent = _int(spec["agent"], "sweep.agent")
-    if not 0 <= agent < instance.problem.n_agents:
-        raise InvalidConfig(f"sweep agent {agent} out of range")
-    deltas = [float(v) for v in spec.get("deltas", [])] or [0.0]
-    if not all(math.isfinite(v) for v in deltas):
-        raise InvalidConfig(f"sweep deltas must be finite numbers, got {deltas}")
-    return agent, deltas
+    instance.problem.block(agent)  # an unknown agent raises UnknownAgent
+    return agent, finite([float(v) for v in spec.get("deltas", [])] or [0.0], "sweep deltas")
 
 
 @_reads_config
 def _portfolio_spec(config: dict, args) -> tuple[int, int, float]:
     """(cases, seed, magnitude) of the config's portfolio spec."""
     spec = config.get("portfolio") or {}
-    cases = _int(spec.get("cases", 0), "portfolio.cases")
-    if cases < 0:
-        raise InvalidConfig("portfolio 'cases' must be nonnegative")
-    magnitude = float(spec.get("magnitude", 0.5))
-    if not 0.0 <= magnitude < math.inf:
-        raise InvalidConfig(f"portfolio 'magnitude' must be a finite number of at least 0, got {magnitude}")
-    return cases, _seed(args, spec, "portfolio"), magnitude
+    return integer(spec.get("cases", 0), "portfolio.cases", 0), _seed(args, spec, "portfolio"), nonnegative(spec.get("magnitude", 0.5), "portfolio.magnitude")
 
 
 @_reads_config
@@ -321,13 +312,7 @@ def cmd_mechanism(args) -> int:
     config, base = _load_config(args.config)
     instance, _ = _resolve_instance(config, base, args)
     problem = _apply_reports(config, instance)
-    selected, cost_basis = _mechanism_spec(config)
-    solution = centralized_solve(problem, which="reported")  # one solve serves both mechanisms
-    outcomes = []
-    if "sp" in selected:
-        outcomes.append(sp_for_problem(problem, cost_basis=cost_basis, solution=solution))
-    if "vcg" in selected:
-        outcomes.append(vcg_payments(problem, cost_basis=cost_basis, solution=solution))
+    outcomes = settle(problem, *_mechanism_spec(config))
     out = _out_path(config, args)
     os.makedirs(out, exist_ok=True)
     payments_csv(outcomes, os.path.join(out, "payments.csv"))

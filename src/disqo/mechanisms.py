@@ -8,7 +8,8 @@ agent i's presence; it needs one solve per agent plus one with everyone.
 
 Each step has one path. A mechanism call builds its market's QP once
 (``problem._Market``: one Hessian sum, one PSD check, at most one factor of
-the splitting system) and runs every solve of the call on it. Every
+the splitting system) and runs every solve of the call on it; ``settle``
+prices both mechanisms from one such market and one solve of it. Every
 drop-one solve of centralized VCG is the market's ``solve_without``, a
 principal restriction of its arrays started from the full optimum's tight
 local rows (distributed VCG runs the consensus solver on
@@ -38,8 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import admm
+from ._checks import finite, integer, nonnegative
 from ._csv import write_csv
-from .errors import ConventionMismatch, DimensionMismatch, Infeasible, InfeasibleWithoutAgent, MaxIterReached
+from .errors import ConventionMismatch, Infeasible, InfeasibleWithoutAgent, MaxIterReached
 from .graphs import random_connected_graph
 from .problem import (
     CentralSolution,
@@ -61,6 +63,7 @@ __all__ = [
     "sp_for_problem",
     "sp_equilibrium_check",
     "vcg_payments",
+    "settle",
     "vcg_ic_check",
     "ICReport",
     "misreport_sweep",
@@ -186,32 +189,42 @@ def _distributed_value(p: CoupledProblem, graph, params) -> tuple[np.ndarray, fl
     return res.x, p.total_value(res.x, "actual")
 
 
-def vcg_payments(problem, cost_basis: str = "true", distributed=None, solution: CentralSolution | None = None) -> MechanismOutcome:
+def vcg_payments(problem, cost_basis: str = "true", distributed=None) -> MechanismOutcome:
     """Lump-sum payments Pi_i = (optimal cost without i) - (everyone else's
     reported cost at the full optimum). Requires the market to stay feasible
     after removing any single agent; raises ``InfeasibleWithoutAgent`` if not.
 
-    ``solution`` is the centralized solve of the reported market when the
-    caller has one; it is solved here otherwise. Each drop-one solve starts
-    from its tight rows. ``distributed`` may be a (graph, SolverParams) pair
-    to run the N+1 solves with the consensus algorithm instead of the
-    centralized oracle: the full market on ``graph`` (``DimensionMismatch``
-    if it does not match), each drop-one market on the seeded draw
+    Each drop-one solve starts from the full optimum's tight rows.
+    ``distributed`` may be a (graph, SolverParams) pair to run the N+1
+    solves with the consensus algorithm instead of the centralized oracle:
+    the full market on ``graph`` (``DimensionMismatch`` if it does not
+    match), each drop-one market on the seeded draw
     ``random_connected_graph(N - 1, default_rng(0))``. A solve that does not
     converge raises ``MaxIterReached``.
     """
-    p = resolve(problem, "reported")
     if distributed is None:
-        market = _Market(p)
-        full = solution or market.solve()
-        x_hat, total_hat = full.x, full.value
-        value_without = lambda i: market.solve_without(i, full).value
-    elif solution is not None:
-        raise ValueError("a centralized solution cannot seed distributed VCG")
-    else:
-        graph, params = distributed
-        x_hat, total_hat = _distributed_value(p, graph, params)
-        value_without = lambda i: _distributed_value(exclude_agent(p, i), None, params)[1]
+        return settle(problem, ("vcg",), cost_basis)[0]
+    p, (graph, params) = resolve(problem, "reported"), distributed
+    return _vcg(problem, cost_basis, *_distributed_value(p, graph, params), lambda i: _distributed_value(exclude_agent(p, i), None, params)[1])
+
+
+def settle(problem, mechanisms=("sp", "vcg"), cost_basis: str = "true") -> list[MechanismOutcome]:
+    """The selected ``mechanisms`` ("sp", "vcg"), shadow pricing first, on one
+    market: one solve of the reported market prices both, and VCG's drop-one
+    solves restrict its QP and start from that optimum's tight rows."""
+    market = _Market(resolve(problem, "reported"))
+    full = market.solve()
+    outcomes = []
+    if "sp" in mechanisms:
+        outcomes.append(sp_for_problem(problem, cost_basis, solution=full))
+    if "vcg" in mechanisms:
+        outcomes.append(_vcg(problem, cost_basis, full.x, full.value, lambda i: market.solve_without(i, full).value))
+    return outcomes
+
+
+def _vcg(problem, cost_basis: str, x_hat: np.ndarray, total_hat: float, value_without) -> MechanismOutcome:
+    """VCG at the full optimum ``x_hat``, of total cost ``total_hat``, given ``value_without(i)``."""
+    p = resolve(problem, "reported")
     without_i = np.empty(p.n_agents)
     for i in range(p.n_agents):
         try:
@@ -282,9 +295,7 @@ def misreport_sweep(instance, agent: int, deltas) -> SweepResult:
     """Shift every edge cost on the agent's routes by each delta (reported
     costs floor at zero), re-solve, price, and record everyone's true-cost
     benefit under shadow pricing."""
-    deltas = np.asarray(deltas, float).ravel()
-    if not np.all(np.isfinite(deltas)):
-        raise DimensionMismatch(f"sweep deltas must be finite, got {deltas.tolist()}")
+    deltas = finite(np.asarray(deltas, float).ravel(), "sweep deltas")
     _, benefits = _misreport_benefits(instance, (instance.perturbed_reports({agent: float(delta)}) for delta in deltas))
     return SweepResult(agent=int(agent), deltas=deltas, benefits=benefits)
 
@@ -307,10 +318,8 @@ def misreport_portfolio(instance, n_cases: int, seed: int, magnitude: float = 0.
     (reported costs floor at zero); everyone's true-cost benefit under shadow
     pricing is recorded next to the truthful baseline. ``n_cases`` must be a
     nonnegative integer and ``magnitude`` a finite number of at least 0."""
-    if isinstance(n_cases, bool) or not isinstance(n_cases, (int, np.integer)) or n_cases < 0:
-        raise DimensionMismatch(f"n_cases must be a nonnegative integer, got {n_cases!r}")
-    if isinstance(magnitude, bool) or not isinstance(magnitude, (int, float, np.integer, np.floating)) or not 0 <= magnitude < np.inf:
-        raise DimensionMismatch(f"magnitude must be a finite number of at least 0, got {magnitude!r}")
+    integer(n_cases, "n_cases", 0)
+    nonnegative(magnitude, "magnitude")
     rng = np.random.default_rng(seed)
 
     def shifted(i: int) -> np.ndarray:

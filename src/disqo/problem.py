@@ -23,10 +23,10 @@ certificate is one NNLS (``stationarity_residual``), a free multiplier
 entering as columns a, -a.
 
 The centralized solves of one market share one QP (``_Market``): its total
-Hessian is summed and proved PSD once, and ``centralized_solve``,
-``solve_without``, the mechanisms and the generator's screens run on it. A
-drop-one solve restricts the market's arrays to the other agents instead of
-building ``exclude_agent``, with bit-identical answers.
+Hessian is summed and proved PSD once, and ``centralized_solve``, the
+mechanisms and the generator's screens run on it. A drop-one solve restricts
+the market's arrays to the other agents instead of building
+``exclude_agent``, with bit-identical answers.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.optimize
 
+from ._checks import finite
 from .errors import (
     ConventionMismatch,
     DimensionMismatch,
@@ -62,7 +63,6 @@ __all__ = [
     "eval_cost",
     "centralized_solve",
     "exclude_agent",
-    "solve_without",
     "reconcile_dual",
     "dual_residual",
     "stationarity_residual",
@@ -216,7 +216,8 @@ def _check_symmetric(sigma: np.ndarray, label: str) -> np.ndarray:
     sigma = np.asarray(sigma, float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise DimensionMismatch(f"{label} is not square: {sigma.shape}")
-    asym = float(np.max(np.abs(sigma - sigma.T))) if sigma.size else 0.0
+    with np.errstate(invalid="ignore"):  # a NaN or infinite entry makes the asymmetry NaN or inf
+        asym = finite(float(np.max(np.abs(sigma - sigma.T))) if sigma.size else 0.0, label)
     if asym > 1e-9 * max(1.0, float(np.max(np.abs(sigma))) if sigma.size else 1.0):
         raise DimensionMismatch(f"{label} is not symmetric (asymmetry {asym:.2e})")
     return (sigma + sigma.T) / 2.0
@@ -231,37 +232,31 @@ def assemble_problem(agents, A, d, actual=None) -> CoupledProblem:
     mechanism-facing cost decomposition (defaults to the same objectives).
     Each local set is proved nonempty (``EmptyLocalSet`` otherwise).
     """
-    d = np.asarray(d, float).ravel()
+    d = finite(np.asarray(d, float).ravel(), "d")
     n0 = d.shape[0]
-    A_list = [np.atleast_2d(np.asarray(a, float)) for a in A]
+    A_list = [finite(np.atleast_2d(np.asarray(a, float)), f"A[{i}]") for i, a in enumerate(A)]
     if len(A_list) != len(agents):
         raise DimensionMismatch(f"{len(agents)} agents but {len(A_list)} coupling blocks")
     dims = tuple(a.shape[1] for a in A_list)
     n = sum(dims)
 
-    algorithmic = []
-    local = []
+    def objective(sigma, psi, label: str) -> QuadObjective:
+        obj = QuadObjective(sigma=_check_symmetric(sigma, f"sigma{label}"), psi=finite(np.asarray(psi, float).ravel(), f"psi{label}"))
+        if obj.sigma.shape != (n, n) or obj.psi.shape != (n,):
+            raise DimensionMismatch(f"objective{label} has shape {obj.sigma.shape}/{obj.psi.shape}, expected n={n}")
+        return obj
+
+    algorithmic, local = [], []
     for i, (sigma, psi, B, m) in enumerate(agents):
-        sigma = _check_symmetric(sigma, f"sigma[{i}]")
-        psi = np.asarray(psi, float).ravel()
-        if sigma.shape != (n, n) or psi.shape != (n,):
-            raise DimensionMismatch(f"objective of agent {i} has shape {sigma.shape}/{psi.shape}, expected n={n}")
+        algorithmic.append(objective(sigma, psi, f"[{i}]"))
         if A_list[i].shape != (n0, dims[i]):
             raise DimensionMismatch(f"A[{i}] shape {A_list[i].shape}, expected ({n0},{dims[i]})")
-        B = np.zeros((0, dims[i])) if B is None else np.atleast_2d(np.asarray(B, float))
-        m = np.zeros(0) if m is None else np.asarray(m, float).ravel()
+        B = finite(np.zeros((0, dims[i])) if B is None else np.atleast_2d(np.asarray(B, float)), f"B[{i}]")
+        m = finite(np.zeros(0) if m is None else np.asarray(m, float).ravel(), f"m[{i}]")
         if B.shape != (m.shape[0], dims[i]):
             raise DimensionMismatch(f"local rows of agent {i}: B {B.shape} vs m {m.shape}")
-        algorithmic.append(QuadObjective(sigma=sigma, psi=psi))
         local.append(LocalPolyhedron(B=B, m=m))
-
-    if actual is None:
-        actual_objs = tuple(algorithmic)
-    else:
-        actual_objs = tuple(QuadObjective(sigma=_check_symmetric(s, "actual sigma"), psi=np.asarray(p, float).ravel()) for s, p in actual)
-        for o in actual_objs:
-            if o.sigma.shape != (n, n) or o.psi.shape != (n,):
-                raise DimensionMismatch("actual objective dimension mismatch")
+    actual_objs = tuple(algorithmic) if actual is None else tuple(objective(s, p, f"[{i}] (actual)") for i, (s, p) in enumerate(actual))
 
     problem = CoupledProblem(
         dims=dims,
@@ -359,8 +354,7 @@ def convert_inequality_coupling(problem: CoupledProblem) -> tuple[CoupledProblem
 def eval_cost(problem, i: int, x: np.ndarray, which: str = "true") -> float:
     """Agent i's own (``actual`` decomposition) cost at the stacked point x."""
     p = resolve(problem, which)
-    if not 0 <= i < p.n_agents:
-        raise UnknownAgent(f"agent {i} of {p.n_agents}")
+    p.block(i)  # an unknown agent raises UnknownAgent
     x = np.asarray(x, float).ravel()
     if x.shape[0] != p.n_total:
         raise DimensionMismatch(f"x has length {x.shape[0]}, expected {p.n_total}")
@@ -388,8 +382,9 @@ class _Market:
     """One market's centralized QP, built once: its total Hessian summed,
     normalized and proved PSD by one ``eigvalsh``. Every solve of a mechanism
     call runs on it: ``solve`` the market or a report that changes only the
-    linear terms, from the warm state of a new QP; ``without`` the market
-    without one agent, as a principal restriction of the market's arrays."""
+    linear terms, from the warm state of a new QP; ``solve_without`` the
+    market without one agent, as a principal restriction of the market's
+    arrays."""
 
     def __init__(self, p: CoupledProblem, tol: float = 1e-9):
         self.p = p
@@ -410,14 +405,17 @@ class _Market:
             psi = _summed((o.psi for o in reported.actual), p.n_total)
         return _optimum(self.qp._fresh(), psi, active)
 
-    def without(self, i: int, active=None) -> CentralSolution:
-        """The optimum of ``exclude_agent(p, i)``, ``active`` numbered as its
-        local rows. Where agent i's actual Hessian and linear term vanish off
-        its own block, as on every transport market, the restricted totals
-        are the totals of that market bit for bit, and its QP is a principal
-        restriction of this one's. Otherwise that market is built."""
+    def solve_without(self, i: int, full: CentralSolution) -> CentralSolution:
+        """The optimum of ``exclude_agent(p, i)``, started from the tight
+        local rows of ``full``, the optimum with everyone: agent i's rows are
+        dropped and the rows after them move up. Where agent i's actual
+        Hessian and linear term vanish off its own block, as on every
+        transport market, the restricted totals are the totals of that market
+        bit for bit, and its QP is a principal restriction of this one's.
+        Otherwise that market is built."""
         p = self.p
         blk, own = p.block(i), p.rows(i)
+        active = tuple(r - (own.stop - own.start) if r >= own.stop else r for r in full.active if not own.start <= r < own.stop)
         cols = np.r_[0 : blk.start, blk.stop : p.n_total]
         outside = (slice(0, blk.start), slice(blk.stop, None))
         mine = p.actual[i]
@@ -425,14 +423,6 @@ class _Market:
             return _Market(exclude_agent(p, i), self.qp.tol).solve(active=active)
         rows = np.r_[0 : own.start, own.stop : p.row_offsets[-1]]
         return _optimum(self.qp._restrict(cols, rows), self.psi[cols], active)
-
-    def solve_without(self, i: int, full: CentralSolution) -> CentralSolution:
-        """The one drop-one path: ``without`` agent i, started from the tight
-        local rows of ``full``, the optimum with everyone. Agent i's rows are
-        dropped and the rows after them move up."""
-        rows = self.p.rows(i)
-        own = range(rows.start, rows.stop)
-        return self.without(i, active=tuple(r - len(own) if r >= own.stop else r for r in full.active if r not in own))
 
 
 def _optimum(qp: RepeatedQp, psi: np.ndarray, active) -> CentralSolution:
@@ -443,12 +433,9 @@ def _optimum(qp: RepeatedQp, psi: np.ndarray, active) -> CentralSolution:
     return CentralSolution(x=sol.x, lam=lam, alpha=sol.alpha, value=QuadObjective(qp.P, psi).value(sol.x), active=sol.active)
 
 
-def centralized_solve(problem, which: str = "true", tol: float = 1e-9, active=None) -> CentralSolution:
-    """Solve the coupled problem as one QP. ``active``, when given, is a
-    first guess at the tight local rows (``CentralSolution.active`` of a
-    nearby problem); a guess that does not polish to a certified optimum
-    leaves the solve as it is without one."""
-    return _Market(resolve(problem, which), tol).solve(active=active)
+def centralized_solve(problem, which: str = "true", tol: float = 1e-9) -> CentralSolution:
+    """Solve the coupled problem as one QP."""
+    return _Market(resolve(problem, which), tol).solve()
 
 
 def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
@@ -456,8 +443,8 @@ def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
     The others' algorithmic objectives share agent i's algorithmic minus
     actual objective equally, so both decompositions keep the same total (on
     a transport market, the kappa shares on agent i's edges sum to one again).
-    The centralized drop-one solve does not build it (``solve_without``);
-    distributed VCG does."""
+    The centralized drop-one solve does not build it
+    (``_Market.solve_without``); distributed VCG does."""
     cols = np.delete(np.arange(p.n_total), p.block(i))
     keep = [j for j in range(p.n_agents) if j != i]
     restrict = lambda obj: QuadObjective(sigma=obj.sigma.take(cols, 0).take(cols, 1), psi=obj.psi[cols])
@@ -473,15 +460,6 @@ def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
         algorithmic=tuple(share(restrict(p.algorithmic[j])) for j in keep),
         actual=tuple(restrict(p.actual[j]) for j in keep),
     )
-
-
-def solve_without(p: CoupledProblem, i: int, full: CentralSolution, tol: float = 1e-9) -> CentralSolution:
-    """``centralized_solve(exclude_agent(p, i))``, started from the tight
-    local rows of ``full``, the optimum with everyone: agent i's rows are
-    dropped and the rows after them move up, as in ``local_stacked()`` of
-    ``exclude_agent``. It restricts the market's own QP instead of building
-    that market."""
-    return _Market(p, tol).solve_without(i, full)
 
 
 def stationarity_residual(grad: np.ndarray, cols: np.ndarray) -> float:

@@ -70,6 +70,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+from ._checks import finite, integer, positive
 from .errors import DimensionMismatch, Infeasible, NonPsdHessian
 
 __all__ = ["QpSolution", "solve_qp", "RepeatedQp", "WarmBatch"]
@@ -153,19 +154,11 @@ def _normalize(P, E, h, G, u) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     if G.shape != (u.shape[0], n):
         raise DimensionMismatch(f"G shape {G.shape} vs u length {u.shape[0]}, n={n}")
     for name, a in (("P", P), ("E", E), ("h", h), ("G", G), ("u", u)):
-        if not np.all(np.isfinite(a)):
-            raise DimensionMismatch(f"{name} has entries that are not finite")
+        finite(a, name)
     asym = float(np.max(np.abs(P - P.T))) if n else 0.0
     if asym > 1e-10 * max(1.0, float(np.max(np.abs(P))) if n else 1.0):
         raise DimensionMismatch(f"P is not symmetric (asymmetry {asym:.3e})")
     return (P + P.T) / 2.0, E, h, G, u
-
-
-def _check_numbers(tol, max_iter) -> None:
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise DimensionMismatch(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) or not 0 < tol < np.inf:
-        raise DimensionMismatch(f"tol must be a finite positive number, got {tol!r}")
 
 
 def _check_psd(P: np.ndarray) -> bool:
@@ -290,7 +283,8 @@ class RepeatedQp:
         tol: float = 1e-9,
         max_iter: int = 200000,
     ):
-        _check_numbers(tol, max_iter)
+        integer(max_iter, "max_iter", 1)
+        positive(tol, "tol")
         P, E, h, G, u = _normalize(P, E, h, G, u)
         self._setup(P, E, h, G, u, _check_psd(P), tol, max_iter)
 
@@ -343,8 +337,7 @@ class RepeatedQp:
         q = np.asarray(q, dtype=float).ravel()
         if q.shape[0] != self.n:
             raise DimensionMismatch(f"linear term has length {q.shape[0]}, expected {self.n}")
-        if not np.all(np.isfinite(q)):
-            raise DimensionMismatch("linear term has entries that are not finite")
+        finite(q, "linear term")
 
         if self.n == 0:
             return self._solve_empty()
@@ -655,14 +648,12 @@ def _solve_reduced(red: _ReducedSystem, rhs: np.ndarray) -> np.ndarray | None:
     return sol if np.all(np.isfinite(sol)) else None
 
 
-def solve_qp(P, q, E=None, h=None, G=None, u=None, *, tol: float = 1e-9, max_iter: int = 200000, active=None) -> QpSolution:
+def solve_qp(P, q, E=None, h=None, G=None, u=None, *, tol: float = 1e-9, max_iter: int = 200000) -> QpSolution:
     """Solve one QP. See module docstring for the dual convention.
 
-    ``E``/``h`` and ``G``/``u`` may be ``None`` or have no rows. ``active``,
-    when given, is the polish's first guess at the tight inequality rows
-    (see ``RepeatedQp.solve``). Raises ``NonPsdHessian`` for an indefinite
-    Hessian and ``Infeasible`` when a primal-infeasibility certificate is
-    found; returns ``status="max_iter"`` (with the best iterate and its
-    residuals) when the budget runs out.
+    ``E``/``h`` and ``G``/``u`` may be ``None`` or have no rows. Raises
+    ``NonPsdHessian`` for an indefinite Hessian and ``Infeasible`` when a
+    primal-infeasibility certificate is found; returns ``status="max_iter"``
+    (with the best iterate and its residuals) when the budget runs out.
     """
-    return RepeatedQp(P, E, h, G, u, tol=tol, max_iter=max_iter).solve(q, active=active)
+    return RepeatedQp(P, E, h, G, u, tol=tol, max_iter=max_iter).solve(q)

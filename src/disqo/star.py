@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite, positive
 from .errors import ActiveSetChanged, DimensionMismatch
 
 __all__ = [
@@ -42,10 +43,10 @@ class StarInstance:
     d: float  # demand at the single demander
 
     def __post_init__(self):
-        object.__setattr__(self, "c_norms", np.asarray(self.c_norms, float).ravel())
-        if self.d <= 0 or self.c0 <= 0:
-            raise DimensionMismatch("star instance needs d > 0 and c0 > 0")
-        if np.any(self.c_norms < 0):
+        object.__setattr__(self, "c_norms", finite(np.asarray(self.c_norms, float).ravel(), "route costs"))
+        positive(self.c0, "c0")
+        positive(self.d, "d")
+        if not np.all(self.c_norms >= 0):
             raise DimensionMismatch("route costs must be nonnegative")
 
     @property

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
+from ._checks import finite, integer
 from .errors import DimensionMismatch, Infeasible, InvalidEdge, NoPathExists
 from .graphs import CommGraph, build_graph, random_connected_graph
 from .problem import CoupledProblem, ReportedProblem, _Market, assemble_problem
@@ -82,21 +83,21 @@ class TransportNetwork:
         return len(self.edges)
 
     def validate(self) -> None:
-        E = self.n_edges
         for t, h in self.edges:
             if not (0 <= t < self.n_nodes and 0 <= h < self.n_nodes) or t == h:
                 raise InvalidEdge(f"bad edge ({t},{h})")
         outside = [v for v in (*self.suppliers, *self.demanders) if not 0 <= v < self.n_nodes]
         if outside:
             raise DimensionMismatch(f"supplier or demander node(s) {outside} outside [0, {self.n_nodes})")
-        if self.inventories.shape != (self.n_suppliers, self.n_commodities):
-            raise DimensionMismatch("inventories shape")
-        if self.edge_costs.shape != (self.n_suppliers, E):
-            raise DimensionMismatch("edge_costs shape")
-        if self.pair_capacity.shape != (self.n_suppliers, self.n_demanders):
-            raise DimensionMismatch("pair_capacity shape")
-        if np.any(self.demands < 0) or np.any(self.inventories < 0) or np.any(self.pair_capacity < 0):
-            raise DimensionMismatch("negative demand/inventory/capacity")
+        for v in (*self.suppliers, *self.demanders, *(v for edge in self.edges for v in edge)):
+            integer(v, "a node index", 0)  # each is in range by now: this rejects 1.5 and true
+        for name, shape in (("inventories", self.n_commodities), ("edge_costs", self.n_edges), ("pair_capacity", self.n_demanders)):
+            if getattr(self, name).shape != (self.n_suppliers, shape):
+                raise DimensionMismatch(f"{name} has shape {getattr(self, name).shape}, expected ({self.n_suppliers}, {shape})")
+        for name in ("edge_costs", "demands", "inventories", "c0"):
+            finite(getattr(self, name), name)
+        if not (np.all(self.demands >= 0) and np.all(self.inventories >= 0) and np.all(self.pair_capacity >= 0)):  # NaN fails >= 0
+            raise DimensionMismatch("demands, inventories and pair capacities must be at least 0 (a capacity may be inf)")
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,7 @@ def enumerate_paths(network: TransportNetwork, R: int, L: int = 4) -> PathSet:
     Raises ``NoPathExists`` when some demander cannot be reached from any
     supplier.
     """
-    if R < 1:
-        raise DimensionMismatch("R must be >= 1")
+    integer(R, "R", 1)
     g = nx.MultiDiGraph()
     g.add_nodes_from(range(network.n_nodes))
     for idx, (t, h) in enumerate(network.edges):
@@ -199,9 +199,9 @@ def to_coupled_problem(network: TransportNetwork, paths: PathSet, incidence: Inc
         A_blocks.append((np.arange(M * K)[:, None] == j * K + k).astype(float))
         # Local polyhedron: nonnegativity, inventories per commodity,
         # pair capacities per demander (rows with infinite capacity dropped).
-        finite = np.flatnonzero(np.isfinite(network.pair_capacity[i]))
-        B_i = np.vstack([-np.eye(dims[i]), np.arange(K)[:, None] == k, finite[:, None] == j])
-        m_i = np.concatenate([np.zeros(dims[i]), network.inventories[i], network.pair_capacity[i, finite]])
+        capped = np.flatnonzero(np.isfinite(network.pair_capacity[i]))
+        B_i = np.vstack([-np.eye(dims[i]), np.arange(K)[:, None] == k, capped[:, None] == j])
+        m_i = np.concatenate([np.zeros(dims[i]), network.inventories[i], network.pair_capacity[i, capped]])
 
         psi = np.zeros(len(owner))
         psi[owner == i] = _route_costs(incidence, i, network.edge_costs[i])
@@ -254,8 +254,7 @@ class TransportInstance:
             blk, c = p.block(i), np.asarray(c, float).ravel()  # an unknown agent is rejected first
             if c.shape != (self.network.n_edges,):
                 raise DimensionMismatch(f"reported cost vector of agent {i} has length {c.shape[0]}")
-            if not np.all(np.isfinite(c)):
-                raise DimensionMismatch(f"reported cost vector of agent {i} has entries that are not finite")
+            finite(c, f"reported cost vector of agent {i}")
             psi = np.zeros(p.n_total)
             psi[blk] = _route_costs(self.incidence, i, c)
             algorithmic[i] = dataclasses.replace(algorithmic[i], psi=psi)
@@ -437,7 +436,7 @@ def network_from_dict(data: dict) -> tuple[TransportNetwork, int, int, CommGraph
         raise DimensionMismatch(f"unsupported schema_version {data.get('schema_version')!r}")
     cap = np.array([[np.inf if v is None else float(v) for v in row] for row in data["pair_capacity"]])
     network = TransportNetwork(
-        n_nodes=int(data["n_nodes"]),
+        n_nodes=integer(data["n_nodes"], "n_nodes", 0),
         edges=tuple(tuple(e) for e in data["edges"]),
         suppliers=tuple(data["suppliers"]),
         demanders=tuple(data["demanders"]),
@@ -450,7 +449,7 @@ def network_from_dict(data: dict) -> tuple[TransportNetwork, int, int, CommGraph
     comm = None
     if data.get("comm_edges") is not None:
         comm = build_graph(network.n_suppliers, [tuple(e) for e in data["comm_edges"]])
-    return network, int(data["R"]), int(data["L"]), comm
+    return network, integer(data["R"], "R", 1), integer(data["L"], "L", 1), comm
 
 
 def save_instance(path, network: TransportNetwork, R: int, L: int, comm_edges=None) -> None:

@@ -81,6 +81,15 @@ def test_params_validation():
         SolverParams(mode="fast")
 
 
+@pytest.mark.parametrize("field", ["sigma", "rho", "max_iter", "violation_tol", "step_tol"])
+def test_params_reject_a_value_that_is_not_a_finite_number(field):
+    # An infinite tolerance would call the first round converged.
+    for bad in (np.nan, np.inf, -np.inf, True):
+        with pytest.raises(DimensionMismatch, match=f"{field} must be"):
+            SolverParams(**{field: bad})
+    assert getattr(SolverParams(**{field: 1}), field) == 1
+
+
 @pytest.mark.parametrize("max_iter", [1e3, 2.5, "100", True])
 def test_params_reject_a_round_budget_that_is_not_an_integer(max_iter):
     with pytest.raises(DimensionMismatch, match="max_iter must be an integer"):

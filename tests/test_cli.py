@@ -3,6 +3,7 @@ and the layout/determinism of every emitted file."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -131,7 +132,7 @@ def test_gen_c0_sets_the_congestion_coefficient(tmp_path):
         ("solve", {"generator": {"star": {"c0": 1.0}}}, "star generator needs a cost list 'c'"),
         ("solve", {"generator": {"seed": 1}}, "generator spec needs 'scale' or 'star'"),
         ("mechanism", {"instance": "nowhere.json"}, "instance file not found"),
-        ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"cases": -1}}, "portfolio 'cases' must be nonnegative"),
+        ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"cases": -1}}, "portfolio.cases must be an integer of at least 0"),
         ("mechanism", {"generator": {"star": {"c": [3.0]}}}, "error: market infeasible without agent 0"),
         ("solve", {"generator": STAR_GEN, "solver": {"max_iter": 1e3}}, "error: max_iter must be an integer"),
         ("solve", {"generator": STAR_GEN, "report_deltas": {"9": 1.0}}, "error: agent 9 of 3"),
@@ -320,8 +321,7 @@ def test_central_solve_budget_exhaustion_exits_two(tmp_path, monkeypatch, capsys
     def exhausted(*args, **kwargs):
         raise MaxIterReached("budget spent")
 
-    monkeypatch.setattr(disqo.cli, "centralized_solve", exhausted)
-    monkeypatch.setattr(disqo.mechanisms, "centralized_solve", exhausted)
+    monkeypatch.setattr(disqo.problem, "_optimum", exhausted)  # every centralized solve ends there
     cfg = star_config(tmp_path / "cfg.json")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert "budget spent" in capsys.readouterr().err
@@ -338,6 +338,8 @@ def test_solve_input_errors(tmp_path, capsys):
     assert main(["solve", "--config", cfg]) == 1
     cfg2 = write_config(tmp_path / "cfg2.json")  # neither instance nor generator
     assert main(["solve", "--config", cfg2]) == 1
+    cfg3 = write_config(tmp_path / "cfg3.json", generator=STAR_GEN)
+    assert main(["solve", "--config", cfg3, "--tol", "inf", "--out", str(tmp_path / "run")]) == 1  # not a one-round "converged=True"
     assert main(["solve"]) == 1  # --config required
     capsys.readouterr()
 
@@ -474,23 +476,17 @@ def test_explicit_reports_match_the_same_shift_as_deltas(tmp_path, capsys):
 
 
 def test_mechanism_solves_the_reported_market_once(tmp_path, monkeypatch):
-    # Both mechanisms share one solve of the reported market; VCG's
-    # drop-one solves start from its tight rows.
-    unguessed = []
-
-    def counted(name):
-        def solve(*args, active=None, **kwargs):
-            if active is None:
-                unguessed.append(name)
-            return centralized_solve(*args, active=active, **kwargs)
-
-        return solve
-
-    for module in (disqo.cli, disqo.mechanisms):
-        monkeypatch.setattr(module, "centralized_solve", counted(module.__name__))
+    # Both mechanisms settle on one market: one unguessed solve of it, whose
+    # tight rows start VCG's drop-one solves, and one PSD check of it after
+    # the instance's own convexity check.
+    markets, unguessed, checks = [], [], []
+    init, optimum, eigvalsh = disqo.problem._Market.__init__, disqo.problem._optimum, np.linalg.eigvalsh
+    monkeypatch.setattr(disqo.problem._Market, "__init__", lambda market, p, *args: markets.append(p.n_agents) or init(market, p, *args))
+    monkeypatch.setattr(disqo.problem, "_optimum", lambda qp, psi, active: (active is None and unguessed.append(qp.n)) or optimum(qp, psi, active))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: checks.append(a.shape) or eigvalsh(a))
     cfg = star_config(tmp_path / "cfg.json", report_deltas={"0": -1.0})
     assert main(["mechanism", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-    assert unguessed == ["disqo.cli"]
+    assert markets == [3] and unguessed == [3] and checks == [(3, 3), (3, 3)]
 
 
 def test_mechanism_rejects_unknown_selection(tmp_path, capsys):
@@ -602,6 +598,14 @@ def test_validate_fails_on_a_bad_value_in_any_section_a_command_reads(tmp_path, 
         ("misreport-portfolio", "portfolio", '{"cases": 2, "magnitude": NaN}', "portfolio spec"),
         ("misreport-portfolio", "portfolio", '{"cases": 2, "magnitude": 1e400}', "portfolio spec"),
         ("mechanism", "reports", '{"0": [NaN, 0.0, 0.0, 0.0]}', "reported costs"),
+        ("solve", "solver", '{"violation_tol": Infinity, "step_tol": Infinity}', "solver params"),
+        ("solve", "solver", '{"violation_tol": NaN}', "solver params"),
+        ("solve", "solver", '{"sigma": NaN}', "solver params"),
+        ("solve", "solver", '{"sigma": true}', "solver params"),
+        ("solve", "solver", '{"rho": Infinity}', "solver params"),
+        # a later "generator" key replaces the star default
+        ("mechanism", "generator", '{"star": {"c": [3, NaN, 5]}}', "instance"),
+        ("mechanism", "generator", '{"star": {"c": [3, 4, 5], "d": Infinity}}', "instance"),
     ],
 )
 def test_misreport_numbers_that_cannot_work_fail_validate_and_exit_one(tmp_path, capsys, command, section, text, check):
@@ -615,16 +619,28 @@ def test_misreport_numbers_that_cannot_work_fail_validate_and_exit_one(tmp_path,
     assert not (tmp_path / "run").exists()
 
 
-def test_instance_with_a_supplier_outside_the_network_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda d: d["suppliers"].__setitem__(0, d["n_nodes"]), "outside", id="supplier-outside"),
+        pytest.param(lambda d: d["edge_costs"][0].__setitem__(0, math.nan), "edge_costs must be finite", id="nan-edge-cost"),
+        pytest.param(lambda d: d["demands"][0].__setitem__(0, math.inf), "demands must be finite", id="infinite-demand"),
+        pytest.param(lambda d: d.update(c0=math.nan), "c0 must be finite", id="nan-c0"),
+        pytest.param(lambda d: d.update(R=2.9), "R must be an integer", id="fractional-R"),  # was truncated to 2
+        pytest.param(lambda d: d.update(R=True), "R must be an integer", id="bool-R"),  # was a one-route market
+    ],
+)
+def test_instance_with_a_supplier_outside_the_network_exits_one(tmp_path, capsys, edit, message):
     inst_file = tmp_path / "inst.json"
     main(["gen", "--scale", "4,2,3,2", "--seed", "7", "--out", str(inst_file)])
     data = json.loads(inst_file.read_text())
-    data["suppliers"][0] = data["n_nodes"]
-    inst_file.write_text(json.dumps(data))
+    edit(data)
+    inst_file.write_text(json.dumps(data))  # NaN and Infinity as JSON literals, which json reads
     assert main(["validate", "--config", str(inst_file)]) == 1
     assert "FAIL: instance (DimensionMismatch" in capsys.readouterr().out
     assert main(["solve", "--config", str(inst_file), "--out", str(tmp_path / "run")]) == 1
-    assert "outside" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_instance_with_a_bad_edge_fails_validate(tmp_path, capsys):

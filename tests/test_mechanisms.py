@@ -439,7 +439,7 @@ def test_misreport_inputs_that_cannot_work_are_rejected():
         with pytest.raises(DimensionMismatch, match="sweep deltas must be finite"):
             misreport_sweep(inst, 0, [0.5, delta])
     for n_cases in (-2, 1.5, True):
-        with pytest.raises(DimensionMismatch, match="n_cases must be a nonnegative integer"):
+        with pytest.raises(DimensionMismatch, match="n_cases must be an integer of at least 0"):
             misreport_portfolio(inst, n_cases, seed=1)
     for magnitude in (-1.0, np.nan, np.inf, float("1e400"), True):
         with pytest.raises(DimensionMismatch, match="magnitude must be a finite number"):

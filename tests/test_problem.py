@@ -23,7 +23,6 @@ from disqo.problem import (
     eval_cost,
     exclude_agent,
     reconcile_dual,
-    solve_without,
 )
 from disqo.qp import solve_qp
 from disqo.star import random_star, to_transport
@@ -127,6 +126,26 @@ def test_dimension_mismatch_rejected():
     agents = [(np.eye(2), np.zeros(2), None, None)]
     with pytest.raises(DimensionMismatch):
         assemble_problem(agents, [np.ones((1, 1))], [1.0])
+
+
+def test_arrays_that_are_not_finite_are_rejected():
+    # One agent over two variables. A bad Hessian entry off the diagonal has
+    # a finite mirror (asymmetry inf) or, set in both cells, a bad one (NaN).
+    def parts(name=None, cells=(), bad=0.0):
+        a = {"sigma": 2.0 * np.eye(2), "psi": np.zeros(2), "B": -np.eye(2), "m": np.zeros(2), "A": np.ones((1, 2)), "d": np.ones(1)}
+        if name:
+            a[name].flat[list(cells)] = bad
+        return [(a["sigma"], a["psi"], a["B"], a["m"])], [a["A"]], a["d"]
+
+    cases = [("sigma", (0,)), ("sigma", (1,)), ("sigma", (1, 2)), ("psi", (0,)), ("B", (0,)), ("m", (1,)), ("A", (0,)), ("d", (0,))]
+    for bad in (np.nan, np.inf, -np.inf):
+        for name, cells in cases:
+            with pytest.raises(DimensionMismatch, match="must be finite"):
+                assemble_problem(*parts(name, cells, bad))
+            if name in ("sigma", "psi"):
+                (sigma, psi, _, _), *_ = parts(name, cells, bad)[0]
+                with pytest.raises(DimensionMismatch, match="must be finite"):
+                    assemble_problem(*parts(), actual=[(sigma, psi)])
 
 
 def test_empty_local_set_detected():
@@ -275,20 +294,20 @@ def test_exclude_agent_rows_renumbers_the_rest(monkeypatch):
     # rows, renumbered as in the market without the agent.
     p = blocks_problem()  # local rows: agent 0 owns 0-1, agent 2 owns 2
     starts = []
-    without = problem_module._Market.without
-    monkeypatch.setattr(problem_module._Market, "without", lambda market, i, active: starts.append(active) or without(market, i, active=active))
+    optimum = problem_module._optimum
+    monkeypatch.setattr(problem_module, "_optimum", lambda qp, psi, active: starts.append(active) or optimum(qp, psi, active))
     full = lambda rows: dataclasses.replace(centralized_solve(p), active=rows)
     for i, rows, kept in ((0, (0, 1, 2), (0,)), (1, (1, 2), (1, 2)), (2, (0, 2), (0,))):
-        sol = solve_without(p, i, full(rows))
+        sol = problem_module._Market(p).solve_without(i, full(rows))
         assert starts.pop() == kept
         ref = centralized_solve(exclude_agent(p, i))
         assert sol.value == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
     G, _ = p.local_stacked()
     for i in range(p.n_agents):
-        solve_without(p, i, full(tuple(range(G.shape[0]))))
+        problem_module._Market(p).solve_without(i, full(tuple(range(G.shape[0]))))
         assert starts.pop() == tuple(range(exclude_agent(p, i).local_stacked()[0].shape[0]))
     with pytest.raises(UnknownAgent):
-        solve_without(p, 3, full((0,)))
+        problem_module._Market(p).solve_without(3, full((0,)))
 
 
 def layout_problems():
@@ -330,13 +349,15 @@ def test_solve_without_remaps_rows_onto_the_same_rows(monkeypatch):
     # Each start row handed to the drop-one solve is the same row of the
     # market without the agent: its coefficients on the kept columns and its bound.
     starts = []
-    monkeypatch.setattr(problem_module._Market, "without", lambda market, i, active: starts.append(active))
     for p in layout_problems():
         G, u = p.local_stacked()
         sol = centralized_solve(p)
+        market = problem_module._Market(p)
         for full in (sol, dataclasses.replace(sol, active=tuple(range(G.shape[0])))):
             for i in range(p.n_agents):
-                solve_without(p, i, full)
+                with monkeypatch.context() as m:
+                    m.setattr(problem_module, "_optimum", lambda qp, psi, active: starts.append(active))
+                    market.solve_without(i, full)
                 G_without, u_without = exclude_agent(p, i).local_stacked()
                 kept = [r for r in full.active if r not in range(p.rows(i).start, p.rows(i).stop)]
                 cols = np.delete(np.arange(p.n_total), p.block(i))
@@ -354,7 +375,7 @@ def test_drop_one_restriction_equals_the_built_market_bitwise(monkeypatch):
     # others' columns, so there the market without the agent is built.
     star = to_transport(random_star(np.random.default_rng(4))).problem
     built = []
-    exclude = problem_module.exclude_agent
+    exclude, optimum = problem_module.exclude_agent, problem_module._optimum
     monkeypatch.setattr(problem_module, "exclude_agent", lambda p, i: built.append(i) or exclude(p, i))
     for p in [star] + layout_problems():
         full = centralized_solve(p)
@@ -363,7 +384,10 @@ def test_drop_one_restriction_equals_the_built_market_bitwise(monkeypatch):
         for i in range(p.n_agents):
             own = range(p.rows(i).start, p.rows(i).stop)
             start = tuple(r - len(own) if r >= own.stop else r for r in full.active if r not in own)
-            pairs = ((solve_without(p, i, full), centralized_solve(exclude(p, i), active=start)), (market.without(i), centralized_solve(exclude(p, i))))
+            pairs = [(market.solve_without(i, full), problem_module._Market(exclude(p, i)).solve(active=start))]
+            with monkeypatch.context() as m:  # every solve without its start
+                m.setattr(problem_module, "_optimum", lambda qp, psi, active: optimum(qp, psi, None))
+                pairs.append((market.solve_without(i, full), centralized_solve(exclude(p, i))))
             for got, ref in pairs:
                 for name in ("x", "lam", "alpha"):
                     assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name

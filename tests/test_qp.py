@@ -323,16 +323,16 @@ def test_a_guess_that_holds_needs_no_splitting_system(kernel_calls):
     n = 4
     M = rng.normal(size=(n, n))
     G, u = box_rows(n, np.zeros(n), np.ones(n))
-    spec = dict(P=np.eye(n) + 0.05 * M.T @ M, q=np.array([5.0, -5.0, 0.0, 0.1]), E=np.ones((1, n)), h=np.array([2.0]), G=G, u=u)
-    cold = solve_qp(**spec)
+    spec, q = dict(P=np.eye(n) + 0.05 * M.T @ M, E=np.ones((1, n)), h=np.array([2.0]), G=G, u=u), np.array([5.0, -5.0, 0.0, 0.1])
+    cold = solve_qp(q=q, **spec)
     assert cold.iterations > 0 and cold.active == (1, n)  # x1 at its upper, x0 at its lower bound
     kernel_calls.clear()
-    warm = solve_qp(**spec, active=cold.active)
+    warm = RepeatedQp(**spec).solve(q, active=cold.active)
     assert warm.optimal and warm.iterations == 0 and warm.active == cold.active
     np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
     assert kernel_calls == ["lu_factor", "lu_solve"]  # the reduced system's, and nothing else
     with pytest.raises(DimensionMismatch):
-        solve_qp(**spec, active=[2 * n])
+        RepeatedQp(**spec).solve(q, active=[2 * n])
 
 
 def test_singular_reduced_system_goes_straight_to_lstsq(kernel_calls):

@@ -57,6 +57,9 @@ def test_bad_instance_rejected():
         StarInstance(c_norms=[1.0], c0=1.0, d=0.0)
     with pytest.raises(DimensionMismatch):
         StarInstance(c_norms=[-1.0], c0=1.0, d=1.0)
+    for costs, c0, d in (([np.nan], 1.0, 1.0), ([np.inf], 1.0, 1.0), ([1.0], np.nan, 1.0), ([1.0], 1.0, np.inf), ([1.0], True, 1.0)):
+        with pytest.raises(DimensionMismatch):
+            StarInstance(c_norms=costs, c0=c0, d=d)
 
 
 @settings(max_examples=60, deadline=None)

@@ -92,8 +92,22 @@ def test_unreachable_demander_raises():
 
 
 def test_bad_r_rejected():
-    with pytest.raises(DimensionMismatch):
-        enumerate_paths(diamond_network(), R=0)
+    for R in (0, 1.5, True):
+        with pytest.raises(DimensionMismatch):
+            enumerate_paths(diamond_network(), R=R)
+
+
+def test_network_numbers_that_are_not_finite_are_rejected():
+    # Each reached the user as a kernel error, and a NaN c0 as numpy's LinAlgError.
+    with pytest.raises(DimensionMismatch, match="c0 must be finite"):
+        random_instance((3, 2, 2, 2), seed=0, c0=np.nan)
+    net = dataclasses.replace(star_network([1.0, 2.0]), pair_capacity=np.array([[np.inf], [3.0]]))
+    build_instance(net, R=1)  # an infinite capacity is no limit
+    for field, bad in (("edge_costs", np.nan), ("demands", np.inf), ("inventories", np.nan), ("c0", np.inf), ("pair_capacity", np.nan), ("pair_capacity", -np.inf)):
+        value = np.array(getattr(net, field), float)
+        value.flat[-1] = bad
+        with pytest.raises(DimensionMismatch):
+            build_instance(dataclasses.replace(net, **{field: value if value.ndim else float(value)}), R=1)
 
 
 # ---------------------------------------------------------------------------
