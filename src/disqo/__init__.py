@@ -5,7 +5,7 @@ payments) computed from the resulting primal/dual solutions.
 Modules
 -------
 graphs       communication topologies and lazy-Metropolis mixing weights
-qp           dense convex-QP kernel with warm-startable repeated solves
+qp           dense convex-QP kernel: a solve is a function of its linear term and guess
 problem      coupled-problem containers, centralized reference solver, duals
 admm         the distributed consensus-tracking solver (plain + accelerated)
 transport    commodity-transport instances: templates, generator, (de)serialization

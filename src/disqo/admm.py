@@ -33,17 +33,18 @@ an A~ contraction of the copies' change, and the anchor update an adjacency
 product.
 
 The subproblems themselves are batched too, in both modes. A round computes
-every agent's linear term q_i, hands the agents' QPs to one ``qp.WarmBatch``,
-which takes every warm QP's first polish step together and certifies each by
-the rule its own solve would apply, and keeps the accepted points. Plain mode
-batches the full-copy QPs on q_i directly: it stays the reference the
-accelerated mode is checked against. In accelerated mode each agent's Schur
-reduction is one static lift of q_i: Psi_i = R_i q_i is the reduced QP's
+every agent's linear term q_i and hands them to one ``qp.WarmBatch``. The
+batch owns each agent's guess, the tight set of the agent's last certified
+answer; it takes every guessed first polish step together, certifies each by
+the rule the agent's own solve would apply, and keeps the accepted points.
+Plain mode batches the full-copy QPs on q_i directly: it stays the reference
+the accelerated mode is checked against. In accelerated mode each agent's
+Schur reduction is one static lift of q_i: Psi_i = R_i q_i is the reduced QP's
 linear term, and y_i = Kw_i w_i + Kq_i q_i its new copy from the own-block
 solution w_i, so the batch solves the reduced QPs on Psi_i and the accepted
-w_i are lifted back to copies. An agent the batch rejects (the check fails,
-it has no warm guess yet, or its guess set is singular) is solved on its own
-by the usual warm-started, repairing QP solve, so every returned point is
+w_i are lifted back to copies. An agent the batch rejects (the check fails, or
+it has no guess yet) is solved on its own from its guess by the usual
+repairing QP solve (``WarmBatch.solve_one``), so every returned point is
 KKT-certified. ``SolverState`` and ``SolveResult.stats`` count both kinds.
 
 A round does each piece of work once. The identity checks reduce the new
@@ -187,7 +188,6 @@ class SolverState:
     # There the agents' Schur lifts (R, Kw, Kq, see _schur_lift) are kept
     # once, stacked and zero-padded to the largest block: the round applies
     # the lifts to all agents, and the repair path applies agent i's slice.
-    _qps: list[RepeatedQp] = field(default_factory=list, repr=False)
     _batch: WarmBatch | None = field(default=None, repr=False)
     _lift: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     # Per-agent columns of the anchor update, fixed by the graph: deg_i and
@@ -268,26 +268,27 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         _anchor_deg=anchor_deg,
         _anchor_half=np.where(deg > 0, 0.5, 0.0)[:, None],
     )
-    _build_subproblem_qps(state)
+    _build_subproblems(state)
     _check_identities(state)
     return state
 
 
-def _build_subproblem_qps(state: SolverState) -> None:
+def _build_subproblems(state: SolverState) -> None:
     p = state.problem
     accelerated = state.params.mode == "accelerated"
     if accelerated:
         N, n, b = p.n_agents, p.n_total, max(p.dims)
         state._lift = R, Kw, Kq = np.zeros((N, b, n)), np.zeros((N, n, b)), np.zeros((N, n, n))
     G_full, _ = p.local_stacked()
+    qps = []
     for i, poly in enumerate(p.local):
         blk, b_i = p.block(i), p.dims[i]
         P = _subproblem_hessian(state, i)
         if accelerated:
             P, R[i, :b_i], Kw[i, :, :b_i], Kq[i] = _schur_lift(P, blk)
         G = poly.B if accelerated else G_full[p.rows(i)]
-        state._qps.append(RepeatedQp(P, G=G, u=poly.m, tol=_SUBPROBLEM_TOL))
-    state._batch = WarmBatch(state._qps)
+        qps.append(RepeatedQp(P, G=G, u=poly.m, tol=_SUBPROBLEM_TOL))
+    state._batch = WarmBatch(qps)
 
 
 def _schur_lift(P: np.ndarray, blk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -335,10 +336,10 @@ def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray) -> np.nd
 def _solve_agent(state: SolverState, i: int, q: np.ndarray) -> np.ndarray:
     """Agent i's new full copy from its own QP solve on its linear term q."""
     if state._lift is None:
-        return state._qps[i].solve(q).x
+        return state._batch.solve_one(i, q).x
     R, Kw, Kq = state._lift
     b_i = state.problem.dims[i]
-    return Kw[i, :, :b_i] @ state._qps[i].solve(R[i, :b_i] @ q).x + Kq[i] @ q
+    return Kw[i, :, :b_i] @ state._batch.solve_one(i, R[i, :b_i] @ q).x + Kq[i] @ q
 
 
 def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
+from ._checks import integer
 from .errors import DimensionMismatch, DisconnectedGraph, InvalidEdge
 
 __all__ = [
@@ -57,11 +58,12 @@ class CommGraph:
 def _normalize_edges(n_agents: int, edges) -> frozenset[tuple[int, int]]:
     normalized: set[tuple[int, int]] = set()
     for e in edges:
-        i, j = int(e[0]), int(e[1])
+        i, j = e[0], e[1]
         if i == j:
             raise InvalidEdge(f"self-loop at node {i}")
         if not (0 <= i < n_agents and 0 <= j < n_agents):
             raise InvalidEdge(f"edge ({i},{j}) out of range for {n_agents} nodes")
+        i, j = (int(integer(v, "edge endpoint", 0)) for v in (i, j))  # in range by now: this rejects 0.9 and true
         key = (min(i, j), max(i, j))
         if key in normalized:
             raise InvalidEdge(f"duplicate edge {key}")

@@ -382,9 +382,9 @@ class _Market:
     """One market's centralized QP, built once: its total Hessian summed,
     normalized and proved PSD by one ``eigvalsh``. Every solve of a mechanism
     call runs on it: ``solve`` the market or a report that changes only the
-    linear terms, from the warm state of a new QP; ``solve_without`` the
-    market without one agent, as a principal restriction of the market's
-    arrays."""
+    linear terms, each a solve of the same QP with its own guess;
+    ``solve_without`` the market without one agent, as a principal
+    restriction of the market's arrays."""
 
     def __init__(self, p: CoupledProblem, tol: float = 1e-9):
         self.p = p
@@ -403,7 +403,7 @@ class _Market:
             if not (shared and all(r.sigma is o.sigma for r, o in zip(reported.actual, p.actual))):
                 raise ValueError("a report on a market may change only its linear terms")
             psi = _summed((o.psi for o in reported.actual), p.n_total)
-        return _optimum(self.qp._fresh(), psi, active)
+        return _optimum(self.qp, psi, active)
 
     def solve_without(self, i: int, full: CentralSolution) -> CentralSolution:
         """The optimum of ``exclude_agent(p, i)``, started from the tight

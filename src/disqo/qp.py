@@ -32,28 +32,27 @@ inequality rows (OSQP's reduced system: Stellato et al., Math. Prog. Comp.
 ``z~ = C x~``. K is LU-factored when a solve first needs it, so a hit pays
 no factorization of it.
 
-A solve may be given a first guess at the active set, such as the tight
-rows of a nearby problem's optimum. The polish tries it before any splitting
-iteration. A guess that ends in a certified point is a hit. A miss leaves the
-solve as it is without a guess: the splitting iteration runs from the same
-start with the same polishes, so it returns the unguessed answer bit for bit.
+A solve is a function of its arguments: the linear term and an optional
+first guess at the active set, such as the tight rows of a nearby problem's
+optimum; a QP keeps no earlier answer, only caches that change none. The
+polish tries the guess before any splitting iteration. A guess that ends in
+a certified point is a hit. A miss leaves the solve as it is without a
+guess: the splitting iteration runs from zero with the same polishes, so it
+returns the unguessed answer bit for bit.
 
 The checked constructor validates its numbers (finite arrays, a positive
 tolerance, an integer budget), normalizes P and runs one ``eigvalsh`` to
-prove it PSD. Two private routes reuse that work. ``_fresh`` is the same QP
-with the warm state of a new one; it shares the arrays and K's factor, so a
-solve on it returns what a new ``RepeatedQp`` would. ``_restrict`` is the QP
-over a principal restriction (kept columns, kept inequality rows): it checks
-nothing, since a principal submatrix of a PSD matrix is PSD, and it is
-definite when its parent is.
+prove it PSD. ``_restrict`` reuses that work for the QP over a principal
+restriction (kept columns, kept inequality rows): it checks nothing, since a
+principal submatrix of a PSD matrix is PSD, and it is definite when its
+parent is.
 
 With the active set fixed, a polish step is affine in the linear term:
 ``RepeatedQp.step_map`` writes it out as a matrix by taking the polish's
 own step on the columns of the identity, and ``_step_verdict``, the rule a
 polish step is accepted by, judges a whole batch of candidates at once.
-``WarmBatch`` uses both to take the first polish steps of many warm QPs as
-one batch, and leaves each QP in the state its own solve would have (see
-``admm``).
+``WarmBatch`` uses both to take the first polish steps of many QPs as one
+batch, each from its own guess; the batch owns those guesses (see ``admm``).
 
 Dual convention: a solution satisfies ``Px + q + E'lam + G'alpha = 0`` with
 ``alpha >= 0``. Callers that need the opposite sign on the equality dual flip
@@ -62,7 +61,6 @@ it themselves (see ``problem.centralized_solve``).
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -244,34 +242,12 @@ def _step_verdict(P, q, E, h, G, u, x, lam, alpha, act: np.ndarray, tol: float):
     return ok, drop, add, alpha, res, tight
 
 
-class _Splitting:
-    """The splitting iteration's x-update by the n x n matrix
-    ``K = P + sigma I + C' diag(rho) C``, LU-factored when first needed. The
-    copies of a QP made by ``RepeatedQp._fresh`` share one. Each update is
-    one LAPACK ``getrs`` on the factor: the checks ``lu_solve`` wraps it in
-    cost twice the solve at market scale."""
-
-    def __init__(self, P: np.ndarray, C: np.ndarray, rho: np.ndarray):
-        self.P, self.C, self.rho = P, C, rho
-        self.lu = None
-
-    def x_update(self, x: np.ndarray, z: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """``x~ = K^-1 (sigma x - q + C'(rho z - y))``."""
-        if self.lu is None:
-            K = self.P + _SIGMA_REG * np.eye(self.P.shape[0]) + self.C.T @ (self.rho[:, None] * self.C)
-            self.lu = scipy.linalg.lu_factor(K)
-        x_t, _ = scipy.linalg.lapack.dgetrs(*self.lu, _SIGMA_REG * x - q + self.C.T @ (self.rho * z - y))
-        return x_t
-
-
 class RepeatedQp:
-    """A QP family sharing (P, E, h, G, u) with a varying linear term.
-
-    Factors the splitting system once, when a solve first needs a splitting
-    iteration; subsequent solves warm-start from the previous solution and
-    try its active set first, which usually reduces a solve to one small KKT
-    factorization.
-    """
+    """A QP family sharing (P, E, h, G, u) with a varying linear term. A
+    solve depends only on its arguments, the linear term and an optional
+    active-set guess (a guess that holds makes it one small KKT solve). The
+    QP keeps only caches that change no answer: the splitting system's
+    factor and the last active set's reduced system."""
 
     def __init__(
         self,
@@ -300,22 +276,12 @@ class RepeatedQp:
         self.me, self.mi = me, mi
         self.C = np.vstack([E, G]) if me + mi else _empty(n)
         self.rho = np.concatenate([np.full(me, _RHO_EQ_FACTOR * _RHO_INEQ), np.full(mi, _RHO_INEQ)])
-        self._split = _Splitting(P, self.C, self.rho)
+        self._K_lu: tuple[np.ndarray, np.ndarray] | None = None  # see _x_update
         # Column of each simple-bound row (one nonzero entry in G), -1 elsewhere.
         nonzero = G != 0
         single = nonzero.sum(axis=1) == 1
         self._bound_col = np.where(single, nonzero.argmax(axis=1), -1) if n else np.full(mi, -1)
-        self._last_x: np.ndarray | None = None
-        self._last_active: frozenset[int] | None = None
         self._system: tuple[frozenset[int], _ReducedSystem] | None = None  # the last active set's
-
-    def _fresh(self) -> RepeatedQp:
-        """This QP with the warm state of a new one (no last point or set):
-        it shares the arrays and the splitting factor, which do not depend
-        on ``q``."""
-        qp = copy.copy(self)
-        qp._last_x = qp._last_active = None
-        return qp
 
     def _restrict(self, cols: np.ndarray, rows: np.ndarray) -> RepeatedQp:
         """The QP with only the columns ``cols`` (the others fixed at zero),
@@ -330,10 +296,10 @@ class RepeatedQp:
 
     def solve(self, q: np.ndarray, active=None) -> QpSolution:
         """Solve for the linear term ``q``. The polish first tries
-        ``active``, a collection of inequality rows, when it is given, else
-        the last solve's tight set. When that guess does not end in a
-        certified point, the solve goes on to the splitting iteration as if
-        it had had no guess (see the module docstring)."""
+        ``active``, a collection of inequality rows, when it is given. When
+        that guess does not end in a certified point, the solve goes on to
+        the splitting iteration as if it had had no guess (see the module
+        docstring)."""
         q = np.asarray(q, dtype=float).ravel()
         if q.shape[0] != self.n:
             raise DimensionMismatch(f"linear term has length {q.shape[0]}, expected {self.n}")
@@ -342,12 +308,12 @@ class RepeatedQp:
         if self.n == 0:
             return self._solve_empty()
 
-        guess = self._last_active if active is None else frozenset(int(r) for r in active)
-        if active is not None and not all(0 <= r < self.mi for r in guess):
-            raise DimensionMismatch(f"active rows must lie in [0, {self.mi})")
-        if guess is None and self.mi == 0:
-            guess = frozenset()
-        if guess is not None:
+        if active is None and self.mi == 0:
+            active = ()  # without inequality rows the only set is the empty one
+        if active is not None:
+            guess = frozenset(int(r) for r in active)
+            if not all(0 <= r < self.mi for r in guess):
+                raise DimensionMismatch(f"active rows must lie in [0, {self.mi})")
             polished = self._polish(q, guess)
             if polished is not None:
                 return polished
@@ -373,8 +339,8 @@ class RepeatedQp:
         column's multiplier is read off its stationarity residual.
 
         Violated inactive rows are added and negative-multiplier rows dropped,
-        one at a time, until the candidate is KKT-consistent, and then kept
-        for the next solve's warm start, or the attempt fails (by a cycle, by
+        one at a time, until the candidate is KKT-consistent, or the attempt
+        fails (by a cycle, by
         a singular system without a finite least-squares answer, by the final
         residual check or by the step budget).
         """
@@ -400,9 +366,7 @@ class RepeatedQp:
                 active = active | {int(np.argmax(np.where(red.act_mask, -np.inf, G @ x - u)))}
                 continue
             if ok:
-                sol = QpSolution(x=x, lam=lam, alpha=alpha_c, status="optimal", iterations=0, active=tuple(tight.nonzero()[0].tolist()), residuals=res)
-                self._last_x, self._last_active = x.copy(), frozenset(sol.active)  # the next solve's warm start
-                return sol
+                return QpSolution(x=x, lam=lam, alpha=alpha_c, status="optimal", iterations=0, active=tuple(tight.nonzero()[0].tolist()), residuals=res)
             return None
         return None
 
@@ -427,16 +391,13 @@ class RepeatedQp:
         alpha[red.fix_rows] = (-grad[red.fix_cols].T / red.fix_coef).T
         return x, lam, alpha
 
-    def step_map(self, active: frozenset[int]) -> tuple[np.ndarray, np.ndarray] | None:
+    def step_map(self, active: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
         """The polish's first step on ``active`` as an affine map of the linear
         term: the step's candidate is ``[x; alpha] = L @ q + c``. Returns
-        (L, c), or ``None`` when the set's reduced system has no LU factors (P
-        is not definite or the LU has a zero pivot; the polish then solves it
-        by least squares). Like a polish of ``active``, it keeps that reduced
-        system."""
+        (L, c), solved as the polish solves that set: by its LU factors, or by
+        least squares, whose minimum-norm answer is linear in the right-hand
+        side too. Like a polish of ``active``, it keeps that reduced system."""
         red = self._reduced_system(active)
-        if red.lu is None and red.kkt.size:
-            return None
         # Column 0 is the constant part, column 1 + j the response to q_j.
         e0 = np.eye(1, 1 + self.n)[0]
         x, _, alpha = self._step(red, np.eye(self.n, 1 + self.n, 1), e0)
@@ -495,14 +456,14 @@ class RepeatedQp:
         C, rho, h = self.C, self.rho, self.h
         lower = np.concatenate([h, np.full(mi, -np.inf)])
         upper = np.concatenate([h, self.u])
-        x = np.zeros(n) if self._last_x is None else self._last_x.copy()
+        x = np.zeros(n)
         z = np.clip(C @ x, lower, upper)
         y = np.zeros(m)
         y_mark = y.copy()
         best, best_score = None, np.inf  # best: (k, x, y, act_tol) of the best iterate so far
 
         for k in range(1, self.max_iter + 1):
-            x_t = self._split.x_update(x, z, y, q)
+            x_t = self._x_update(x, z, y, q)
             z_t = C @ x_t
             x = _RELAX * x_t + (1.0 - _RELAX) * x
             z_pre = _RELAX * z_t + (1.0 - _RELAX) * z
@@ -538,6 +499,18 @@ class RepeatedQp:
             residuals=_kkt_residuals(self.P, q, self.E, h, self.G, self.u, x, lam, alpha, self.G @ x),
         )
 
+    def _x_update(self, x: np.ndarray, z: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The splitting iteration's ``x~ = K^-1 (sigma x - q + C'(rho z - y))``
+        by the n x n matrix ``K = P + sigma I + C' diag(rho) C``, LU-factored
+        when first needed. Each update is one LAPACK ``getrs`` on the factor:
+        the checks ``lu_solve`` wraps it in cost twice the solve at market
+        scale."""
+        if self._K_lu is None:
+            K = self.P + _SIGMA_REG * np.eye(self.n) + self.C.T @ (self.rho[:, None] * self.C)
+            self._K_lu = scipy.linalg.lu_factor(K)
+        x_t, _ = scipy.linalg.lapack.dgetrs(*self._K_lu, _SIGMA_REG * x - q + self.C.T @ (self.rho * z - y))
+        return x_t
+
     def _certify_infeasible(self, dy: np.ndarray) -> None:
         """Raise ``Infeasible`` when the dual drift is a primal-infeasibility certificate."""
         vn = float(np.max(np.abs(dy))) if dy.size else 0.0
@@ -558,15 +531,16 @@ class RepeatedQp:
 
 
 class WarmBatch:
-    """Warm ``RepeatedQp``s whose first polish steps are taken as one batch.
+    """``RepeatedQp``s whose first polish steps are taken as one batch.
 
-    For each QP the batch keeps the step map (``RepeatedQp.step_map``) of
-    the active set its next solve would try first, the set its last solve
-    ended on, padded to the largest QP. ``solve`` then evaluates every
-    candidate with one batched matmul and judges them all at once by the
-    rule a polish accepts its first step by, at the smallest tolerance of
-    the QPs. The batch judges inequality rows only, so QPs with equality
-    rows are rejected.
+    The batch owns each QP's guess, ``guess[i]``: the tight set of the last
+    certified answer it gave for QP i (``None`` before the first), and the
+    step map (``RepeatedQp.step_map``) of that guess, padded to the largest
+    QP. ``solve`` then evaluates every candidate with one batched matmul and
+    judges them all at once by the rule a polish accepts its first step by,
+    at the smallest tolerance of the QPs; ``solve_one`` solves one QP on its
+    own from its guess. The batch judges inequality rows only, so QPs with
+    equality rows are rejected.
     """
 
     def __init__(self, qps: list[RepeatedQp]):
@@ -579,56 +553,49 @@ class WarmBatch:
         self.L, self.c = np.zeros((N, n + m, n)), np.zeros((N, n + m))  # [x; alpha] = L q + c
         self.P, self.G, self.u = np.zeros((N, n, n)), np.zeros((N, m, n)), np.zeros((N, m))
         self.act = np.zeros((N, m), dtype=bool)
-        self.sets: list[frozenset[int] | None] = [None] * N  # the set each map is for
+        self.guess: list[frozenset[int] | None] = [None] * N  # set with its map by _set_guess
         for i, qp in enumerate(self.qps):
             self.P[i, : qp.n, : qp.n] = qp.P
             self.G[i, : qp.mi, : qp.n] = qp.G
             self.u[i, : qp.mi] = qp.u
 
-    def _load(self, i: int, active: frozenset[int]) -> bool:
-        """Replace QP i's map by the one for ``active``; False when singular."""
+    def _set_guess(self, i: int, active: frozenset[int]) -> None:
+        """Make ``active`` QP i's guess, and its step map QP i's map."""
+        if active == self.guess[i]:
+            return
         qp, n = self.qps[i], self.n
-        step = qp.step_map(active)
-        self.sets[i] = None if step is None else active
-        if step is None:
-            return False
-        L, c = step
+        L, c = qp.step_map(active)
+        self.guess[i] = active
         self.L[i, : qp.n, : qp.n], self.c[i, : qp.n] = L[: qp.n], c[: qp.n]
         self.L[i, n : n + qp.mi, : qp.n], self.c[i, n : n + qp.mi] = L[qp.n :], c[qp.n :]
         self.act[i] = False
         self.act[i, list(active)] = True
-        return True
 
     def solve(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Take every QP's first polish step for its linear term, row i of
-        ``Q`` zero-padded to the largest QP. Returns (X, ok): the candidate
-        points, padded the same way, and the mask of the accepted ones. Each
-        accepted QP keeps its point and tight set, as its own solve would
-        have. A rejected QP, one with no guess yet and one whose guess set
-        is singular are left untouched for their own ``solve``.
+        """Take every QP's first polish step from its guess for its linear
+        term, row i of ``Q`` zero-padded to the largest QP. Returns (X, ok):
+        the candidate points, padded the same way, and the mask of the
+        accepted ones. An accepted QP's tight set is its next guess. A QP
+        without a guess is rejected, and a rejected QP keeps its guess for
+        ``solve_one``.
         """
         n, N = self.n, len(self.qps)
-        warm = np.zeros(N, dtype=bool)
-        for i, qp in enumerate(self.qps):
-            last = qp._last_active
-            if last is not None:
-                warm[i] = last is self.sets[i] or last == self.sets[i] or self._load(i, last)
         out = (self.L @ Q[..., None])[..., 0] + self.c
         X, alpha = out[:, :n], out[:, n:]
         ok, _, _, _, _, tight = _step_verdict(self.P, Q, _empty(n), np.zeros(0), self.G, self.u, X, np.zeros((N, 0)), alpha, self.act, self.tol)
-        ok &= warm
-        # What each accepted QP's own solve would remember: its point (one copy
-        # of the accepted rows serves them all) and, where the tight rows moved
-        # off the guessed set, the new tight set.
-        accepted = ok.nonzero()[0]
-        kept = X[accepted]
-        moved = np.logical_or.reduce(tight != self.act, axis=1).tolist()
-        for j, i in enumerate(accepted.tolist()):
-            qp = self.qps[i]
-            qp._last_x = kept[j, : qp.n]
-            if moved[i]:
-                qp._last_active = frozenset(tight[i].nonzero()[0].tolist())
+        ok &= np.array([guess is not None for guess in self.guess])
+        moved = np.logical_or.reduce(tight != self.act, axis=1)
+        for i in (ok & moved).nonzero()[0].tolist():
+            self._set_guess(i, frozenset(tight[i].nonzero()[0].tolist()))
         return X, ok
+
+    def solve_one(self, i: int, q: np.ndarray) -> QpSolution:
+        """QP i's own solve for the linear term ``q``, from its guess. An
+        optimal answer's tight set is its next guess."""
+        sol = self.qps[i].solve(q, active=self.guess[i])
+        if sol.optimal:
+            self._set_guess(i, frozenset(sol.active))
+        return sol
 
 
 def _solve_reduced(red: _ReducedSystem, rhs: np.ndarray) -> np.ndarray | None:

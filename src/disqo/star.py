@@ -141,7 +141,7 @@ def star_reported_outcome(inst: StarInstance, deltas: np.ndarray) -> StarReportO
     closed forms for misreports stop applying and callers must fall back to
     the numeric pipeline.
     """
-    deltas = np.asarray(deltas, float).ravel()
+    deltas = finite(np.asarray(deltas, float).ravel(), "deltas")
     if deltas.shape != (inst.n,):
         raise DimensionMismatch(f"deltas shape {deltas.shape}, expected ({inst.n},)")
     reported = inst.c_norms + deltas

@@ -279,7 +279,7 @@ def test_accelerated_unconstrained_step_is_schur_solve():
     S_wz = _subproblem_hessian(state, 0)[:1, 1:]
     q = p.algorithmic[0].psi - 1.0 * state.V[0]
     q[0] += 1.0 * (ell[0] + 1.0 * (gamma[0] - 0.0))
-    phi = state._qps[0].P
+    phi = state._batch.qps[0].P
     psi_red = q[0] - S_wz @ np.linalg.solve(np.array([[3.0]]), q[1:])
     expected_w = -psi_red / phi[0, 0]
     if expected_w < 0:  # own-block row x >= 0
@@ -616,7 +616,7 @@ def test_batched_round_matches_per_agent_solves(mode, make):
         _per_agent_round(looped)
         for name in ("Y", "H", "Lam"):
             np.testing.assert_allclose(getattr(batched, name), getattr(looped, name), rtol=1e-12, atol=1e-12)
-        assert [qp._last_active for qp in batched._qps] == [qp._last_active for qp in looped._qps]
+        assert batched._batch.guess == looped._batch.guess
     assert batched.warm_hits > batched.repairs
     assert batched.warm_hits + batched.repairs == 50 * batched.n_agents
 
@@ -625,17 +625,17 @@ def test_batched_round_repairs_an_agent_whose_active_set_changes():
     state = _desk_state(0)
     for _ in range(20):
         iterate(state)
-    before = state._qps[0]._last_active
+    before = state._batch.guess[0]
     state.V[0] -= 50.0  # pulls agent 0's whole copy down onto its bounds
     twin = copy.deepcopy(state)
     repairs = state.repairs
     iterate(state)
     assert state.repairs > repairs
-    assert state._qps[0]._last_active != before
+    assert state._batch.guess[0] != before
 
     gamma, ell = communication_round_tracking(twin.H, twin.Lam, twin.W)
     np.testing.assert_array_equal(state.Y[0], agent_step(twin, 0, gamma, ell))
-    assert state._qps[0]._last_active == twin._qps[0]._last_active
+    assert state._batch.guess[0] == twin._batch.guess[0]
 
 
 @pytest.mark.parametrize("mode", ["plain", "accelerated"])

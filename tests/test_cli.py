@@ -603,6 +603,7 @@ def test_validate_fails_on_a_bad_value_in_any_section_a_command_reads(tmp_path, 
         ("solve", "solver", '{"sigma": NaN}', "solver params"),
         ("solve", "solver", '{"sigma": true}', "solver params"),
         ("solve", "solver", '{"rho": Infinity}', "solver params"),
+        ("solve", "graph", '{"edges": [[0.9, 1], [1, 2]]}', "communication graph"),  # was read as the edge (0, 1)
         # a later "generator" key replaces the star default
         ("mechanism", "generator", '{"star": {"c": [3, NaN, 5]}}', "instance"),
         ("mechanism", "generator", '{"star": {"c": [3, 4, 5], "d": Infinity}}', "instance"),
@@ -628,6 +629,7 @@ def test_misreport_numbers_that_cannot_work_fail_validate_and_exit_one(tmp_path,
         pytest.param(lambda d: d.update(c0=math.nan), "c0 must be finite", id="nan-c0"),
         pytest.param(lambda d: d.update(R=2.9), "R must be an integer", id="fractional-R"),  # was truncated to 2
         pytest.param(lambda d: d.update(R=True), "R must be an integer", id="bool-R"),  # was a one-route market
+        pytest.param(lambda d: d["comm_edges"][0].__setitem__(0, 0.9), "edge endpoint must be an integer", id="fractional-comm-edge"),
     ],
 )
 def test_instance_with_a_supplier_outside_the_network_exits_one(tmp_path, capsys, edit, message):

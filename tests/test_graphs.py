@@ -38,6 +38,14 @@ def test_build_graph_out_of_range():
         build_graph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("edge", [(0.9, 1), (0, 1.0), (True, 2), (np.float64(1.0), 2)])
+def test_build_graph_rejects_an_endpoint_that_is_not_an_integer(edge):
+    # 0.9 used to be truncated to node 0; every endpoint is in range here.
+    with pytest.raises(DimensionMismatch, match="edge endpoint must be an integer"):
+        build_graph(4, [edge, (1, 2), (2, 3), (0, 3)])
+    assert build_graph(4, [(np.int64(0), 1), (1, 2), (2, 3)]).edges == {(0, 1), (1, 2), (2, 3)}
+
+
 def test_build_graph_duplicate_edge():
     with pytest.raises(InvalidEdge):
         build_graph(2, [(0, 1), (1, 0)])

@@ -1,4 +1,3 @@
-import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -204,12 +203,35 @@ def test_repeated_qp_warm_start_matches_fresh_solves():
     P = M.T @ M + 0.5 * np.eye(n)
     G, u = box_rows(n, np.zeros(n), np.ones(n))
     kernel = RepeatedQp(P, G=G, u=u)
+    guess = None
     for _ in range(25):
         q = rng.normal(size=n) * 2.0
-        warm = kernel.solve(q)
+        warm = kernel.solve(q, active=guess)  # the last answer's tight set
         fresh = solve_qp(P=P, q=q, G=G, u=u)
         assert warm.optimal and fresh.optimal
         assert np.max(np.abs(warm.x - fresh.x)) <= 1e-8
+        guess = warm.active
+
+
+def test_a_solve_depends_only_on_its_arguments():
+    # A box QP with a sum row. After solves of other linear terms on the same
+    # QP, a solve without a guess and one whose guess misses both return a
+    # new QP's answer bit for bit, after as many splitting iterations.
+    rng = np.random.default_rng(57)
+    n = 6
+    M = rng.normal(size=(n, n))
+    G, u = box_rows(n, -np.ones(n), np.ones(n))
+    spec = dict(P=M.T @ M + 0.1 * np.eye(n), E=np.ones((1, n)), h=np.ones(1), G=G, u=u)
+    q = rng.normal(size=n) * 10
+    new = RepeatedQp(**spec).solve(q)
+    kernel = RepeatedQp(**spec)
+    for _ in range(3):
+        assert kernel.solve(q + rng.normal(size=n)).optimal
+    assert kernel._polish(q, frozenset({7})) is None
+    for sol in (kernel.solve(q), kernel.solve(q, active=(7,))):
+        assert sol.optimal and sol.iterations == new.iterations > 0 and sol.active == new.active
+        for name in ("x", "lam", "alpha"):
+            assert getattr(sol, name).tobytes() == getattr(new, name).tobytes()
 
 
 def test_singular_hessian_with_pinning_constraints():
@@ -304,15 +326,18 @@ def test_warm_solves_factor_each_active_set_once(kernel_calls):
         return -P @ x - G.T @ alpha
 
     # Optimum with x3 at its upper and x4 at its lower bound (rows 3 and 9).
-    assert kernel.solve(linear_term(np.array([0.5, 0.3, 0.6, 1.0, 0.0]), (3, 9))).active == (3, 9)
-    # x2 now also sits at its upper bound: the first warm solve tries the kept
-    # set (3, 9), adds row 2 and factors (2, 3, 9); the other k - 1 reuse it.
+    guess = kernel.solve(linear_term(np.array([0.5, 0.3, 0.6, 1.0, 0.0]), (3, 9))).active
+    assert guess == (3, 9)
+    # x2 now also sits at its upper bound: the first solve, guessing (3, 9),
+    # adds row 2 and factors (2, 3, 9); the other k - 1, each guessing the
+    # last answer's tight set, reuse it.
     q = linear_term(np.array([0.5, 0.3, 1.0, 1.0, 0.0]), (2, 3, 9))
     k = 4
     kernel_calls.clear()
     for _ in range(k):
-        sol = kernel.solve(q + 1e-3 * rng.normal(size=n))
+        sol = kernel.solve(q + 1e-3 * rng.normal(size=n), active=guess)
         assert sol.optimal and sol.iterations == 0 and sol.active == (2, 3, 9)
+        guess = sol.active
     assert kernel_calls.count("lu_factor") == 1
     assert kernel_calls.count("lu_solve") == k + 1
     assert "solve" not in kernel_calls and "lstsq" not in kernel_calls
@@ -402,9 +427,10 @@ def test_least_squares_matches_numpy_on_rank_deficient_kkt_systems(seed):
 def test_solution_on_a_bound_in_every_column_needs_no_kernel(kernel_calls):
     G, u = box_rows(3, np.zeros(3), np.ones(3))
     kernel = RepeatedQp(np.eye(3), G=G, u=u)
-    assert kernel.solve(np.array([5.0, 5.0, -5.0])).active == (2, 3, 4)
+    guess = kernel.solve(np.array([5.0, 5.0, -5.0])).active
+    assert guess == (2, 3, 4)
     kernel_calls.clear()
-    sol = kernel.solve(np.array([4.0, 6.0, -3.0]))
+    sol = kernel.solve(np.array([4.0, 6.0, -3.0]), active=guess)
     assert sol.optimal and sol.iterations == 0
     np.testing.assert_allclose(sol.x, [0.0, 0.0, 1.0])
     np.testing.assert_allclose(sol.alpha, [0.0, 0.0, 2.0, 4.0, 6.0, 0.0])
@@ -476,32 +502,33 @@ def _box_qp(n):
 def test_warm_batch_takes_each_qps_own_first_step():
     P, G, u = _bounded_sum_qp()
     # Box QPs of four sizes, one more left without a guess, and the sum QP
-    # with its sum row twice, so that its guess set is singular.
+    # with its sum row twice, so that its guess set is singular: its step is
+    # the least-squares one, as in that QP's own polish.
     specs = [_box_qp(n) for n in (2, 3, 4, 6)] + [_box_qp(3), (P, np.vstack([G, G[-1:]]), np.append(u, u[-1]))]
     qps = [RepeatedQp(P, G=G, u=u) for P, G, u in specs]
+    batch = WarmBatch(qps)
     rng = np.random.default_rng(0)
     q0 = [rng.normal(size=qp.n) * 2 for qp in qps]
     q0[-1] = np.array([-3.0, -3.0, -3.0, 4.0, 4.0])
     for i in (0, 1, 2, 3, 5):
-        qps[i].solve(q0[i])
-    assert qps[-1].step_map(qps[-1]._last_active) is None
+        assert batch.solve_one(i, q0[i]).optimal
+    assert batch.guess[4] is None and qps[-1]._reduced_system(batch.guess[-1]).lu is None
+    assert qps[-1].step_map(batch.guess[-1]) is not None
     q = [qi + rng.normal(size=qi.size) * 1e-3 for qi in q0]
     q[3] = -q0[3]  # moves QP 3 off its active set
-    batch = WarmBatch(qps)
-    before = copy.deepcopy(qps)
+    before = list(batch.guess)
     Q = np.zeros((len(qps), batch.n))
     for i, qi in enumerate(q):
         Q[i, : qi.size] = qi
     X, ok = batch.solve(Q)
-    assert ok.tolist() == [True, True, True, False, False, False]
-    for i, (qp, twin) in enumerate(zip(qps, before)):
+    assert ok.tolist() == [True, True, True, False, False, True]
+    for i, qp in enumerate(qps):
         if ok[i]:
-            np.testing.assert_allclose(X[i, : qp.n], twin.solve(q[i]).x, rtol=1e-12, atol=1e-12)
-            assert qp._last_active == twin._last_active
-            np.testing.assert_allclose(qp._last_x, twin._last_x, rtol=1e-12, atol=1e-12)
+            own = qp.solve(q[i], active=before[i])
+            np.testing.assert_allclose(X[i, : qp.n], own.x, rtol=1e-12, atol=1e-12)
+            assert own.iterations == 0 and batch.guess[i] == frozenset(own.active)
         else:
-            assert qp._last_active == twin._last_active
-            np.testing.assert_array_equal(np.asarray(qp._last_x), np.asarray(twin._last_x))
+            assert batch.guess[i] == before[i]
 
 
 def test_warm_batch_rejects_equality_rows():
@@ -535,7 +562,7 @@ def test_splitting_update_is_the_block_systems_with_nu_eliminated(monkeypatch):
         x, z, y, q = rng.normal(size=n), rng.normal(size=m), rng.normal(size=m), rng.normal(size=n)
         sol = np.linalg.solve(block, np.concatenate([sigma * x - q, z - y / rho]))
         x_old, z_old = sol[:n], z + (sol[n:] - y) / rho
-        x_new = kernel._split.x_update(x, z, y, q)
+        x_new = kernel._x_update(x, z, y, q)
         np.testing.assert_allclose(x_new, x_old, rtol=0, atol=1e-12 * np.abs(x_old).max())
         np.testing.assert_allclose(C @ x_new, z_old, rtol=0, atol=1e-12 * np.abs(z_old).max())
     shapes = []
@@ -547,13 +574,13 @@ def test_splitting_update_is_the_block_systems_with_nu_eliminated(monkeypatch):
     assert shapes == [(n, n)]
 
 
-def test_fresh_copies_share_the_splitting_factor_and_start_cold(kernel_calls):
+def test_repeated_solves_share_the_splitting_factor_and_start_cold(kernel_calls):
     G, u = box_rows(3, -np.ones(3), np.ones(3))
     kernel = RepeatedQp(np.diag([1.0, 2.0, 0.0]), G=G, u=u, max_iter=400)
     q = np.array([0.5, -0.2, 0.1])
-    first = kernel._fresh().solve(q)
+    first = kernel.solve(q)
     assert first.iterations > 0 and kernel_calls.count("lu_factor") == 1
-    again = kernel._fresh().solve(q)  # no last set to try: it splits again, on the shared factor
+    again = kernel.solve(q)  # no guess: it splits again from zero, on the kept factor
     assert kernel_calls.count("lu_factor") == 1
     assert again.iterations == first.iterations and again.x.tobytes() == first.x.tobytes()
     assert again.x.tobytes() == solve_qp(np.diag([1.0, 2.0, 0.0]), q, G=G, u=u, max_iter=400).x.tobytes()

@@ -189,6 +189,15 @@ def test_misreport_that_changes_shippers_is_refused():
         star_misreport(inst, 0, 10.0)
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+def test_a_delta_that_is_not_finite_is_rejected(delta):
+    inst = StarInstance([2.0, 3.0, 4.0], 1.0, 5.0)
+    with pytest.raises(DimensionMismatch, match="deltas must be finite"):
+        star_reported_outcome(inst, [delta, 0.0, 0.0])
+    with pytest.raises(DimensionMismatch, match="deltas must be finite"):
+        star_misreport(inst, 0, delta)
+
+
 def test_misreport_matches_numeric_pipeline():
     transport = to_transport(EX3)
     fake = np.array(transport.network.edge_costs[0], copy=True)
