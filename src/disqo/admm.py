@@ -45,7 +45,8 @@ solution w_i, so the batch solves the reduced QPs on Psi_i and the accepted
 w_i are lifted back to copies. An agent the batch rejects (the check fails, or
 it has no guess yet) is solved on its own from its guess by the usual
 repairing QP solve (``WarmBatch.solve_one``), so every returned point is
-KKT-certified. ``SolverState`` and ``SolveResult.stats`` count both kinds.
+KKT-certified: a repair that ends uncertified raises ``MaxIterReached``.
+``SolverState`` and ``SolveResult.stats`` count both kinds.
 
 A round does each piece of work once. The identity checks reduce the new
 arrays to the coupling gap sum_i A~_i y_i - d and the means of eta and lam;
@@ -66,9 +67,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._checks import integer, nonnegative, positive
+from ._checks import finite, integer, nonnegative, positive
 from ._csv import write_csv
-from .errors import DecompositionMismatch, DimensionMismatch, InfeasibleInitialPoint
+from .errors import DecompositionMismatch, DimensionMismatch, InfeasibleInitialPoint, MaxIterReached
 from .graphs import CommGraph, metropolis_weights
 from .problem import CoupledProblem, feasible_point
 from .qp import RepeatedQp, WarmBatch
@@ -230,6 +231,7 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
             yi = np.asarray(y0[i], float).ravel()
             if yi.shape != (n,):
                 raise DimensionMismatch(f"y0[{i}] has shape {yi.shape}, expected ({n},)")
+            finite(yi, f"y0[{i}]")  # a NaN would pass the local-rows test below
             gap = poly.B @ yi[blk] - poly.m if poly.n_rows else np.zeros(0)
             if gap.size and float(gap.max()) > 1e-9 * max(1.0, float(np.abs(poly.m).max())):
                 raise InfeasibleInitialPoint(f"y0[{i}] violates the local rows by {float(gap.max()):.2e}")
@@ -334,12 +336,17 @@ def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray) -> np.nd
 
 
 def _solve_agent(state: SolverState, i: int, q: np.ndarray) -> np.ndarray:
-    """Agent i's new full copy from its own QP solve on its linear term q."""
-    if state._lift is None:
-        return state._batch.solve_one(i, q).x
-    R, Kw, Kq = state._lift
+    """Agent i's new full copy from its own QP solve on its linear term q.
+    Raises ``MaxIterReached`` when that solve ends without a certified point."""
+    lift = state._lift
     b_i = state.problem.dims[i]
-    return Kw[i, :, :b_i] @ state._batch.solve_one(i, R[i, :b_i] @ q).x + Kq[i] @ q
+    sol = state._batch.solve_one(i, q if lift is None else lift[0][i, :b_i] @ q)
+    if not sol.optimal:
+        raise MaxIterReached(f"agent {i}'s subproblem in round {state.k + 1} ended {sol.status}, without a certified point")
+    if lift is None:
+        return sol.x
+    _, Kw, Kq = lift
+    return Kw[i, :, :b_i] @ sol.x + Kq[i] @ q
 
 
 def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from ._checks import integer
@@ -72,9 +71,19 @@ def _normalize_edges(n_agents: int, edges) -> frozenset[tuple[int, int]]:
 
 
 def _is_connected(n_agents: int, edges: frozenset[tuple[int, int]]) -> bool:
-    g = nx.Graph(edges)
-    g.add_nodes_from(range(n_agents))
-    return nx.is_connected(g)
+    """Whether a stack search from node 0 over the edges reaches all
+    ``n_agents`` nodes (at least one)."""
+    adjacent: list[list[int]] = [[] for _ in range(n_agents)]
+    for i, j in edges:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    reached, stack = {0}, [0]
+    while stack:
+        for j in adjacent[stack.pop()]:
+            if j not in reached:
+                reached.add(j)
+                stack.append(j)
+    return len(reached) == n_agents
 
 
 def build_graph(n_agents: int, edges) -> CommGraph:

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.optimize
 
 from ._checks import finite
 from .errors import (
@@ -466,6 +465,8 @@ def stationarity_residual(grad: np.ndarray, cols: np.ndarray) -> float:
     """min over alpha >= 0 of || grad + cols @ alpha ||_2: zero when -grad is
     a conic combination of the columns. A free multiplier on a column a
     enters as the column pair a, -a."""
+    import scipy.optimize  # loaded on first use: a command that certifies no dual never pays its start-up
+
     g = np.asarray(grad, float).ravel()
     C = np.atleast_2d(np.asarray(cols, float))
     if C.size == 0:

@@ -22,7 +22,6 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from ._checks import finite, integer
@@ -133,29 +132,47 @@ class IncidenceData:
 
 def enumerate_paths(network: TransportNetwork, R: int, L: int = 4) -> PathSet:
     """R shortest simple paths per (supplier, demander) pair, at most L edges,
-    ordered by edge count then lexicographic edge indices.
+    ordered by edge count then lexicographic edge indices. Parallel edges give
+    distinct paths. A supplier on its demander's node has the one empty route
+    ``()``: its flow reaches the demander over no edge.
 
-    Raises ``NoPathExists`` when some demander cannot be reached from any
+    Raises ``DimensionMismatch`` unless R and L are integers of at least 1,
+    and ``NoPathExists`` when some demander cannot be reached from any
     supplier.
     """
     integer(R, "R", 1)
-    g = nx.MultiDiGraph()
-    g.add_nodes_from(range(network.n_nodes))
+    integer(L, "L", 1)
+    out: dict[int, list[tuple[int, int]]] = {v: [] for v in range(network.n_nodes)}  # node -> (head, edge index)
     for idx, (t, h) in enumerate(network.edges):
-        g.add_edge(t, h, key=idx)
+        out.setdefault(h, [])
+        out.setdefault(t, []).append((h, idx))
     paths: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
     for i, s in enumerate(network.suppliers):
         for j, t in enumerate(network.demanders):
-            found = []
-            if s in g and t in g:
-                for edge_path in nx.all_simple_edge_paths(g, s, t, cutoff=L):
-                    found.append(tuple(key for _, _, key in edge_path))
+            found = _simple_edge_paths(out, s, t, L) if s in out and t in out else []
             found.sort(key=lambda p: (len(p), p))
             paths[(i, j)] = tuple(found[:R])
     for j in range(network.n_demanders):
         if all(len(paths[(i, j)]) == 0 for i in range(network.n_suppliers)):
             raise NoPathExists(f"demander {j} (node {network.demanders[j]}) unreachable from every supplier")
     return PathSet(paths=paths)
+
+
+def _simple_edge_paths(out: dict[int, list[tuple[int, int]]], s: int, t: int, L: int) -> list[tuple[int, ...]]:
+    """Every path from s to t of at most L edges that visits no node twice,
+    as a tuple of edge indices, by a depth-first search over ``out[v]``, the
+    (head, edge index) pairs leaving node v. From s to s that is ``()``."""
+    if s == t:
+        return [()]
+    found, stack = [], [((s,), ())]  # (nodes visited, edges taken) of each open path
+    while stack:
+        nodes, edges = stack.pop()
+        for h, idx in out[nodes[-1]]:
+            if h == t:
+                found.append((*edges, idx))
+            elif h not in nodes and len(edges) + 1 < L:
+                stack.append(((*nodes, h), (*edges, idx)))
+    return found
 
 
 def _var_layout(network: TransportNetwork, paths: PathSet) -> list[np.ndarray]:

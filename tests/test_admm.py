@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from disqo.admm import (
     metrics,
     solve,
 )
-from disqo.errors import DecompositionMismatch, DimensionMismatch, InfeasibleInitialPoint
+from disqo.errors import DecompositionMismatch, DimensionMismatch, InfeasibleInitialPoint, MaxIterReached
 from disqo.graphs import build_graph, metropolis_weights, random_connected_graph
 from disqo.problem import assemble_problem, centralized_solve, reconcile_dual
+from disqo.qp import RepeatedQp
 from disqo.star import StarInstance, to_transport
 from disqo.transport import build_instance, random_instance, star_network
 
@@ -126,6 +128,18 @@ def test_init_rejects_infeasible_start():
     y0[1, 1] = -0.5  # violates x >= 0 on agent 1's own block
     with pytest.raises(InfeasibleInitialPoint):
         init_state(p, K3, SolverParams(), y0=y0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_init_rejects_a_start_that_is_not_finite(bad):
+    # A NaN passed the local-rows test, and the run failed in round 1 naming
+    # the linear term; an infinity set off numpy warnings first.
+    y0 = np.zeros((3, 3))
+    y0[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match=r"y0\[1\] must be finite"):
+            init_state(star_problem(), K3, SolverParams(), y0=y0)
 
 
 def test_default_init_when_origin_infeasible():
@@ -636,6 +650,20 @@ def test_batched_round_repairs_an_agent_whose_active_set_changes():
     gamma, ell = communication_round_tracking(twin.H, twin.Lam, twin.W)
     np.testing.assert_array_equal(state.Y[0], agent_step(twin, 0, gamma, ell))
     assert state._batch.guess[0] == twin._batch.guess[0]
+
+
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+def test_an_uncertified_subproblem_answer_stops_the_round(mode, monkeypatch):
+    # The max_iter answers used to enter the round as if certified.
+    state = _desk_state(0, mode)
+    monkeypatch.setattr(RepeatedQp, "_polish", lambda self, q, active: None)  # no solve certifies a point
+    for qp in state._batch.qps:
+        qp.max_iter = 30
+    Y = state.Y.copy()
+    with pytest.raises(MaxIterReached, match="agent 0's subproblem in round 1 ended max_iter"):
+        iterate(state)
+    assert state.k == 0
+    np.testing.assert_array_equal(state.Y, Y)
 
 
 @pytest.mark.parametrize("mode", ["plain", "accelerated"])

@@ -17,6 +17,7 @@ from disqo.cli import main
 from disqo.errors import MaxIterReached
 from disqo.mechanisms import misreport_sweep, sp_for_problem
 from disqo.problem import ReportedProblem, centralized_solve, eval_cost
+from disqo.qp import RepeatedQp
 from disqo.transport import build_instance, default_comm_graph, load_instance, random_instance, star_network
 
 STAR_GEN = {"star": {"c": [2.0, 3.0, 4.0], "c0": 1.0, "d": 5.0}}
@@ -327,6 +328,22 @@ def test_central_solve_budget_exhaustion_exits_two(tmp_path, monkeypatch, capsys
     assert "budget spent" in capsys.readouterr().err
 
 
+def test_uncertified_subproblem_answer_exits_two(tmp_path, monkeypatch, capsys):
+    class Stalling(RepeatedQp):
+        """An agent QP whose every solve ends ``max_iter`` after 30 iterations."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs, max_iter=30)
+
+        def _polish(self, q, active):
+            return None
+
+    monkeypatch.setattr(disqo.admm, "RepeatedQp", Stalling)
+    cfg = write_config(tmp_path / "cfg.json", generator={"scale": [4, 2, 3, 2], "seed": 0})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "agent 0's subproblem in round 1 ended max_iter" in capsys.readouterr().err
+
+
 def test_solve_input_errors(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"
@@ -373,15 +390,42 @@ def test_cli_flag_and_command_errors(capsys):
     capsys.readouterr()
 
 
+def run_python(*args):
+    """A fresh interpreter on ``args``, importing this checkout's disqo."""
+    src = str(Path(disqo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_module_entry_point_runs_without_warning():
     # The package must not import ``cli`` itself, or runpy warns when
     # ``python -m disqo.cli`` finds it already in sys.modules.
-    src = str(Path(disqo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "disqo.cli", "--help"]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "usage" in proc.stdout
+    assert "usage" in run_python("-W", "error::RuntimeWarning", "-m", "disqo.cli", "--help")
+
+
+def test_start_up_loads_neither_networkx_nor_scipy_optimize():
+    script = "import sys, disqo.cli; print(sorted(m for m in ('networkx', 'scipy.optimize') if m in sys.modules))"
+    assert run_python("-c", script).strip() == "[]"
+
+
+def test_commands_run_without_networkx(tmp_path):
+    # networkx is a test dependency only: an install without it runs every command.
+    script = """
+import sys
+sys.modules["networkx"] = None  # makes ``import networkx`` raise ImportError
+from disqo.cli import main
+inst, out = sys.argv[1:]
+print([
+    main(["gen", "--scale", "4,2,3,2", "--seed", "7", "--out", inst]),
+    main(["solve", "--config", inst, "--out", out]),
+    main(["mechanism", "--config", inst, "--out", out]),
+])
+"""
+    stdout = run_python("-c", script, str(tmp_path / "inst.json"), str(tmp_path / "run"))
+    assert stdout.strip().splitlines()[-1] == "[0, 0, 0]"
+    assert (tmp_path / "run" / "solution.csv").stat().st_size and (tmp_path / "run" / "payments.csv").stat().st_size
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from disqo.errors import DimensionMismatch, DisconnectedGraph, InvalidEdge
 from disqo.graphs import (
+    _is_connected,
     build_graph,
     metropolis_weights,
     random_connected_graph,
@@ -164,3 +165,20 @@ def test_metropolis_invariants_property(graph_data):
     assert np.max(np.abs(w.sum(axis=1) - 1)) <= 1e-12
     assert np.max(np.abs(w.sum(axis=0) - 1)) <= 1e-12
     assert _spectral_gap(w) > 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_connectivity_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    verdicts = set()
+    for p in (0.05, 0.15, 0.3, 0.6):
+        for _ in range(10):
+            edges = frozenset(pair for pair, keep in zip(pairs, rng.random(len(pairs)) < p) if keep)
+            g = nx.Graph(edges)
+            g.add_nodes_from(range(n))
+            connected = _is_connected(n, edges)
+            assert connected == nx.is_connected(g), edges
+            verdicts.add(connected)
+    assert verdicts == ({True} if n == 1 else {True, False})

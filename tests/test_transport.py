@@ -97,6 +97,97 @@ def test_bad_r_rejected():
             enumerate_paths(diamond_network(), R=R)
 
 
+def chain_network(n_nodes):
+    """One supplier at node 0, one demander at the last node, one edge per hop."""
+    return TransportNetwork(
+        n_nodes=n_nodes,
+        edges=tuple((v, v + 1) for v in range(n_nodes - 1)),
+        suppliers=(0,),
+        demanders=(n_nodes - 1,),
+        inventories=np.array([[1.0]]),
+        demands=np.array([[1.0]]),
+        edge_costs=np.ones((1, n_nodes - 1)),
+        c0=1.0,
+        pair_capacity=np.array([[np.inf]]),
+    )
+
+
+@pytest.mark.parametrize("L", [0, -1, np.nan, True, 2.5])
+def test_bad_hop_limit_rejected(L):
+    # Each was passed on to the path search: 0, -1, NaN and True found no path
+    # (NoPathExists), and 2.5 found the chain's 3-edge path.
+    with pytest.raises(DimensionMismatch, match="L must be an integer"):
+        enumerate_paths(random_instance((4, 2, 3, 2), seed=0).network, R=2, L=L)
+    with pytest.raises(DimensionMismatch, match="L must be an integer"):
+        enumerate_paths(chain_network(4), R=1, L=L)
+
+
+def test_hop_limit_bounds_the_chain():
+    assert enumerate_paths(chain_network(4), R=1, L=3).paths == {(0, 0): ((0, 1, 2),)}
+    with pytest.raises(NoPathExists):
+        enumerate_paths(chain_network(4), R=1, L=2)
+
+
+def test_a_supplier_on_its_demanders_node_has_the_empty_route():
+    # Supplier 1 sits on demander node 2: its one route uses no edge, so its
+    # flow is free, and the market needs only 2 of the 4 units from supplier 0.
+    net = TransportNetwork(
+        n_nodes=3,
+        edges=((0, 2), (1, 2), (0, 1)),
+        suppliers=(0, 2),
+        demanders=(2,),
+        inventories=np.array([[10.0], [2.0]]),
+        demands=np.array([[4.0]]),
+        edge_costs=np.array([[1.0, 0.5, 0.5], [1.0, 1.0, 1.0]]),
+        c0=0.5,
+        pair_capacity=np.full((2, 1), np.inf),
+    )
+    inst = build_instance(net, R=2, L=2)
+    assert inst.paths.paths == {(0, 0): ((0,), (2, 1)), (1, 0): ((),)}
+    assert inst.problem.dims == (2, 1)
+    assert inst.incidence.used_edges == (0, 1, 2)
+    np.testing.assert_array_equal(inst.incidence.Q[1], np.zeros((3, 1)))
+    sol = centralized_solve(inst.problem)
+    np.testing.assert_allclose(sol.value, 10.0 / 3.0, rtol=1e-9)
+    np.testing.assert_allclose(sol.x[2], 2.0, atol=1e-9)
+
+
+def random_multigraph_network(rng, n_nodes, n_edges):
+    """Every node both a supplier and a demander, on random directed edges
+    (parallel edges likely, no self-loops)."""
+    tails = rng.integers(0, n_nodes, n_edges)
+    heads = (tails + rng.integers(1, n_nodes, n_edges)) % n_nodes
+    nodes = tuple(range(n_nodes))
+    return TransportNetwork(
+        n_nodes=n_nodes,
+        edges=tuple(zip(tails.tolist(), heads.tolist())),
+        suppliers=nodes,
+        demanders=nodes,
+        inventories=np.ones((n_nodes, 1)),
+        demands=np.ones((n_nodes, 1)),
+        edge_costs=np.ones((n_nodes, n_edges)),
+        c0=1.0,
+        pair_capacity=np.full((n_nodes, n_nodes), np.inf),
+    )
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_paths_match_networkx_on_random_multigraphs(L):
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(L)
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        net = random_multigraph_network(rng, n, int(rng.integers(1, 3 * n)))
+        g = nx.MultiDiGraph()
+        g.add_nodes_from(range(n))
+        for idx, (t, h) in enumerate(net.edges):
+            g.add_edge(t, h, key=idx)
+        ps = enumerate_paths(net, R=10**6, L=L)
+        for (i, j), got in ps.paths.items():
+            want = sorted((tuple(key for *_, key in p) for p in nx.all_simple_edge_paths(g, i, j, cutoff=L)), key=lambda p: (len(p), p))
+            assert got == tuple(want), (net.edges, i, j)
+
+
 def test_network_numbers_that_are_not_finite_are_rejected():
     # Each reached the user as a kernel error, and a NaN c0 as numpy's LinAlgError.
     with pytest.raises(DimensionMismatch, match="c0 must be finite"):
