@@ -354,7 +354,7 @@ def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:
     rho*deg_i*I and the coupling penalty sigma*A~_i'A~_i."""
     p, params = state.problem, state.params
     blk = p.block(i)
-    P = np.array(p.algorithmic[i].sigma)
+    P = p.algorithmic[i].sigma
     P[np.diag_indices_from(P)] += params.rho * state.degrees[i]
     P[blk, blk] += params.sigma * (p.A[i].T @ p.A[i])
     return (P + P.T) / 2.0

@@ -124,9 +124,7 @@ def shadow_prices(problem, x: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, 
     prices = []
     for i in range(p.n_agents):
         blk = p.block(i)
-        own = p.actual[i]
-        grad_own = (own.sigma @ x + own.psi)[blk]
-        cross = grad_tot[blk] - grad_own
+        cross = grad_tot[blk] - p.actual[i].gradient(x)[blk]
         prices.append(p.A[i].T @ lam - cross)
     return tuple(prices)
 
@@ -165,8 +163,7 @@ def sp_equilibrium_check(problem, x: np.ndarray, prices) -> np.ndarray:
     out = np.empty(p.n_agents)
     tight = p.tight_rows(x)
     for i in range(p.n_agents):
-        own = p.actual[i]
-        grad = (own.sigma @ x + own.psi)[p.block(i)] - np.asarray(prices[i], float)
+        grad = p.actual[i].gradient(x)[p.block(i)] - np.asarray(prices[i], float)
         out[i] = stationarity_residual(grad, np.hstack([p.A[i].T, -p.A[i].T, p.local[i].B[tight[p.rows(i)]].T]))
     return out
 

@@ -3,7 +3,9 @@
 N agents each own a block x_i of the stacked decision vector x. They share one
 linear coupling constraint  sum_i A_i x_i = d  and keep private polyhedral sets
 B_i x_i <= m_i. Every agent carries a quadratic objective over the *full*
-vector, stored twice:
+vector, its Hessian held as factors sigma = F' D F (``QuadObjective``; a
+dense sigma is the case F = I, D = sigma; a transport agent's F is its
+used-edge rows of the route incidence), stored twice:
 
 * ``algorithmic`` — a per-agent convex decomposition of the total cost, the one
   the distributed solver optimizes;
@@ -22,15 +24,17 @@ marks the rows tight at x by one rule. A coupling dual has the one sign of
 certificate is one NNLS (``stationarity_residual``), a free multiplier
 entering as columns a, -a.
 
-The centralized solves of one market share one QP (``_Market``): its total
-Hessian is summed and proved PSD once, and ``centralized_solve``, the
-mechanisms and the generator's screens run on it. A drop-one solve restricts
-the market's arrays to the other agents instead of building
-``exclude_agent``, with bit-identical answers.
+The dense totals (``total_quadratic``) are formed once per problem and
+shared with its reports (``with_linear_terms``). The centralized solves of
+one market share one QP (``_Market``): its total Hessian is proved PSD once,
+and ``centralized_solve``, the mechanisms and the generator's screens run on
+it. A drop-one solve restricts the market's arrays to the other agents
+instead of building ``exclude_agent``, with bit-identical answers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,13 +75,52 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadObjective:
-    """f(x) = 1/2 x' sigma x + psi' x over the full stacked vector."""
+    """f(x) = 1/2 x' sigma x + psi' x over the full stacked vector, with
+    sigma = F' D F held as its factors: F of shape (r, n), D symmetric of
+    shape (r, r). A dense sigma is the case F = I, D = sigma. A transport
+    agent's F holds only the rows of the edges its routes use, so r is a few
+    dozen while n runs to thousands. No other module reads F or D."""
 
-    sigma: np.ndarray
+    F: np.ndarray
+    D: np.ndarray
     psi: np.ndarray
 
+    @property
+    def sigma(self) -> np.ndarray:
+        """The dense n x n Hessian F' D F, formed on each read."""
+        return self.F.T @ (self.D @ self.F)
+
     def value(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ self.sigma @ x + self.psi @ x)
+        y = self.F @ x
+        return float(0.5 * y @ self.D @ y + self.psi @ x)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.F.T @ (self.D @ (self.F @ x)) + self.psi
+
+    def take(self, cols: np.ndarray) -> QuadObjective:
+        """The objective over the coordinates ``cols`` alone, the others fixed at zero."""
+        return QuadObjective(self.F[:, cols], self.D, self.psi[cols])
+
+    def scaled(self, c: float) -> QuadObjective:
+        return QuadObjective(self.F, c * self.D, c * self.psi)
+
+    def vanishes(self) -> bool:
+        """Whether f is zero by its factors: psi is zero, and D is zero
+        between the nonzero rows of F. (A D whose terms cancel in F' D F
+        reads as nonzero.)"""
+        rows = np.flatnonzero(np.any(self.F, axis=1))
+        return not (np.any(self.psi) or np.any(self.D[np.ix_(rows, rows)]))
+
+    @staticmethod
+    def summed(objectives, n: int) -> QuadObjective:
+        """The sum of ``objectives`` over n coordinates: their F stacked, their
+        D placed block-diagonally. Without objectives it is zero."""
+        F = np.vstack([o.F for o in objectives] + [np.zeros((0, n))])
+        D, at = np.zeros((F.shape[0], F.shape[0])), 0
+        for o in objectives:
+            D[at : at + o.D.shape[0], at : at + o.D.shape[0]] = o.D
+            at += o.D.shape[0]
+        return QuadObjective(F, D, _linear_total(objectives, n))
 
 
 @dataclass(frozen=True)
@@ -148,15 +191,41 @@ class CoupledProblem:
         out[:, self.block(i)] = self.A[i]
         return out
 
+    @cached_property
+    def _hessian_totals(self) -> dict[str, np.ndarray]:
+        """``total_quadratic``'s dense Hessians by decomposition, each formed
+        on first use; ``with_linear_terms`` shares the dict."""
+        return {}
+
     def total_quadratic(self, which: str = "actual") -> tuple[np.ndarray, np.ndarray]:
+        """(sigma, psi) of the ``which`` decomposition's total objective,
+        dense. sigma is formed once per problem and is read-only."""
         if which not in ("actual", "algorithmic"):
             raise ValueError(f"which must be 'actual' or 'algorithmic', got {which!r}")
         objs = self.actual if which == "actual" else self.algorithmic
-        n = self.n_total
-        return _summed((o.sigma for o in objs), (n, n)), _summed((o.psi for o in objs), n)
+        if which not in self._hessian_totals:
+            sigma = QuadObjective.summed(objs, self.n_total).sigma
+            sigma.flags.writeable = False
+            self._hessian_totals[which] = sigma
+        return self._hessian_totals[which], _linear_total(objs, self.n_total)
 
     def total_value(self, x: np.ndarray, which: str = "actual") -> float:
-        return QuadObjective(*self.total_quadratic(which)).value(x)
+        sigma, psi = self.total_quadratic(which)
+        return _dense_value(sigma, psi, _stacked_point(x, self.n_total))
+
+    def with_linear_terms(self, psi: dict[int, np.ndarray]) -> CoupledProblem:
+        """The problem with agent i's linear term, in both decompositions,
+        replaced by ``psi[i]``. Every other array is this problem's, the
+        Hessian factors and their dense totals included."""
+        algorithmic, actual = list(self.algorithmic), list(self.actual)
+        for i, v in psi.items():
+            self.block(i)  # an unknown agent raises UnknownAgent
+            v = finite(_stacked_point(v, self.n_total, f"psi[{i}]"), f"psi[{i}]")
+            algorithmic[i] = dataclasses.replace(algorithmic[i], psi=v)
+            actual[i] = dataclasses.replace(actual[i], psi=v)
+        out = dataclasses.replace(self, algorithmic=tuple(algorithmic), actual=tuple(actual))
+        out.__dict__["_hessian_totals"] = self._hessian_totals  # the same Hessians
+        return out
 
     def local_stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """Block-diagonal stack of all local inequality rows over the full vector."""
@@ -205,10 +274,20 @@ def resolve(problem, which: str) -> CoupledProblem:
     return (problem if isinstance(problem, ReportedProblem) else ReportedProblem.truthful(problem)).pick(which)
 
 
-def _summed(arrays, shape) -> np.ndarray:
-    """The sum of ``arrays`` from a zero start, which gives a market without
-    agents its (0, 0) and (0,) totals."""
-    return np.asarray(sum(arrays, np.zeros(shape)), float)
+def _linear_total(objectives, n: int) -> np.ndarray:
+    """The summed linear terms, from a zero start (a market without agents has (0,))."""
+    return sum((o.psi for o in objectives), np.zeros(n))
+
+
+def _stacked_point(x, n: int, name: str = "x") -> np.ndarray:
+    x = np.asarray(x, float).ravel()
+    if x.shape[0] != n:
+        raise DimensionMismatch(f"{name} has length {x.shape[0]}, expected {n}")
+    return x
+
+
+def _dense_value(sigma: np.ndarray, psi: np.ndarray, x: np.ndarray) -> float:
+    return float(0.5 * x @ sigma @ x + psi @ x)
 
 
 def _check_symmetric(sigma: np.ndarray, label: str) -> np.ndarray:
@@ -229,7 +308,11 @@ def assemble_problem(agents, A, d, actual=None) -> CoupledProblem:
     the full stacked vector; ``A`` the list of coupling blocks, ``d`` the
     target. ``actual``, when given, is a list of (sigma_i, psi_i) used for the
     mechanism-facing cost decomposition (defaults to the same objectives).
-    Each local set is proved nonempty (``EmptyLocalSet`` otherwise).
+    Each sigma_i is a dense n x n matrix or a tuple (F_i, D_i) of its factors,
+    sigma_i = F_i' D_i F_i; only the r x r D_i are checked for symmetry.
+    The algorithmic total is proved PSD: by its D_i when each is PSD, else by
+    one n x n ``eigvalsh`` (``NonConvexObjective`` otherwise). Each local set
+    is proved nonempty (``EmptyLocalSet`` otherwise).
     """
     d = finite(np.asarray(d, float).ravel(), "d")
     n0 = d.shape[0]
@@ -240,9 +323,14 @@ def assemble_problem(agents, A, d, actual=None) -> CoupledProblem:
     n = sum(dims)
 
     def objective(sigma, psi, label: str) -> QuadObjective:
-        obj = QuadObjective(sigma=_check_symmetric(sigma, f"sigma{label}"), psi=finite(np.asarray(psi, float).ravel(), f"psi{label}"))
-        if obj.sigma.shape != (n, n) or obj.psi.shape != (n,):
-            raise DimensionMismatch(f"objective{label} has shape {obj.sigma.shape}/{obj.psi.shape}, expected n={n}")
+        if isinstance(sigma, tuple):
+            F, D = finite(np.asarray(sigma[0], float), f"F{label}"), _check_symmetric(sigma[1], f"D{label}")
+        else:
+            D = _check_symmetric(sigma, f"sigma{label}")
+            F = np.eye(D.shape[0])
+        obj = QuadObjective(F=F, D=D, psi=finite(np.asarray(psi, float).ravel(), f"psi{label}"))
+        if F.shape != (D.shape[0], n) or obj.psi.shape != (n,):
+            raise DimensionMismatch(f"objective{label} has factors {F.shape}/{D.shape} and psi {obj.psi.shape}, expected n={n}")
         return obj
 
     algorithmic, local = [], []
@@ -266,8 +354,9 @@ def assemble_problem(agents, A, d, actual=None) -> CoupledProblem:
         actual=actual_objs,
     )
 
-    sigma_total, _ = problem.total_quadratic("algorithmic")
-    if n:
+    # A sum of F_i' D_i F_i with every D_i PSD is PSD.
+    if n and not all(np.all(np.linalg.eigvalsh(o.D) >= 0.0) for o in problem.algorithmic):
+        sigma_total, _ = problem.total_quadratic("algorithmic")
         eigmin = float(np.linalg.eigvalsh(sigma_total).min())
         if eigmin < -1e-8 * max(1.0, float(np.max(np.abs(sigma_total)))):
             raise NonConvexObjective(f"summed Hessian has eigenvalue {eigmin:.3e}")
@@ -320,12 +409,11 @@ def convert_inequality_coupling(problem: CoupledProblem) -> tuple[CoupledProblem
     # Agent i's block moves right by the i slack vectors in front of it.
     lift = np.arange(problem.n_total) + n0 * np.repeat(np.arange(problem.n_agents), problem.dims)
 
-    def lift_quad(obj: QuadObjective) -> QuadObjective:
-        sigma = np.zeros((n_new, n_new))
-        psi = np.zeros(n_new)
-        sigma[np.ix_(lift, lift)] = obj.sigma
-        psi[lift] = obj.psi
-        return QuadObjective(sigma=sigma, psi=psi)
+    def lift_quad(obj: QuadObjective) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """The objective over the converted vector, as ``assemble_problem``'s (factors, psi)."""
+        F, psi = np.zeros((obj.F.shape[0], n_new)), np.zeros(n_new)
+        F[:, lift], psi[lift] = obj.F, obj.psi
+        return (F, obj.D), psi
 
     agents = []
     A_new = []
@@ -339,13 +427,11 @@ def convert_inequality_coupling(problem: CoupledProblem) -> tuple[CoupledProblem
         agents.append((B, m))
         A_new.append(np.hstack([problem.A[i], np.eye(n0)]))
 
-    lifted_alg = tuple(lift_quad(o) for o in problem.algorithmic)
-    lifted_act = tuple(lift_quad(o) for o in problem.actual)
     converted = assemble_problem(
-        agents=[(lifted_alg[i].sigma, lifted_alg[i].psi, agents[i][0], agents[i][1]) for i in range(problem.n_agents)],
+        agents=[(*lift_quad(o), B, m) for o, (B, m) in zip(problem.algorithmic, agents)],
         A=A_new,
         d=problem.d,
-        actual=[(o.sigma, o.psi) for o in lifted_act],
+        actual=[lift_quad(o) for o in problem.actual],
     )
     return converted, SlackMap(lift=lift)
 
@@ -354,10 +440,7 @@ def eval_cost(problem, i: int, x: np.ndarray, which: str = "true") -> float:
     """Agent i's own (``actual`` decomposition) cost at the stacked point x."""
     p = resolve(problem, which)
     p.block(i)  # an unknown agent raises UnknownAgent
-    x = np.asarray(x, float).ravel()
-    if x.shape[0] != p.n_total:
-        raise DimensionMismatch(f"x has length {x.shape[0]}, expected {p.n_total}")
-    return p.actual[i].value(x)
+    return p.actual[i].value(_stacked_point(x, p.n_total))
 
 
 @dataclass(frozen=True)
@@ -378,7 +461,7 @@ class CentralSolution:
 
 
 class _Market:
-    """One market's centralized QP, built once: its total Hessian summed,
+    """One market's centralized QP, built once: its total Hessian
     normalized and proved PSD by one ``eigvalsh``. Every solve of a mechanism
     call runs on it: ``solve`` the market or a report that changes only the
     linear terms, each a solve of the same QP with its own guess;
@@ -393,15 +476,15 @@ class _Market:
     def solve(self, reported: CoupledProblem | None = None, active=None) -> CentralSolution:
         """The optimum of the market, or of ``reported``: the market with
         other linear terms, which must share its Hessians, coupling and local
-        rows (by identity, as ``TransportInstance.with_reported_costs``
-        builds it)."""
+        rows (by identity, as ``CoupledProblem.with_linear_terms`` builds
+        it)."""
         psi = self.psi
         if reported is not None:
             p = self.p
             shared = reported.A is p.A and reported.d is p.d and reported.local is p.local and len(reported.actual) == len(p.actual)
-            if not (shared and all(r.sigma is o.sigma for r, o in zip(reported.actual, p.actual))):
+            if not (shared and all(r.F is o.F and r.D is o.D for r, o in zip(reported.actual, p.actual))):
                 raise ValueError("a report on a market may change only its linear terms")
-            psi = _summed((o.psi for o in reported.actual), p.n_total)
+            psi = _linear_total(reported.actual, p.n_total)
         return _optimum(self.qp, psi, active)
 
     def solve_without(self, i: int, full: CentralSolution) -> CentralSolution:
@@ -416,9 +499,7 @@ class _Market:
         blk, own = p.block(i), p.rows(i)
         active = tuple(r - (own.stop - own.start) if r >= own.stop else r for r in full.active if not own.start <= r < own.stop)
         cols = np.r_[0 : blk.start, blk.stop : p.n_total]
-        outside = (slice(0, blk.start), slice(blk.stop, None))
-        mine = p.actual[i]
-        if np.any(mine.psi[cols]) or any(np.any(mine.sigma[a, b]) for a in outside for b in outside):
+        if not p.actual[i].take(cols).vanishes():
             return _Market(exclude_agent(p, i), self.qp.tol).solve(active=active)
         rows = np.r_[0 : own.start, own.stop : p.row_offsets[-1]]
         return _optimum(self.qp._restrict(cols, rows), self.psi[cols], active)
@@ -429,7 +510,7 @@ def _optimum(qp: RepeatedQp, psi: np.ndarray, active) -> CentralSolution:
     if sol.status == "max_iter":
         raise MaxIterReached(f"centralized solve stopped at residuals {sol.residuals}")
     lam = -sol.lam  # flip from the Px+q+E'lam+G'alpha=0 convention
-    return CentralSolution(x=sol.x, lam=lam, alpha=sol.alpha, value=QuadObjective(qp.P, psi).value(sol.x), active=sol.active)
+    return CentralSolution(x=sol.x, lam=lam, alpha=sol.alpha, value=_dense_value(qp.P, psi, sol.x), active=sol.active)
 
 
 def centralized_solve(problem, which: str = "true", tol: float = 1e-9) -> CentralSolution:
@@ -446,18 +527,15 @@ def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
     (``_Market.solve_without``); distributed VCG does."""
     cols = np.delete(np.arange(p.n_total), p.block(i))
     keep = [j for j in range(p.n_agents) if j != i]
-    restrict = lambda obj: QuadObjective(sigma=obj.sigma.take(cols, 0).take(cols, 1), psi=obj.psi[cols])
-
-    alg, act = p.algorithmic[i], p.actual[i]
-    gap = restrict(QuadObjective(sigma=alg.sigma - act.sigma, psi=alg.psi - act.psi))
-    share = lambda o: QuadObjective(sigma=o.sigma + gap.sigma / len(keep), psi=o.psi + gap.psi / len(keep))
+    gap = QuadObjective.summed((p.algorithmic[i], p.actual[i].scaled(-1.0)), p.n_total).take(cols)
+    share = lambda o: QuadObjective.summed((o.take(cols), gap.scaled(1.0 / len(keep))), len(cols))
     return CoupledProblem(
         dims=tuple(p.dims[j] for j in keep),
         A=tuple(p.A[j] for j in keep),
         d=p.d,
         local=tuple(p.local[j] for j in keep),
-        algorithmic=tuple(share(restrict(p.algorithmic[j])) for j in keep),
-        actual=tuple(restrict(p.actual[j]) for j in keep),
+        algorithmic=tuple(share(p.algorithmic[j]) for j in keep),
+        actual=tuple(p.actual[j].take(cols) for j in keep),
     )
 
 

@@ -18,7 +18,6 @@ Two per-agent decompositions of the same total cost are produced:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -203,7 +202,17 @@ def build_incidence(paths: PathSet, network: TransportNetwork) -> IncidenceData:
 
 
 def to_coupled_problem(network: TransportNetwork, paths: PathSet, incidence: IncidenceData) -> CoupledProblem:
-    """Assemble the coupled problem with both objective decompositions."""
+    """Assemble the coupled problem with both objective decompositions.
+
+    Each Hessian is passed as factors sigma = F' D F over the rows U_i of
+    ``Q``, the stacked route incidence, for the edges agent i's routes use;
+    no n x n matrix is formed. With M_i agent i's column mask:
+
+    * algorithmic: F = Q[U_i], D = 2 c0 diag(kappa_i[U_i]), so
+      sigma = 2 c0 Q' diag(kappa_i) Q;
+    * actual: F = [Q[U_i]; (Q M_i)[U_i]], D = c0 [[0, I], [I, 0]], so
+      sigma = c0 (Q' Q M_i + M_i Q' Q).
+    """
     N, M, K = network.n_suppliers, network.n_demanders, network.n_commodities
     layout = _var_layout(network, paths)
     dims = [labels.shape[1] for labels in layout]
@@ -222,11 +231,11 @@ def to_coupled_problem(network: TransportNetwork, paths: PathSet, incidence: Inc
 
         psi = np.zeros(len(owner))
         psi[owner == i] = _route_costs(incidence, i, network.edge_costs[i])
-        sigma_alg = (2.0 * c0 * Q_total.T * incidence.kappa[i]) @ Q_total
-        own = Q_total * (owner == i)  # agent i's own edge loads
-        sigma_act = c0 * (Q_total.T @ own + own.T @ Q_total)
-        agents.append((sigma_alg, psi, B_i, m_i))
-        actual.append((sigma_act, psi))
+        used = np.flatnonzero(incidence.kappa[i])
+        loads = Q_total[used]
+        F_act = np.vstack([loads, loads * (owner == i)])  # all loads, then agent i's own, on its edges
+        agents.append(((F_act[: len(used)], np.diag(2.0 * c0 * incidence.kappa[i][used])), psi, B_i, m_i))
+        actual.append(((F_act, np.kron([[0.0, c0], [c0, 0.0]], np.eye(len(used)))), psi))
     return assemble_problem(agents, A_blocks, network.demands.reshape(-1), actual=actual)  # d is (j, k) j-major
 
 
@@ -262,22 +271,20 @@ class TransportInstance:
         private edge-cost vector (length n_edges) instead of its true one.
 
         Edge costs enter only the linear terms ``psi``, so the reported
-        problem is the true one with each reporting agent's ``psi`` swapped:
-        its Hessians, coupling and local rows are the true problem's arrays.
+        problem is the true one with each reporting agent's ``psi`` swapped
+        (``CoupledProblem.with_linear_terms``): its Hessians, their dense
+        totals, coupling and local rows are the true problem's arrays.
         """
         p = self.problem
-        algorithmic, actual = list(p.algorithmic), list(p.actual)
+        linear = {}
         for i, c in reports.items():
             blk, c = p.block(i), np.asarray(c, float).ravel()  # an unknown agent is rejected first
             if c.shape != (self.network.n_edges,):
                 raise DimensionMismatch(f"reported cost vector of agent {i} has length {c.shape[0]}")
             finite(c, f"reported cost vector of agent {i}")
-            psi = np.zeros(p.n_total)
-            psi[blk] = _route_costs(self.incidence, i, c)
-            algorithmic[i] = dataclasses.replace(algorithmic[i], psi=psi)
-            actual[i] = dataclasses.replace(actual[i], psi=psi)
-        reported = dataclasses.replace(p, algorithmic=tuple(algorithmic), actual=tuple(actual))
-        return ReportedProblem(true=p, reported=reported)
+            linear[i] = np.zeros(p.n_total)
+            linear[i][blk] = _route_costs(self.incidence, i, c)
+        return ReportedProblem(true=p, reported=p.with_linear_terms(linear))
 
     def perturbed_reports(self, deltas: dict[int, float]) -> ReportedProblem:
         """Each listed agent shifts every edge cost on its used edges by its delta

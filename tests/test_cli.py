@@ -521,8 +521,9 @@ def test_explicit_reports_match_the_same_shift_as_deltas(tmp_path, capsys):
 
 def test_mechanism_solves_the_reported_market_once(tmp_path, monkeypatch):
     # Both mechanisms settle on one market: one unguessed solve of it, whose
-    # tight rows start VCG's drop-one solves, and one PSD check of it after
-    # the instance's own convexity check.
+    # tight rows start VCG's drop-one solves, and one n x n PSD check of it
+    # after the instance's own convexity check, which reads only each
+    # agent's 2 x 2 algorithmic factor D_i (spoke and trunk).
     markets, unguessed, checks = [], [], []
     init, optimum, eigvalsh = disqo.problem._Market.__init__, disqo.problem._optimum, np.linalg.eigvalsh
     monkeypatch.setattr(disqo.problem._Market, "__init__", lambda market, p, *args: markets.append(p.n_agents) or init(market, p, *args))
@@ -530,7 +531,7 @@ def test_mechanism_solves_the_reported_market_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: checks.append(a.shape) or eigvalsh(a))
     cfg = star_config(tmp_path / "cfg.json", report_deltas={"0": -1.0})
     assert main(["mechanism", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-    assert markets == [3] and unguessed == [3] and checks == [(3, 3), (3, 3)]
+    assert markets == [3] and unguessed == [3] and checks == [(2, 2)] * 3 + [(3, 3)]
 
 
 def test_mechanism_rejects_unknown_selection(tmp_path, capsys):

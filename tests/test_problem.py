@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disqo import problem as problem_module
 from disqo.errors import (
@@ -76,6 +78,90 @@ def test_eval_cost_three_supplier():
     assert eval_cost(p, 0, np.zeros(3)) == 0.0
     with pytest.raises(UnknownAgent):
         eval_cost(p, 5, X_STAR)
+
+
+def test_total_value_rejects_a_point_of_the_wrong_length():
+    p = random_instance((4, 2, 3, 2), seed=0).problem
+    for which in ("actual", "algorithmic"):
+        with pytest.raises(DimensionMismatch, match="x has length 3, expected 27"):
+            p.total_value(np.zeros(3), which)
+
+
+def test_factor_pairs_are_checked_like_dense_hessians():
+    # One agent over two variables, its Hessian given as (F, D).
+    def assemble(F, D):
+        return assemble_problem([((F, D), np.zeros(2), None, None)], [np.ones((1, 2))], [1.0])
+
+    assert assemble(np.eye(2)[:1], np.eye(1)).algorithmic[0].sigma.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DimensionMismatch, match="F\\[0\\] must be finite"):
+            assemble(np.array([[1.0, bad]]), np.eye(1))
+        with pytest.raises(DimensionMismatch, match="D\\[0\\] must be finite"):
+            assemble(np.eye(2), np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(DimensionMismatch, match="not symmetric"):
+        assemble(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for F, D in ((np.eye(3), np.eye(3)), (np.eye(2), np.eye(3)), (np.ones(2), np.eye(1))):
+        with pytest.raises(DimensionMismatch, match="objective\\[0\\] has factors"):
+            assemble(F, D)
+
+
+def test_a_report_checks_the_linear_terms_it_swaps_in():
+    p = three_supplier_problem()
+    reported = p.with_linear_terms({1: np.array([0.0, 1.0, 0.0])})
+    assert reported.actual[1].psi.tolist() == reported.algorithmic[1].psi.tolist() == [0.0, 1.0, 0.0]
+    assert reported.actual[0] is p.actual[0] and reported.actual[1].F is p.actual[1].F
+    with pytest.raises(UnknownAgent):
+        p.with_linear_terms({3: np.zeros(3)})
+    with pytest.raises(DimensionMismatch, match="psi\\[1\\] has length 2, expected 3"):
+        p.with_linear_terms({1: np.zeros(2)})
+    with pytest.raises(DimensionMismatch, match="psi\\[1\\] must be finite"):
+        p.with_linear_terms({1: np.array([0.0, np.nan, 0.0])})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 5), st.integers(1, 3))
+def test_factored_objective_matches_its_dense_hessian(seed, n, r, parts):
+    # sigma = F' D F for random F and symmetric D: value, gradient, column
+    # restriction and sum agree with the dense sigma to 1e-12, relative to
+    # the same quantities over |F|, |D|, |psi| and |x|.
+    rng = np.random.default_rng(seed)
+    magnitude = lambda o: QuadObjective(np.abs(o.F), np.abs(o.D), np.abs(o.psi))
+
+    def draw():
+        M = rng.normal(size=(r, r))
+        return QuadObjective(F=rng.normal(size=(r, n)), D=M + M.T, psi=rng.normal(size=n))
+
+    def agree(obj, x):
+        sigma, mag = obj.sigma, magnitude(obj)
+        assert sigma.shape == (x.shape[0],) * 2
+        assert abs(obj.value(x) - (0.5 * x @ sigma @ x + obj.psi @ x)) <= 1e-12 * mag.value(np.abs(x))
+        assert np.all(np.abs(obj.gradient(x) - (sigma @ x + obj.psi)) <= 1e-12 * mag.gradient(np.abs(x)))
+        return sigma
+
+    objs = [draw() for _ in range(parts)]
+    x = rng.normal(size=n)
+    for obj in objs:
+        sigma = agree(obj, x)
+        cols = np.sort(rng.permutation(n)[: rng.integers(0, n + 1)])
+        cut = np.ix_(cols, cols)
+        assert np.all(np.abs(agree(obj.take(cols), x[cols]) - sigma[cut]) <= 1e-12 * magnitude(obj).sigma[cut])
+    total = QuadObjective.summed(objs, n)
+    assert np.all(np.abs(agree(total, x) - sum(o.sigma for o in objs)) <= 1e-12 * magnitude(total).sigma)
+    assert np.array_equal(total.psi, sum(o.psi for o in objs))
+
+
+@pytest.mark.parametrize("last, convex", [(2.0, True), (0.5, False)])
+def test_convexity_is_proved_on_the_summed_hessian(last, convex):
+    # Agent 0's D is indefinite, so the n x n total is checked: diag(1, -1)
+    # plus agent 1's (last) on x_1 is PSD exactly when last >= 1.
+    agents = [((np.eye(2), np.diag([1.0, -1.0])), np.zeros(2), None, None), ((np.array([[0.0, 1.0]]), np.array([[last]])), np.zeros(2), None, None)]
+    A = [np.ones((1, 1))] * 2
+    if convex:
+        p = assemble_problem(agents, A, [1.0])
+        assert p.total_quadratic("algorithmic")[0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    else:
+        with pytest.raises(NonConvexObjective):
+            assemble_problem(agents, A, [1.0])
 
 
 def test_decompositions_sum_to_total():
@@ -247,23 +333,31 @@ def blocks_problem() -> CoupledProblem:
 
 
 def test_exclude_agent_restricts_by_blocks_bitwise():
-    # Actual objectives are restricted as they are; each algorithmic one also
-    # takes an equal share of agent i's algorithmic minus actual objective.
-    p = blocks_problem()
-    for i in range(p.n_agents):
-        keep = np.concatenate([np.arange(p.block(j).start, p.block(j).stop) for j in range(p.n_agents) if j != i])
-        cut = np.ix_(keep, keep)
-        sub = exclude_agent(p, i)
-        others = [j for j in range(p.n_agents) if j != i]
-        for j, r in zip(others, sub.actual, strict=True):
-            assert r.sigma.tobytes() == p.actual[j].sigma[cut].tobytes()
-            assert r.psi.tobytes() == p.actual[j].psi[keep].tobytes()
-        alg, act = p.algorithmic[i], p.actual[i]
-        share_sigma = (alg.sigma - act.sigma)[cut] / len(others)
-        share_psi = (alg.psi - act.psi)[keep] / len(others)
-        for j, r in zip(others, sub.algorithmic, strict=True):
-            assert r.sigma.tobytes() == (p.algorithmic[j].sigma[cut] + share_sigma).tobytes()
-            assert r.psi.tobytes() == (p.algorithmic[j].psi[keep] + share_psi).tobytes()
+    # Actual objectives are restricted as they are: the kept columns of F,
+    # the same D. Each algorithmic one also takes an equal share of agent i's
+    # algorithmic minus actual objective, as stacked factors.
+    for p in (blocks_problem(), random_instance((4, 2, 3, 2), seed=1).problem):
+        for i in range(p.n_agents):
+            keep = np.concatenate([np.arange(p.block(j).start, p.block(j).stop) for j in range(p.n_agents) if j != i])
+            cut = np.ix_(keep, keep)
+            sub = exclude_agent(p, i)
+            others = [j for j in range(p.n_agents) if j != i]
+            for j, r in zip(others, sub.actual, strict=True):
+                assert r.F.tobytes() == p.actual[j].F[:, keep].tobytes() and r.D is p.actual[j].D
+                assert r.psi.tobytes() == p.actual[j].psi[keep].tobytes()
+            alg, act = p.algorithmic[i], p.actual[i]
+            share_psi = (alg.psi - act.psi)[keep] / len(others)
+            for j, r in zip(others, sub.algorithmic, strict=True):
+                own = p.algorithmic[j]
+                assert r.F.tobytes() == np.vstack([own.F, alg.F, act.F])[:, keep].tobytes()
+                k, a = own.D.shape[0], alg.D.shape[0]
+                assert r.D[:k, :k].tobytes() == own.D.tobytes()
+                assert np.allclose(r.D[k : k + a, k : k + a] * len(others), alg.D, rtol=1e-15, atol=0.0)
+                assert np.allclose(r.D[k + a :, k + a :] * len(others), -act.D, rtol=1e-15, atol=0.0)
+                assert not r.D[:k, k:].any() and not r.D[k:, :k].any() and not r.D[k : k + a, k + a :].any()
+                assert np.allclose(r.psi, own.psi[keep] + share_psi, rtol=1e-15, atol=1e-15)
+                dense = own.sigma[cut] + (alg.sigma - act.sigma)[cut] / len(others)
+                assert np.allclose(r.sigma, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
 
 def test_exclude_agent_keeps_both_totals_equal():
@@ -403,8 +497,8 @@ def test_a_report_on_a_market_may_change_only_its_linear_terms():
     ref = centralized_solve(inst.perturbed_reports({1: 0.5}), which="reported")
     got = market.solve(reported)
     assert got.x.tobytes() == ref.x.tobytes() and got.value == ref.value
-    sigma = [dataclasses.replace(o, sigma=o.sigma.copy()) for o in p.actual]
-    for other in (dataclasses.replace(p, actual=tuple(sigma)), dataclasses.replace(p, d=p.d.copy()), dataclasses.replace(p, local=tuple(list(p.local)))):
+    copied = [[dataclasses.replace(o, **{name: getattr(o, name).copy()}) for o in p.actual] for name in ("F", "D")]
+    for other in (*(dataclasses.replace(p, actual=tuple(objs)) for objs in copied), dataclasses.replace(p, d=p.d.copy()), dataclasses.replace(p, local=tuple(list(p.local)))):
         with pytest.raises(ValueError, match="only its linear terms"):
             market.solve(other)
 

@@ -348,6 +348,14 @@ def test_per_agent_algorithmic_hessians_psd():
         assert eigmin >= -1e-10
 
 
+def test_objectives_hold_factors_of_the_route_incidence():
+    # 2N dense n x n Hessians took 26.4 MB here; factors over each agent's
+    # used edges take about 1.2 MB.
+    p = random_instance((16, 4, 3, 2), seed=7).problem
+    held = sum(a.nbytes for obj in p.algorithmic + p.actual for a in vars(obj).values())
+    assert held <= 2e6
+
+
 def test_random_instance_decomposition_identity():
     inst = random_instance((4, 2, 3, 2), seed=3)
     p = inst.problem
@@ -446,7 +454,8 @@ def test_reported_problem_swaps_only_psi():
     for side in ("algorithmic", "actual"):
         for new, ref, true in zip(getattr(reported, side), getattr(rebuilt, side), getattr(p, side)):
             assert same(new.sigma, ref.sigma) and same(new.psi, ref.psi)
-            assert new.sigma is true.sigma
+            assert new.F is true.F and new.D is true.D
+        assert reported.total_quadratic(side)[0] is p.total_quadratic(side)[0]  # formed once, shared
     assert reported.dims == rebuilt.dims and same(reported.d, rebuilt.d)
     assert all(same(a, b) for a, b in zip(reported.A, rebuilt.A))
     assert all(same(a.B, b.B) and same(a.m, b.m) for a, b in zip(reported.local, rebuilt.local))
