@@ -37,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -113,14 +113,16 @@ class QuadObjective:
 
     @staticmethod
     def summed(objectives, n: int) -> QuadObjective:
-        """The sum of ``objectives`` over n coordinates: their F stacked, their
-        D placed block-diagonally. Without objectives it is zero."""
+        """The sum of ``objectives`` over n coordinates, kept factored: their
+        F stacked, their D placed block-diagonally, their psi added in order.
+        Without objectives it is zero."""
         F = np.vstack([o.F for o in objectives] + [np.zeros((0, n))])
         D, at = np.zeros((F.shape[0], F.shape[0])), 0
         for o in objectives:
             D[at : at + o.D.shape[0], at : at + o.D.shape[0]] = o.D
             at += o.D.shape[0]
-        return QuadObjective(F, D, _linear_total(objectives, n))
+        psi = reduce(np.add, (o.psi for o in objectives)) if objectives else np.zeros(n)
+        return QuadObjective(F, D, psi)
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,9 @@ class CoupledProblem:
             raise ValueError(f"which must be 'actual' or 'algorithmic', got {which!r}")
         objs = self.actual if which == "actual" else self.algorithmic
         if which not in self._hessian_totals:
-            sigma = QuadObjective.summed(objs, self.n_total).sigma
+            sigma = np.zeros((self.n_total, self.n_total))
+            for o in objs:  # one n x n term at a time: never a D over all the objectives' ranks
+                sigma += o.sigma
             sigma.flags.writeable = False
             self._hessian_totals[which] = sigma
         return self._hessian_totals[which], _linear_total(objs, self.n_total)
@@ -528,7 +532,8 @@ def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
     cols = np.delete(np.arange(p.n_total), p.block(i))
     keep = [j for j in range(p.n_agents) if j != i]
     gap = QuadObjective.summed((p.algorithmic[i], p.actual[i].scaled(-1.0)), p.n_total).take(cols)
-    share = lambda o: QuadObjective.summed((o.take(cols), gap.scaled(1.0 / len(keep))), len(cols))
+    gap = QuadObjective(gap.F, gap.D / len(keep), gap.psi / len(keep))  # one of the len(keep) equal shares
+    share = lambda o: QuadObjective.summed((o.take(cols), gap), len(cols))
     return CoupledProblem(
         dims=tuple(p.dims[j] for j in keep),
         A=tuple(p.A[j] for j in keep),

@@ -316,11 +316,10 @@ def test_exclude_agent_restricts_costs():
     assert eval_cost(sub, 1, x) == pytest.approx(eval_cost(p, 2, lifted), abs=1e-12)
 
 
-def blocks_problem() -> CoupledProblem:
-    """Three agents with blocks of 2, 3 and 1 and random dense objectives;
-    agent 1 has no local rows."""
+def blocks_problem(dims=(2, 3, 1), rows=(2, 0, 1)) -> CoupledProblem:
+    """By default three agents with blocks of 2, 3 and 1 and random dense
+    objectives; agent 1 has no local rows. Agent i owns rows[i] rows."""
     rng = np.random.default_rng(8)
-    dims, rows = (2, 3, 1), (2, 0, 1)
     n = sum(dims)
 
     def psd():
@@ -336,7 +335,9 @@ def test_exclude_agent_restricts_by_blocks_bitwise():
     # Actual objectives are restricted as they are: the kept columns of F,
     # the same D. Each algorithmic one also takes an equal share of agent i's
     # algorithmic minus actual objective, as stacked factors.
-    for p in (blocks_problem(), random_instance((4, 2, 3, 2), seed=1).problem):
+    # With four agents each share is a third, which no multiplication by
+    # 1/3 reproduces bit for bit.
+    for p in (blocks_problem(), blocks_problem((2, 3, 1, 2), (2, 0, 1, 1)), random_instance((4, 2, 3, 2), seed=1).problem):
         for i in range(p.n_agents):
             keep = np.concatenate([np.arange(p.block(j).start, p.block(j).stop) for j in range(p.n_agents) if j != i])
             cut = np.ix_(keep, keep)
@@ -352,10 +353,10 @@ def test_exclude_agent_restricts_by_blocks_bitwise():
                 assert r.F.tobytes() == np.vstack([own.F, alg.F, act.F])[:, keep].tobytes()
                 k, a = own.D.shape[0], alg.D.shape[0]
                 assert r.D[:k, :k].tobytes() == own.D.tobytes()
-                assert np.allclose(r.D[k : k + a, k : k + a] * len(others), alg.D, rtol=1e-15, atol=0.0)
-                assert np.allclose(r.D[k + a :, k + a :] * len(others), -act.D, rtol=1e-15, atol=0.0)
+                assert r.D[k : k + a, k : k + a].tobytes() == (alg.D / len(others)).tobytes()
+                assert r.D[k + a :, k + a :].tobytes() == (-act.D / len(others)).tobytes()
                 assert not r.D[:k, k:].any() and not r.D[k:, :k].any() and not r.D[k : k + a, k + a :].any()
-                assert np.allclose(r.psi, own.psi[keep] + share_psi, rtol=1e-15, atol=1e-15)
+                assert r.psi.tobytes() == (own.psi[keep] + share_psi).tobytes()
                 dense = own.sigma[cut] + (alg.sigma - act.sigma)[cut] / len(others)
                 assert np.allclose(r.sigma, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
@@ -369,6 +370,16 @@ def test_exclude_agent_keeps_both_totals_equal():
         alg, act = sub.total_quadratic("algorithmic"), sub.total_quadratic("actual")
         for a, b in zip(alg, act):
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+def test_dense_totals_add_the_dense_hessians():
+    # A dense Hessian is stored as F = I, D = sigma, and the dense total adds
+    # the objectives' n x n Hessians from a zero start, bit for bit.
+    p = blocks_problem()
+    for which in ("actual", "algorithmic"):
+        objs = getattr(p, which)
+        assert all(np.array_equal(o.F, np.eye(p.n_total)) for o in objs)
+        assert p.total_quadratic(which)[0].tobytes() == sum((o.D for o in objs), np.zeros((p.n_total,) * 2)).tobytes()
 
 
 def test_market_without_agents_has_empty_arrays():
