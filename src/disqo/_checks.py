@@ -1,5 +1,7 @@
-"""The one copy of each rule for a number disqo takes from outside. Every rule
-raises ``DimensionMismatch`` naming the value, and no bool passes as a number."""
+"""The one copy of each rule for a number, an index or a vector disqo takes
+from outside. Every rule raises ``DimensionMismatch`` naming the value, and no
+bool passes as a number or an index. An index rule checks the type alone: the
+caller checks the range, so an agent out of range raises ``UnknownAgent``."""
 
 import numpy as np
 
@@ -12,6 +14,16 @@ def integer(value, name: str, least: int):
     """``value`` when it is an int or numpy integer of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise DimensionMismatch(f"{name} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
+def index(value, name: str):
+    """``value`` when it is an int or numpy integer, or an array of numpy
+    integer dtype: never a bool or a float."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -34,3 +46,12 @@ def finite(array, name: str):
     if not np.all(np.isfinite(array)):
         raise DimensionMismatch(f"{name} must be finite, got a value that is not finite")
     return array
+
+
+def vector(value, name: str, length: int | None = None) -> np.ndarray:
+    """``value`` as a flat float array, when it has ``length`` entries (any
+    number when None) and every entry is finite."""
+    array = np.asarray(value, float).ravel()
+    if length is not None and array.shape[0] != length:
+        raise DimensionMismatch(f"{name} has length {array.shape[0]}, expected {length}")
+    return finite(array, name)

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._checks import finite, integer, nonnegative, positive
+from ._checks import integer, nonnegative, positive, vector
 from ._csv import write_csv
 from .errors import DecompositionMismatch, DimensionMismatch, InfeasibleInitialPoint, MaxIterReached
 from .graphs import CommGraph, metropolis_weights
@@ -147,16 +147,9 @@ class IterTrace:
         return ["iter", "rel_error", "violation", "eps1_norm", "eps2_norm", *lam_cols, "wall_ms"]
 
     def rows(self):
-        for idx in range(len(self.iters)):
-            yield [
-                self.iters[idx],
-                self.rel_error[idx],
-                self.violation[idx],
-                self.eps1_norm[idx],
-                self.eps2_norm[idx],
-                *self.lambda_bar[idx].tolist(),
-                self.wall_ms[idx],
-            ]
+        columns = (self.iters, self.rel_error, self.violation, self.eps1_norm, self.eps2_norm, self.lambda_bar, self.wall_ms)
+        for *head, lbar, wall in zip(*columns):
+            yield [*head, *lbar.tolist(), wall]
 
     def to_csv(self, path) -> None:
         write_csv(path, self.header(), self.rows())
@@ -175,7 +168,6 @@ class SolverState:
     V: np.ndarray  # (N, n) consensus anchors
     A_pad: np.ndarray  # (N, n0, n) couplings A~_i, zero outside agent i's block
     psi: np.ndarray  # (N, n) the agents' linear objective terms
-    owner: np.ndarray  # (n,) agent owning each column
     adjacency: np.ndarray  # (N, N) 1.0 where two agents are neighbours
     pair_diff: np.ndarray  # (N(N-1)/2, N) row p is e_i - e_j for the p-th pair i < j: pair_diff @ Y subtracts exactly
     k: int = 0
@@ -207,7 +199,7 @@ class SolverState:
 
     def own_block_x(self) -> np.ndarray:
         """Each agent's own block, taken from its own copy."""
-        return self.Y[self.owner, np.arange(self.problem.n_total)]
+        return self.Y[self.problem.owner, np.arange(self.problem.n_total)]
 
 
 def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, y0=None) -> SolverState:
@@ -223,15 +215,14 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         if gap > 1e-9 * max(np.abs(alg).max(initial=0.0), np.abs(act).max(initial=0.0)):
             raise DecompositionMismatch(f"algorithmic and actual total {name}s differ by {gap:.3e}")
     N, n = problem.n_agents, problem.n_total
+    if y0 is not None and len(y0) != N:
+        raise DimensionMismatch(f"y0 has {len(y0)} rows, expected {N}")
     Y = np.zeros((N, n))
     for i in range(N):
         poly = problem.local[i]
         blk = problem.block(i)
         if y0 is not None:
-            yi = np.asarray(y0[i], float).ravel()
-            if yi.shape != (n,):
-                raise DimensionMismatch(f"y0[{i}] has shape {yi.shape}, expected ({n},)")
-            finite(yi, f"y0[{i}]")  # a NaN would pass the local-rows test below
+            yi = vector(y0[i], f"y0[{i}]", n)  # a NaN would pass the local-rows test below
             gap = poly.B @ yi[blk] - poly.m if poly.n_rows else np.zeros(0)
             if gap.size and float(gap.max()) > 1e-9 * max(1.0, float(np.abs(poly.m).max())):
                 raise InfeasibleInitialPoint(f"y0[{i}] violates the local rows by {float(gap.max()):.2e}")
@@ -239,7 +230,8 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         else:
             Y[i, blk] = feasible_point(poly)  # the origin whenever it is feasible
 
-    A_pad = np.stack([problem.coupling_map(i) for i in range(N)])
+    A_pad = np.zeros((N, problem.n_coupling, n))  # A~_i: A_i zero-padded to the full vector
+    A_pad[problem.owner, :, np.arange(n)] = problem.stacked_A().T
     H = np.einsum("ikn,in->ik", A_pad, Y) - problem.d / N
 
     V = np.zeros((N, n))
@@ -264,7 +256,6 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         V=V,
         A_pad=A_pad,
         psi=np.stack([problem.algorithmic[i].psi for i in range(N)]),
-        owner=np.repeat(np.arange(N), problem.dims),
         adjacency=graph.adjacency().astype(float),
         pair_diff=np.eye(N)[first] - np.eye(N)[second],
         _anchor_deg=anchor_deg,

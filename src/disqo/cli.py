@@ -54,10 +54,10 @@ import sys
 
 import numpy as np
 
-from ._checks import finite, integer, nonnegative
+from ._checks import finite, index, integer, nonnegative
 from ._csv import write_csv
 from .admm import SolverParams, solve as distributed_solve
-from .errors import DisqoError, InvalidConfig, MaxIterReached
+from .errors import DimensionMismatch, DisqoError, InvalidConfig, MaxIterReached
 from .graphs import CommGraph, build_graph, metropolis_weights, validate_weights
 from .mechanisms import misreport_portfolio, misreport_sweep, payments_csv, settle
 from .problem import CoupledProblem, centralized_solve, resolve
@@ -115,27 +115,20 @@ def _load_config(path: str) -> tuple[dict, str]:
     return data, base
 
 
-def _int(value, key: str) -> int:
-    """``value`` if a JSON integer, else ``InvalidConfig`` naming ``key`` (no float or bool)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfig(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _seed(args, spec: dict, section: str, default: int | None = 0) -> int | None:
     """The one seed rule: ``--seed`` when given, else the section's own
     ``seed``, else ``default``. A seed the section sets must be an integer
     even when ``--seed`` overrides it."""
     seed = spec.get("seed")
-    seed = default if seed is None else _int(seed, f"{section}.seed")
+    seed = default if seed is None else index(seed, f"{section}.seed")
     return seed if args.seed is None else args.seed
 
 
 def _scale_tuple(raw) -> tuple[int, int, int, int]:
     """(N, M, K, R) from JSON integers, or from the strings ``--scale`` splits."""
     try:
-        parts = [int(v) if isinstance(v, str) else _int(v, "scale") for v in raw]
-    except (TypeError, ValueError, InvalidConfig) as exc:
+        parts = [int(v) if isinstance(v, str) else index(v, "scale") for v in raw]
+    except (TypeError, ValueError, DimensionMismatch) as exc:
         raise InvalidConfig(f"scale must be four integers, got {raw!r}") from exc
     if not isinstance(raw, list) or len(parts) != 4 or any(v < 1 for v in parts):  # a string iterates as digits
         raise InvalidConfig(f"scale must be four positive integers (N,M,K,R), got {raw!r}")
@@ -225,7 +218,7 @@ def _sweep_spec(config: dict, instance: TransportInstance) -> tuple[int, list[fl
     spec = config.get("sweep") or {}
     if "agent" not in spec:
         raise InvalidConfig("sweep spec needs an 'agent'")
-    agent = _int(spec["agent"], "sweep.agent")
+    agent = index(spec["agent"], "sweep.agent")
     instance.problem.block(agent)  # an unknown agent raises UnknownAgent
     return agent, finite([float(v) for v in spec.get("deltas", [])] or [0.0], "sweep deltas")
 

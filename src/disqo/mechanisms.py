@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import admm
-from ._checks import finite, integer, nonnegative
+from ._checks import integer, nonnegative, vector
 from ._csv import write_csv
-from .errors import ConventionMismatch, Infeasible, InfeasibleWithoutAgent, MaxIterReached
+from .errors import ConventionMismatch, DimensionMismatch, Infeasible, InfeasibleWithoutAgent, MaxIterReached
 from .graphs import random_connected_graph
 from .problem import (
     CentralSolution,
@@ -116,8 +116,7 @@ def shadow_prices(problem, x: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, 
     in the sign given; a dual that fails raises ``ConventionMismatch``.
     """
     p = resolve(problem, "reported")
-    x = np.asarray(x, float).ravel()
-    lam = np.asarray(lam, float).ravel()
+    x, lam = vector(x, "x", p.n_total), vector(lam, "lam", p.n_coupling)
     resid, bound, grad_tot = dual_residual(p, x, lam)
     if resid > bound:
         raise ConventionMismatch(f"coupling dual fails stationarity in the sign given ({resid:.2e} > {bound:.2e}); reconcile it first")
@@ -129,6 +128,13 @@ def shadow_prices(problem, x: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, 
     return tuple(prices)
 
 
+def _price_vectors(p: CoupledProblem, prices) -> list[np.ndarray]:
+    """``prices`` checked as one vector per agent, agent i's of length dims[i]."""
+    if len(prices) != p.n_agents:
+        raise DimensionMismatch(f"{len(prices)} price vectors for {p.n_agents} agents")
+    return [vector(v, f"prices[{i}]", p.dims[i]) for i, v in enumerate(prices)]
+
+
 def _costs(problem, x: np.ndarray, which: str) -> np.ndarray:
     """Every agent's own cost at x, on the ``which`` side ("true" or "reported")."""
     return np.array([eval_cost(problem, i, x, which=which) for i in range(resolve(problem, which).n_agents)])
@@ -137,8 +143,8 @@ def _costs(problem, x: np.ndarray, which: str) -> np.ndarray:
 def sp_outcome(problem, x: np.ndarray, prices, cost_basis: str = "true") -> MechanismOutcome:
     """Settlement under shadow pricing: each agent is paid prices_i . x_i and
     bears its own cost at the implemented allocation."""
-    x = np.asarray(x, float).ravel()
     p = resolve(problem, cost_basis)
+    x, prices = vector(x, "x", p.n_total), _price_vectors(p, prices)
     payments = np.array([float(prices[i] @ x[p.block(i)]) for i in range(p.n_agents)])
     return MechanismOutcome("ShadowPricing", x, tuple(np.array(v) for v in prices), payments, _costs(problem, x, cost_basis), cost_basis)
 
@@ -159,11 +165,11 @@ def sp_equilibrium_check(problem, x: np.ndarray, prices) -> np.ndarray:
     over the normals [A_i', -A_i', B_tight'] (the coupling rows' are free).
     """
     p = resolve(problem, "reported")
-    x = np.asarray(x, float).ravel()
+    x, prices = vector(x, "x", p.n_total), _price_vectors(p, prices)
     out = np.empty(p.n_agents)
     tight = p.tight_rows(x)
     for i in range(p.n_agents):
-        grad = p.actual[i].gradient(x)[p.block(i)] - np.asarray(prices[i], float)
+        grad = p.actual[i].gradient(x)[p.block(i)] - prices[i]
         out[i] = stationarity_residual(grad, np.hstack([p.A[i].T, -p.A[i].T, p.local[i].B[tight[p.rows(i)]].T]))
     return out
 
@@ -253,13 +259,12 @@ def vcg_ic_check(true_problem: CoupledProblem, cases, tol: float = 1e-8) -> ICRe
     """For each (agent i, fake ReportedProblem) case, verify that truthful
     reporting gives agent i a net cost no worse than the fake report does
     (both evaluated with the true objective)."""
-    truthful = vcg_payments(ReportedProblem.truthful(true_problem))
-    rows = []
-    for i, fake in cases:
-        faked = vcg_payments(fake)
-        margin = faked.net_costs[i] - truthful.net_costs[i]
-        rows.append((int(i), float(truthful.net_costs[i]), float(faked.net_costs[i]), float(margin)))
-    return ICReport(rows=tuple(rows), tol=tol)
+    cases = list(cases)
+    for i, _ in cases:
+        true_problem.block(i)  # an unknown agent raises UnknownAgent before any solve
+    truthful = vcg_payments(ReportedProblem.truthful(true_problem)).net_costs
+    faked = [(i, vcg_payments(fake).net_costs[i]) for i, fake in cases]
+    return ICReport(rows=tuple((int(i), float(truthful[i]), float(u), float(u - truthful[i])) for i, u in faked), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +297,8 @@ def misreport_sweep(instance, agent: int, deltas) -> SweepResult:
     """Shift every edge cost on the agent's routes by each delta (reported
     costs floor at zero), re-solve, price, and record everyone's true-cost
     benefit under shadow pricing."""
-    deltas = finite(np.asarray(deltas, float).ravel(), "sweep deltas")
+    instance.problem.block(agent)  # an unknown agent raises UnknownAgent before any solve
+    deltas = vector(deltas, "sweep deltas")
     _, benefits = _misreport_benefits(instance, (instance.perturbed_reports({agent: float(delta)}) for delta in deltas))
     return SweepResult(agent=int(agent), deltas=deltas, benefits=benefits)
 

@@ -18,11 +18,11 @@ others keep their actual objectives, and take equal shares of the cross-terms
 the algorithmic split had charged the agent that left.
 
 One layout table places each agent: ``block(i)`` is its slice of x,
-``rows(i)`` its slice of the ``local_stacked()`` rows, and ``tight_rows(x)``
-marks the rows tight at x by one rule. A coupling dual has the one sign of
-``centralized_solve``; ``dual_residual`` tests it as given. Each stationarity
-certificate is one NNLS (``stationarity_residual``), a free multiplier
-entering as columns a, -a.
+``rows(i)`` its slice of the ``local_stacked()`` rows, ``owner`` the agent of
+each column, and ``tight_rows(x)`` marks the rows tight at x by one rule. A
+coupling dual has the one sign of ``centralized_solve``; ``dual_residual``
+tests it as given. Each stationarity certificate is one NNLS
+(``stationarity_residual``), a free multiplier entering as columns a, -a.
 
 The dense totals (``total_quadratic``) are formed once per problem and
 shared with its reports (``with_linear_terms``). The centralized solves of
@@ -41,7 +41,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._checks import finite
+from ._checks import finite, index, vector
 from .errors import (
     ConventionMismatch,
     DimensionMismatch,
@@ -180,18 +180,17 @@ class CoupledProblem:
         return self._span(self.row_offsets, i)
 
     def _span(self, offsets: tuple[int, ...], i: int) -> slice:
-        if not 0 <= i < self.n_agents:
+        if not 0 <= index(i, "agent") < self.n_agents:
             raise UnknownAgent(f"agent {i} of {self.n_agents}")
         return slice(offsets[i], offsets[i + 1])
 
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """The agent of each column of the stacked vector."""
+        return np.repeat(np.arange(self.n_agents), self.dims)
+
     def stacked_A(self) -> np.ndarray:
         return np.hstack(self.A) if self.A else np.zeros((self.n_coupling, 0))
-
-    def coupling_map(self, i: int) -> np.ndarray:
-        """A_i zero-padded to the full vector (the tilde-A operator of agent i)."""
-        out = np.zeros((self.n_coupling, self.n_total))
-        out[:, self.block(i)] = self.A[i]
-        return out
 
     @cached_property
     def _hessian_totals(self) -> dict[str, np.ndarray]:
@@ -215,7 +214,7 @@ class CoupledProblem:
 
     def total_value(self, x: np.ndarray, which: str = "actual") -> float:
         sigma, psi = self.total_quadratic(which)
-        return _dense_value(sigma, psi, _stacked_point(x, self.n_total))
+        return _dense_value(sigma, psi, vector(x, "x", self.n_total))
 
     def with_linear_terms(self, psi: dict[int, np.ndarray]) -> CoupledProblem:
         """The problem with agent i's linear term, in both decompositions,
@@ -224,7 +223,7 @@ class CoupledProblem:
         algorithmic, actual = list(self.algorithmic), list(self.actual)
         for i, v in psi.items():
             self.block(i)  # an unknown agent raises UnknownAgent
-            v = finite(_stacked_point(v, self.n_total, f"psi[{i}]"), f"psi[{i}]")
+            v = vector(v, f"psi[{i}]", self.n_total)
             algorithmic[i] = dataclasses.replace(algorithmic[i], psi=v)
             actual[i] = dataclasses.replace(actual[i], psi=v)
         out = dataclasses.replace(self, algorithmic=tuple(algorithmic), actual=tuple(actual))
@@ -283,13 +282,6 @@ def _linear_total(objectives, n: int) -> np.ndarray:
     return sum((o.psi for o in objectives), np.zeros(n))
 
 
-def _stacked_point(x, n: int, name: str = "x") -> np.ndarray:
-    x = np.asarray(x, float).ravel()
-    if x.shape[0] != n:
-        raise DimensionMismatch(f"{name} has length {x.shape[0]}, expected {n}")
-    return x
-
-
 def _dense_value(sigma: np.ndarray, psi: np.ndarray, x: np.ndarray) -> float:
     return float(0.5 * x @ sigma @ x + psi @ x)
 
@@ -318,7 +310,7 @@ def assemble_problem(agents, A, d, actual=None) -> CoupledProblem:
     one n x n ``eigvalsh`` (``NonConvexObjective`` otherwise). Each local set
     is proved nonempty (``EmptyLocalSet`` otherwise).
     """
-    d = finite(np.asarray(d, float).ravel(), "d")
+    d = vector(d, "d")
     n0 = d.shape[0]
     A_list = [finite(np.atleast_2d(np.asarray(a, float)), f"A[{i}]") for i, a in enumerate(A)]
     if len(A_list) != len(agents):
@@ -332,7 +324,7 @@ def assemble_problem(agents, A, d, actual=None) -> CoupledProblem:
         else:
             D = _check_symmetric(sigma, f"sigma{label}")
             F = np.eye(D.shape[0])
-        obj = QuadObjective(F=F, D=D, psi=finite(np.asarray(psi, float).ravel(), f"psi{label}"))
+        obj = QuadObjective(F=F, D=D, psi=vector(psi, f"psi{label}"))
         if F.shape != (D.shape[0], n) or obj.psi.shape != (n,):
             raise DimensionMismatch(f"objective{label} has factors {F.shape}/{D.shape} and psi {obj.psi.shape}, expected n={n}")
         return obj
@@ -343,7 +335,7 @@ def assemble_problem(agents, A, d, actual=None) -> CoupledProblem:
         if A_list[i].shape != (n0, dims[i]):
             raise DimensionMismatch(f"A[{i}] shape {A_list[i].shape}, expected ({n0},{dims[i]})")
         B = finite(np.zeros((0, dims[i])) if B is None else np.atleast_2d(np.asarray(B, float)), f"B[{i}]")
-        m = finite(np.zeros(0) if m is None else np.asarray(m, float).ravel(), f"m[{i}]")
+        m = np.zeros(0) if m is None else vector(m, f"m[{i}]")
         if B.shape != (m.shape[0], dims[i]):
             raise DimensionMismatch(f"local rows of agent {i}: B {B.shape} vs m {m.shape}")
         local.append(LocalPolyhedron(B=B, m=m))
@@ -411,7 +403,7 @@ def convert_inequality_coupling(problem: CoupledProblem) -> tuple[CoupledProblem
     n0 = problem.n_coupling
     n_new = problem.n_total + problem.n_agents * n0
     # Agent i's block moves right by the i slack vectors in front of it.
-    lift = np.arange(problem.n_total) + n0 * np.repeat(np.arange(problem.n_agents), problem.dims)
+    lift = np.arange(problem.n_total) + n0 * problem.owner
 
     def lift_quad(obj: QuadObjective) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         """The objective over the converted vector, as ``assemble_problem``'s (factors, psi)."""
@@ -444,7 +436,7 @@ def eval_cost(problem, i: int, x: np.ndarray, which: str = "true") -> float:
     """Agent i's own (``actual`` decomposition) cost at the stacked point x."""
     p = resolve(problem, which)
     p.block(i)  # an unknown agent raises UnknownAgent
-    return p.actual[i].value(_stacked_point(x, p.n_total))
+    return p.actual[i].value(vector(x, "x", p.n_total))
 
 
 @dataclass(frozen=True)
@@ -531,15 +523,17 @@ def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
     (``_Market.solve_without``); distributed VCG does."""
     cols = np.delete(np.arange(p.n_total), p.block(i))
     keep = [j for j in range(p.n_agents) if j != i]
-    gap = QuadObjective.summed((p.algorithmic[i], p.actual[i].scaled(-1.0)), p.n_total).take(cols)
-    gap = QuadObjective(gap.F, gap.D / len(keep), gap.psi / len(keep))  # one of the len(keep) equal shares
-    share = lambda o: QuadObjective.summed((o.take(cols), gap), len(cols))
+    algorithmic = ()
+    if keep:  # without another agent there is no one to share the gap
+        gap = QuadObjective.summed((p.algorithmic[i], p.actual[i].scaled(-1.0)), p.n_total).take(cols)
+        gap = QuadObjective(gap.F, gap.D / len(keep), gap.psi / len(keep))  # one of the len(keep) equal shares
+        algorithmic = tuple(QuadObjective.summed((p.algorithmic[j].take(cols), gap), len(cols)) for j in keep)
     return CoupledProblem(
         dims=tuple(p.dims[j] for j in keep),
         A=tuple(p.A[j] for j in keep),
         d=p.d,
         local=tuple(p.local[j] for j in keep),
-        algorithmic=tuple(share(p.algorithmic[j]) for j in keep),
+        algorithmic=algorithmic,
         actual=tuple(p.actual[j].take(cols) for j in keep),
     )
 
@@ -564,6 +558,7 @@ def dual_residual(problem, x: np.ndarray, lam: np.ndarray) -> tuple[float, float
     alpha >= 0 (the convention of ``centralized_solve``), and lam passes when
     the residual is at most the bound 1e-5 max(1, |g|)."""
     p = resolve(problem, "reported")
+    x, lam = vector(x, "x", p.n_total), vector(lam, "lam", p.n_coupling)
     sigma, psi = p.total_quadratic("actual")
     grad = sigma @ x + psi
     tight = p.local_stacked()[0][p.tight_rows(x)].T
@@ -575,8 +570,7 @@ def reconcile_dual(problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Map a coupling dual of unknown sign onto the convention of
     ``centralized_solve``: lam when it passes ``dual_residual``, else -lam
     when that passes; raises ``ConventionMismatch`` otherwise."""
-    x = np.asarray(x, float).ravel()
-    lam = np.asarray(lam, float).ravel()
+    lam = vector(lam, "lam")  # dual_residual checks both lengths
     resid, bound, _ = dual_residual(problem, x, lam)
     if resid <= bound:
         return lam

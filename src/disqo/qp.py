@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from ._checks import finite, integer, positive
+from ._checks import finite, index, integer, positive, vector
 from .errors import DimensionMismatch, Infeasible, NonPsdHessian
 
 __all__ = ["QpSolution", "solve_qp", "RepeatedQp", "WarmBatch"]
@@ -300,10 +300,7 @@ class RepeatedQp:
         that guess does not end in a certified point, the solve goes on to
         the splitting iteration as if it had had no guess (see the module
         docstring)."""
-        q = np.asarray(q, dtype=float).ravel()
-        if q.shape[0] != self.n:
-            raise DimensionMismatch(f"linear term has length {q.shape[0]}, expected {self.n}")
-        finite(q, "linear term")
+        q = vector(q, "linear term", self.n)
 
         if self.n == 0:
             return self._solve_empty()
@@ -311,10 +308,10 @@ class RepeatedQp:
         if active is None and self.mi == 0:
             active = ()  # without inequality rows the only set is the empty one
         if active is not None:
-            guess = frozenset(int(r) for r in active)
-            if not all(0 <= r < self.mi for r in guess):
+            rows = index(np.array([*active] or np.zeros(0, int)), "active rows")  # an empty list would read as float
+            if rows.size and not (rows.min() >= 0 and rows.max() < self.mi):
                 raise DimensionMismatch(f"active rows must lie in [0, {self.mi})")
-            polished = self._polish(q, guess)
+            polished = self._polish(q, frozenset(rows.tolist()))
             if polished is not None:
                 return polished
         if self.me + self.mi == 0:  # no solution of P x = -q passed the check

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, positive
-from .errors import ActiveSetChanged, DimensionMismatch
+from ._checks import index, positive, vector
+from .errors import ActiveSetChanged, DimensionMismatch, UnknownAgent
 
 __all__ = [
     "StarInstance",
@@ -43,7 +43,7 @@ class StarInstance:
     d: float  # demand at the single demander
 
     def __post_init__(self):
-        object.__setattr__(self, "c_norms", finite(np.asarray(self.c_norms, float).ravel(), "route costs"))
+        object.__setattr__(self, "c_norms", vector(self.c_norms, "route costs"))
         positive(self.c0, "c0")
         positive(self.d, "d")
         if not np.all(self.c_norms >= 0):
@@ -78,7 +78,7 @@ def star_active_set(costs: np.ndarray, c0: float, d: float) -> tuple[int, ...]:
     """Suppliers who ship in the optimum: the largest prefix of the cost-sorted
     agents whose costs stay strictly below the water level
     (2*c0*d + sum of prefix costs) / prefix size. Ties break by agent index."""
-    costs = np.asarray(costs, float).ravel()
+    costs = vector(costs, "costs")
     n = costs.shape[0]
     order = sorted(range(n), key=lambda i: (costs[i], i))
     sorted_costs = costs[order]
@@ -141,9 +141,7 @@ def star_reported_outcome(inst: StarInstance, deltas: np.ndarray) -> StarReportO
     closed forms for misreports stop applying and callers must fall back to
     the numeric pipeline.
     """
-    deltas = finite(np.asarray(deltas, float).ravel(), "deltas")
-    if deltas.shape != (inst.n,):
-        raise DimensionMismatch(f"deltas shape {deltas.shape}, expected ({inst.n},)")
+    deltas = vector(deltas, "deltas", inst.n)
     reported = inst.c_norms + deltas
     truthful_active = star_active_set(inst.c_norms, inst.c0, inst.d)
     opt = _optimum_for_costs(inst, reported)
@@ -157,8 +155,8 @@ def star_reported_outcome(inst: StarInstance, deltas: np.ndarray) -> StarReportO
 def star_misreport(inst: StarInstance, i: int, delta: float) -> StarReportOutcome:
     """Single misreporter i shifting its reported cost by delta, all others
     truthful. Requires i to ship both before and after the shift."""
-    if not 0 <= i < inst.n:
-        raise DimensionMismatch(f"agent {i} of {inst.n}")
+    if not 0 <= index(i, "agent") < inst.n:
+        raise UnknownAgent(f"agent {i} of {inst.n}")
     truthful_active = star_active_set(inst.c_norms, inst.c0, inst.d)
     if i not in truthful_active:
         raise ActiveSetChanged(f"agent {i} ships nothing; misreport closed form needs i active")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, integer
+from ._checks import finite, integer, vector
 from .errors import DimensionMismatch, Infeasible, InvalidEdge, NoPathExists
 from .graphs import CommGraph, build_graph, random_connected_graph
 from .problem import CoupledProblem, ReportedProblem, _Market, assemble_problem
@@ -278,10 +278,8 @@ class TransportInstance:
         p = self.problem
         linear = {}
         for i, c in reports.items():
-            blk, c = p.block(i), np.asarray(c, float).ravel()  # an unknown agent is rejected first
-            if c.shape != (self.network.n_edges,):
-                raise DimensionMismatch(f"reported cost vector of agent {i} has length {c.shape[0]}")
-            finite(c, f"reported cost vector of agent {i}")
+            blk = p.block(i)  # an unknown agent is rejected first
+            c = vector(c, f"reported cost vector of agent {i}", self.network.n_edges)
             linear[i] = np.zeros(p.n_total)
             linear[i][blk] = _route_costs(self.incidence, i, c)
         return ReportedProblem(true=p, reported=p.with_linear_terms(linear))
@@ -313,7 +311,7 @@ def star_network(c_norms, c0: float = 1.0, d: float = 5.0, spoke_costs=None) -> 
     cost is c_norms[i], placed on the spoke unless explicit per-edge splits are
     given via ``spoke_costs`` (pairs of spoke/trunk entries).
     """
-    c_norms = np.asarray(c_norms, float).ravel()
+    c_norms = vector(c_norms, "route costs")
     N = c_norms.shape[0]
     junction = N + 1
     demander = N

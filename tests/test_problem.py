@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disqo import problem as problem_module
+from disqo.admm import SolverParams, init_state
 from disqo.errors import (
     ConventionMismatch,
     DimensionMismatch,
@@ -14,6 +16,7 @@ from disqo.errors import (
     NonConvexObjective,
     UnknownAgent,
 )
+from disqo.graphs import random_connected_graph
 from disqo.problem import (
     CoupledProblem,
     QuadObjective,
@@ -241,13 +244,17 @@ def test_empty_local_set_detected():
 
 
 def test_coupling_map_supported_on_own_block():
-    p = three_supplier_problem()
-    for i in range(3):
-        amap = p.coupling_map(i)
-        mask = np.zeros(3, dtype=bool)
-        mask[p.block(i)] = True
-        assert np.all(amap[:, ~mask] == 0)
-        assert np.any(amap[:, mask] != 0)
+    # The solver's A~_i is A_i on agent i's block and zero elsewhere, bit for bit.
+    for p in (three_supplier_problem(), random_instance((4, 2, 3, 2), seed=0).problem):
+        graph = random_connected_graph(p.n_agents, np.random.default_rng(0))
+        A_pad = init_state(p, graph, SolverParams()).A_pad
+        assert A_pad.shape == (p.n_agents, p.n_coupling, p.n_total)
+        for i in range(p.n_agents):
+            expected = np.zeros((p.n_coupling, p.n_total))
+            expected[:, p.block(i)] = p.A[i]
+            assert A_pad[i].tobytes() == expected.tobytes()
+            assert np.any(A_pad[i][:, p.block(i)] != 0)
+        assert p.owner.tolist() == [i for i in range(p.n_agents) for _ in range(p.dims[i])]
 
 
 def test_convert_inequality_coupling_interior_optimum():
@@ -392,6 +399,16 @@ def test_market_without_agents_has_empty_arrays():
         centralized_solve(empty(5.0))
     sol = centralized_solve(empty(0.0))
     assert sol.x.shape == (0,) and sol.value == 0.0
+
+
+def test_excluding_the_only_agent_divides_nothing():
+    # No agent is left to take a share of the removed agent's gap, so no
+    # share is formed (it had been 0/0, with two RuntimeWarnings).
+    p = assemble_problem([(2.0 * np.eye(1), [3.0], -np.eye(1), np.zeros(1))], [np.ones((1, 1))], [5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty = exclude_agent(p, 0)
+    assert empty.dims == () and empty.algorithmic == () and empty.actual == ()
 
 
 def test_exclude_agent_rows_renumbers_the_rest(monkeypatch):
