@@ -41,6 +41,13 @@ def nonnegative(value, name: str):
     return value
 
 
+def number(value, name: str) -> float:
+    """``value`` as a float, when it is a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, _REAL) or not np.isfinite(value):
+        raise DimensionMismatch(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def finite(array, name: str):
     """``array`` when every entry is finite."""
     if not np.all(np.isfinite(array)):

@@ -33,7 +33,8 @@ One rule picks every seed: ``--seed`` when given, else the section's own
 Explicit ``graph.edges`` and an instance file's graph are data, not seeds.
 Integer values (scale, seeds, ``sweep.agent``, ``portfolio.cases``, an
 instance file's ``n_nodes``, ``R``, ``L`` and nodes) must be JSON integers,
-never a float or a bool. Every other number must be finite (a ``null`` pair
+never a float or a bool, and a seed is at least 0. A delta is a finite JSON
+number, never a bool. Every other number must be finite (a ``null`` pair
 capacity is no limit). Commands and ``validate`` apply the library's rules.
 
 All emitted CSVs are byte-stable across reruns of the same config and seed,
@@ -54,7 +55,7 @@ import sys
 
 import numpy as np
 
-from ._checks import finite, index, integer, nonnegative
+from ._checks import index, integer, nonnegative, number
 from ._csv import write_csv
 from .admm import SolverParams, solve as distributed_solve
 from .errors import DimensionMismatch, DisqoError, InvalidConfig, MaxIterReached
@@ -117,11 +118,11 @@ def _load_config(path: str) -> tuple[dict, str]:
 
 def _seed(args, spec: dict, section: str, default: int | None = 0) -> int | None:
     """The one seed rule: ``--seed`` when given, else the section's own
-    ``seed``, else ``default``. A seed the section sets must be an integer
-    even when ``--seed`` overrides it."""
+    ``seed``, else ``default``. A seed the section sets must be a
+    nonnegative integer even when ``--seed`` overrides it."""
     seed = spec.get("seed")
-    seed = default if seed is None else index(seed, f"{section}.seed")
-    return seed if args.seed is None else args.seed
+    seed = default if seed is None else integer(seed, f"{section}.seed", 0)
+    return seed if args.seed is None else integer(args.seed, "--seed", 0)
 
 
 def _scale_tuple(raw) -> tuple[int, int, int, int]:
@@ -207,7 +208,7 @@ def _apply_reports(config: dict, instance: TransportInstance):
         reports = {int(i): np.asarray(c, float) for i, c in config["reports"].items()}
         return instance.with_reported_costs(reports)
     if "report_deltas" in config:
-        deltas = {int(i): float(v) for i, v in config["report_deltas"].items()}
+        deltas = {int(i): number(v, f"report_deltas[{i}]") for i, v in config["report_deltas"].items()}
         return instance.perturbed_reports(deltas)
     return instance.problem
 
@@ -220,7 +221,7 @@ def _sweep_spec(config: dict, instance: TransportInstance) -> tuple[int, list[fl
         raise InvalidConfig("sweep spec needs an 'agent'")
     agent = index(spec["agent"], "sweep.agent")
     instance.problem.block(agent)  # an unknown agent raises UnknownAgent
-    return agent, finite([float(v) for v in spec.get("deltas", [])] or [0.0], "sweep deltas")
+    return agent, [number(v, "sweep delta") for v in spec.get("deltas", [])] or [0.0]
 
 
 @_reads_config

@@ -21,8 +21,11 @@ One layout table places each agent: ``block(i)`` is its slice of x,
 ``rows(i)`` its slice of the ``local_stacked()`` rows, ``owner`` the agent of
 each column, and ``tight_rows(x)`` marks the rows tight at x by one rule. A
 coupling dual has the one sign of ``centralized_solve``; ``dual_residual``
-tests it as given. Each stationarity certificate is one NNLS
-(``stationarity_residual``), a free multiplier entering as columns a, -a.
+tests it as given. A settlement reads the solve's own certificate
+(``mechanisms``); NNLS (``stationarity_residual``, a free multiplier entering
+as columns a, -a) remains only where no inequality multipliers are at hand:
+in ``shadow_prices`` and ``reconcile_dual``, through ``dual_residual``, and
+in the best-response check.
 
 The dense totals (``total_quadratic``) are formed once per problem and
 shared with its reports (``with_linear_terms``). The centralized solves of
@@ -559,11 +562,17 @@ def dual_residual(problem, x: np.ndarray, lam: np.ndarray) -> tuple[float, float
     the residual is at most the bound 1e-5 max(1, |g|)."""
     p = resolve(problem, "reported")
     x, lam = vector(x, "x", p.n_total), vector(lam, "lam", p.n_coupling)
+    grad, bound = _total_gradient(p, x)
+    tight = p.local_stacked()[0][p.tight_rows(x)].T
+    return stationarity_residual(grad - p.stacked_A().T @ lam, tight), bound, grad
+
+
+def _total_gradient(p: CoupledProblem, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(g, bound): g = grad f(x) of p's actual total, and the bound
+    1e-5 max(1, |g|) a stationarity residual of a coupling dual must meet."""
     sigma, psi = p.total_quadratic("actual")
     grad = sigma @ x + psi
-    tight = p.local_stacked()[0][p.tight_rows(x)].T
-    bound = 1e-5 * max(1.0, float(np.abs(grad).max(initial=0.0)))
-    return stationarity_residual(grad - p.stacked_A().T @ lam, tight), bound, grad
+    return grad, 1e-5 * max(1.0, float(np.abs(grad).max(initial=0.0)))
 
 
 def reconcile_dual(problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:

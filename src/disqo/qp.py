@@ -22,8 +22,14 @@ set does not depend on the linear term. When P is definite, it is LU-factored
 when a polish moves to that set and kept: warm solves that keep the active set
 cost one pair of triangular solves each. When P is only semidefinite, or the
 LU meets an exact zero pivot, the system is solved by one complete orthogonal
-decomposition (LAPACK xGELSY, a column-pivoted QR) with rank cutoff ``n eps``:
-the minimum-norm least-squares answer, with no factor kept.
+decomposition (a column-pivoted QR) with rank cutoff ``n eps``: the
+minimum-norm least-squares answer, with no factor kept: one direct call of
+LAPACK ``dgelsy``, with its workspace size kept per shape.
+
+A polish walk adds a violated row or drops a negative multiplier, one at a
+time: it moves only inequality rows. So it ends, as a failed polish, at the
+first candidate that misses the equality rows by more than the tolerance,
+whose multipliers are a least-squares compromise no such move repairs.
 
 The splitting iteration's x-update is solved through the n x n matrix
 ``K = P + sigma I + C' diag(rho) C``, with ``C`` the equality rows over the
@@ -82,6 +88,7 @@ _CERT_TOL = 1e-9
 # The ufuncs' own reductions: ndarray.max and .min wrap them in Python, which
 # costs as much as the reduction on the small arrays of a batched polish step.
 _max, _min = np.maximum.reduce, np.minimum.reduce
+_GELSY_LWORK: dict[tuple[int, int], int] = {}  # dgelsy's workspace size per (rows, right-hand sides)
 
 
 @dataclass
@@ -308,7 +315,10 @@ class RepeatedQp:
         if active is None and self.mi == 0:
             active = ()  # without inequality rows the only set is the empty one
         if active is not None:
-            rows = index(np.array([*active] or np.zeros(0, int)), "active rows")  # an empty list would read as float
+            guess = [*active]
+            if {bool, np.bool_} & {*map(type, guess)}:  # np.array would read True as row 1
+                raise DimensionMismatch(f"active rows must be an integer, got {active!r}")
+            rows = index(np.array(guess or np.zeros(0, int)), "active rows")  # an empty list would read as float
             if rows.size and not (rows.min() >= 0 and rows.max() < self.mi):
                 raise DimensionMismatch(f"active rows must lie in [0, {self.mi})")
             polished = self._polish(q, frozenset(rows.tolist()))
@@ -337,9 +347,9 @@ class RepeatedQp:
 
         Violated inactive rows are added and negative-multiplier rows dropped,
         one at a time, until the candidate is KKT-consistent, or the attempt
-        fails (by a cycle, by
-        a singular system without a finite least-squares answer, by the final
-        residual check or by the step budget).
+        fails: by a cycle, by a singular system without a finite
+        least-squares answer, by a candidate that misses the equality rows,
+        by the final residual check or by the step budget.
         """
         P, E, h, G, u, tol = self.P, self.E, self.h, self.G, self.u, self.tol
         if self.me + self.mi == 0:  # P x = -q: the round-off in x grows with |q|
@@ -354,6 +364,8 @@ class RepeatedQp:
             if step is None:
                 return None
             x, lam, alpha = step
+            if self.me and _max(np.abs(E @ x - h)) > tol:  # no drop or add reaches the equality rows
+                return None
 
             ok, drop, add, alpha_c, res, tight = _step_verdict(P, q, E, h, G, u, x, lam, alpha, red.act_mask, tol)
             if drop:  # the most negative multiplier
@@ -597,18 +609,24 @@ class WarmBatch:
 
 def _solve_reduced(red: _ReducedSystem, rhs: np.ndarray) -> np.ndarray | None:
     """Solve ``red.kkt @ sol = rhs``: by its LU factors when it has them,
-    else (or when the LU answer is not finite) by one xGELSY call, the
-    minimum-norm least-squares answer with rank cutoff ``n eps``, as
+    else (or when the LU answer is not finite) by one LAPACK ``dgelsy`` call,
+    the minimum-norm least-squares answer with rank cutoff ``n eps``, as
     ``np.linalg.lstsq`` takes it. ``None`` when neither gives a finite
-    answer. An empty system (every column fixed, no rows) needs no kernel."""
+    answer. An empty system (every column fixed, no rows) needs no kernel.
+    The call is ``scipy.linalg.lstsq``'s, bit for bit, without its checks
+    and workspace query per call."""
     if not rhs.size:
         return rhs
     if red.lu is not None:
         sol = scipy.linalg.lu_solve(red.lu, rhs, check_finite=False)
         if np.all(np.isfinite(sol)):
             return sol
-    cond = red.kkt.shape[0] * np.finfo(float).eps
-    sol, *_ = scipy.linalg.lstsq(red.kkt, rhs, cond=cond, lapack_driver="gelsy", check_finite=False)
+    k, nrhs = red.kkt.shape[0], rhs.shape[1] if rhs.ndim == 2 else 1
+    cond = k * np.finfo(float).eps
+    lwork = _GELSY_LWORK.get((k, nrhs))
+    if lwork is None:
+        lwork = _GELSY_LWORK[k, nrhs] = int(scipy.linalg.lapack.dgelsy_lwork(k, k, nrhs, cond)[0])
+    _, sol, _, _, _ = scipy.linalg.lapack.dgelsy(red.kkt, rhs, np.zeros(k, np.int32), cond, lwork)
     return sol if np.all(np.isfinite(sol)) else None
 
 

@@ -188,6 +188,14 @@ def test_repeated_qp_takes_integer_guess_rows(kind):
         qp.solve(np.ones(2), active=(row,))
 
 
+@pytest.mark.parametrize("guess", [(0, True), [np.int64(0), np.True_], frozenset({True, 0})], ids=["bool", "numpy bool", "set"])
+def test_repeated_qp_takes_no_bool_among_integer_guess_rows(guess):
+    # np.array reads (0, True) as the integer rows (0, 1)
+    qp = RepeatedQp(np.eye(2), G=-np.eye(2), u=np.zeros(2))
+    with pytest.raises(DimensionMismatch, match="active rows must be an integer"):
+        qp.solve(np.ones(2), active=guess)
+
+
 @pytest.mark.parametrize("kind", [BOOL, FRACTION, OUT_OF_RANGE])
 def test_star_misreport_takes_an_agent(kind):
     inst = StarInstance([2.0, 3.0, 4.0], 1.0, 5.0)

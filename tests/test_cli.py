@@ -147,6 +147,8 @@ def test_gen_c0_sets_the_congestion_coefficient(tmp_path):
         ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"seed": 1.5}}, "portfolio.seed must be an integer"),
         ("misreport-sweep", {"generator": STAR_GEN, "sweep": {"agent": True}}, "sweep.agent must be an integer"),
         ("solve", {"generator": STAR_GEN, "solver": {"max_iter": True}}, "error: max_iter must be an integer"),
+        ("misreport-portfolio", {"generator": STAR_GEN, "portfolio": {"seed": -1}}, "portfolio.seed must be an integer of at least 0"),
+        ("solve", {"generator": {"scale": [4, 2, 3, 2], "seed": -1}}, "generator.seed must be an integer of at least 0"),
     ],
 )
 def test_config_input_errors_exit_one_with_their_message(tmp_path, capsys, command, config, message):
@@ -194,6 +196,17 @@ def test_out_of_the_wrong_type_is_an_input_error_and_validate_creates_nothing(tm
     assert main(["validate", "--config", cfg]) == 0
     assert "ok: output directory (results)" in capsys.readouterr().out
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_a_negative_seed_flag_is_an_input_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", generator=STAR_GEN, portfolio={"cases": 1, "seed": 1})
+    for command in ("misreport-portfolio", "solve"):
+        assert main([command, "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "error: --seed must be an integer of at least 0" in err and "Traceback" not in err
+    assert main(["validate", "--config", cfg, "--seed", "-1"]) == 1
+    assert "FAIL: portfolio spec" in capsys.readouterr().out
+    assert not (tmp_path / "run").exists()
 
 
 def test_seed_flag_beats_every_section_seed(tmp_path, monkeypatch):
@@ -639,6 +652,9 @@ def test_validate_fails_on_a_bad_value_in_any_section_a_command_reads(tmp_path, 
         ("misreport-sweep", "sweep", '{"agent": 0, "deltas": [0.5, NaN]}', "sweep spec"),
         ("misreport-sweep", "sweep", '{"agent": 0, "deltas": [Infinity]}', "sweep spec"),
         ("misreport-sweep", "sweep", '{"agent": 0, "deltas": [-Infinity]}', "sweep spec"),
+        ("misreport-sweep", "sweep", '{"agent": 0, "deltas": [true, 0.5]}', "sweep spec"),  # was read as 1.0
+        ("mechanism", "report_deltas", '{"0": true}', "reported costs"),  # was read as 1.0
+        ("misreport-portfolio", "portfolio", '{"cases": 1, "seed": -1}', "portfolio spec"),  # numpy rejected it mid-run
         ("misreport-portfolio", "portfolio", '{"cases": 2, "magnitude": -1}', "portfolio spec"),
         ("misreport-portfolio", "portfolio", '{"cases": 2, "magnitude": NaN}', "portfolio spec"),
         ("misreport-portfolio", "portfolio", '{"cases": 2, "magnitude": 1e400}', "portfolio spec"),

@@ -106,17 +106,29 @@ def test_a_valid_dual_is_kept_in_the_sign_given_when_its_mirror_is_valid_too():
     assert reconcile_dual(p, x, np.array([2.0])).tolist() == [-2.0]
 
 
-def test_sp_settlement_and_reconcile_each_make_one_nnls_call(monkeypatch):
+def test_sp_settlement_reads_the_solve_certificate_and_reconcile_makes_one_nnls_call(monkeypatch):
     inst = random_instance((4, 2, 3, 2), seed=1)
     sol = centralized_solve(inst.problem)
     assert inst.problem.tight_rows(sol.x).any()  # a market without tight rows needs no NNLS
     calls = []
     nnls = scipy.optimize.nnls
     monkeypatch.setattr(scipy.optimize, "nnls", lambda *args, **kwargs: calls.append(1) or nnls(*args, **kwargs))
-    sp_for_problem(inst.problem, solution=sol)
-    assert len(calls) == 1
+    settled = sp_for_problem(inst.problem, solution=sol)
+    assert len(calls) == 0
     reconcile_dual(inst.problem, sol.x, sol.lam)
+    assert len(calls) == 1
+    prices = shadow_prices(inst.problem, sol.x, sol.lam)  # the public entry, without alpha
     assert len(calls) == 2
+    assert [v.tobytes() for v in prices] == [v.tobytes() for v in settled.prices]
+
+
+def test_sp_rejects_a_solution_whose_alpha_does_not_certify_its_lam():
+    inst = random_instance((4, 2, 3, 2), seed=1)
+    sol = centralized_solve(inst.problem)
+    assert sol.alpha.any()
+    for alpha in (np.zeros_like(sol.alpha), 2.0 * sol.alpha):
+        with pytest.raises(ConventionMismatch):
+            sp_for_problem(inst.problem, solution=dataclasses.replace(sol, alpha=alpha))
 
 
 def test_agentless_market_is_priced_empty():

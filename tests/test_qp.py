@@ -308,6 +308,7 @@ def kernel_calls(monkeypatch):
 
     for name in ("solve", "lu_factor", "lu_solve", "lstsq"):
         monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    monkeypatch.setattr(scipy.linalg.lapack, "dgelsy", counted("dgelsy", scipy.linalg.lapack.dgelsy))  # the least-squares kernel
     monkeypatch.setattr(np.linalg, "lstsq", counted("np.linalg.lstsq", np.linalg.lstsq))  # no longer the kernel's
     return calls
 
@@ -368,7 +369,7 @@ def test_singular_reduced_system_goes_straight_to_lstsq(kernel_calls):
     sol = kernel.solve(np.zeros(3))
     assert sol.optimal and sol.iterations == 0
     np.testing.assert_allclose(sol.x, np.full(3, 1.0 / 3.0), atol=1e-12)
-    assert kernel_calls == ["lu_factor", "lstsq"]
+    assert kernel_calls == ["lu_factor", "dgelsy"]
 
 
 def test_semidefinite_hessian_polishes_by_least_squares_alone(kernel_calls):
@@ -381,7 +382,23 @@ def test_semidefinite_hessian_polishes_by_least_squares_alone(kernel_calls):
     assert sol.optimal and sol.iterations == 0 and sol.active == (5,)
     np.testing.assert_allclose(sol.x, [0.5, 0.25, 0.0], atol=1e-12)
     np.testing.assert_allclose(sol.alpha, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], atol=1e-12)
-    assert kernel_calls == ["lstsq"]
+    assert kernel_calls == ["dgelsy"]
+
+
+@pytest.mark.parametrize("nrhs", [None, 5], ids=["one right-hand side", "several, as step_map passes"])
+def test_least_squares_step_is_scipy_gelsy_bit_for_bit(nrhs):
+    # Symmetric rank-deficient systems, as a semidefinite P gives; the direct
+    # LAPACK call leaves its inputs as they were.
+    rng = np.random.default_rng(11)
+    for k, rank in ((7, 4), (30, 21), (47, 40), (30, 21)):
+        F = rng.normal(size=(rank, k))
+        kkt = F.T @ F
+        rhs = rng.normal(size=(k,) if nrhs is None else (k, nrhs))
+        kept = kkt.copy(), rhs.copy()
+        want, *_ = scipy.linalg.lstsq(kkt, rhs, cond=k * np.finfo(float).eps, lapack_driver="gelsy", check_finite=False)
+        got = _solve_reduced(SimpleNamespace(lu=None, kkt=kkt), rhs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert kkt.tobytes() == kept[0].tobytes() and rhs.tobytes() == kept[1].tobytes()
 
 
 @pytest.mark.parametrize("decades", [-1, 1])
@@ -600,3 +617,26 @@ def test_numbers_that_cannot_work_are_rejected():
             broken[name].flat[0] = bad
             with pytest.raises(DimensionMismatch, match="not finite"):
                 solve_qp(**broken)
+
+
+def test_a_polish_walk_ends_at_a_candidate_that_misses_the_equality_rows(monkeypatch):
+    # The guess fixes both columns at zero, so x1 + x2 = 1 is out of reach of
+    # its reduced system. The least-squares multipliers of that step would
+    # drop the bound on x2, but the walk stops there, and the splitting
+    # certifies the optimum (0, 1).
+    kernel = RepeatedQp(np.eye(2), E=np.ones((1, 2)), h=np.array([1.0]), G=-np.eye(2), u=np.zeros(2))
+    built, walks = [], []
+    reduced, polish = RepeatedQp._reduced_system, RepeatedQp._polish
+    monkeypatch.setattr(RepeatedQp, "_reduced_system", lambda self, active: built.append(active) or reduced(self, active))
+
+    def walk(self, q, active):
+        start = len(built)
+        out = polish(self, q, active)
+        walks.append((len(built) - start, out))
+        return out
+
+    monkeypatch.setattr(RepeatedQp, "_polish", walk)
+    sol = kernel.solve(np.array([-1.0, -2.0]), active=(0, 1))
+    assert walks[0] == (1, None) and built[0] == frozenset({0, 1})
+    assert sol.optimal and sol.iterations > 0
+    np.testing.assert_allclose(sol.x, [0.0, 1.0], atol=1e-9)
