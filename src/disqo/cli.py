@@ -33,9 +33,11 @@ One rule picks every seed: ``--seed`` when given, else the section's own
 Explicit ``graph.edges`` and an instance file's graph are data, not seeds.
 Integer values (scale, seeds, ``sweep.agent``, ``portfolio.cases``, an
 instance file's ``n_nodes``, ``R``, ``L`` and nodes) must be JSON integers,
-never a float or a bool, and a seed is at least 0. A delta is a finite JSON
-number, never a bool. Every other number must be finite (a ``null`` pair
-capacity is no limit). Commands and ``validate`` apply the library's rules.
+never a float or a bool; a seed is at least 0, and a scale's N at least 2. A
+delta, a star cost or spoke/trunk entry, ``c0`` and ``d`` are finite JSON
+numbers, never a bool or a string; a star's ``c`` is a list, with one
+``spoke_costs`` pair per cost when given. Every other number must be finite
+(a ``null`` pair capacity is no limit). Commands and ``validate`` apply the library's rules.
 
 All emitted CSVs are byte-stable across reruns of the same config and seed,
 except the ``wall_ms`` trace column, which records measured time. The
@@ -141,13 +143,14 @@ def _instance_from_generator(gen: dict, args) -> TransportInstance:
     """The spec's instance; ``gen --scale``/``--c0`` override a random spec's own."""
     if "star" in gen:
         star = gen["star"]
-        if "c" not in star:
+        if not isinstance(star.get("c"), list):
             raise InvalidConfig("star generator needs a cost list 'c'")
+        pairs = star.get("spoke_costs")
         network = star_network(
-            [float(v) for v in star["c"]],
-            c0=float(star.get("c0", 1.0)),
-            d=float(star.get("d", 5.0)),
-            spoke_costs=star.get("spoke_costs"),
+            [number(v, f"star c[{i}]") for i, v in enumerate(star["c"])],
+            c0=number(star.get("c0", 1.0), "star c0"),
+            d=number(star.get("d", 5.0), "star d"),
+            spoke_costs=None if pairs is None else [[number(v, f"star spoke_costs[{i}]") for v in pair] for i, pair in enumerate(pairs)],
         )
         return build_instance(network, R=1, L=2)  # a star's one route per supplier has two edges
     scale, c0 = getattr(args, "scale", None), getattr(args, "c0", None)
@@ -157,7 +160,7 @@ def _instance_from_generator(gen: dict, args) -> TransportInstance:
     seed = _seed(args, gen, "generator", default=None)
     if seed is None:
         raise InvalidConfig("generator spec needs a seed (config 'seed' or --seed)")
-    return random_instance(scale, seed, c0=float(gen.get("c0", 1.0) if c0 is None else c0))
+    return random_instance(scale, seed, c0=number(gen.get("c0", 1.0) if c0 is None else c0, "generator c0"))
 
 
 @_reads_config

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import integer
+from ._checks import index, integer
 from .errors import DimensionMismatch, DisconnectedGraph, InvalidEdge
 
 __all__ = [
@@ -92,7 +92,7 @@ def build_graph(n_agents: int, edges) -> CommGraph:
     Raises ``InvalidEdge`` for out-of-range/self-loop/duplicate edges and
     ``DisconnectedGraph`` when the topology is not connected.
     """
-    if n_agents < 1:
+    if index(n_agents, "n_agents") < 1:
         raise InvalidEdge("need at least one agent")
     edge_set = _normalize_edges(n_agents, edges)
     if not _is_connected(n_agents, edge_set):
@@ -175,7 +175,7 @@ def validate_weights(w: np.ndarray, graph: CommGraph) -> ValidationReport:
 
 def random_connected_graph(n_agents: int, rng: np.random.Generator) -> CommGraph:
     """Erdős–Rényi draw with p = 2 ln N / N (capped at 1), redrawn until connected."""
-    if n_agents < 1:
+    if index(n_agents, "n_agents") < 1:
         raise InvalidEdge("need at least one agent")
     p = min(1.0, 2.0 * math.log(n_agents) / n_agents)
     pairs = [(i, j) for i in range(n_agents) for j in range(i + 1, n_agents)]

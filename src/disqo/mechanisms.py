@@ -341,11 +341,11 @@ def misreport_portfolio(instance, n_cases: int, seed: int, magnitude: float = 0.
     """Seeded batch of simultaneous misreports: per case, every agent shifts a
     random nonempty subvector of its route-edge costs by a random magnitude
     (reported costs floor at zero); everyone's true-cost benefit under shadow
-    pricing is recorded next to the truthful baseline. ``n_cases`` must be a
-    nonnegative integer and ``magnitude`` a finite number of at least 0."""
+    pricing is recorded next to the truthful baseline. ``n_cases`` and ``seed``
+    are nonnegative integers, ``magnitude`` a finite number of at least 0."""
     integer(n_cases, "n_cases", 0)
     nonnegative(magnitude, "magnitude")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
 
     def shifted(i: int) -> np.ndarray:
         used = instance.used_edge_indices(i)

@@ -27,12 +27,13 @@ as columns a, -a) remains only where no inequality multipliers are at hand:
 in ``shadow_prices`` and ``reconcile_dual``, through ``dual_residual``, and
 in the best-response check.
 
-The dense totals (``total_quadratic``) are formed once per problem and
-shared with its reports (``with_linear_terms``). The centralized solves of
-one market share one QP (``_Market``): its total Hessian is proved PSD once,
-and ``centralized_solve``, the mechanisms and the generator's screens run on
-it. A drop-one solve restricts the market's arrays to the other agents
-instead of building ``exclude_agent``, with bit-identical answers.
+A problem holds only its objectives' factors: a total value or gradient adds
+the objectives' own, and only the market QP forms the dense n x n total
+(``total_quadratic``, on each call). The centralized solves of one market
+share that QP (``_Market``): its total Hessian is proved PSD once, and
+``centralized_solve``, the mechanisms and the generator's screens run on it.
+A drop-one solve restricts the market's arrays to the other agents instead
+of building ``exclude_agent``, with bit-identical answers.
 """
 
 from __future__ import annotations
@@ -195,43 +196,36 @@ class CoupledProblem:
     def stacked_A(self) -> np.ndarray:
         return np.hstack(self.A) if self.A else np.zeros((self.n_coupling, 0))
 
-    @cached_property
-    def _hessian_totals(self) -> dict[str, np.ndarray]:
-        """``total_quadratic``'s dense Hessians by decomposition, each formed
-        on first use; ``with_linear_terms`` shares the dict."""
-        return {}
+    def _objectives(self, which: str) -> tuple[QuadObjective, ...]:
+        if which not in ("actual", "algorithmic"):
+            raise ValueError(f"which must be 'actual' or 'algorithmic', got {which!r}")
+        return self.actual if which == "actual" else self.algorithmic
 
     def total_quadratic(self, which: str = "actual") -> tuple[np.ndarray, np.ndarray]:
         """(sigma, psi) of the ``which`` decomposition's total objective,
-        dense. sigma is formed once per problem and is read-only."""
-        if which not in ("actual", "algorithmic"):
-            raise ValueError(f"which must be 'actual' or 'algorithmic', got {which!r}")
-        objs = self.actual if which == "actual" else self.algorithmic
-        if which not in self._hessian_totals:
-            sigma = np.zeros((self.n_total, self.n_total))
-            for o in objs:  # one n x n term at a time: never a D over all the objectives' ranks
-                sigma += o.sigma
-            sigma.flags.writeable = False
-            self._hessian_totals[which] = sigma
-        return self._hessian_totals[which], _linear_total(objs, self.n_total)
+        dense, formed on each call."""
+        objs = self._objectives(which)
+        sigma = np.zeros((self.n_total, self.n_total))
+        for o in objs:  # one n x n term at a time: never a D over all the objectives' ranks
+            sigma += o.sigma
+        return sigma, _linear_total(objs, self.n_total)
 
     def total_value(self, x: np.ndarray, which: str = "actual") -> float:
-        sigma, psi = self.total_quadratic(which)
-        return _dense_value(sigma, psi, vector(x, "x", self.n_total))
+        """The ``which`` decomposition's total objective at x, summed over its objectives."""
+        objs, x = self._objectives(which), vector(x, "x", self.n_total)
+        return sum((o.value(x) for o in objs), 0.0)
 
     def with_linear_terms(self, psi: dict[int, np.ndarray]) -> CoupledProblem:
         """The problem with agent i's linear term, in both decompositions,
         replaced by ``psi[i]``. Every other array is this problem's, the
-        Hessian factors and their dense totals included."""
+        Hessian factors included."""
         algorithmic, actual = list(self.algorithmic), list(self.actual)
         for i, v in psi.items():
             self.block(i)  # an unknown agent raises UnknownAgent
             v = vector(v, f"psi[{i}]", self.n_total)
             algorithmic[i] = dataclasses.replace(algorithmic[i], psi=v)
             actual[i] = dataclasses.replace(actual[i], psi=v)
-        out = dataclasses.replace(self, algorithmic=tuple(algorithmic), actual=tuple(actual))
-        out.__dict__["_hessian_totals"] = self._hessian_totals  # the same Hessians
-        return out
+        return dataclasses.replace(self, algorithmic=tuple(algorithmic), actual=tuple(actual))
 
     def local_stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """Block-diagonal stack of all local inequality rows over the full vector."""
@@ -283,10 +277,6 @@ def resolve(problem, which: str) -> CoupledProblem:
 def _linear_total(objectives, n: int) -> np.ndarray:
     """The summed linear terms, from a zero start (a market without agents has (0,))."""
     return sum((o.psi for o in objectives), np.zeros(n))
-
-
-def _dense_value(sigma: np.ndarray, psi: np.ndarray, x: np.ndarray) -> float:
-    return float(0.5 * x @ sigma @ x + psi @ x)
 
 
 def _check_symmetric(sigma: np.ndarray, label: str) -> np.ndarray:
@@ -460,17 +450,17 @@ class CentralSolution:
 
 
 class _Market:
-    """One market's centralized QP, built once: its total Hessian
-    normalized and proved PSD by one ``eigvalsh``. Every solve of a mechanism
-    call runs on it: ``solve`` the market or a report that changes only the
-    linear terms, each a solve of the same QP with its own guess;
-    ``solve_without`` the market without one agent, as a principal
-    restriction of the market's arrays."""
+    """One market's centralized QP, built once at the kernel's tolerance 1e-9:
+    its total Hessian normalized and proved PSD by one ``eigvalsh``. Every
+    solve of a mechanism call runs on it: ``solve`` the market or a report
+    that changes only the linear terms, each a solve of the same QP with its
+    own guess; ``solve_without`` the market without one agent, as a
+    principal restriction of the market's arrays."""
 
-    def __init__(self, p: CoupledProblem, tol: float = 1e-9):
+    def __init__(self, p: CoupledProblem):
         self.p = p
         sigma, self.psi = p.total_quadratic("actual")
-        self.qp = RepeatedQp(sigma, p.stacked_A(), p.d, *p.local_stacked(), tol=tol)
+        self.qp = RepeatedQp(sigma, p.stacked_A(), p.d, *p.local_stacked())
 
     def solve(self, reported: CoupledProblem | None = None, active=None) -> CentralSolution:
         """The optimum of the market, or of ``reported``: the market with
@@ -499,7 +489,7 @@ class _Market:
         active = tuple(r - (own.stop - own.start) if r >= own.stop else r for r in full.active if not own.start <= r < own.stop)
         cols = np.r_[0 : blk.start, blk.stop : p.n_total]
         if not p.actual[i].take(cols).vanishes():
-            return _Market(exclude_agent(p, i), self.qp.tol).solve(active=active)
+            return _Market(exclude_agent(p, i)).solve(active=active)
         rows = np.r_[0 : own.start, own.stop : p.row_offsets[-1]]
         return _optimum(self.qp._restrict(cols, rows), self.psi[cols], active)
 
@@ -509,12 +499,13 @@ def _optimum(qp: RepeatedQp, psi: np.ndarray, active) -> CentralSolution:
     if sol.status == "max_iter":
         raise MaxIterReached(f"centralized solve stopped at residuals {sol.residuals}")
     lam = -sol.lam  # flip from the Px+q+E'lam+G'alpha=0 convention
-    return CentralSolution(x=sol.x, lam=lam, alpha=sol.alpha, value=_dense_value(qp.P, psi, sol.x), active=sol.active)
+    value = float(0.5 * sol.x @ qp.P @ sol.x + psi @ sol.x)
+    return CentralSolution(x=sol.x, lam=lam, alpha=sol.alpha, value=value, active=sol.active)
 
 
-def centralized_solve(problem, which: str = "true", tol: float = 1e-9) -> CentralSolution:
+def centralized_solve(problem, which: str = "true") -> CentralSolution:
     """Solve the coupled problem as one QP."""
-    return _Market(resolve(problem, which), tol).solve()
+    return _Market(resolve(problem, which)).solve()
 
 
 def exclude_agent(p: CoupledProblem, i: int) -> CoupledProblem:
@@ -570,8 +561,7 @@ def dual_residual(problem, x: np.ndarray, lam: np.ndarray) -> tuple[float, float
 def _total_gradient(p: CoupledProblem, x: np.ndarray) -> tuple[np.ndarray, float]:
     """(g, bound): g = grad f(x) of p's actual total, and the bound
     1e-5 max(1, |g|) a stationarity residual of a coupling dual must meet."""
-    sigma, psi = p.total_quadratic("actual")
-    grad = sigma @ x + psi
+    grad = sum((o.gradient(x) for o in p.actual), np.zeros(p.n_total))
     return grad, 1e-5 * max(1.0, float(np.abs(grad).max(initial=0.0)))
 
 

@@ -272,8 +272,8 @@ class TransportInstance:
 
         Edge costs enter only the linear terms ``psi``, so the reported
         problem is the true one with each reporting agent's ``psi`` swapped
-        (``CoupledProblem.with_linear_terms``): its Hessians, their dense
-        totals, coupling and local rows are the true problem's arrays.
+        (``CoupledProblem.with_linear_terms``): its Hessian factors,
+        coupling and local rows are the true problem's arrays.
         """
         p = self.problem
         linear = {}
@@ -309,7 +309,7 @@ def star_network(c_norms, c0: float = 1.0, d: float = 5.0, spoke_costs=None) -> 
 
     Supplier i's single route is (spoke_i, trunk); its private per-unit route
     cost is c_norms[i], placed on the spoke unless explicit per-edge splits are
-    given via ``spoke_costs`` (pairs of spoke/trunk entries).
+    given via ``spoke_costs`` (one pair of spoke/trunk entries per supplier).
     """
     c_norms = vector(c_norms, "route costs")
     N = c_norms.shape[0]
@@ -321,7 +321,10 @@ def star_network(c_norms, c0: float = 1.0, d: float = 5.0, spoke_costs=None) -> 
         for i in range(N):
             costs[i, i] = c_norms[i]
     else:
-        for i, (on_spoke, on_trunk) in enumerate(spoke_costs):
+        if len(spoke_costs) != N:
+            raise DimensionMismatch(f"{len(spoke_costs)} spoke/trunk pairs for {N} suppliers")
+        for i, pair in enumerate(spoke_costs):
+            on_spoke, on_trunk = vector(pair, f"spoke_costs[{i}]", 2)
             if abs(on_spoke + on_trunk - c_norms[i]) > 1e-12:
                 raise DimensionMismatch("spoke/trunk split must sum to the route cost")
             costs[i, i] = on_spoke
@@ -344,8 +347,8 @@ def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c
     K commodities, R routes), returned as the instance built to screen it.
     Redraws (deterministically) until every demander is reachable by at
     least two suppliers and the instance stays feasible even after removing
-    any single supplier."""
-    N, M, K, R = scale
+    any single supplier: N is an integer of at least 2, M, K and R of at least 1."""
+    N, M, K, R = (integer(v, f"scale {name}", least) for v, name, least in zip(scale, "NMKR", (2, 1, 1, 1), strict=True))
     for _ in range(_MAX_DRAWS):
         network = _draw_network(scale, rng, c0)
         try:
@@ -359,7 +362,7 @@ def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c
             continue
         # One market per draw; each drop-one screen starts from the full
         # optimum's tight rows.
-        market = _Market(instance.problem, tol=1e-8)
+        market = _Market(instance.problem)
         try:
             full = market.solve()
             for i in range(N):
@@ -422,11 +425,11 @@ def _draw_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c0
 
 
 def random_instance(scale: tuple[int, int, int, int], seed: int, c0: float = 1.0) -> TransportInstance:
-    return random_network(scale, np.random.default_rng(seed), c0=c0)
+    return random_network(scale, np.random.default_rng(integer(seed, "seed", 0)), c0=c0)
 
 
 def default_comm_graph(n_agents: int, seed: int) -> CommGraph:
-    return random_connected_graph(n_agents, np.random.default_rng(seed))
+    return random_connected_graph(n_agents, np.random.default_rng(integer(seed, "seed", 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,31 @@ def test_gen_rejects_bad_scale(tmp_path):
     assert main(["gen", "--scale", "0,2,3,2", "--seed", "1", "--out", str(tmp_path / "z.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "generator, message",
+    [
+        ({"star": {"c": "345"}}, "star generator needs a cost list 'c'"),  # a string iterated as digits
+        ({"star": {"c": [True, 4, 5]}}, "star c[0] must be a finite number, got True"),
+        ({"star": {"c": [3, "4", 5]}}, "star c[1] must be a finite number, got '4'"),
+        ({"star": {"c": [3, 4, 5], "d": "5"}}, "star d must be a finite number, got '5'"),
+        ({"star": {"c": [3, 4, 5], "c0": True}}, "star c0 must be a finite number, got True"),
+        ({"star": {"c": [3, 4, 5], "c0": "1.5"}}, "star c0 must be a finite number, got '1.5'"),
+        ({"scale": [4, 2, 3, 2], "seed": 0, "c0": True}, "generator c0 must be a finite number, got True"),
+        ({"scale": [4, 2, 3, 2], "seed": 0, "c0": "1.5"}, "generator c0 must be a finite number, got '1.5'"),
+        ({"star": {"c": [3, 4, 5], "spoke_costs": [[1, 2], [2, 2]]}}, "2 spoke/trunk pairs for 3 suppliers"),
+        ({"star": {"c": [3, 4], "spoke_costs": [[1, 2], [2, 2], [1, 1]]}}, "3 spoke/trunk pairs for 2 suppliers"),
+        ({"star": {"c": [3, 4], "spoke_costs": [[True, 2], [2, 2]]}}, "star spoke_costs[0] must be a finite number, got True"),
+        ({"star": {"c": [3, 4], "spoke_costs": [[1, 2], ["2", 2]]}}, "star spoke_costs[1] must be a finite number, got '2'"),
+    ],
+)
+def test_generator_numbers_that_cannot_work_fail_validate_and_exit_one(tmp_path, capsys, generator, message):
+    cfg = write_config(tmp_path / "cfg.json", generator=generator)
+    assert main(["validate", "--config", cfg]) == 1
+    assert "FAIL: instance" in capsys.readouterr().out
+    assert main(["mechanism", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_gen_requires_seed_and_spec(tmp_path, capsys):
     assert main(["gen", "--scale", "4,2,3,2", "--out", str(tmp_path / "z.json")]) == 1
     assert main(["gen", "--seed", "1", "--out", str(tmp_path / "z.json")]) == 1
@@ -403,13 +428,25 @@ def test_cli_flag_and_command_errors(capsys):
     capsys.readouterr()
 
 
-def run_python(*args):
-    """A fresh interpreter on ``args``, importing this checkout's disqo."""
+def python_process(*args, timeout=300):
+    """A fresh interpreter run on ``args``, importing this checkout's disqo."""
     src = str(Path(disqo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def run_python(*args):
+    proc = python_process(*args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_gen_at_one_supplier_exits_one_instead_of_spinning(tmp_path):
+    # Coverage needs two suppliers, and the draw once looked for a second
+    # feeder forever; a regression fails here instead of hanging.
+    proc = python_process("-m", "disqo.cli", "gen", "--scale", "1,2,3,2", "--seed", "0", "--out", str(tmp_path / "z.json"), timeout=60)
+    assert proc.returncode == 1 and "scale N must be an integer of at least 2" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "z.json").exists()
 
 
 def test_module_entry_point_runs_without_warning():

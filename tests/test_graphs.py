@@ -105,6 +105,22 @@ def test_validate_weights_dimension_mismatch():
         validate_weights(np.eye(3), g)
 
 
+def test_agent_counts_are_integers():
+    # A float count reached range() as a TypeError, and build_graph(True, [])
+    # returned a graph with n_agents=True.
+    for n in (3.5, True, 2.0):
+        with pytest.raises(DimensionMismatch, match="n_agents must be an integer"):
+            random_connected_graph(n, np.random.default_rng(0))
+        with pytest.raises(DimensionMismatch, match="n_agents must be an integer"):
+            build_graph(n, [])
+    for n in (0, -1):  # an integer below 1 is a graph without agents
+        with pytest.raises(InvalidEdge, match="need at least one agent"):
+            build_graph(n, [])
+        with pytest.raises(InvalidEdge, match="need at least one agent"):
+            random_connected_graph(n, np.random.default_rng(0))
+    assert build_graph(np.int64(1), []).n_agents == 1
+
+
 def test_random_connected_graph_deterministic():
     a = random_connected_graph(8, np.random.default_rng(3))
     b = random_connected_graph(8, np.random.default_rng(3))

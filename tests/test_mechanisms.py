@@ -456,6 +456,9 @@ def test_misreport_inputs_that_cannot_work_are_rejected():
     for magnitude in (-1.0, np.nan, np.inf, float("1e400"), True):
         with pytest.raises(DimensionMismatch, match="magnitude must be a finite number"):
             misreport_portfolio(inst, 1, seed=1, magnitude=magnitude)
+    for seed in (-3, True, 1.5):
+        with pytest.raises(DimensionMismatch, match="seed must be an integer of at least 0"):
+            misreport_portfolio(inst, 1, seed)
     assert misreport_portfolio(inst, np.int64(2), seed=1, magnitude=0).benefits.shape == (2, 3)
 
 

@@ -17,6 +17,7 @@ from disqo.errors import (
     UnknownAgent,
 )
 from disqo.graphs import random_connected_graph
+from disqo.mechanisms import sp_for_problem
 from disqo.problem import (
     CoupledProblem,
     QuadObjective,
@@ -389,6 +390,40 @@ def test_dense_totals_add_the_dense_hessians():
         assert p.total_quadratic(which)[0].tobytes() == sum((o.D for o in objs), np.zeros((p.n_total,) * 2)).tobytes()
 
 
+def test_totals_from_the_factors_match_the_dense_forms():
+    # total_value and the total gradient add the objectives' own values and
+    # gradients; they agree with the dense total's to 1e-12 relative.
+    problems = [random_instance((4, 2, 3, 2), seed=s).problem for s in range(3)] + [blocks_problem()]
+    rng = np.random.default_rng(3)
+    for p in problems:
+        for x in (centralized_solve(p).x, rng.normal(size=p.n_total)):
+            for which in ("actual", "algorithmic"):
+                sigma, psi = p.total_quadratic(which)
+                dense = 0.5 * x @ sigma @ x + psi @ x
+                scale = 0.5 * np.abs(x) @ np.abs(sigma) @ np.abs(x) + np.abs(psi) @ np.abs(x)
+                assert abs(p.total_value(x, which) - dense) <= 1e-12 * scale
+            sigma, psi = p.total_quadratic("actual")
+            grad, _ = problem_module._total_gradient(p, x)
+            assert np.all(np.abs(grad - (sigma @ x + psi)) <= 1e-12 * (np.abs(sigma) @ np.abs(x) + np.abs(psi)).max())
+
+
+def test_only_the_market_qp_forms_a_dense_hessian(monkeypatch):
+    # A settlement, the dual test and a total value read the factors alone;
+    # building a market forms its total from each agent's sigma once.
+    inst = random_instance((4, 2, 3, 2), seed=0)
+    report = inst.perturbed_reports({1: 0.5})
+    sol = centralized_solve(report, which="reported")
+    reads = []
+    dense = QuadObjective.sigma.fget
+    monkeypatch.setattr(QuadObjective, "sigma", property(lambda o: reads.append(o) or dense(o)))
+    sp_for_problem(report, solution=sol)
+    dual_residual(report, sol.x, sol.lam)
+    report.reported.total_value(sol.x)
+    assert reads == []
+    problem_module._Market(inst.problem)
+    assert len(reads) == inst.problem.n_agents and all(r is o for r, o in zip(reads, inst.problem.actual))
+
+
 def test_market_without_agents_has_empty_arrays():
     # The one-agent market with agent 0 removed: demand d is met only when d = 0.
     empty = lambda d: exclude_agent(assemble_problem([(2.0 * np.eye(1), [3.0], -np.eye(1), np.zeros(1))], [np.ones((1, 1))], [d]), 0)
@@ -529,12 +564,6 @@ def test_a_report_on_a_market_may_change_only_its_linear_terms():
     for other in (*(dataclasses.replace(p, actual=tuple(objs)) for objs in copied), dataclasses.replace(p, d=p.d.copy()), dataclasses.replace(p, local=tuple(list(p.local)))):
         with pytest.raises(ValueError, match="only its linear terms"):
             market.solve(other)
-
-
-def test_centralized_solve_rejects_a_tolerance_that_cannot_work():
-    for tol in (0.0, -1e-9, float("nan"), float("inf"), True):
-        with pytest.raises(DimensionMismatch, match="tol must be a finite positive number"):
-            centralized_solve(three_supplier_problem(), tol=tol)
 
 
 def test_reported_problem_selection():

@@ -15,11 +15,13 @@ from disqo.transport import (
     TransportNetwork,
     build_incidence,
     build_instance,
+    default_comm_graph,
     enumerate_paths,
     load_instance,
     network_from_dict,
     network_to_dict,
     random_instance,
+    random_network,
     save_instance,
     star_network,
     to_coupled_problem,
@@ -199,6 +201,50 @@ def test_network_numbers_that_are_not_finite_are_rejected():
         value.flat[-1] = bad
         with pytest.raises(DimensionMismatch):
             build_instance(dataclasses.replace(net, **{field: value if value.ndim else float(value)}), R=1)
+
+
+class _NoDraws:
+    """An rng that fails on any draw: a scale check must come before the first."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the rng ({name}) before checking the scale")
+
+
+def test_a_scale_that_cannot_work_is_rejected_before_the_first_draw():
+    # One supplier spun forever looking for a second feeder; M = 0 and a float
+    # N reached numpy's errors, and K = 0 returned an empty market.
+    for scale, message in (
+        ((1, 2, 3, 2), "scale N must be an integer of at least 2"),
+        ((4, 0, 3, 2), "scale M must be an integer of at least 1"),
+        ((4.0, 2, 3, 2), "scale N must be an integer"),
+        ((4, 2, 0, 2), "scale K must be an integer of at least 1"),
+        ((4, 2, 3, 0), "scale R must be an integer of at least 1"),
+        ((4, True, 3, 2), "scale M must be an integer"),
+    ):
+        with pytest.raises(DimensionMismatch, match=message):
+            random_network(scale, _NoDraws())
+    assert random_network((np.int64(4), 2, 3, 2), np.random.default_rng(0)).problem.n_agents == 4
+
+
+def test_library_seeds_are_nonnegative_integers():
+    for seed in (-1, True, 2.5):
+        with pytest.raises(DimensionMismatch, match="seed must be an integer of at least 0"):
+            random_instance((4, 2, 3, 2), seed)
+        with pytest.raises(DimensionMismatch, match="seed must be an integer of at least 0"):
+            default_comm_graph(4, seed)
+    assert default_comm_graph(4, np.int64(3)).edges == default_comm_graph(4, 3).edges
+
+
+def test_star_takes_one_spoke_cost_pair_per_supplier():
+    # Too few pairs left the missing suppliers shipping at zero cost; too
+    # many died with an IndexError.
+    for pairs in ([(1.0, 1.0)], [(1.0, 1.0), (2.0, 1.0), (0.0, 1.0)]):
+        with pytest.raises(DimensionMismatch, match=f"{len(pairs)} spoke/trunk pairs for 2 suppliers"):
+            star_network([2.0, 3.0], spoke_costs=pairs)
+    with pytest.raises(DimensionMismatch, match="spoke_costs\\[1\\] has length 3"):
+        star_network([2.0, 3.0], spoke_costs=[(1.0, 1.0), (1.0, 1.0, 1.0)])
+    net = star_network([2.0, 3.0], spoke_costs=[(1.0, 1.0), (3.0, 0.0)])
+    assert net.edge_costs.tolist() == [[1.0, 0.0, 1.0], [0.0, 3.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +501,6 @@ def test_reported_problem_swaps_only_psi():
         for new, ref, true in zip(getattr(reported, side), getattr(rebuilt, side), getattr(p, side)):
             assert same(new.sigma, ref.sigma) and same(new.psi, ref.psi)
             assert new.F is true.F and new.D is true.D
-        assert reported.total_quadratic(side)[0] is p.total_quadratic(side)[0]  # formed once, shared
     assert reported.dims == rebuilt.dims and same(reported.d, rebuilt.d)
     assert all(same(a, b) for a, b in zip(reported.A, rebuilt.A))
     assert all(same(a.B, b.B) and same(a.m, b.m) for a, b in zip(reported.local, rebuilt.local))
