@@ -1,7 +1,8 @@
-"""The one copy of each rule for a number, an index or a vector disqo takes
-from outside. Every rule raises ``DimensionMismatch`` naming the value, and no
-bool passes as a number or an index. An index rule checks the type alone: the
-caller checks the range, so an agent out of range raises ``UnknownAgent``."""
+"""The one copy of each rule for a number, an index, a vector, a symmetric
+matrix or a named choice disqo takes from outside. Every rule raises
+``DimensionMismatch`` naming the value, and no bool passes as a number or an
+index. An index rule checks the type alone: the caller checks the range, so
+an agent out of range raises ``UnknownAgent``."""
 
 import numpy as np
 
@@ -62,3 +63,23 @@ def vector(value, name: str, length: int | None = None) -> np.ndarray:
     if length is not None and array.shape[0] != length:
         raise DimensionMismatch(f"{name} has length {array.shape[0]}, expected {length}")
     return finite(array, name)
+
+
+def symmetric(value, name: str) -> np.ndarray:
+    """``value`` as the float matrix (M + M') / 2, when M is square, finite and
+    symmetric to 1e-10 max(1, max |M|)."""
+    M = np.asarray(value, float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"{name} is not square: {M.shape}")
+    finite(M, name)
+    asym = float(np.abs(M - M.T).max(initial=0.0))
+    if asym > 1e-10 * max(1.0, float(np.abs(M).max(initial=0.0))):
+        raise DimensionMismatch(f"{name} is not symmetric (asymmetry {asym:.3e})")
+    return (M + M.T) / 2.0
+
+
+def choice(value, name: str, options: tuple[str, ...]) -> str:
+    """``value`` when it is one of the names ``options``."""
+    if not isinstance(value, str) or value not in options:
+        raise DimensionMismatch(f"{name} must be {' or '.join(map(repr, options))}, got {value!r}")
+    return value

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._checks import integer, nonnegative, positive, vector
+from ._checks import choice, integer, nonnegative, positive, vector
 from ._csv import write_csv
 from .errors import DecompositionMismatch, DimensionMismatch, InfeasibleInitialPoint, MaxIterReached
 from .graphs import CommGraph, metropolis_weights
@@ -113,8 +113,7 @@ class SolverParams:
         integer(self.max_iter, "max_iter", 1)
         nonnegative(self.violation_tol, "violation_tol")  # 0 runs the whole budget
         nonnegative(self.step_tol, "step_tol")
-        if self.mode not in ("plain", "accelerated"):
-            raise DimensionMismatch(f"mode must be 'plain' or 'accelerated', got {self.mode!r}")
+        choice(self.mode, "mode", ("plain", "accelerated"))
 
 
 @dataclass
@@ -222,10 +221,9 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         poly = problem.local[i]
         blk = problem.block(i)
         if y0 is not None:
-            yi = vector(y0[i], f"y0[{i}]", n)  # a NaN would pass the local-rows test below
-            gap = poly.B @ yi[blk] - poly.m if poly.n_rows else np.zeros(0)
-            if gap.size and float(gap.max()) > 1e-9 * max(1.0, float(np.abs(poly.m).max())):
-                raise InfeasibleInitialPoint(f"y0[{i}] violates the local rows by {float(gap.max()):.2e}")
+            yi = vector(y0[i], f"y0[{i}]", n)  # a NaN is DimensionMismatch, not outside the local set
+            if not poly.contains(yi[blk]):
+                raise InfeasibleInitialPoint(f"y0[{i}] violates the local rows by {float((poly.B @ yi[blk] - poly.m).max()):.2e}")
             Y[i] = yi
         else:
             Y[i, blk] = feasible_point(poly)  # the origin whenever it is feasible
@@ -307,7 +305,7 @@ def _schur_lift(P: np.ndarray, blk: slice) -> tuple[np.ndarray, np.ndarray, np.n
         R[:, rest], Kw[rest] = -T.T, -T
         Kq[np.ix_(rest, rest)] = -scipy.linalg.cho_solve(cho, np.eye(rest.size))
         phi = phi - P_wz @ T
-    return (phi + phi.T) / 2.0, R, Kw, Kq
+    return (phi + phi.T) / 2.0, R, Kw, Kq  # computed here: its rounding is no asymmetric input
 
 
 def communication_round_tracking(eta: np.ndarray, lam: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

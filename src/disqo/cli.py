@@ -33,11 +33,12 @@ One rule picks every seed: ``--seed`` when given, else the section's own
 Explicit ``graph.edges`` and an instance file's graph are data, not seeds.
 Integer values (scale, seeds, ``sweep.agent``, ``portfolio.cases``, an
 instance file's ``n_nodes``, ``R``, ``L`` and nodes) must be JSON integers,
-never a float or a bool; a seed is at least 0, and a scale's N at least 2. A
-delta, a star cost or spoke/trunk entry, ``c0`` and ``d`` are finite JSON
-numbers, never a bool or a string; a star's ``c`` is a list, with one
-``spoke_costs`` pair per cost when given. Every other number must be finite
-(a ``null`` pair capacity is no limit). Commands and ``validate`` apply the library's rules.
+never a float or a bool; a seed is at least 0, a scale's N at least 2 and
+its M, K and R at least 1. A delta, a star cost or spoke/trunk entry, ``c0``
+and ``d`` are finite JSON numbers, never a bool or a string; a star's ``c``
+is a list, with one ``spoke_costs`` pair per cost when given. Every other
+number must be finite (a ``null`` pair capacity is no limit). Commands and
+``validate`` apply the library's rules.
 
 All emitted CSVs are byte-stable across reruns of the same config and seed,
 except the ``wall_ms`` trace column, which records measured time. The
@@ -57,7 +58,7 @@ import sys
 
 import numpy as np
 
-from ._checks import index, integer, nonnegative, number
+from ._checks import choice, index, integer, nonnegative, number
 from ._csv import write_csv
 from .admm import SolverParams, solve as distributed_solve
 from .errors import DimensionMismatch, DisqoError, InvalidConfig, MaxIterReached
@@ -128,12 +129,13 @@ def _seed(args, spec: dict, section: str, default: int | None = 0) -> int | None
 
 
 def _scale_tuple(raw) -> tuple[int, int, int, int]:
-    """(N, M, K, R) from JSON integers, or from the strings ``--scale`` splits."""
+    """(N, M, K, R) from JSON integers, or from the strings ``--scale`` splits;
+    their ranges are the generator's rule (``transport.random_network``)."""
     try:
         parts = [int(v) if isinstance(v, str) else index(v, "scale") for v in raw]
     except (TypeError, ValueError, DimensionMismatch) as exc:
         raise InvalidConfig(f"scale must be four integers, got {raw!r}") from exc
-    if not isinstance(raw, list) or len(parts) != 4 or any(v < 1 for v in parts):  # a string iterates as digits
+    if not isinstance(raw, list) or len(parts) != 4:  # a string iterates as digits
         raise InvalidConfig(f"scale must be four positive integers (N,M,K,R), got {raw!r}")
     return tuple(parts)
 
@@ -237,14 +239,8 @@ def _portfolio_spec(config: dict, args) -> tuple[int, int, float]:
 @_reads_config
 def _mechanism_spec(config: dict) -> tuple[list[str], str]:
     """(selected mechanisms, cost basis) of the config; both by default."""
-    selected = [str(m).lower() for m in config.get("mechanisms", ["sp", "vcg"])]
-    bad = [m for m in selected if m not in ("sp", "vcg")]
-    if bad:
-        raise InvalidConfig(f"unknown mechanism(s): {bad}; choose from 'sp', 'vcg'")
-    cost_basis = config.get("cost_basis", "true")
-    if cost_basis not in ("true", "reported"):
-        raise InvalidConfig(f"cost_basis must be 'true' or 'reported', got {cost_basis!r}")
-    return selected, cost_basis
+    selected = [choice(str(m).lower(), "mechanism", ("sp", "vcg")) for m in config.get("mechanisms", ["sp", "vcg"])]
+    return selected, choice(config.get("cost_basis", "true"), "cost_basis", ("true", "reported"))
 
 
 @_reads_config

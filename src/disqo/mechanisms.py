@@ -19,12 +19,13 @@ problems through ``_misreport_benefits``, which solves the truthful market
 once and each report, which changes only the linear terms, on the same QP
 from its tight rows. A start that does not polish to a certified optimum is
 a miss, and its solve runs as one without a start (see ``qp``). No start is
-kept between solves. A settlement (``sp_for_problem``) prices from the
-solve's own certificate (x, lam, alpha), a product and no NNLS;
-``shadow_prices``, which is given no alpha, tests the dual by one NNLS
-(``problem.dual_residual``). Both test the coupling dual in the sign it is
-given and raise ``ConventionMismatch`` when it fails. The best-response check
-enters each agent's free coupling multiplier as the column pair A_i', -A_i'.
+kept between solves. Both prices test the coupling dual by the one test,
+``problem.dual_residual``, in the sign it is given, and raise
+``ConventionMismatch`` when it fails: a settlement (``sp_for_problem``)
+passes the solve's own certificate alpha, so its test is a product and no
+NNLS; ``shadow_prices``, which is given no alpha, tests by one NNLS. The
+best-response check enters each agent's free coupling multiplier as the
+column pair A_i', -A_i'.
 
 Conventions: mechanisms only ever see *reported* objectives — prices,
 allocations, and payments are computed from reports, while net costs evaluate
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import admm
-from ._checks import integer, nonnegative, vector
+from ._checks import choice, integer, nonnegative, vector
 from ._csv import write_csv
 from .errors import ConventionMismatch, DimensionMismatch, Infeasible, InfeasibleWithoutAgent, MaxIterReached
 from .graphs import random_connected_graph
@@ -50,7 +51,6 @@ from .problem import (
     CoupledProblem,
     ReportedProblem,
     _Market,
-    _total_gradient,
     centralized_solve,
     dual_residual,
     eval_cost,
@@ -118,29 +118,15 @@ def shadow_prices(problem, x: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, 
     ``centralized_solve`` (grad f = A' lam on free directions) and is tested
     in the sign given; a dual that fails raises ``ConventionMismatch``.
     """
-    p = resolve(problem, "reported")
+    return _prices(resolve(problem, "reported"), x, lam)
+
+
+def _prices(p: CoupledProblem, x: np.ndarray, lam: np.ndarray, alpha=None) -> tuple[np.ndarray, ...]:
+    """The price formula of ``shadow_prices`` on p (reported side) at x, its
+    dual tested by ``dual_residual``: by a solve's certificate ``alpha`` when
+    given, else by one NNLS."""
     x, lam = vector(x, "x", p.n_total), vector(lam, "lam", p.n_coupling)
-    return _prices(p, x, lam, *dual_residual(p, x, lam))
-
-
-def _solution_prices(p: CoupledProblem, sol: CentralSolution) -> tuple[np.ndarray, ...]:
-    """``shadow_prices`` of the solution ``sol`` of ``p`` (reported side),
-    its dual tested by the solve's own certificate instead of an NNLS: with
-    G the ``local_stacked()`` rows, grad f(x) - A' lam + G' alpha must meet
-    ``dual_residual``'s bound in the 2-norm, with alpha >= 0."""
-    x, lam = vector(sol.x, "x", p.n_total), vector(sol.lam, "lam", p.n_coupling)
-    alpha = vector(sol.alpha, "alpha", p.row_offsets[-1])
-    grad, bound = _total_gradient(p, x)
-    resid = grad - p.stacked_A().T @ lam
-    for i, poly in enumerate(p.local):
-        resid[p.block(i)] += poly.B.T @ alpha[p.rows(i)]
-    norm = float(np.linalg.norm(resid)) if alpha.min(initial=0.0) >= 0 else np.inf  # a negative multiplier certifies nothing
-    return _prices(p, x, lam, norm, bound, grad)
-
-
-def _prices(p: CoupledProblem, x: np.ndarray, lam: np.ndarray, resid: float, bound: float, grad_tot: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The price formula of ``shadow_prices`` at x, given the stationarity
-    residual of lam, its bound and the total gradient at x."""
+    resid, bound, grad_tot = dual_residual(p, x, lam, alpha)
     if resid > bound:
         raise ConventionMismatch(f"coupling dual fails stationarity in the sign given ({resid:.2e} > {bound:.2e}); reconcile it first")
     prices = []
@@ -175,7 +161,7 @@ def sp_outcome(problem, x: np.ndarray, prices, cost_basis: str = "true") -> Mech
 def sp_for_problem(problem, cost_basis: str = "true", solution: CentralSolution | None = None) -> MechanismOutcome:
     """Solve (reported), price, and settle in one step."""
     sol = solution or centralized_solve(problem, which="reported")
-    return sp_outcome(problem, sol.x, _solution_prices(resolve(problem, "reported"), sol), cost_basis=cost_basis)
+    return sp_outcome(problem, sol.x, _prices(resolve(problem, "reported"), sol.x, sol.lam, sol.alpha), cost_basis=cost_basis)
 
 
 def sp_equilibrium_check(problem, x: np.ndarray, prices) -> np.ndarray:
@@ -236,7 +222,12 @@ def vcg_payments(problem, cost_basis: str = "true", distributed=None) -> Mechani
 def settle(problem, mechanisms=("sp", "vcg"), cost_basis: str = "true") -> list[MechanismOutcome]:
     """The selected ``mechanisms`` ("sp", "vcg"), shadow pricing first, on one
     market: one solve of the reported market prices both, and VCG's drop-one
-    solves restrict its QP and start from that optimum's tight rows."""
+    solves restrict its QP and start from that optimum's tight rows. An
+    unknown mechanism or cost basis raises ``DimensionMismatch`` before any
+    solve."""
+    for name in mechanisms:
+        choice(name, "mechanism", ("sp", "vcg"))
+    choice(cost_basis, "cost_basis", ("true", "reported"))
     market = _Market(resolve(problem, "reported"))
     full = market.solve()
     outcomes = []

@@ -20,12 +20,15 @@ the algorithmic split had charged the agent that left.
 One layout table places each agent: ``block(i)`` is its slice of x,
 ``rows(i)`` its slice of the ``local_stacked()`` rows, ``owner`` the agent of
 each column, and ``tight_rows(x)`` marks the rows tight at x by one rule. A
-coupling dual has the one sign of ``centralized_solve``; ``dual_residual``
-tests it as given. A settlement reads the solve's own certificate
-(``mechanisms``); NNLS (``stationarity_residual``, a free multiplier entering
-as columns a, -a) remains only where no inequality multipliers are at hand:
-in ``shadow_prices`` and ``reconcile_dual``, through ``dual_residual``, and
-in the best-response check.
+coupling dual has the one sign of ``centralized_solve``, and
+``dual_residual`` is the one test of it, in the sign given. A settlement
+passes the solve's own certificate, its inequality multipliers, and the test
+is a product (``mechanisms.sp_for_problem``); NNLS (``stationarity_residual``,
+a free multiplier entering as columns a, -a) remains only where no such
+multipliers are at hand: in ``shadow_prices`` and ``reconcile_dual``, through
+``dual_residual``, and in the best-response check. A local set admits a
+point by ``LocalPolyhedron.contains`` alone; a symmetric matrix and a named
+choice pass by the rules of ``_checks``.
 
 A problem holds only its objectives' factors: a total value or gradient adds
 the objectives' own, and only the market QP forms the dense n x n total
@@ -45,7 +48,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._checks import finite, index, vector
+from ._checks import choice, finite, index, symmetric, vector
 from .errors import (
     ConventionMismatch,
     DimensionMismatch,
@@ -141,7 +144,9 @@ class LocalPolyhedron:
         return self.B.shape[0]
 
     def contains(self, x_i: np.ndarray) -> bool:
-        return bool((self.B @ x_i - self.m).max(initial=-np.inf) <= 1e-9)
+        """Whether each row of B x_i <= m holds to 1e-9 max(1, |m_r|) of its own
+        bound: a large bound on one row hides no violation on another."""
+        return bool(np.all(self.B @ x_i - self.m <= 1e-9 * np.maximum(1.0, np.abs(self.m))))
 
 
 @dataclass(frozen=True)
@@ -197,9 +202,7 @@ class CoupledProblem:
         return np.hstack(self.A) if self.A else np.zeros((self.n_coupling, 0))
 
     def _objectives(self, which: str) -> tuple[QuadObjective, ...]:
-        if which not in ("actual", "algorithmic"):
-            raise ValueError(f"which must be 'actual' or 'algorithmic', got {which!r}")
-        return self.actual if which == "actual" else self.algorithmic
+        return self.actual if choice(which, "which", ("actual", "algorithmic")) == "actual" else self.algorithmic
 
     def total_quadratic(self, which: str = "actual") -> tuple[np.ndarray, np.ndarray]:
         """(sigma, psi) of the ``which`` decomposition's total objective,
@@ -261,11 +264,7 @@ class ReportedProblem:
         return cls(true=problem, reported=problem)
 
     def pick(self, which: str) -> CoupledProblem:
-        if which == "true":
-            return self.true
-        if which == "reported":
-            return self.reported
-        raise ValueError(f"which must be 'true' or 'reported', got {which!r}")
+        return self.true if choice(which, "which", ("true", "reported")) == "true" else self.reported
 
 
 def resolve(problem, which: str) -> CoupledProblem:
@@ -277,17 +276,6 @@ def resolve(problem, which: str) -> CoupledProblem:
 def _linear_total(objectives, n: int) -> np.ndarray:
     """The summed linear terms, from a zero start (a market without agents has (0,))."""
     return sum((o.psi for o in objectives), np.zeros(n))
-
-
-def _check_symmetric(sigma: np.ndarray, label: str) -> np.ndarray:
-    sigma = np.asarray(sigma, float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise DimensionMismatch(f"{label} is not square: {sigma.shape}")
-    with np.errstate(invalid="ignore"):  # a NaN or infinite entry makes the asymmetry NaN or inf
-        asym = finite(float(np.max(np.abs(sigma - sigma.T))) if sigma.size else 0.0, label)
-    if asym > 1e-9 * max(1.0, float(np.max(np.abs(sigma))) if sigma.size else 1.0):
-        raise DimensionMismatch(f"{label} is not symmetric (asymmetry {asym:.2e})")
-    return (sigma + sigma.T) / 2.0
 
 
 def assemble_problem(agents, A, d, actual=None) -> CoupledProblem:
@@ -313,9 +301,9 @@ def assemble_problem(agents, A, d, actual=None) -> CoupledProblem:
 
     def objective(sigma, psi, label: str) -> QuadObjective:
         if isinstance(sigma, tuple):
-            F, D = finite(np.asarray(sigma[0], float), f"F{label}"), _check_symmetric(sigma[1], f"D{label}")
+            F, D = finite(np.asarray(sigma[0], float), f"F{label}"), symmetric(sigma[1], f"D{label}")
         else:
-            D = _check_symmetric(sigma, f"sigma{label}")
+            D = symmetric(sigma, f"sigma{label}")
             F = np.eye(D.shape[0])
         obj = QuadObjective(F=F, D=D, psi=vector(psi, f"psi{label}"))
         if F.shape != (D.shape[0], n) or obj.psi.shape != (n,):
@@ -546,16 +534,25 @@ def stationarity_residual(grad: np.ndarray, cols: np.ndarray) -> float:
     return float(resid)
 
 
-def dual_residual(problem, x: np.ndarray, lam: np.ndarray) -> tuple[float, float, np.ndarray]:
+def dual_residual(problem, x: np.ndarray, lam: np.ndarray, alpha=None) -> tuple[float, float, np.ndarray]:
     """(residual, bound, g) of the coupling dual lam in the sign given, on the
-    reported side at x: g = grad f(x) must be A' lam - B_tight' alpha with
+    reported side at x: g = grad f(x) must be A' lam - G' alpha with
     alpha >= 0 (the convention of ``centralized_solve``), and lam passes when
-    the residual is at most the bound 1e-5 max(1, |g|)."""
+    the residual is at most the bound 1e-5 max(1, |g|). Given a solve's
+    certificate ``alpha``, one multiplier per ``local_stacked()`` row G, the
+    residual is |g - A' lam + G' alpha|_2 (inf when an alpha is negative: it
+    certifies nothing); else it is the least over alpha >= 0 on the rows
+    tight at x, by one NNLS (``stationarity_residual``)."""
     p = resolve(problem, "reported")
     x, lam = vector(x, "x", p.n_total), vector(lam, "lam", p.n_coupling)
     grad, bound = _total_gradient(p, x)
-    tight = p.local_stacked()[0][p.tight_rows(x)].T
-    return stationarity_residual(grad - p.stacked_A().T @ lam, tight), bound, grad
+    resid = grad - p.stacked_A().T @ lam
+    if alpha is None:
+        return stationarity_residual(resid, p.local_stacked()[0][p.tight_rows(x)].T), bound, grad
+    alpha = vector(alpha, "alpha", p.row_offsets[-1])
+    for i, poly in enumerate(p.local):
+        resid[p.block(i)] += poly.B.T @ alpha[p.rows(i)]
+    return (float(np.linalg.norm(resid)) if alpha.min(initial=0.0) >= 0 else np.inf), bound, grad
 
 
 def _total_gradient(p: CoupledProblem, x: np.ndarray) -> tuple[np.ndarray, float]:

@@ -74,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from ._checks import finite, index, integer, positive, vector
+from ._checks import finite, index, integer, positive, symmetric, vector
 from .errors import DimensionMismatch, Infeasible, NonPsdHessian
 
 __all__ = ["QpSolution", "solve_qp", "RepeatedQp", "WarmBatch"]
@@ -146,9 +146,7 @@ def _empty(n: int) -> np.ndarray:
 
 
 def _normalize(P, E, h, G, u) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise DimensionMismatch(f"P is not square: {P.shape}")
+    P = symmetric(P, "P")
     n = P.shape[0]
     E = _empty(n) if E is None else np.atleast_2d(np.asarray(E, dtype=float))
     h = np.zeros(0) if h is None else np.asarray(h, dtype=float).ravel()
@@ -158,12 +156,9 @@ def _normalize(P, E, h, G, u) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
         raise DimensionMismatch(f"E shape {E.shape} vs h length {h.shape[0]}, n={n}")
     if G.shape != (u.shape[0], n):
         raise DimensionMismatch(f"G shape {G.shape} vs u length {u.shape[0]}, n={n}")
-    for name, a in (("P", P), ("E", E), ("h", h), ("G", G), ("u", u)):
+    for name, a in (("E", E), ("h", h), ("G", G), ("u", u)):
         finite(a, name)
-    asym = float(np.max(np.abs(P - P.T))) if n else 0.0
-    if asym > 1e-10 * max(1.0, float(np.max(np.abs(P))) if n else 1.0):
-        raise DimensionMismatch(f"P is not symmetric (asymmetry {asym:.3e})")
-    return (P + P.T) / 2.0, E, h, G, u
+    return P, E, h, G, u
 
 
 def _check_psd(P: np.ndarray) -> bool:

@@ -2,17 +2,18 @@
 takes an agent, a set of rows or a vector from its caller: a bool or a
 fractional index, a vector of the wrong length and a non-finite entry are
 ``DimensionMismatch``; an agent out of range is ``UnknownAgent``. Each check
-runs before any solve."""
+runs before any solve. The symmetric-matrix rule holds alike at both entry
+points of a Hessian, and a local set admits a start by one rule."""
 
 import numpy as np
 import pytest
 
 from disqo import problem as problem_module
 from disqo.admm import SolverParams, init_state
-from disqo.errors import DimensionMismatch, UnknownAgent
-from disqo.graphs import random_connected_graph
+from disqo.errors import DimensionMismatch, InfeasibleInitialPoint, UnknownAgent
+from disqo.graphs import build_graph, random_connected_graph
 from disqo.mechanisms import misreport_sweep, shadow_prices, sp_equilibrium_check, sp_outcome, vcg_ic_check
-from disqo.problem import ReportedProblem, centralized_solve, dual_residual, eval_cost, exclude_agent, reconcile_dual
+from disqo.problem import ReportedProblem, assemble_problem, centralized_solve, dual_residual, eval_cost, exclude_agent, reconcile_dual
 from disqo.qp import RepeatedQp
 from disqo.star import StarInstance, star_misreport
 from disqo.transport import random_instance
@@ -229,3 +230,41 @@ def test_numpy_integers_and_lists_are_accepted_with_the_same_bits(market):
     for guess in ((0, 1), [np.int64(0), 1], np.array([0, 1]), frozenset({0, 1}), ()):
         assert qp.solve([1.0, 1.0], active=guess).x.tobytes() == qp.solve(np.ones(2)).x.tobytes()
     assert star_misreport(StarInstance([2.0, 3.0, 4.0], 1.0, 5.0), np.int64(0), -0.1).active == (0, 1, 2)
+
+
+def _hessian_entry(entry: str, M: np.ndarray) -> np.ndarray:
+    """M passed in as a QP's P or as a problem's D, and the matrix kept."""
+    if entry == "qp P":
+        return RepeatedQp(M).P
+    return assemble_problem([((np.eye(2), M), np.zeros(2), None, None)], [np.ones((1, 2))], [1.0]).algorithmic[0].D
+
+
+@pytest.mark.parametrize("entry", ["qp P", "problem D"])
+def test_a_symmetric_matrix_passes_by_one_rule_at_every_entry(entry):
+    # Asymmetry is measured against max(1, max |M|) = 4: 5e-10 of it fails
+    # and 5e-11 passes, as a QP's P and as an objective's D alike.
+    for relative, passes in ((5e-10, False), (5e-11, True)):
+        M = np.array([[4.0, 1.0], [1.0, 4.0]])
+        M[0, 1] += relative * 4.0
+        if not passes:
+            with pytest.raises(DimensionMismatch, match="not symmetric"):
+                _hessian_entry(entry, M)
+            continue
+        kept = _hessian_entry(entry, M)
+        assert kept.tobytes() == ((M + M.T) / 2.0).tobytes() and np.array_equal(kept, kept.T)
+
+
+def test_a_local_set_and_a_start_agree_on_both_sides_of_the_bound():
+    # Agent 0's one row x <= 10 admits 1e-9 max(1, 10) above it, for
+    # ``contains`` and for a start alike.
+    p = assemble_problem([(np.eye(2), np.zeros(2), [[1.0]], [10.0]), (np.eye(2), np.zeros(2), None, None)], [[[1.0]], [[1.0]]], [1.0])
+    poly = p.local[0]
+    for above, inside in ((5e-9, True), (2e-8, False)):
+        y0 = np.zeros((2, 2))
+        y0[0, 0] = 10.0 + above
+        assert poly.contains(y0[0, :1]) is inside
+        if inside:
+            init_state(p, build_graph(2, [(0, 1)]), SolverParams(), y0=y0)
+        else:
+            with pytest.raises(InfeasibleInitialPoint, match="violates the local rows by 2.00e-08"):
+                init_state(p, build_graph(2, [(0, 1)]), SolverParams(), y0=y0)

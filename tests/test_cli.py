@@ -441,6 +441,12 @@ def run_python(*args):
     return proc.stdout
 
 
+@pytest.mark.parametrize("scale, message", [("0,2,3,2", "scale N must be an integer of at least 2"), ("4,0,3,2", "scale M must be an integer of at least 1")])
+def test_gen_scale_ranges_are_the_generators_rule(tmp_path, capsys, scale, message):
+    assert main(["gen", "--scale", scale, "--seed", "0", "--out", str(tmp_path / "z.json")]) == 1
+    assert message in capsys.readouterr().err and not (tmp_path / "z.json").exists()
+
+
 def test_gen_at_one_supplier_exits_one_instead_of_spinning(tmp_path):
     # Coverage needs two suppliers, and the draw once looked for a second
     # feeder forever; a regression fails here instead of hanging.

@@ -15,6 +15,7 @@ from disqo.mechanisms import (
     misreport_portfolio,
     misreport_sweep,
     payments_csv,
+    settle,
     shadow_prices,
     sp_equilibrium_check,
     sp_for_problem,
@@ -23,6 +24,7 @@ from disqo.mechanisms import (
     vcg_payments,
 )
 from disqo.problem import ReportedProblem, assemble_problem, centralized_solve, dual_residual, reconcile_dual
+from disqo.qp import RepeatedQp
 from disqo.star import StarInstance, random_star, star_misreport, star_prices_utilities, to_transport
 from disqo.transport import build_instance, random_instance, star_network
 
@@ -129,6 +131,40 @@ def test_sp_rejects_a_solution_whose_alpha_does_not_certify_its_lam():
     for alpha in (np.zeros_like(sol.alpha), 2.0 * sol.alpha):
         with pytest.raises(ConventionMismatch):
             sp_for_problem(inst.problem, solution=dataclasses.replace(sol, alpha=alpha))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_settlement_tests_its_dual_by_dual_residual_with_the_certificate(seed):
+    # With alpha, the one dual test is |g - A' lam + G' alpha|_2, block by
+    # block over the local rows, to the bit; a negative alpha certifies nothing.
+    p = random_instance((4, 2, 3, 2), seed=seed).problem
+    sol = centralized_solve(p)
+    resid = sum((o.gradient(sol.x) for o in p.actual), np.zeros(p.n_total)) - p.stacked_A().T @ sol.lam
+    for i, poly in enumerate(p.local):
+        resid[p.block(i)] += poly.B.T @ sol.alpha[p.rows(i)]
+    certified, bound, _ = dual_residual(p, sol.x, sol.lam, sol.alpha)
+    assert certified == float(np.linalg.norm(resid)) and certified <= bound
+    alpha = sol.alpha.copy()
+    alpha[0] = -1e-12
+    assert dual_residual(p, sol.x, sol.lam, alpha)[0] == np.inf
+    with pytest.raises(ConventionMismatch):
+        sp_for_problem(p, solution=dataclasses.replace(sol, alpha=alpha))
+    with pytest.raises(DimensionMismatch, match="alpha has length"):
+        dual_residual(p, sol.x, sol.lam, sol.alpha[:-1])
+
+
+@pytest.mark.parametrize("mechanisms, cost_basis", [(("SP",), "true"), (("sp", "foo"), "true"), (("sp",), "Reported")])
+def test_settle_rejects_an_unknown_name_before_any_solve(monkeypatch, mechanisms, cost_basis):
+    # Once an upper-case name settled nothing and an unknown one was dropped,
+    # each after the market was solved.
+    solves = []
+    solve = RepeatedQp.solve
+    monkeypatch.setattr(RepeatedQp, "solve", lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    p = ex3_instance().problem
+    with pytest.raises(DimensionMismatch, match="must be 'sp' or 'vcg'|must be 'true' or 'reported'"):
+        settle(p, mechanisms, cost_basis)
+    assert solves == []
+    assert settle(p, ()) == [] and len(solves) == 1  # an empty selection still solves the market
 
 
 def test_agentless_market_is_priced_empty():

@@ -20,6 +20,7 @@ from disqo.graphs import random_connected_graph
 from disqo.mechanisms import sp_for_problem
 from disqo.problem import (
     CoupledProblem,
+    LocalPolyhedron,
     QuadObjective,
     ReportedProblem,
     assemble_problem,
@@ -182,18 +183,18 @@ def test_decompositions_sum_to_total():
 def test_total_rejects_unknown_decomposition(which):
     # "true"/"reported" name the sides of a ReportedProblem, not decompositions.
     p = three_supplier_problem()
-    with pytest.raises(ValueError, match="'actual' or 'algorithmic'"):
+    with pytest.raises(DimensionMismatch, match="'actual' or 'algorithmic'"):
         p.total_value(X_STAR, which)
-    with pytest.raises(ValueError, match="'actual' or 'algorithmic'"):
+    with pytest.raises(DimensionMismatch, match="'actual' or 'algorithmic'"):
         p.total_quadratic(which)
 
 
 def test_plain_problem_rejects_an_unknown_side():
     # A plain problem is both sides of a truthful report, and only those.
     p = three_supplier_problem()
-    with pytest.raises(ValueError, match="'true' or 'reported'"):
+    with pytest.raises(DimensionMismatch, match="'true' or 'reported'"):
         eval_cost(p, 0, X_STAR, which="nonsense")
-    with pytest.raises(ValueError, match="'true' or 'reported'"):
+    with pytest.raises(DimensionMismatch, match="'true' or 'reported'"):
         centralized_solve(p, which="actual")
     assert eval_cost(p, 0, X_STAR, which="reported") == eval_cost(p, 0, X_STAR, which="true")
 
@@ -242,6 +243,15 @@ def test_empty_local_set_detected():
     agents = [(np.array([[2.0]]), np.zeros(1), np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))]
     with pytest.raises(EmptyLocalSet):
         assemble_problem(agents, [np.ones((1, 1))], [0.0])
+
+
+def test_a_large_bound_hides_no_violation_on_another_row():
+    # x1 <= -1e-4 and x1 >= 0 leave the set empty; the 1e12 bound on x2 widens
+    # only its own row's tolerance, so the origin is not taken as a member.
+    B, m = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.array([-1e-4, 0.0, 1e12])
+    assert not LocalPolyhedron(B, m).contains(np.zeros(2))
+    with pytest.raises(EmptyLocalSet):
+        assemble_problem([(np.eye(2), np.zeros(2), B, m)], [np.ones((1, 2))], [0.0])
 
 
 def test_coupling_map_supported_on_own_block():
