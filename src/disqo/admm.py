@@ -28,9 +28,8 @@ the full dimension to the block dimension while producing the same iterates.
 The state is stacked by agent: Y and V are (N, n), eta and lam (N, n0), and
 the zero-padded couplings A~_i form one (N, n0, n) array. Every step of a
 round is one array expression over these: the mixing is W @ (eta, lam), the
-subproblems' linear terms q_i one expression for all agents, the eta update
-an A~ contraction of the copies' change, and the anchor update an adjacency
-product.
+subproblems' linear terms q_i one expression for all agents, and the anchor
+update an adjacency product.
 
 The subproblems themselves are batched too, in both modes. A round computes
 every agent's linear term q_i and hands them to one ``qp.WarmBatch``. The
@@ -48,14 +47,18 @@ repairing QP solve (``WarmBatch.solve_one``), so every returned point is
 KKT-certified: a repair that ends uncertified raises ``MaxIterReached``.
 ``SolverState`` and ``SolveResult.stats`` count both kinds.
 
-A round does each piece of work once. The identity checks reduce the new
-arrays to the coupling gap sum_i A~_i y_i - d and the means of eta and lam;
-``iterate`` returns these, and ``solve`` builds each round's trace row from
-them. ``metrics`` reduces the arrays as they stand, so its row describes the
-state even after an edit between rounds. Each reduction keeps the float
-operations of its textbook form (a mean is a sum over agents divided by N),
-so iterates and trace are bitwise the textbook ones. ``SolveResult.stats``
-also holds the seconds spent per phase.
+A round does each piece of work once, in five batched subproblem and
+coupling products in plain mode: each copy's coupling A~_i y_i, the linear
+terms' A~_i' contraction, the batch's candidates and its one KKT product, and
+the new copies' couplings A~_i y_i', which give the eta update
+gamma_i + (A~_i y_i' - A~_i y_i) and the coupling gap sum_i A~_i y_i' - d.
+Accelerated mode adds the stacked lift [R_i; Kq_i] q_i and Kw_i w_i. Nothing
+is carried across rounds. ``iterate`` returns the checks' reductions, and
+``solve`` builds each round's trace row from them; ``metrics`` reduces the
+arrays as they stand by the same float operations (a mean is a sum over
+agents divided by N), so each trace row is bitwise ``metrics`` of its state,
+and the iterates agree with per-agent solves to 1e-12. ``SolveResult.stats``
+also holds the seconds per phase.
 """
 
 from __future__ import annotations
@@ -177,11 +180,11 @@ class SolverState:
     phase_s: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     # One subproblem QP per agent, batched by one WarmBatch in both modes: over
     # the full copy in plain mode, over the own block in accelerated mode.
-    # There the agents' Schur lifts (R, Kw, Kq, see _schur_lift) are kept
-    # once, stacked and zero-padded to the largest block: the round applies
-    # the lifts to all agents, and the repair path applies agent i's slice.
+    # There the agents' Schur lifts (see _schur_lift) are kept once, as
+    # ([R; Kq], Kw) zero-padded to the largest block b, so one product gives
+    # R q and Kq q: the round lifts all agents, and a repair agent i's slice.
     _batch: WarmBatch | None = field(default=None, repr=False)
-    _lift: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _lift: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     # Per-agent columns of the anchor update, fixed by the graph: deg_i and
     # 1/2, and 1 and 0 for an agent without neighbours, whose anchor then
     # stays put.
@@ -194,7 +197,7 @@ class SolverState:
 
     def coupling_values(self) -> np.ndarray:
         """sum_i A~_i y_i over the agents' own copies."""
-        return np.einsum("ikn,in->k", self.A_pad, self.Y)
+        return np.add.reduce(_own_couplings(self, self.Y), 0)
 
     def own_block_x(self) -> np.ndarray:
         """Each agent's own block, taken from its own copy."""
@@ -269,14 +272,14 @@ def _build_subproblems(state: SolverState) -> None:
     accelerated = state.params.mode == "accelerated"
     if accelerated:
         N, n, b = p.n_agents, p.n_total, max(p.dims)
-        state._lift = R, Kw, Kq = np.zeros((N, b, n)), np.zeros((N, n, b)), np.zeros((N, n, n))
+        state._lift = RKq, Kw = np.zeros((N, b + n, n)), np.zeros((N, n, b))
     G_full, _ = p.local_stacked()
     qps = []
     for i, poly in enumerate(p.local):
         blk, b_i = p.block(i), p.dims[i]
         P = _subproblem_hessian(state, i)
         if accelerated:
-            P, R[i, :b_i], Kw[i, :, :b_i], Kq[i] = _schur_lift(P, blk)
+            P, RKq[i, :b_i], Kw[i, :, :b_i], RKq[i, b:] = _schur_lift(P, blk)
         G = poly.B if accelerated else G_full[p.rows(i)]
         qps.append(RepeatedQp(P, G=G, u=poly.m, tol=_SUBPROBLEM_TOL))
     state._batch = WarmBatch(qps)
@@ -314,12 +317,17 @@ def communication_round_tracking(eta: np.ndarray, lam: np.ndarray, W: np.ndarray
     return W @ eta, W @ lam
 
 
-def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray) -> np.ndarray:
+def _own_couplings(state: SolverState, Y: np.ndarray) -> np.ndarray:
+    """A~_i y_i for every agent, one row each, of the copies Y: one product."""
+    return (state.A_pad @ Y[..., None])[..., 0]
+
+
+def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Every agent's subproblem linear term q_i, one row each, from their
-    mixed tracking and dual estimates (rows of Gamma and L)."""
+    mixed tracking and dual estimates (rows of Gamma and L) and their own
+    couplings A~_i y_i (rows of ``own``)."""
     params = state.params
-    own_coupling = (state.A_pad @ state.Y[..., None])[..., 0]
-    mixed = L + params.sigma * (Gamma - own_coupling)
+    mixed = L + params.sigma * (Gamma - own)
     anchor = params.rho * state.degrees[:, None] * state.V
     return state.psi - anchor + (mixed[:, None] @ state.A_pad)[:, 0]
 
@@ -334,8 +342,8 @@ def _solve_agent(state: SolverState, i: int, q: np.ndarray) -> np.ndarray:
         raise MaxIterReached(f"agent {i}'s subproblem in round {state.k + 1} ended {sol.status}, without a certified point")
     if lift is None:
         return sol.x
-    _, Kw, Kq = lift
-    return Kw[i, :, :b_i] @ sol.x + Kq[i] @ q
+    RKq, Kw = lift
+    return Kw[i, :, :b_i] @ sol.x + RKq[i, Kw.shape[2] :] @ q
 
 
 def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:
@@ -349,20 +357,21 @@ def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def _reductions(state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reductions(state: SolverState, own: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sum_i A~_i y_i - d, mean eta, mean lam) of the state's arrays, each
     mean a sum over agents divided by N: what the identity checks compare and
-    metrics reports."""
+    metrics reports. ``own`` holds the rows A~_i y_i when the caller has them."""
     N = state.n_agents
-    return state.coupling_values() - state.problem.d, np.add.reduce(state.H, 0) / N, np.add.reduce(state.Lam, 0) / N
+    own = _own_couplings(state, state.Y) if own is None else own
+    return np.add.reduce(own, 0) - state.problem.d, np.add.reduce(state.H, 0) / N, np.add.reduce(state.Lam, 0) / N
 
 
-def _check_identities(state: SolverState, lam_old_mean: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_identities(state: SolverState, own: np.ndarray | None = None, lam_old_mean: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tracking identity N*mean(eta) = sum_i A~_i y_i - d and, given the
     mean dual before the round, the mean-dual recursion, each at 1e-10 scaled
     by the size of its terms (read only past 1e-10). Returns the reductions
-    it compared (``_reductions``)."""
-    reduced = gap, H_mean, lam_mean = _reductions(state)
+    it compared (``_reductions``, of ``own`` when given)."""
+    reduced = gap, H_mean, lam_mean = _reductions(state, own)
     res = float(_max(np.abs(state.n_agents * H_mean - gap), initial=0.0))
     if res > _IDENTITY_TOL:  # the bound is 1e-10 max(1, |A~||Y|, |d|); read the scale only past 1e-10
         scale = max(np.abs(state.A_pad).max(initial=0.0) * np.abs(state.Y).max(initial=0.0), np.abs(state.problem.d).max())
@@ -383,14 +392,17 @@ def iterate(state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     clock = time.perf_counter
     t0 = clock()
     gamma_all, l_all = communication_round_tracking(state.H, state.Lam, state.W)
-    Q = _linear_terms(state, gamma_all, l_all)
+    own = _own_couplings(state, state.Y)
+    Q = _linear_terms(state, gamma_all, l_all, own)
     t1 = clock()
     if state._lift is None:
         Y_new, certified = state._batch.solve(Q)
     else:
-        R, Kw, Kq = state._lift
-        W, certified = state._batch.solve((R @ Q[..., None])[..., 0])
-        Y_new = (Kw @ W[..., None] + Kq @ Q[..., None])[..., 0]
+        RKq, Kw = state._lift
+        b = Kw.shape[2]
+        lifted = (RKq @ Q[..., None])[..., 0]  # [R q; Kq q]
+        W, certified = state._batch.solve(lifted[:, :b])
+        Y_new = (Kw @ W[..., None])[..., 0] + lifted[:, b:]
     t2 = clock()
     repair = np.flatnonzero(~certified)
     for i in repair:
@@ -398,7 +410,7 @@ def iterate(state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     state.repairs += len(repair)
     state.warm_hits += state.n_agents - len(repair)
     t3 = clock()
-    reduced = _finish_round(state, gamma_all, l_all, Y_new)
+    reduced = _finish_round(state, gamma_all, l_all, Y_new, own)
     spent = state.phase_s
     spent["mix_s"] += t1 - t0
     spent["batch_s"] += t2 - t1
@@ -407,11 +419,13 @@ def iterate(state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return reduced
 
 
-def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, Y_new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The round after the subproblems: recursion updates, the second exchange
-    and the identity checks, whose reductions it returns."""
+def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, Y_new: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The round after the subproblems from the old copies' couplings ``own``:
+    recursion updates, the second exchange and the identity checks, whose
+    reductions it returns."""
     Y = state.Y
-    H_new = gamma_all + np.einsum("ikn,in->ik", state.A_pad, Y_new - Y)
+    own_new = _own_couplings(state, Y_new)
+    H_new = gamma_all + (own_new - own)
     lam_old_mean = np.add.reduce(state.Lam, 0) / state.n_agents
     Lam_new = l_all + state.params.sigma * H_new
     # v_i += mean over neighbours of (y_j(new) - y_j/2) - y_i/2; an agent
@@ -421,7 +435,7 @@ def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, 
     state.Y_prev = Y
     state.Y, state.H, state.Lam, state.V = Y_new, H_new, Lam_new, V_new
     state.k += 1
-    return _check_identities(state, lam_old_mean)
+    return _check_identities(state, own_new, lam_old_mean)
 
 
 def metrics(state: SolverState, reference_value: float | None = None) -> dict:

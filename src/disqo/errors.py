@@ -39,6 +39,10 @@ class Infeasible(DisqoError):
     """The optimization problem has no feasible point."""
 
 
+class Unbounded(DisqoError):
+    """The objective is unbounded below on the feasible set."""
+
+
 class MaxIterReached(DisqoError):
     """An iterative method hit its iteration budget before converging."""
 

@@ -59,6 +59,9 @@ own step on the columns of the identity, and ``_step_verdict``, the rule a
 polish step is accepted by, judges a whole batch of candidates at once.
 ``WarmBatch`` uses both to take the first polish steps of many QPs as one
 batch, each from its own guess; the batch owns those guesses (see ``admm``).
+It keeps each QP's stacked KKT matrix ``M = [[P, G'], [G, 0]]`` (the form of
+OSQP's polish), so that one batched product ``M [x; alpha]`` gives the two
+products the rule reads, ``P x + G'alpha`` and ``G x``.
 
 Dual convention: a solution satisfies ``Px + q + E'lam + G'alpha = 0`` with
 ``alpha >= 0``. Callers that need the opposite sign on the equality dual flip
@@ -75,7 +78,7 @@ import numpy as np
 import scipy.linalg
 
 from ._checks import finite, index, integer, positive, symmetric, vector
-from .errors import DimensionMismatch, Infeasible, NonPsdHessian
+from .errors import DimensionMismatch, Infeasible, NonPsdHessian, Unbounded
 
 __all__ = ["QpSolution", "solve_qp", "RepeatedQp", "WarmBatch"]
 
@@ -183,15 +186,15 @@ def _vm(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return v @ M if M.ndim == 2 else (v[..., None, :] @ M)[..., 0, :]
 
 
-def _kkt_residuals(P, q, E, h, G, u, x, lam, alpha, Gx) -> dict[str, np.ndarray]:
-    """Maxima of the KKT residuals of (x, lam, alpha), given ``Gx = G x``: one
-    value, or one per candidate when the arguments carry a leading axis of
-    candidates (and the matrices one of problems); see ``_step_verdict``."""
-    viol = Gx - u
-    stat = _mv(P, x) + q + _vm(alpha, G)
+def _kkt_residuals(E, h, x, lam, alpha, viol, stat) -> dict[str, np.ndarray]:
+    """Maxima of the KKT residuals of (x, lam, alpha), given the row
+    violations ``viol = G x - u`` and the stationarity ``stat = P x + q +
+    G'alpha`` before its equality term: one value, or one per candidate when
+    the arguments carry a leading axis of candidates (and ``E`` one of
+    problems); see ``_step_verdict``."""
     eq = 0.0
     if E.shape[-2]:
-        stat += _vm(lam, E)
+        stat = stat + _vm(lam, E)
         eq = np.abs(_mv(E, x) - h).max(-1)
     return {
         "stationarity": _max(np.abs(stat), -1, initial=0.0),
@@ -203,21 +206,22 @@ def _kkt_residuals(P, q, E, h, G, u, x, lam, alpha, Gx) -> dict[str, np.ndarray]
 
 
 def _residuals_pass(res: dict[str, np.ndarray], tol: float) -> np.ndarray:
-    return (
-        (res["stationarity"] <= tol)
-        & (res["eq_feasibility"] <= tol)
-        & (res["ineq_feasibility"] <= tol)
-        & (res["dual_nonneg"] <= tol)
-        & (res["comp_slack"] <= tol)
-    )
+    """Every residual at most ``tol``: as they are nonnegative, their
+    maximum is (a NaN residual fails)."""
+    worst, *rest = res.values()
+    for value in rest:
+        worst = np.maximum(worst, value)
+    return worst <= tol
 
 
-def _step_verdict(P, q, E, h, G, u, x, lam, alpha, act: np.ndarray, tol: float):
+def _step_verdict(P, q, E, h, G, u, x, lam, alpha, act: np.ndarray, tol: float, kkt=None):
     """The acceptance rule of one polish step on its candidate (x, lam, alpha).
 
     ``act`` masks the candidate's active rows, and ``alpha`` is zero off them.
     The candidate arguments may carry a leading axis of candidates and the
-    problem matrices one of problems, so one call judges a whole batch.
+    problem matrices one of problems, so one call judges a whole batch. It
+    reads ``P x + G'alpha`` (at the clamped alpha) and ``G x``: as ``kkt``
+    when the caller formed them in one product, else from P and G.
     Returns (ok, drop, add, alpha, res, tight):
 
     - ``drop``: an active row's multiplier is below ``-drop_tol``;
@@ -228,19 +232,19 @@ def _step_verdict(P, q, E, h, G, u, x, lam, alpha, act: np.ndarray, tol: float):
       rows with a positive multiplier or a zero slack.
 
     A single candidate that must drop or add a row gets ``None`` for
-    ``res`` and ``tight``: a repair step does not need them.
+    ``res`` and ``tight``, with no ``P x``: a repair step does not need them.
     """
     drop_tol = max(tol, 1e-11)
-    Gx = _mv(G, x)
-    slack = u - Gx
+    viol = (_mv(G, x) if kkt is None else kkt[1]) - u  # minus the slack
     drop = _min(alpha, -1, initial=0.0) < -drop_tol  # alpha is zero off the active rows
-    add = _min(np.where(act, np.inf, slack), -1, initial=np.inf) < -drop_tol
+    add = _max(np.where(act, -np.inf, viol), -1, initial=-np.inf) > drop_tol
     alpha = np.maximum(alpha, 0.0)
     if drop.ndim == 0 and (drop or add):
         return False, drop, add, alpha, None, None
-    res = _kkt_residuals(P, q, E, h, G, u, x, lam, alpha, Gx)
-    ok = ~drop & ~add & _residuals_pass(res, tol)
-    tight = act & ((alpha > 0) | (slack <= tol))
+    stat = _mv(P, x) + q + _vm(alpha, G) if kkt is None else kkt[0] + q
+    res = _kkt_residuals(E, h, x, lam, alpha, viol, stat)
+    ok = _residuals_pass(res, tol) & ~(drop | add)
+    tight = act & ((alpha > 0) | (viol >= -tol))
     return ok, drop, add, alpha, res, tight
 
 
@@ -320,13 +324,13 @@ class RepeatedQp:
             if polished is not None:
                 return polished
         if self.me + self.mi == 0:  # no solution of P x = -q passed the check
-            raise Infeasible("objective is unbounded below (no constraints, gradient not in range of P)")
+            raise Unbounded("objective is unbounded below (no constraints, gradient not in range of P)")
         return self._admm(q)
 
     def _solve_empty(self) -> QpSolution:
         """No variables: the empty point is optimal when it is feasible (h = 0, u >= 0)."""
         x, lam, alpha = np.zeros(0), np.zeros(self.me), np.zeros(self.mi)
-        res = _kkt_residuals(self.P, x, self.E, self.h, self.G, self.u, x, lam, alpha, self.G @ x)
+        res = _kkt_residuals(self.E, self.h, x, lam, alpha, self.G @ x - self.u, np.zeros(0))
         if not _residuals_pass(res, self.tol):
             raise Infeasible("a QP without variables needs h = 0 and u >= 0")
         return QpSolution(x=x, lam=lam, alpha=alpha, status="optimal", iterations=0, active=(), residuals=res)
@@ -500,7 +504,7 @@ class RepeatedQp:
         lam, alpha = y[:me], np.maximum(y[me:], 0.0)
         return QpSolution(
             x=x, lam=lam, alpha=alpha, status="max_iter", iterations=k, active=tuple(np.flatnonzero(alpha > act_tol).tolist()),
-            residuals=_kkt_residuals(self.P, q, self.E, h, self.G, self.u, x, lam, alpha, self.G @ x),
+            residuals=_kkt_residuals(self.E, h, x, lam, alpha, self.G @ x - self.u, self.P @ x + q + alpha @ self.G),
         )
 
     def _x_update(self, x: np.ndarray, z: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -538,13 +542,14 @@ class WarmBatch:
     """``RepeatedQp``s whose first polish steps are taken as one batch.
 
     The batch owns each QP's guess, ``guess[i]``: the tight set of the last
-    certified answer it gave for QP i (``None`` before the first), and the
-    step map (``RepeatedQp.step_map``) of that guess, padded to the largest
-    QP. ``solve`` then evaluates every candidate with one batched matmul and
-    judges them all at once by the rule a polish accepts its first step by,
-    at the smallest tolerance of the QPs; ``solve_one`` solves one QP on its
-    own from its guess. The batch judges inequality rows only, so QPs with
-    equality rows are rejected.
+    certified answer it gave for QP i (``None``, and ``has_guess[i]`` false,
+    before the first), and the step map (``RepeatedQp.step_map``) of that
+    guess; it keeps the KKT matrix ``M`` in place of P and G, all padded to
+    the largest QP. ``solve`` then evaluates every candidate with one batched
+    matmul and its products with one more, and judges them all at once by the
+    rule a polish accepts its first step by, at the smallest tolerance of the
+    QPs; ``solve_one`` solves one QP on its own from its guess. The batch
+    judges inequality rows only, so QPs with equality rows are rejected.
     """
 
     def __init__(self, qps: list[RepeatedQp]):
@@ -555,12 +560,15 @@ class WarmBatch:
         n, m = max(qp.n for qp in self.qps), max(qp.mi for qp in self.qps)
         self.n, self.tol = n, min(qp.tol for qp in self.qps)
         self.L, self.c = np.zeros((N, n + m, n)), np.zeros((N, n + m))  # [x; alpha] = L q + c
-        self.P, self.G, self.u = np.zeros((N, n, n)), np.zeros((N, m, n)), np.zeros((N, m))
+        self.M, self.u = np.zeros((N, n + m, n + m)), np.zeros((N, m))
+        self._floor = np.concatenate([np.full(n, -np.inf), np.zeros(m)])  # clamps the alpha of [x; alpha]
         self.act = np.zeros((N, m), dtype=bool)
         self.guess: list[frozenset[int] | None] = [None] * N  # set with its map by _set_guess
+        self.has_guess = np.zeros(N, dtype=bool)
         for i, qp in enumerate(self.qps):
-            self.P[i, : qp.n, : qp.n] = qp.P
-            self.G[i, : qp.mi, : qp.n] = qp.G
+            self.M[i, : qp.n, : qp.n] = qp.P
+            self.M[i, : qp.n, n : n + qp.mi] = qp.G.T
+            self.M[i, n : n + qp.mi, : qp.n] = qp.G
             self.u[i, : qp.mi] = qp.u
 
     def _set_guess(self, i: int, active: frozenset[int]) -> None:
@@ -570,6 +578,7 @@ class WarmBatch:
         qp, n = self.qps[i], self.n
         L, c = qp.step_map(active)
         self.guess[i] = active
+        self.has_guess[i] = True
         self.L[i, : qp.n, : qp.n], self.c[i, : qp.n] = L[: qp.n], c[: qp.n]
         self.L[i, n : n + qp.mi, : qp.n], self.c[i, n : n + qp.mi] = L[qp.n :], c[qp.n :]
         self.act[i] = False
@@ -586,8 +595,9 @@ class WarmBatch:
         n, N = self.n, len(self.qps)
         out = (self.L @ Q[..., None])[..., 0] + self.c
         X, alpha = out[:, :n], out[:, n:]
-        ok, _, _, _, _, tight = _step_verdict(self.P, Q, _empty(n), np.zeros(0), self.G, self.u, X, np.zeros((N, 0)), alpha, self.act, self.tol)
-        ok &= np.array([guess is not None for guess in self.guess])
+        kkt = (self.M @ np.maximum(out, self._floor)[..., None])[..., 0]  # [P x + G'alpha; G x]
+        ok, _, _, _, _, tight = _step_verdict(None, Q, _empty(n), np.zeros(0), None, self.u, X, np.zeros((N, 0)), alpha, self.act, self.tol, (kkt[:, :n], kkt[:, n:]))
+        ok &= self.has_guess
         moved = np.logical_or.reduce(tight != self.act, axis=1)
         for i in (ok & moved).nonzero()[0].tolist():
             self._set_guess(i, frozenset(tight[i].nonzero()[0].tolist()))
@@ -629,8 +639,10 @@ def solve_qp(P, q, E=None, h=None, G=None, u=None, *, tol: float = 1e-9, max_ite
     """Solve one QP. See module docstring for the dual convention.
 
     ``E``/``h`` and ``G``/``u`` may be ``None`` or have no rows. Raises
-    ``NonPsdHessian`` for an indefinite Hessian and ``Infeasible`` when a
-    primal-infeasibility certificate is found; returns ``status="max_iter"``
-    (with the best iterate and its residuals) when the budget runs out.
+    ``NonPsdHessian`` for an indefinite Hessian, ``Infeasible`` when a
+    primal-infeasibility certificate is found and ``Unbounded`` for a QP
+    without rows whose gradient is outside the range of P; returns
+    ``status="max_iter"`` (with the best iterate and its residuals) when the
+    budget runs out.
     """
     return RepeatedQp(P, E, h, G, u, tol=tol, max_iter=max_iter).solve(q)

@@ -11,13 +11,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disqo.admm import (
     IterTrace,
     SolverParams,
     _finish_round,
     _linear_terms,
+    _own_couplings,
     _reductions,
+    _row,
     _schur_lift,
     _solve_agent,
     _subproblem_hessian,
@@ -40,7 +44,7 @@ P3 = build_graph(3, [(0, 1), (1, 2)])
 
 def agent_step(state, i, gamma, ell):
     """Agent i's subproblem solved on its own from the mixed estimates (one row per agent, or one row for all): its new full copy."""
-    return _solve_agent(state, i, _linear_terms(state, gamma, ell)[i])
+    return _solve_agent(state, i, _linear_terms(state, gamma, ell, _own_couplings(state, state.Y))[i])
 
 
 def star_problem():
@@ -603,8 +607,9 @@ def test_stacked_round_matches_per_agent_loops(mode, seed):
 def _per_agent_round(state):
     """One round with every subproblem solved on its own."""
     gamma, ell = communication_round_tracking(state.H, state.Lam, state.W)
+    own = _own_couplings(state, state.Y)
     Y_new = np.array([agent_step(state, i, gamma, ell) for i in range(state.n_agents)])
-    _finish_round(state, gamma, ell, Y_new)
+    _finish_round(state, gamma, ell, Y_new, own)
 
 
 def _desk_state(seed, mode="accelerated"):
@@ -633,6 +638,65 @@ def test_batched_round_matches_per_agent_solves(mode, make):
         assert batched._batch.guess == looped._batch.guess
     assert batched.warm_hits > batched.repairs
     assert batched.warm_hits + batched.repairs == 50 * batched.n_agents
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 40), mode=st.sampled_from(["plain", "accelerated"]))
+def test_the_stacked_round_is_the_per_agent_round(seed, mode):
+    # One product certifies the batch, one applies the Schur lift, and each
+    # copy's coupling is formed once: none of it may move the round off the
+    # per-agent one, or a trace row off the metrics of its state.
+    batched, looped = _desk_state(seed, mode), _desk_state(seed, mode)
+    for _ in range(30):
+        row = _row(batched, iterate(batched), 1.0)
+        _per_agent_round(looped)
+        for name in ("Y", "H", "Lam"):
+            np.testing.assert_allclose(getattr(batched, name), getattr(looped, name), rtol=1e-12, atol=1e-12)
+        assert batched._batch.guess == looped._batch.guess
+        want = metrics(batched, 1.0)
+        assert row.keys() == want.keys()
+        assert all(np.asarray(row[key]).tobytes() == np.asarray(want[key]).tobytes() for key in row)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_an_accelerated_copy_keeps_the_batchs_certified_block(seed):
+    # The lift writes w on the own block through identity rows of Kw and
+    # zero rows of Kq, so a certified candidate comes back bit for bit.
+    state = _desk_state(seed)
+    p, batch = state.problem, state._batch
+    solve_batch, seen = batch.solve, []
+
+    def spy(Q):
+        W, ok = solve_batch(Q)
+        seen.append((W.copy(), ok.copy()))
+        return W, ok
+
+    batch.solve = spy
+    for _ in range(30):
+        iterate(state)
+        W, ok = seen[-1]
+        for i in np.flatnonzero(ok):
+            np.testing.assert_array_equal(state.Y[i, p.block(i)], W[i, : p.dims[i]])
+    assert sum(int(ok.sum()) for _, ok in seen) == state.warm_hits > 0
+
+
+def test_the_accelerated_state_holds_each_lift_once():
+    state = _desk_state(0)
+    p = state.problem
+    N, n, b = p.n_agents, p.n_total, max(p.dims)
+    RKq, Kw = state._lift
+    assert RKq.shape == (N, b + n, n) and Kw.shape == (N, n, b)
+    for i in range(N):
+        _, R, Kw_i, Kq = _schur_lift(_subproblem_hessian(state, i), p.block(i))
+        b_i = p.dims[i]
+        np.testing.assert_array_equal(RKq[i, :b_i], R)
+        assert not RKq[i, b_i:b].any()
+        np.testing.assert_array_equal(RKq[i, b:], Kq)
+        np.testing.assert_array_equal(Kw[i, :, :b_i], Kw_i)
+    # No second copy of R or Kq, and the batch keeps its KKT matrices in
+    # place of P and G.
+    assert not [a.shape for a in vars(state).values() if isinstance(a, np.ndarray) and a.shape in {(N, b, n), (N, n, n)}]
+    assert not hasattr(state._batch, "P") and not hasattr(state._batch, "G")
 
 
 def test_batched_round_repairs_an_agent_whose_active_set_changes():

@@ -9,9 +9,10 @@ import pytest
 import scipy.optimize
 
 from disqo.admm import SolverParams, solve as admm_solve
-from disqo.errors import ConventionMismatch, DimensionMismatch, InfeasibleWithoutAgent, MaxIterReached
+from disqo.errors import ConventionMismatch, DimensionMismatch, InfeasibleWithoutAgent, MaxIterReached, Unbounded
 from disqo.graphs import build_graph, random_connected_graph
 from disqo.mechanisms import (
+    _vcg,
     misreport_portfolio,
     misreport_sweep,
     payments_csv,
@@ -371,6 +372,18 @@ def test_vcg_infeasible_without_agent():
         vcg_payments(inst.problem)
     with pytest.raises(InfeasibleWithoutAgent, match="without agent 0"):
         vcg_payments(build_instance(star_network([3.0], c0=1.0, d=4.0), R=1, L=2).problem)
+
+
+def test_vcg_reports_an_unbounded_drop_one_as_unbounded():
+    # Only an infeasible drop-one market means the market needs the agent.
+    p = ex3_instance().problem
+    full = centralized_solve(p)
+
+    def unbounded(i):
+        raise Unbounded("objective is unbounded below")
+
+    with pytest.raises(Unbounded):
+        _vcg(p, "true", full.x, full.value, unbounded)
 
 
 def test_vcg_truthful_ir_across_instances():

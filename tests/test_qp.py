@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from disqo import qp as qp_module
-from disqo.errors import DimensionMismatch, Infeasible, NonPsdHessian
+from disqo.errors import DimensionMismatch, Infeasible, NonPsdHessian, Unbounded
 from disqo.qp import RepeatedQp, WarmBatch, _solve_reduced, _step_verdict, solve_qp
 
 from oracles import enumerate_box_qp, enumerate_qp, qp_value
@@ -94,7 +94,7 @@ def test_unconstrained_solve():
 
     # Singular P: bounded below exactly when q lies in its range.
     P = np.diag([1.0, 0.0])
-    with pytest.raises(Infeasible, match="unbounded"):
+    with pytest.raises(Unbounded, match="unbounded"):
         solve_qp(P=P, q=np.array([-1.0, 1.0]))
     sol = solve_qp(P=P, q=np.array([-1.0, 0.0]))
     assert_kkt(None, sol)
@@ -546,6 +546,55 @@ def test_warm_batch_takes_each_qps_own_first_step():
             assert own.iterations == 0 and batch.guess[i] == frozenset(own.active)
         else:
             assert batch.guess[i] == before[i]
+
+
+def test_warm_batch_judges_each_candidate_as_it_would_alone():
+    # The batch forms P x + G'alpha and G x in one product with its padded
+    # KKT matrices; its verdict and next guess must still be what
+    # _step_verdict gives each candidate on its own from P and G.
+    P, G, u = _bounded_sum_qp()
+    specs = [
+        (np.diag([1.0, 2.0]), *box_rows(2, np.zeros(2), np.ones(2))),  # x_1 at its upper bound, x_2 inside
+        (np.eye(3), *box_rows(3, np.zeros(3), np.ones(3))),  # every column inside
+        (np.diag([1.0, 0.0, 2.0]), *box_rows(3, -np.ones(3), np.ones(3))),  # no curvature on column 2
+        _box_qp(6),
+        (P, G, u),
+        _box_qp(4),  # left without a guess
+    ]
+    qps = [RepeatedQp(P, G=G, u=u) for P, G, u in specs]
+    batch = WarmBatch(qps)
+    rng = np.random.default_rng(2)
+    q0 = [np.array([-3.0, -1.0]), np.full(3, -0.5), np.array([-0.5, 0.0, 0.5]), rng.normal(size=6), np.array([-3.0, -3.0, -3.0, 4.0, 4.0])]
+    for i, qi in enumerate(q0):
+        assert batch.solve_one(i, qi).optimal
+    assert batch.has_guess.tolist() == [True] * 5 + [False]
+    q = [
+        np.array([0.5, -1.0]),  # the bound's multiplier turns negative
+        np.array([-0.5, -2.0, -0.5]),  # x_2 leaves its box
+        np.array([-0.5, 0.3, 0.5]),  # column 2 has no stationary point: the residual fails
+        q0[3] + rng.normal(size=6) * 1e-3,
+        q0[4] + rng.normal(size=5) * 1e-3,
+        rng.normal(size=4),
+    ]
+    before = list(batch.guess)
+    Q = np.zeros((len(qps), batch.n))
+    for i, qi in enumerate(q):
+        Q[i, : qi.size] = qi
+    X, ok = batch.solve(Q)
+    assert ok.tolist() == [False, False, False, True, True, False]
+    reasons = []
+    for i, qp in enumerate(qps[:5]):
+        L, c = qp.step_map(before[i])
+        x, alpha = np.split(L @ q[i] + c, [qp.n])
+        act = np.isin(np.arange(qp.mi), sorted(before[i]))
+        alone = _step_verdict(qp.P, q[i], qp.E, qp.h, qp.G, qp.u, x, np.zeros(0), alpha, act, batch.tol)
+        np.testing.assert_allclose(X[i, : qp.n], x, rtol=1e-12, atol=1e-12)
+        assert ok[i] == alone[0]
+        assert batch.guess[i] == (frozenset(alone[5].nonzero()[0].tolist()) if alone[0] else before[i])
+        reasons.append(alone)
+    assert reasons[0][1] and not reasons[0][2]  # drop only
+    assert reasons[1][2] and not reasons[1][1]  # add only
+    assert not (reasons[2][1] or reasons[2][2]) and reasons[2][4]["stationarity"] > 0.1  # a failed residual
 
 
 def test_warm_batch_rejects_equality_rows():
