@@ -33,9 +33,10 @@ update an adjacency product.
 
 The subproblems themselves are batched too, in both modes. A round computes
 every agent's linear term q_i and hands them to one ``qp.WarmBatch``. The
-batch owns each agent's guess, the tight set of the agent's last certified
-answer; it takes every guessed first polish step together, certifies each by
-the rule the agent's own solve would apply, and keeps the accepted points.
+batch owns each agent's guess: a hit keeps its guess; a repair sets it, to the
+tight set of the agent's certified answer. The batch takes every guessed first
+polish step together, certifies each by the rule the agent's own solve would
+apply, and keeps the accepted points.
 Plain mode batches the full-copy QPs on q_i directly: it stays the reference
 the accelerated mode is checked against. In accelerated mode each agent's
 Schur reduction is one static lift of q_i: Psi_i = R_i q_i is the reduced QP's
@@ -273,7 +274,8 @@ def _build_subproblems(state: SolverState) -> None:
     if accelerated:
         N, n, b = p.n_agents, p.n_total, max(p.dims)
         state._lift = RKq, Kw = np.zeros((N, b + n, n)), np.zeros((N, n, b))
-    G_full, _ = p.local_stacked()
+    else:
+        G_full, _ = p.local_stacked()
     qps = []
     for i, poly in enumerate(p.local):
         blk, b_i = p.block(i), p.dims[i]

@@ -6,13 +6,14 @@
 The solver runs an operator-splitting (ADMM) iteration and, at regular
 intervals, "polishes" the current active-set guess by solving the reduced KKT
 equality system directly. A polished point is accepted only when every KKT
-residual (stationarity, primal feasibility, dual nonnegativity, complementary
-slackness) passes the requested tolerance, which is what makes the returned
-duals reliable enough to price with. That is the one acceptance rule: a
-solve is ``optimal`` only by a polish step that ``_step_verdict`` certified
-(or, without variables, by a feasible empty point), never by a splitting
-iterate. The last iteration of a budget is polished too; a spent budget
-returns ``max_iter`` with the best iterate.
+residual (stationarity, primal feasibility, complementary slackness) passes
+the requested tolerance, which is what makes the returned duals reliable
+enough to price with; ``alpha >= 0`` holds by the polish dropping each row
+with a negative multiplier and by clamping. That is the one acceptance rule:
+a solve is ``optimal`` only by a polish step that ``_step_verdict``
+certified (or, without variables, by a feasible empty point), never by a
+splitting iterate. The last iteration of a budget is polished too; a spent
+budget returns ``max_iter`` with the best iterate.
 
 Rows of ``G`` with a single nonzero entry are simple bounds. An active bound
 fixes its variable instead of adding a multiplier row, so the polish solves a
@@ -36,7 +37,8 @@ The splitting iteration's x-update is solved through the n x n matrix
 inequality rows (OSQP's reduced system: Stellato et al., Math. Prog. Comp.
 12, 2020, section 3.1): ``x~ = K^-1 (sigma x - q + C'(rho z - y))`` and
 ``z~ = C x~``. K is LU-factored when a solve first needs it, so a hit pays
-no factorization of it.
+no factorization of it. ``C`` is the only copy of the rows: ``E`` and ``G``
+are its row views.
 
 A solve is a function of its arguments: the linear term and an optional
 first guess at the active set, such as the tight rows of a nearby problem's
@@ -56,12 +58,13 @@ parent is.
 With the active set fixed, a polish step is affine in the linear term:
 ``RepeatedQp.step_map`` writes it out as a matrix by taking the polish's
 own step on the columns of the identity, and ``_step_verdict``, the rule a
-polish step is accepted by, judges a whole batch of candidates at once.
-``WarmBatch`` uses both to take the first polish steps of many QPs as one
-batch, each from its own guess; the batch owns those guesses (see ``admm``).
-It keeps each QP's stacked KKT matrix ``M = [[P, G'], [G, 0]]`` (the form of
-OSQP's polish), so that one batched product ``M [x; alpha]`` gives the two
-products the rule reads, ``P x + G'alpha`` and ``G x``.
+polish step is accepted by, judges a whole batch of candidates at once from
+the products its caller forms: a polish forms the stationarity only when no
+row must move. ``WarmBatch`` uses both to take the first polish steps of many
+QPs as one batch, each from its own guess; the batch owns those guesses (see
+``admm``). It keeps each QP's stacked KKT matrix ``M = [[P, G'], [G, 0]]``
+(the form of OSQP's polish), so that one batched product ``M [x; alpha]``
+gives the two products the rule reads, ``P x + G'alpha`` and ``G x``.
 
 Dual convention: a solution satisfies ``Px + q + E'lam + G'alpha = 0`` with
 ``alpha >= 0``. Callers that need the opposite sign on the equality dual flip
@@ -176,31 +179,17 @@ def _check_psd(P: np.ndarray) -> bool:
     return eigmin > margin
 
 
-def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``M @ v`` over the leading axes of ``v`` (and of ``M`` when it has them)."""
-    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
-
-
-def _vm(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``M' v`` over the leading axes of ``v`` (and of ``M`` when it has them)."""
-    return v @ M if M.ndim == 2 else (v[..., None, :] @ M)[..., 0, :]
-
-
-def _kkt_residuals(E, h, x, lam, alpha, viol, stat) -> dict[str, np.ndarray]:
-    """Maxima of the KKT residuals of (x, lam, alpha), given the row
-    violations ``viol = G x - u`` and the stationarity ``stat = P x + q +
-    G'alpha`` before its equality term: one value, or one per candidate when
-    the arguments carry a leading axis of candidates (and ``E`` one of
-    problems); see ``_step_verdict``."""
-    eq = 0.0
-    if E.shape[-2]:
-        stat = stat + _vm(lam, E)
-        eq = np.abs(_mv(E, x) - h).max(-1)
+def _kkt_residuals(stat, eq, viol, alpha) -> dict[str, np.ndarray]:
+    """Maxima of the KKT residuals of a point, given its stationarity
+    ``stat = P x + q + E'lam + G'alpha``, its largest equality miss ``eq =
+    max |E x - h|``, its row violations ``viol = G x - u`` and its
+    multipliers ``alpha``, clamped at zero: one value, or one per candidate
+    when the arguments carry a leading axis of candidates (see
+    ``_step_verdict``)."""
     return {
         "stationarity": _max(np.abs(stat), -1, initial=0.0),
         "eq_feasibility": eq,
         "ineq_feasibility": _max(viol, -1, initial=0.0),
-        "dual_nonneg": _max(-alpha, -1, initial=0.0),
         "comp_slack": _max(np.abs(alpha * viol), -1, initial=0.0),
     }
 
@@ -214,38 +203,34 @@ def _residuals_pass(res: dict[str, np.ndarray], tol: float) -> np.ndarray:
     return worst <= tol
 
 
-def _step_verdict(P, q, E, h, G, u, x, lam, alpha, act: np.ndarray, tol: float, kkt=None):
-    """The acceptance rule of one polish step on its candidate (x, lam, alpha).
+def _step_verdict(alpha, act: np.ndarray, viol, eq, tol: float, stationarity):
+    """The acceptance rule of one polish step on its candidate.
 
-    ``act`` masks the candidate's active rows, and ``alpha`` is zero off them.
-    The candidate arguments may carry a leading axis of candidates and the
-    problem matrices one of problems, so one call judges a whole batch. It
-    reads ``P x + G'alpha`` (at the clamped alpha) and ``G x``: as ``kkt``
-    when the caller formed them in one product, else from P and G.
-    Returns (ok, drop, add, alpha, res, tight):
+    The candidate is given by its multipliers ``alpha``, zero off the active
+    rows that ``act`` masks, its row violations ``viol = G x - u`` (minus
+    the slack) and its largest equality miss ``eq``; ``stationarity(alpha)``
+    forms ``P x + q + E'lam + G'alpha`` at the clamped ``alpha``. The
+    arguments may carry a leading axis of candidates, so one call judges a
+    whole batch. Returns (ok, drop, add, alpha, res):
 
     - ``drop``: an active row's multiplier is below ``-drop_tol``;
     - ``add``: an inactive row's slack is below ``-drop_tol``;
     - ``ok``: neither, and every KKT residual of the point with its
       multipliers clamped at zero passes ``tol``;
-    - ``alpha`` clamped, its residuals ``res``, and ``tight``, the active
-      rows with a positive multiplier or a zero slack.
+    - ``alpha`` clamped, and its residuals ``res``.
 
     A single candidate that must drop or add a row gets ``None`` for
-    ``res`` and ``tight``, with no ``P x``: a repair step does not need them.
+    ``res`` without a call of ``stationarity``: a repair step does not need
+    it. A NaN multiplier survives the clamp and fails complementarity.
     """
     drop_tol = max(tol, 1e-11)
-    viol = (_mv(G, x) if kkt is None else kkt[1]) - u  # minus the slack
     drop = _min(alpha, -1, initial=0.0) < -drop_tol  # alpha is zero off the active rows
     add = _max(np.where(act, -np.inf, viol), -1, initial=-np.inf) > drop_tol
     alpha = np.maximum(alpha, 0.0)
     if drop.ndim == 0 and (drop or add):
-        return False, drop, add, alpha, None, None
-    stat = _mv(P, x) + q + _vm(alpha, G) if kkt is None else kkt[0] + q
-    res = _kkt_residuals(E, h, x, lam, alpha, viol, stat)
-    ok = _residuals_pass(res, tol) & ~(drop | add)
-    tight = act & ((alpha > 0) | (viol >= -tol))
-    return ok, drop, add, alpha, res, tight
+        return False, drop, add, alpha, None
+    res = _kkt_residuals(stationarity(alpha), eq, viol, alpha)
+    return _residuals_pass(res, tol) & ~(drop | add), drop, add, alpha, res
 
 
 class RepeatedQp:
@@ -268,23 +253,22 @@ class RepeatedQp:
         integer(max_iter, "max_iter", 1)
         positive(tol, "tol")
         P, E, h, G, u = _normalize(P, E, h, G, u)
-        self._setup(P, E, h, G, u, _check_psd(P), tol, max_iter)
+        self._setup(P, np.vstack([E, G]), h, u, _check_psd(P), tol, max_iter)
 
-    def _setup(self, P, E, h, G, u, definite: bool, tol: float, max_iter: int) -> None:
-        """The set-up of checked arrays that ``__init__`` and ``_restrict`` share."""
-        self.P, self.E, self.h, self.G, self.u = P, E, h, G, u
+    def _setup(self, P, C, h, u, definite: bool, tol: float, max_iter: int) -> None:
+        """The set-up of checked arrays that ``__init__`` and ``_restrict``
+        share: ``C`` is the equality rows over the inequality rows."""
+        n, me, mi = P.shape[0], h.shape[0], u.shape[0]
+        self.P, self.C, self.h, self.u = P, C, h, u
+        self.E, self.G = C[:me], C[me:]
         self._definite = definite  # reduced systems are LU-factored only then
         self.tol = tol
         self.max_iter = max_iter
-        n = P.shape[0]
-        self.n = n
-        me, mi = E.shape[0], G.shape[0]
-        self.me, self.mi = me, mi
-        self.C = np.vstack([E, G]) if me + mi else _empty(n)
+        self.n, self.me, self.mi = n, me, mi
         self.rho = np.concatenate([np.full(me, _RHO_EQ_FACTOR * _RHO_INEQ), np.full(mi, _RHO_INEQ)])
         self._K_lu: tuple[np.ndarray, np.ndarray] | None = None  # see _x_update
         # Column of each simple-bound row (one nonzero entry in G), -1 elsewhere.
-        nonzero = G != 0
+        nonzero = self.G != 0
         single = nonzero.sum(axis=1) == 1
         self._bound_col = np.where(single, nonzero.argmax(axis=1), -1) if n else np.full(mi, -1)
         self._system: tuple[frozenset[int], _ReducedSystem] | None = None  # the last active set's
@@ -297,7 +281,8 @@ class RepeatedQp:
         happens to be definite keeps the least-squares polish."""
         qp = object.__new__(RepeatedQp)
         P = self.P.take(cols, 0).take(cols, 1)
-        qp._setup(P, self.E.take(cols, 1), self.h, self.G.take(rows, 0).take(cols, 1), self.u[rows], self._definite, self.tol, self.max_iter)
+        C = self.C.take(np.concatenate([np.arange(self.me), self.me + rows]), 0).take(cols, 1)
+        qp._setup(P, C, self.h, self.u[rows], self._definite, self.tol, self.max_iter)
         return qp
 
     def solve(self, q: np.ndarray, active=None) -> QpSolution:
@@ -330,7 +315,7 @@ class RepeatedQp:
     def _solve_empty(self) -> QpSolution:
         """No variables: the empty point is optimal when it is feasible (h = 0, u >= 0)."""
         x, lam, alpha = np.zeros(0), np.zeros(self.me), np.zeros(self.mi)
-        res = _kkt_residuals(self.E, self.h, x, lam, alpha, self.G @ x - self.u, np.zeros(0))
+        res = _kkt_residuals(np.zeros(0), _max(np.abs(self.h), initial=0.0), -self.u, alpha)
         if not _residuals_pass(res, self.tol):
             raise Infeasible("a QP without variables needs h = 0 and u >= 0")
         return QpSolution(x=x, lam=lam, alpha=alpha, status="optimal", iterations=0, active=(), residuals=res)
@@ -363,18 +348,21 @@ class RepeatedQp:
             if step is None:
                 return None
             x, lam, alpha = step
-            if self.me and _max(np.abs(E @ x - h)) > tol:  # no drop or add reaches the equality rows
+            eq = _max(np.abs(E @ x - h), initial=0.0)
+            if eq > tol:  # no drop or add reaches the equality rows
                 return None
 
-            ok, drop, add, alpha_c, res, tight = _step_verdict(P, q, E, h, G, u, x, lam, alpha, red.act_mask, tol)
+            viol = G @ x - u
+            ok, drop, add, alpha_c, res = _step_verdict(alpha, red.act_mask, viol, eq, tol, lambda a: P @ x + q + a @ G + lam @ E)
             if drop:  # the most negative multiplier
                 active = active - {int(np.argmin(alpha))}
                 continue
             if add:  # the most violated inactive row
-                active = active | {int(np.argmax(np.where(red.act_mask, -np.inf, G @ x - u)))}
+                active = active | {int(np.argmax(np.where(red.act_mask, -np.inf, viol)))}
                 continue
-            if ok:
-                return QpSolution(x=x, lam=lam, alpha=alpha_c, status="optimal", iterations=0, active=tuple(tight.nonzero()[0].tolist()), residuals=res)
+            if ok:  # its tight rows: the active ones with a positive multiplier or a zero slack
+                tight = red.act_mask & ((alpha_c > 0) | (viol >= -tol))
+                return QpSolution(x=x, lam=lam, alpha=alpha_c, status="optimal", iterations=0, active=tuple(np.flatnonzero(tight).tolist()), residuals=res)
             return None
         return None
 
@@ -502,10 +490,8 @@ class RepeatedQp:
         assert best is not None
         k, x, y, act_tol = best
         lam, alpha = y[:me], np.maximum(y[me:], 0.0)
-        return QpSolution(
-            x=x, lam=lam, alpha=alpha, status="max_iter", iterations=k, active=tuple(np.flatnonzero(alpha > act_tol).tolist()),
-            residuals=_kkt_residuals(self.E, h, x, lam, alpha, self.G @ x - self.u, self.P @ x + q + alpha @ self.G),
-        )
+        res = _kkt_residuals(self.P @ x + q + alpha @ self.G + lam @ self.E, _max(np.abs(self.E @ x - h), initial=0.0), self.G @ x - self.u, alpha)
+        return QpSolution(x=x, lam=lam, alpha=alpha, status="max_iter", iterations=k, active=tuple(np.flatnonzero(alpha > act_tol).tolist()), residuals=res)
 
     def _x_update(self, x: np.ndarray, z: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
         """The splitting iteration's ``x~ = K^-1 (sigma x - q + C'(rho z - y))``
@@ -541,15 +527,15 @@ class RepeatedQp:
 class WarmBatch:
     """``RepeatedQp``s whose first polish steps are taken as one batch.
 
-    The batch owns each QP's guess, ``guess[i]``: the tight set of the last
-    certified answer it gave for QP i (``None``, and ``has_guess[i]`` false,
-    before the first), and the step map (``RepeatedQp.step_map``) of that
-    guess; it keeps the KKT matrix ``M`` in place of P and G, all padded to
-    the largest QP. ``solve`` then evaluates every candidate with one batched
-    matmul and its products with one more, and judges them all at once by the
-    rule a polish accepts its first step by, at the smallest tolerance of the
-    QPs; ``solve_one`` solves one QP on its own from its guess. The batch
-    judges inequality rows only, so QPs with equality rows are rejected.
+    The batch owns each QP's guess, ``guess[i]`` (``None``, and
+    ``has_guess[i]`` false, before the first), and the step map
+    (``RepeatedQp.step_map``) of that guess; it keeps the KKT matrix ``M`` in
+    place of P and G, all padded to the largest QP. ``solve`` then evaluates
+    every candidate with one batched matmul and its products with one more,
+    and judges them all at once by the rule a polish accepts its first step
+    by, at the smallest tolerance of the QPs; ``solve_one`` solves one QP on
+    its own from its guess. A hit keeps its guess; a repair sets it. Only
+    inequality rows are judged, so QPs with equality rows are rejected.
     """
 
     def __init__(self, qps: list[RepeatedQp]):
@@ -588,20 +574,15 @@ class WarmBatch:
         """Take every QP's first polish step from its guess for its linear
         term, row i of ``Q`` zero-padded to the largest QP. Returns (X, ok):
         the candidate points, padded the same way, and the mask of the
-        accepted ones. An accepted QP's tight set is its next guess. A QP
-        without a guess is rejected, and a rejected QP keeps its guess for
-        ``solve_one``.
-        """
-        n, N = self.n, len(self.qps)
+        accepted ones. Every QP keeps its guess: an accepted candidate solved
+        its guess's rows as equalities, so they are its tight set. A QP
+        without a guess is rejected."""
+        n = self.n
         out = (self.L @ Q[..., None])[..., 0] + self.c
-        X, alpha = out[:, :n], out[:, n:]
-        kkt = (self.M @ np.maximum(out, self._floor)[..., None])[..., 0]  # [P x + G'alpha; G x]
-        ok, _, _, _, _, tight = _step_verdict(None, Q, _empty(n), np.zeros(0), None, self.u, X, np.zeros((N, 0)), alpha, self.act, self.tol, (kkt[:, :n], kkt[:, n:]))
-        ok &= self.has_guess
-        moved = np.logical_or.reduce(tight != self.act, axis=1)
-        for i in (ok & moved).nonzero()[0].tolist():
-            self._set_guess(i, frozenset(tight[i].nonzero()[0].tolist()))
-        return X, ok
+        kkt = (self.M @ np.maximum(out, self._floor)[..., None])[..., 0]  # [P x + G'alpha; G x] at the clamped alpha
+        # No equality rows, and the product already holds the clamped alpha's stationarity.
+        ok = _step_verdict(out[:, n:], self.act, kkt[:, n:] - self.u, 0.0, self.tol, lambda _: kkt[:, :n] + Q)[0]
+        return out[:, :n], ok & self.has_guess
 
     def solve_one(self, i: int, q: np.ndarray) -> QpSolution:
         """QP i's own solve for the linear term ``q``, from its guess. An

@@ -72,6 +72,18 @@ def twin_agent_problem():
     )
 
 
+def dense_coupling_problem():
+    """Three agents on a box each, coupled by dense blocks of non-unit entries."""
+    rng = np.random.default_rng(3)
+    dims = (3, 4, 3)
+    n = sum(dims)
+    agents = []
+    for dim in dims:
+        M = rng.normal(size=(n, n))
+        agents.append((M.T @ M / n + np.eye(n), rng.normal(size=n), np.vstack([np.eye(dim), -np.eye(dim)]), np.ones(2 * dim)))
+    return assemble_problem(agents, [rng.uniform(0.3, 2.0, size=(3, dim)) for dim in dims], rng.uniform(-1.0, 1.0, size=3))
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 
@@ -286,6 +298,18 @@ def test_accelerated_subproblem_matches_plain():
         assert z.shape[0] == inst.problem.n_total - inst.problem.dims[i]
 
 
+@pytest.mark.parametrize("mode, stacks", [("plain", 1), ("accelerated", 0)])
+def test_only_plain_set_up_stacks_the_local_rows(mode, stacks, monkeypatch):
+    # Accelerated subproblems keep each agent's own rows B_i; only plain ones
+    # take their rows from the block-diagonal stack over the full vector.
+    p = random_instance((4, 2, 3, 2), seed=1).problem
+    calls = []
+    stacked = type(p).local_stacked
+    monkeypatch.setattr(type(p), "local_stacked", lambda self: calls.append(self) or stacked(self))
+    init_state(p, random_connected_graph(4, np.random.default_rng(1)), SolverParams(mode=mode))
+    assert len(calls) == stacks
+
+
 def test_accelerated_unconstrained_step_is_schur_solve():
     p = twin_agent_problem()
     g = build_graph(2, [(0, 1)])
@@ -384,7 +408,11 @@ def _metrics_from_arrays(state, reference_value):
     """The trace row, by the textbook formula on each of the state's arrays."""
     p, Y = state.problem, state.Y
     first, second = np.triu_indices(state.n_agents, 1)
-    violation = float(np.linalg.norm(np.einsum("ikn,in->k", state.A_pad, Y) - p.d)) + 2.0 * float(np.linalg.norm(Y[first] - Y[second], axis=1).sum())
+    # The coupling gap is summed over the agents' rows A~_i y_i, one batched
+    # product, as admm sums it: einsum's own order of the sum differs in the
+    # last bits once a coupling row has several non-unit entries.
+    gap = np.add.reduce((state.A_pad @ Y[..., None])[..., 0], 0) - p.d
+    violation = float(np.linalg.norm(gap)) + 2.0 * float(np.linalg.norm(Y[first] - Y[second], axis=1).sum())
     total = sum(p.algorithmic[i].value(Y[i]) for i in range(state.n_agents))
     lambda_bar = state.Lam.mean(axis=0)
     eps1 = float(np.linalg.norm(state.H - state.H.mean(axis=0)))
@@ -410,19 +438,20 @@ def test_metrics_reflect_an_in_place_edit_after_a_round(name):
 @pytest.mark.parametrize("mode", ["plain", "accelerated"])
 def test_every_trace_row_is_the_metrics_of_its_state(mode):
     # the round may share work with metrics only if every row solve records
-    # is, bit for bit, what the state's own arrays give
-    p = random_instance((4, 2, 3, 2), seed=1).problem
-    g = random_connected_graph(4, np.random.default_rng(1))
+    # is, bit for bit, what the state's own arrays give; on the dense market
+    # the coupling rows have non-unit entries, so a sum's order shows
     params = SolverParams(mode=mode, max_iter=50, violation_tol=0.0, step_tol=0.0)
-    ref = centralized_solve(p).value
-    res = solve(p, g, params, reference_value=ref)
-    rows = [row[:-1] for row in res.trace.rows()]  # without wall_ms
-    assert len(rows) == 51
-    state = init_state(p, g, params)
-    assert rows[0] == _metrics_from_arrays(state, ref)
-    for row in rows[1:]:
-        iterate(state)
-        assert row == _metrics_from_arrays(state, ref)
+    for p in (random_instance((4, 2, 3, 2), seed=1).problem, dense_coupling_problem()):
+        g = random_connected_graph(p.n_agents, np.random.default_rng(1))
+        ref = centralized_solve(p).value
+        res = solve(p, g, params, reference_value=ref)
+        rows = [row[:-1] for row in res.trace.rows()]  # without wall_ms
+        assert len(rows) == 51
+        state = init_state(p, g, params)
+        assert rows[0] == _metrics_from_arrays(state, ref)
+        for row in rows[1:]:
+            iterate(state)
+            assert row == _metrics_from_arrays(state, ref)
 
 
 def test_metrics_initial_violation_is_demand_norm():

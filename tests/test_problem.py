@@ -477,6 +477,27 @@ def test_exclude_agent_rows_renumbers_the_rest(monkeypatch):
         problem_module._Market(p).solve_without(3, full((0,)))
 
 
+def test_market_qp_holds_its_rows_once(monkeypatch):
+    # The market QP keeps the coupling rows over the local rows as one array
+    # C, and so does each drop-one restriction: E and G are views of it, not
+    # copies (nor the caller's local_stacked() array).
+    p = random_instance((4, 2, 3, 2), seed=0).problem
+    market, full = problem_module._Market(p), centralized_solve(p)
+    restricted = []
+    optimum = problem_module._optimum
+    monkeypatch.setattr(problem_module, "_optimum", lambda qp, psi, active: restricted.append(qp) or optimum(qp, psi, active))
+    market.solve_without(1, full)
+    (qp,) = restricted
+    G, _ = p.local_stacked()
+    cols, rows = np.r_[0 : p.block(1).start, p.block(1).stop : p.n_total], np.r_[0 : p.rows(1).start, p.rows(1).stop : G.shape[0]]
+    np.testing.assert_array_equal(market.qp.E, p.stacked_A())
+    np.testing.assert_array_equal(market.qp.G, G)
+    np.testing.assert_array_equal(qp.E, p.stacked_A()[:, cols])
+    np.testing.assert_array_equal(qp.G, G[rows][:, cols])
+    for kernel in (market.qp, qp):
+        assert np.shares_memory(kernel.E, kernel.C) and np.shares_memory(kernel.G, kernel.C)
+
+
 def layout_problems():
     """blocks_problem, whose middle agent has no local rows, and random (4,2,3,2) markets."""
     return [blocks_problem()] + [random_instance((4, 2, 3, 2), seed=s).problem for s in (0, 1, 2)]

@@ -494,20 +494,24 @@ def test_step_verdict_judges_a_batch_like_each_candidate_alone():
     alpha[0] = sol.alpha
     # Candidate 1 is the solution of a shifted q: nothing to repair, but not stationary.
     act[1], x[1], q[1], alpha[1] = act[0], x[0], q[0] + 1e-3, alpha[0]
-    E, h, lam = np.zeros((0, n)), np.zeros(0), np.zeros((k, 0))
-    batch = _step_verdict(np.broadcast_to(P, (k, n, n)), q, E, h, G, u, x, lam, alpha, act, 1e-9)
+    calls = []
+
+    def verdict(x, q, alpha, act):  # the stationarity product counts its calls
+        return _step_verdict(alpha, act, x @ G.T - u, 0.0, 1e-9, lambda a: calls.append(x.ndim) or x @ P + q + a @ G)
+
+    batch = verdict(x, q, alpha, act)
     assert batch[0][0] and not batch[0][1:].any() and (batch[1] | batch[2]).any()
     assert not (batch[1][1] or batch[2][1]) and batch[4]["stationarity"][1] > 1e-4
     for j in range(k):
-        alone = _step_verdict(P, q[j], E, h, G, u, x[j], lam[j], alpha[j], act[j], 1e-9)
+        alone = verdict(x[j], q[j], alpha[j], act[j])
         for got, want in zip(batch[:4], alone[:4]):
             np.testing.assert_array_equal(got[j], want)
-        if alone[4] is None:  # a lone candidate due a repair step skips the rest
+        if alone[4] is None:  # a lone candidate due a repair step skips the rest, its stationarity product too
             assert alone[1] or alone[2]
             continue
-        np.testing.assert_array_equal(batch[5][j], alone[5])
         for name in alone[4]:
             np.testing.assert_allclose(np.broadcast_to(batch[4][name], (k,))[j], alone[4][name], rtol=1e-14, atol=1e-300)
+    assert calls == [2] + [1] * (k - int(np.sum(batch[1] | batch[2])))
 
 
 def _box_qp(n):
@@ -550,8 +554,8 @@ def test_warm_batch_takes_each_qps_own_first_step():
 
 def test_warm_batch_judges_each_candidate_as_it_would_alone():
     # The batch forms P x + G'alpha and G x in one product with its padded
-    # KKT matrices; its verdict and next guess must still be what
-    # _step_verdict gives each candidate on its own from P and G.
+    # KKT matrices; its verdict must still be what _step_verdict gives each
+    # candidate on its own from P and G, and every QP keeps its guess.
     P, G, u = _bounded_sum_qp()
     specs = [
         (np.diag([1.0, 2.0]), *box_rows(2, np.zeros(2), np.ones(2))),  # x_1 at its upper bound, x_2 inside
@@ -587,14 +591,55 @@ def test_warm_batch_judges_each_candidate_as_it_would_alone():
         L, c = qp.step_map(before[i])
         x, alpha = np.split(L @ q[i] + c, [qp.n])
         act = np.isin(np.arange(qp.mi), sorted(before[i]))
-        alone = _step_verdict(qp.P, q[i], qp.E, qp.h, qp.G, qp.u, x, np.zeros(0), alpha, act, batch.tol)
+        alone = _step_verdict(alpha, act, qp.G @ x - qp.u, 0.0, batch.tol, lambda a: qp.P @ x + q[i] + a @ qp.G)
         np.testing.assert_allclose(X[i, : qp.n], x, rtol=1e-12, atol=1e-12)
         assert ok[i] == alone[0]
-        assert batch.guess[i] == (frozenset(alone[5].nonzero()[0].tolist()) if alone[0] else before[i])
         reasons.append(alone)
+    assert batch.guess == before  # a hit keeps its guess; only solve_one sets one
     assert reasons[0][1] and not reasons[0][2]  # drop only
     assert reasons[1][2] and not reasons[1][1]  # add only
     assert not (reasons[2][1] or reasons[2][2]) and reasons[2][4]["stationarity"] > 0.1  # a failed residual
+
+
+def test_a_nan_multiplier_is_rejected(monkeypatch):
+    # Clamping keeps alpha >= 0 and lets a NaN through; complementarity
+    # rejects it, in a polish and in a batch alike.
+    G, u = box_rows(3, -np.ones(3), np.ones(3))
+    q = np.array([-2.0, 0.2, 0.1])  # x_0 rests on its upper bound, row 0
+    qps = [RepeatedQp(np.eye(3), G=G, u=u) for _ in range(2)]
+    guess = frozenset(qps[0].solve(q).active)
+    assert guess == {0} and qps[0]._polish(q, guess) is not None
+    step = RepeatedQp._step
+
+    def nan_on_row_0(self, red, q, s):
+        x, lam, alpha = step(self, red, q, s)
+        alpha[0] = np.nan
+        return x, lam, alpha
+
+    monkeypatch.setattr(RepeatedQp, "_step", nan_on_row_0)
+    assert qps[0]._polish(q, guess) is None
+    monkeypatch.undo()
+    batch = WarmBatch(qps)
+    for i in range(2):
+        assert batch.solve_one(i, q).optimal
+    Q = np.stack([q, q])
+    assert batch.solve(Q)[1].tolist() == [True, True]
+    batch.c[0, batch.n] = np.nan  # QP 0's multiplier of row 0
+    assert batch.solve(Q)[1].tolist() == [False, True]
+
+
+def test_residuals_are_the_four_kkt_maxima():
+    # alpha >= 0 holds by clamping, so no residual measures it: a polished
+    # answer, a spent budget and a QP without variables report the same four.
+    rng = np.random.default_rng(0)
+    M = rng.normal(size=(6, 6))
+    spec = dict(P=M.T @ M + 0.5 * np.eye(6), q=rng.normal(size=6), E=np.ones((1, 6)), h=np.ones(1))
+    spec["G"], spec["u"] = box_rows(6, -np.ones(6), np.ones(6))
+    polished, spent = solve_qp(**spec), solve_qp(**spec, tol=1e-300, max_iter=60)
+    empty = solve_qp(np.zeros((0, 0)), np.zeros(0), G=np.zeros((1, 0)), u=np.ones(1))
+    assert polished.optimal and spent.status == "max_iter" and empty.optimal
+    for sol in (polished, spent, empty):
+        assert list(sol.residuals) == ["stationarity", "eq_feasibility", "ineq_feasibility", "comp_slack"]
 
 
 def test_warm_batch_rejects_equality_rows():
