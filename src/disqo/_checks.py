@@ -1,8 +1,8 @@
 """The one copy of each rule for a number, an index, a vector, a symmetric
 matrix or a named choice disqo takes from outside. Every rule raises
-``DimensionMismatch`` naming the value, and no bool passes as a number or an
-index. An index rule checks the type alone: the caller checks the range, so
-an agent out of range raises ``UnknownAgent``."""
+``DimensionMismatch`` naming the value; no bool passes as a number or an
+index, and no string as a number. An index rule checks the type alone: the
+caller checks the range, so an agent out of range raises ``UnknownAgent``."""
 
 import numpy as np
 
@@ -49,9 +49,19 @@ def number(value, name: str) -> float:
     return float(value)
 
 
+def floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array of its own shape. Outside an ndarray no
+    entry may be a bool or a string, which numpy reads as 1.0 or parses."""
+    if not isinstance(value, np.ndarray):
+        wrong = [v for v in np.asarray(value, object).ravel() if isinstance(v, (bool, np.bool_, str))]
+        if wrong:
+            raise DimensionMismatch(f"{name} must hold numbers, never a bool or a string, got {wrong[0]!r}")
+    return np.asarray(value, float)
+
+
 def finite(array, name: str):
-    """``array`` when every entry is finite."""
-    if not np.all(np.isfinite(array)):
+    """``array`` when every entry is finite (and a number, by ``floats``)."""
+    if not np.all(np.isfinite(floats(array, name))):
         raise DimensionMismatch(f"{name} must be finite, got a value that is not finite")
     return array
 
@@ -59,7 +69,7 @@ def finite(array, name: str):
 def vector(value, name: str, length: int | None = None) -> np.ndarray:
     """``value`` as a flat float array, when it has ``length`` entries (any
     number when None) and every entry is finite."""
-    array = np.asarray(value, float).ravel()
+    array = floats(value, name).ravel()
     if length is not None and array.shape[0] != length:
         raise DimensionMismatch(f"{name} has length {array.shape[0]}, expected {length}")
     return finite(array, name)

@@ -133,13 +133,12 @@ class IterTrace:
     lambda_bar: list[np.ndarray] = field(default_factory=list)
     wall_ms: list[float] = field(default_factory=list)
 
-    def append(self, it, rel, viol, e1, e2, lbar, wall):
-        self.iters.append(int(it))
-        self.rel_error.append(float(rel))
-        self.violation.append(float(viol))
-        self.eps1_norm.append(float(e1))
-        self.eps2_norm.append(float(e2))
-        self.lambda_bar.append(np.array(lbar, float))
+    def append(self, row: dict, wall: float) -> None:
+        """Record a ``metrics`` row and its round's wall time in ms."""
+        self.iters.append(int(row["iter"]))
+        for name in ("rel_error", "violation", "eps1_norm", "eps2_norm"):
+            getattr(self, name).append(float(row[name]))
+        self.lambda_bar.append(np.array(row["lambda_bar"], float))
         self.wall_ms.append(float(wall))
 
     def __len__(self) -> int:
@@ -517,7 +516,7 @@ def solve(
     t0 = clock()
     row = metrics(state, reference_value)
     state.phase_s["metrics_s"] += clock() - t0
-    trace.append(row["iter"], row["rel_error"], row["violation"], row["eps1_norm"], row["eps2_norm"], row["lambda_bar"], 0.0)
+    trace.append(row, 0.0)
 
     converged = False
     for _ in range(params.max_iter):
@@ -526,7 +525,7 @@ def solve(
         t1 = clock()
         row = _row(state, reduced, reference_value)
         state.phase_s["metrics_s"] += clock() - t1
-        trace.append(row["iter"], row["rel_error"], row["violation"], row["eps1_norm"], row["eps2_norm"], row["lambda_bar"], (t1 - t0) * 1e3)
+        trace.append(row, (t1 - t0) * 1e3)
         # The step is read only once the violation passes: until then it cannot stop the run.
         if row["violation"] <= params.violation_tol and float(np.max(np.abs(state.Y - state.Y_prev))) <= params.step_tol:
             converged = True

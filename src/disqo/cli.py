@@ -37,8 +37,9 @@ never a float or a bool; a seed is at least 0, a scale's N at least 2 and
 its M, K and R at least 1. A delta, a star cost or spoke/trunk entry, ``c0``
 and ``d`` are finite JSON numbers, never a bool or a string; a star's ``c``
 is a list, with one ``spoke_costs`` pair per cost when given. Every other
-number must be finite (a ``null`` pair capacity is no limit). Commands and
-``validate`` apply the library's rules.
+number (an instance file's arrays and ``c0``, a ``reports`` cost list) is
+finite and never a bool or a string (a ``null`` pair capacity is no limit).
+Commands and ``validate`` apply the library's rules.
 
 All emitted CSVs are byte-stable across reruns of the same config and seed,
 except the ``wall_ms`` trace column, which records measured time. The
@@ -55,8 +56,6 @@ import functools
 import json
 import os
 import sys
-
-import numpy as np
 
 from ._checks import choice, index, integer, nonnegative, number
 from ._csv import write_csv
@@ -210,8 +209,7 @@ def _solver_params(config: dict, args) -> SolverParams:
 def _apply_reports(config: dict, instance: TransportInstance):
     """Plain problem, or the reported version when the config declares one."""
     if "reports" in config:
-        reports = {int(i): np.asarray(c, float) for i, c in config["reports"].items()}
-        return instance.with_reported_costs(reports)
+        return instance.with_reported_costs({int(i): c for i, c in config["reports"].items()})
     if "report_deltas" in config:
         deltas = {int(i): number(v, f"report_deltas[{i}]") for i, v in config["report_deltas"].items()}
         return instance.perturbed_reports(deltas)
@@ -247,6 +245,13 @@ def _mechanism_spec(config: dict) -> tuple[list[str], str]:
 def _out_path(config: dict, args) -> str:
     """The output directory, not created here: ``--out``, else ``out``, else '.'."""
     return os.fspath(getattr(args, "out", None) or config.get("out") or ".")
+
+
+def _output(config: dict, args, name: str) -> str:
+    """The path of the output file ``name``, its directory created."""
+    out = _out_path(config, args)
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +298,8 @@ def cmd_solve(args) -> int:
     problem = resolve(_apply_reports(config, instance), "reported")
     reference = centralized_solve(problem).value
     result = distributed_solve(problem, graph, params, reference_value=reference)
-    out = _out_path(config, args)
-    os.makedirs(out, exist_ok=True)
-    result.trace.to_csv(os.path.join(out, "trace.csv"))
-    _write_solution_csv(os.path.join(out, "solution.csv"), instance, problem, result)
+    result.trace.to_csv(_output(config, args, "trace.csv"))
+    _write_solution_csv(_output(config, args, "solution.csv"), instance, problem, result)
     print(f"converged={result.converged} iterations={result.iterations} mode={params.mode}")
     return 0 if result.converged else 2
 
@@ -306,9 +309,7 @@ def cmd_mechanism(args) -> int:
     instance, _ = _resolve_instance(config, base, args)
     problem = _apply_reports(config, instance)
     outcomes = settle(problem, *_mechanism_spec(config))
-    out = _out_path(config, args)
-    os.makedirs(out, exist_ok=True)
-    payments_csv(outcomes, os.path.join(out, "payments.csv"))
+    payments_csv(outcomes, _output(config, args, "payments.csv"))
     for outc in outcomes:
         print(f"{outc.mechanism}: total payout {outc.total_payout:.6g}")
     return 0
@@ -319,9 +320,7 @@ def cmd_misreport_sweep(args) -> int:
     instance, _ = _resolve_instance(config, base, args)
     agent, deltas = _sweep_spec(config, instance)
     result = misreport_sweep(instance, agent, deltas)
-    out = _out_path(config, args)
-    os.makedirs(out, exist_ok=True)
-    result.to_csv(os.path.join(out, "sweep.csv"))
+    result.to_csv(_output(config, args, "sweep.csv"))
     print(f"swept agent {agent} over {len(deltas)} delta(s)")
     return 0
 
@@ -331,9 +330,7 @@ def cmd_misreport_portfolio(args) -> int:
     instance, _ = _resolve_instance(config, base, args)
     cases, seed, magnitude = _portfolio_spec(config, args)
     result = misreport_portfolio(instance, cases, seed, magnitude=magnitude)
-    out = _out_path(config, args)
-    os.makedirs(out, exist_ok=True)
-    result.to_csv(os.path.join(out, "portfolio.csv"))
+    result.to_csv(_output(config, args, "portfolio.csv"))
     print(f"ran {cases} misreport case(s), seed {seed}")
     return 0
 

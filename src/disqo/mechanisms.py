@@ -12,14 +12,14 @@ the splitting system) and runs every solve of the call on it; ``settle``
 prices both mechanisms from one such market and one solve of it. Every
 drop-one solve of centralized VCG is the market's ``solve_without``, a
 principal restriction of its arrays started from the full optimum's tight
-local rows (distributed VCG runs the consensus solver on
-``exclude_agent``). Both mechanisms settle through ``_costs``, every agent's
-own cost on one side. The sweep and the portfolio price their reported
-problems through ``_misreport_benefits``, which solves the truthful market
-once and each report, which changes only the linear terms, on the same QP
-from its tight rows. A start that does not polish to a certified optimum is
-a miss, and its solve runs as one without a start (see ``qp``). No start is
-kept between solves. Both prices test the coupling dual by the one test,
+local rows (distributed VCG runs the consensus solver on ``exclude_agent``).
+Both mechanisms settle through ``_costs``, every agent's own cost on one
+side. The sweep and the portfolio price their reported problems through
+``_misreport_benefits``, which solves the truthful market once and each
+report from its total linear term on the same QP, started from the truthful
+tight rows. A start that does not polish to a certified optimum is a miss,
+and its solve runs as one without a start (see ``qp``). No start is kept
+between solves. Both prices test the coupling dual by the one test,
 ``problem.dual_residual``, in the sign it is given, and raise
 ``ConventionMismatch`` when it fails: a settlement (``sp_for_problem``)
 passes the solve's own certificate alpha, so its test is a product and no
@@ -50,6 +50,7 @@ from .problem import (
     CentralSolution,
     CoupledProblem,
     ReportedProblem,
+    _linear_total,
     _Market,
     centralized_solve,
     dual_residual,
@@ -289,9 +290,9 @@ def _misreport_benefits(instance, reports) -> tuple[CentralSolution, np.ndarray]
     true-cost benefit under shadow pricing of each reported problem in
     ``reports``, one row each. Every solve runs on one market; each reported
     solve starts from the truthful optimum's tight rows."""
-    market = _Market(instance.problem)
+    market, n = _Market(instance.problem), instance.problem.n_total
     truthful = market.solve()
-    rows = [sp_for_problem(r, solution=market.solve(resolve(r, "reported"), active=truthful.active)).benefits for r in reports]
+    rows = [sp_for_problem(r, solution=market.solve(_linear_total(r.reported.actual, n), active=truthful.active)).benefits for r in reports]
     return truthful, np.array(rows).reshape(len(rows), instance.problem.n_agents)
 
 
@@ -362,13 +363,12 @@ def misreport_portfolio(instance, n_cases: int, seed: int, magnitude: float = 0.
 
 
 def payments_csv(outcomes, path) -> None:
-    """Payment table with columns agent, mechanism, payment, true_cost,
-    net_cost, benefit; ``true_cost`` holds the costs at the outcome's
-    ``cost_basis``. Rows: every agent of each outcome in order, then one
-    ``total`` row per outcome (column sums), then, when both ShadowPricing and
-    VCG are present, a ``total,SP-VCG`` row of their differences."""
-    if isinstance(outcomes, MechanismOutcome):
-        outcomes = [outcomes]
+    """Payment table of the list ``outcomes``, with columns agent, mechanism,
+    payment, true_cost, net_cost, benefit; ``true_cost`` holds the costs at
+    the outcome's ``cost_basis``. Rows: every agent of each outcome in order,
+    then one ``total`` row per outcome (column sums), then, when both
+    ShadowPricing and VCG are present, a ``total,SP-VCG`` row of their
+    differences."""
     columns = lambda out: (out.payments, out.costs, out.net_costs, out.benefits)
     rows = [(i, out.mechanism, *(c[i] for c in columns(out))) for out in outcomes for i in range(out.n_agents)]
     rows += [("total", out.mechanism, *(c.sum() for c in columns(out))) for out in outcomes]

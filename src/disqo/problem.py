@@ -35,6 +35,7 @@ the objectives' own, and only the market QP forms the dense n x n total
 (``total_quadratic``, on each call). The centralized solves of one market
 share that QP (``_Market``): its total Hessian is proved PSD once, and
 ``centralized_solve``, the mechanisms and the generator's screens run on it.
+A report (``with_linear_terms``) reaches it as its total linear term alone.
 A drop-one solve restricts the market's arrays to the other agents instead
 of building ``exclude_agent``, with bit-identical answers.
 """
@@ -44,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -128,8 +129,7 @@ class QuadObjective:
         for o in objectives:
             D[at : at + o.D.shape[0], at : at + o.D.shape[0]] = o.D
             at += o.D.shape[0]
-        psi = reduce(np.add, (o.psi for o in objectives)) if objectives else np.zeros(n)
-        return QuadObjective(F, D, psi)
+        return QuadObjective(F, D, _linear_total(objectives, n))
 
 
 @dataclass(frozen=True)
@@ -440,29 +440,21 @@ class CentralSolution:
 class _Market:
     """One market's centralized QP, built once at the kernel's tolerance 1e-9:
     its total Hessian normalized and proved PSD by one ``eigvalsh``. Every
-    solve of a mechanism call runs on it: ``solve`` the market or a report
-    that changes only the linear terms, each a solve of the same QP with its
-    own guess; ``solve_without`` the market without one agent, as a
-    principal restriction of the market's arrays."""
+    solve of a mechanism call runs on it: ``solve`` the market or a report,
+    given the report's total linear term, each with its own guess;
+    ``solve_without`` the market without one agent, as a principal
+    restriction of the market's arrays."""
 
     def __init__(self, p: CoupledProblem):
         self.p = p
         sigma, self.psi = p.total_quadratic("actual")
         self.qp = RepeatedQp(sigma, p.stacked_A(), p.d, *p.local_stacked())
 
-    def solve(self, reported: CoupledProblem | None = None, active=None) -> CentralSolution:
-        """The optimum of the market, or of ``reported``: the market with
-        other linear terms, which must share its Hessians, coupling and local
-        rows (by identity, as ``CoupledProblem.with_linear_terms`` builds
-        it)."""
-        psi = self.psi
-        if reported is not None:
-            p = self.p
-            shared = reported.A is p.A and reported.d is p.d and reported.local is p.local and len(reported.actual) == len(p.actual)
-            if not (shared and all(r.F is o.F and r.D is o.D for r, o in zip(reported.actual, p.actual))):
-                raise ValueError("a report on a market may change only its linear terms")
-            psi = _linear_total(reported.actual, p.n_total)
-        return _optimum(self.qp, psi, active)
+    def solve(self, psi: np.ndarray | None = None, active=None) -> CentralSolution:
+        """The optimum of the market with the total linear term ``psi``: a
+        report's (``_linear_total`` of its actual objectives), or the
+        market's own when None."""
+        return _optimum(self.qp, self.psi if psi is None else psi, active)
 
     def solve_without(self, i: int, full: CentralSolution) -> CentralSolution:
         """The optimum of ``exclude_agent(p, i)``, started from the tight

@@ -110,12 +110,14 @@ def star_optimum(inst: StarInstance) -> StarOptimum:
     return _optimum_for_costs(inst, inst.c_norms)
 
 
-def _prices(inst: StarInstance, opt: StarOptimum) -> np.ndarray:
+def _priced(inst: StarInstance, opt: StarOptimum) -> tuple[np.ndarray, np.ndarray]:
+    """(prices, benefits) at ``opt``: each benefit is the price revenue minus
+    the agent's true cost."""
     pi = np.empty(inst.n)
     for i in range(inst.n):
         shipped = opt.x[i] if i in opt.active else 0.0
         pi[i] = opt.lam - inst.c0 * (inst.d - shipped)
-    return pi
+    return pi, np.array([pi[i] * opt.x[i] - _true_cost(inst, opt.x, i) for i in range(inst.n)])
 
 
 def _true_cost(inst: StarInstance, x: np.ndarray, i: int) -> float:
@@ -126,10 +128,7 @@ def _true_cost(inst: StarInstance, x: np.ndarray, i: int) -> float:
 
 
 def star_prices_utilities(inst: StarInstance) -> tuple[np.ndarray, np.ndarray]:
-    opt = star_optimum(inst)
-    pi = _prices(inst, opt)
-    benefits = np.array([pi[i] * opt.x[i] - _true_cost(inst, opt.x, i) for i in range(inst.n)])
-    return pi, benefits
+    return _priced(inst, star_optimum(inst))
 
 
 def star_reported_outcome(inst: StarInstance, deltas: np.ndarray) -> StarReportOutcome:
@@ -147,8 +146,7 @@ def star_reported_outcome(inst: StarInstance, deltas: np.ndarray) -> StarReportO
     opt = _optimum_for_costs(inst, reported)
     if opt.active != truthful_active:
         raise ActiveSetChanged(f"reports change the shipping set {truthful_active} -> {opt.active}")
-    pi = _prices(inst, opt)
-    benefits = np.array([pi[i] * opt.x[i] - _true_cost(inst, opt.x, i) for i in range(inst.n)])
+    pi, benefits = _priced(inst, opt)
     return StarReportOutcome(deltas=deltas, x=opt.x, lam=opt.lam, pi=pi, benefits=benefits, active=opt.active)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, integer, vector
+from ._checks import finite, floats, integer, vector
 from .errors import DimensionMismatch, Infeasible, InvalidEdge, NoPathExists
 from .graphs import CommGraph, build_graph, random_connected_graph
 from .problem import CoupledProblem, ReportedProblem, _Market, assemble_problem
@@ -459,17 +459,17 @@ def network_to_dict(network: TransportNetwork, R: int, L: int, comm_edges=None) 
 def network_from_dict(data: dict) -> tuple[TransportNetwork, int, int, CommGraph | None]:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise DimensionMismatch(f"unsupported schema_version {data.get('schema_version')!r}")
-    cap = np.array([[np.inf if v is None else float(v) for v in row] for row in data["pair_capacity"]])
+    cap = [[np.inf if v is None else v for v in row] for row in data["pair_capacity"]]
     network = TransportNetwork(
         n_nodes=integer(data["n_nodes"], "n_nodes", 0),
         edges=tuple(tuple(e) for e in data["edges"]),
         suppliers=tuple(data["suppliers"]),
         demanders=tuple(data["demanders"]),
-        inventories=np.array(data["inventories"], float),
-        demands=np.array(data["demands"], float),
-        edge_costs=np.array(data["edge_costs"], float),
-        c0=float(data["c0"]),
-        pair_capacity=cap,
+        inventories=floats(data["inventories"], "inventories"),
+        demands=floats(data["demands"], "demands"),
+        edge_costs=floats(data["edge_costs"], "edge_costs"),
+        c0=float(finite(data["c0"], "c0")),
+        pair_capacity=floats(cap, "pair_capacity"),
     )
     comm = None
     if data.get("comm_edges") is not None:

@@ -622,7 +622,7 @@ def test_stacked_round_matches_per_agent_loops(mode, seed):
         Delta = state.Y - 0.5 * Y_old
         V_ref = V_old.copy()
         for i in range(4):
-            nbrs = g.neighbors(i)
+            nbrs = np.flatnonzero(g.adjacency()[i])
             V_ref[i] += sum(Delta[j] for j in nbrs) / len(nbrs) - 0.5 * Y_old[i]
         close(state.H, H_ref)
         close(state.V, V_ref)

@@ -213,6 +213,22 @@ def test_with_reported_costs_takes_an_integer_agent(market, kind):
         inst.with_reported_costs({i: costs})
 
 
+@pytest.mark.parametrize("wrong", [True, np.False_, "1.5"])
+def test_a_vector_from_a_list_holds_numbers_only(market, wrong):
+    # numpy reads a bool as 1.0 or 0.0 and parses a numeric string; an
+    # ndarray is taken as it is typed.
+    inst, p, sol = market
+    costs = inst.network.edge_costs[0].tolist()
+    costs[1] = wrong
+    with pytest.raises(DimensionMismatch, match="reported cost vector of agent 0 must hold numbers"):
+        inst.with_reported_costs({0: costs})
+    with pytest.raises(DimensionMismatch, match="x must hold numbers"):
+        eval_cost(p, 0, [wrong, *sol.x[1:]])
+    with pytest.raises(DimensionMismatch, match="route costs must hold numbers"):
+        StarInstance([2.0, wrong, 4.0], 1.0, 5.0)
+    assert StarInstance(np.array([2, 1, 4]), 1.0, 5.0).c_norms.tobytes() == np.array([2.0, 1.0, 4.0]).tobytes()
+
+
 def test_numpy_integers_and_lists_are_accepted_with_the_same_bits(market):
     inst, p, sol = market
     assert p.block(np.int64(2)) == p.block(2) and p.rows(np.int32(1)) == p.rows(1)

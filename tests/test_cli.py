@@ -702,6 +702,8 @@ def test_validate_fails_on_a_bad_value_in_any_section_a_command_reads(tmp_path, 
         ("misreport-portfolio", "portfolio", '{"cases": 2, "magnitude": NaN}', "portfolio spec"),
         ("misreport-portfolio", "portfolio", '{"cases": 2, "magnitude": 1e400}', "portfolio spec"),
         ("mechanism", "reports", '{"0": [NaN, 0.0, 0.0, 0.0]}', "reported costs"),
+        ("mechanism", "reports", '{"0": [true, 0.0, 0.0, 0.0]}', "reported costs"),  # was read as the cost 1.0
+        ("mechanism", "reports", '{"0": ["1.5", 0.0, 0.0, 0.0]}', "reported costs"),  # was parsed as 1.5
         ("solve", "solver", '{"violation_tol": Infinity, "step_tol": Infinity}', "solver params"),
         ("solve", "solver", '{"violation_tol": NaN}', "solver params"),
         ("solve", "solver", '{"sigma": NaN}', "solver params"),
@@ -731,6 +733,12 @@ def test_misreport_numbers_that_cannot_work_fail_validate_and_exit_one(tmp_path,
         pytest.param(lambda d: d["edge_costs"][0].__setitem__(0, math.nan), "edge_costs must be finite", id="nan-edge-cost"),
         pytest.param(lambda d: d["demands"][0].__setitem__(0, math.inf), "demands must be finite", id="infinite-demand"),
         pytest.param(lambda d: d.update(c0=math.nan), "c0 must be finite", id="nan-c0"),
+        # a bool was read as 1.0 and a numeric string parsed
+        pytest.param(lambda d: d.update(c0="1.5"), "c0 must hold numbers", id="string-c0"),
+        pytest.param(lambda d: d.update(c0=True), "c0 must hold numbers", id="bool-c0"),
+        pytest.param(lambda d: d["demands"][0].__setitem__(0, "1"), "demands must hold numbers", id="string-demand"),
+        pytest.param(lambda d: d["edge_costs"][1].__setitem__(2, True), "edge_costs must hold numbers", id="bool-edge-cost"),
+        pytest.param(lambda d: d["pair_capacity"][0].__setitem__(0, False), "pair_capacity must hold numbers", id="bool-pair-capacity"),
         pytest.param(lambda d: d.update(R=2.9), "R must be an integer", id="fractional-R"),  # was truncated to 2
         pytest.param(lambda d: d.update(R=True), "R must be an integer", id="bool-R"),  # was a one-route market
         pytest.param(lambda d: d["comm_edges"][0].__setitem__(0, 0.9), "edge endpoint must be an integer", id="fractional-comm-edge"),

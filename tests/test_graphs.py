@@ -16,7 +16,7 @@ from disqo.graphs import (
 def test_build_graph_k2():
     g = build_graph(2, [(0, 1)])
     assert list(g.degrees) == [1, 1]
-    assert g.neighbors(0) == [1]
+    assert np.flatnonzero(g.adjacency()[0]).tolist() == [1]
 
 
 def test_build_graph_path():
@@ -181,6 +181,25 @@ def test_metropolis_invariants_property(graph_data):
     assert np.max(np.abs(w.sum(axis=1) - 1)) <= 1e-12
     assert np.max(np.abs(w.sum(axis=0) - 1)) <= 1e-12
     assert _spectral_gap(w) > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_metropolis_weights_are_the_per_edge_formula_bit_for_bit(graph_data):
+    # The reference counts degrees and weighs each edge in a loop over the
+    # edge list: w_ij = 1 / (2 max(deg_i, deg_j)), then w_ii = 1 - row sum.
+    n, edges = graph_data
+    deg = np.zeros(n, dtype=int)
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    ref = np.zeros((n, n))
+    for i, j in edges:
+        ref[i, j] = ref[j, i] = 1.0 / (2.0 * max(deg[i], deg[j]))
+    ref[np.diag_indices(n)] = 1.0 - ref.sum(axis=1)
+    g = build_graph(n, edges)
+    assert g.degrees.tolist() == deg.tolist()
+    assert metropolis_weights(g).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 13))

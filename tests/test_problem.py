@@ -583,18 +583,20 @@ def test_drop_one_restriction_equals_the_built_market_bitwise(monkeypatch):
         assert built == ([] if p is star or p.n_agents == 4 else [0, 0, 1, 1, 2, 2])
 
 
-def test_a_report_on_a_market_may_change_only_its_linear_terms():
+def test_a_report_solves_on_its_market_from_its_linear_term():
+    # A report changes only the linear terms, so the market's QP solves it
+    # from the report's total linear term, to the bits of the report's own
+    # solve (``centralized_solve``), with and without the truthful start.
     inst = random_instance((4, 2, 3, 2), seed=0)
-    p = inst.problem
-    market = problem_module._Market(p)
-    reported = inst.perturbed_reports({1: 0.5}).reported
-    ref = centralized_solve(inst.perturbed_reports({1: 0.5}), which="reported")
-    got = market.solve(reported)
-    assert got.x.tobytes() == ref.x.tobytes() and got.value == ref.value
-    copied = [[dataclasses.replace(o, **{name: getattr(o, name).copy()}) for o in p.actual] for name in ("F", "D")]
-    for other in (*(dataclasses.replace(p, actual=tuple(objs)) for objs in copied), dataclasses.replace(p, d=p.d.copy()), dataclasses.replace(p, local=tuple(list(p.local)))):
-        with pytest.raises(ValueError, match="only its linear terms"):
-            market.solve(other)
+    market, n = problem_module._Market(inst.problem), inst.problem.n_total
+    costs = inst.network.edge_costs
+    for report in (inst.perturbed_reports({1: 0.5}), inst.perturbed_reports({0: -0.3, 3: 0.2}), inst.with_reported_costs({2: 0.5 * costs[2]})):
+        for active in (None, centralized_solve(inst.problem).active):
+            ref = centralized_solve(report, which="reported") if active is None else problem_module._Market(report.reported).solve(active=active)
+            got = market.solve(problem_module._linear_total(report.reported.actual, n), active=active)
+            for name in ("x", "lam", "alpha"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert got.value == ref.value and got.active == ref.active
 
 
 def test_reported_problem_selection():
