@@ -40,12 +40,12 @@ apply, and keeps the accepted points.
 Plain mode batches the full-copy QPs on q_i directly: it stays the reference
 the accelerated mode is checked against. In accelerated mode each agent's
 Schur reduction is one static lift of q_i: Psi_i = R_i q_i is the reduced QP's
-linear term, and y_i = Kw_i w_i + Kq_i q_i its new copy from the own-block
+linear term, and y_i = R_i' w_i + Kq_i q_i its new copy from the own-block
 solution w_i, so the batch solves the reduced QPs on Psi_i and the accepted
-w_i are lifted back to copies. An agent the batch rejects (the check fails, or
-it has no guess yet) is solved on its own from its guess by the usual
-repairing QP solve (``WarmBatch.solve_one``), so every returned point is
-KKT-certified: a repair that ends uncertified raises ``MaxIterReached``.
+w_i are lifted back to copies by R_i'. An agent the batch rejects (the check
+fails, or it has no guess yet) is solved on its own from its guess by the
+usual repairing QP solve (``WarmBatch.solve_one``), so every returned point
+is KKT-certified: a repair that ends uncertified raises ``MaxIterReached``.
 ``SolverState`` and ``SolveResult.stats`` count both kinds.
 
 A round does each piece of work once, in five batched subproblem and
@@ -53,8 +53,9 @@ coupling products in plain mode: each copy's coupling A~_i y_i, the linear
 terms' A~_i' contraction, the batch's candidates and its one KKT product, and
 the new copies' couplings A~_i y_i', which give the eta update
 gamma_i + (A~_i y_i' - A~_i y_i) and the coupling gap sum_i A~_i y_i' - d.
-Accelerated mode adds the stacked lift [R_i; Kq_i] q_i and Kw_i w_i. Nothing
-is carried across rounds. ``iterate`` returns the checks' reductions, and
+Accelerated mode adds the stacked lift [R_i; Kq_i] q_i and R_i' w_i. The first
+estimates come from the same coupling and anchor products. Nothing is carried
+across rounds. ``iterate`` returns the checks' reductions, and
 ``solve`` builds each round's trace row from them; ``metrics`` reduces the
 arrays as they stand by the same float operations (a mean is a sum over
 agents divided by N), so each trace row is bitwise ``metrics`` of its state,
@@ -164,7 +165,6 @@ class SolverState:
     W: np.ndarray
     degrees: np.ndarray
     Y: np.ndarray  # (N, n) full copies
-    Y_prev: np.ndarray
     H: np.ndarray  # (N, n0) tracking estimates
     Lam: np.ndarray  # (N, n0) dual estimates
     V: np.ndarray  # (N, n) consensus anchors
@@ -180,11 +180,11 @@ class SolverState:
     phase_s: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     # One subproblem QP per agent, batched by one WarmBatch in both modes: over
     # the full copy in plain mode, over the own block in accelerated mode.
-    # There the agents' Schur lifts (see _schur_lift) are kept once, as
-    # ([R; Kq], Kw) zero-padded to the largest block b, so one product gives
-    # R q and Kq q: the round lifts all agents, and a repair agent i's slice.
+    # There the agents' Schur lifts (see _schur_lift) are kept once, as [R; Kq]
+    # with R zero-padded to the largest block b: one product gives R q and Kq q,
+    # R' lifts w back. The round lifts all agents, and a repair agent i's slice.
     _batch: WarmBatch | None = field(default=None, repr=False)
-    _lift: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _lift: np.ndarray | None = field(default=None, repr=False)
     # Per-agent columns of the anchor update, fixed by the graph: deg_i and
     # 1/2, and 1 and 0 for an agent without neighbours, whose anchor then
     # stays put.
@@ -197,7 +197,7 @@ class SolverState:
 
     def coupling_values(self) -> np.ndarray:
         """sum_i A~_i y_i over the agents' own copies."""
-        return np.add.reduce(_own_couplings(self, self.Y), 0)
+        return np.add.reduce(_own_couplings(self.A_pad, self.Y), 0)
 
     def own_block_x(self) -> np.ndarray:
         """Each agent's own block, taken from its own copy."""
@@ -206,10 +206,11 @@ class SolverState:
 
 def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, y0=None) -> SolverState:
     """Initial state: lam = 0, eta_i = A~_i y_i - d/N, v_i the average of the
-    edge midpoints at agent i. Default start is y_i = 0 when feasible for the
-    agent's own set, else a minimum-norm feasible point on the own block.
-    The solver optimizes the algorithmic decomposition, so it must sum to the
-    actual total objective (``DecompositionMismatch`` otherwise)."""
+    edge midpoints at agent i, each formed by the round's own products. The
+    default start is y_i = 0 when feasible for the agent's own set, else a
+    minimum-norm feasible point on the own block. The solver optimizes the
+    algorithmic decomposition, so it must sum to the actual total objective
+    (``DecompositionMismatch`` otherwise)."""
     if graph.n_agents != problem.n_agents:
         raise DimensionMismatch(f"graph has {graph.n_agents} agents, problem has {problem.n_agents}")
     for name, alg, act in zip(("Hessian", "linear term"), problem.total_quadratic("algorithmic"), problem.total_quadratic("actual")):
@@ -233,16 +234,10 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
 
     A_pad = np.zeros((N, problem.n_coupling, n))  # A~_i: A_i zero-padded to the full vector
     A_pad[problem.owner, :, np.arange(n)] = problem.stacked_A().T
-    H = np.einsum("ikn,in->ik", A_pad, Y) - problem.d / N
-
-    V = np.zeros((N, n))
-    deg = graph.degrees.astype(float)
-    for i, j in sorted(graph.edges):
-        mid = 0.5 * (Y[i] + Y[j])
-        V[i] += mid
-        V[j] += mid
+    adjacency = graph.adjacency().astype(float)
+    deg = adjacency.sum(axis=1)
     anchor_deg = np.where(deg > 0, deg, 1.0)[:, None]
-    V = np.where(deg[:, None] > 0, V / anchor_deg, Y)  # an agent without neighbours anchors at its copy
+    anchor_half = np.where(deg > 0, 0.5, 0.0)[:, None]
 
     first, second = np.triu_indices(N, 1)
     state = SolverState(
@@ -251,16 +246,15 @@ def init_state(problem: CoupledProblem, graph: CommGraph, params: SolverParams, 
         W=metropolis_weights(graph),
         degrees=deg,
         Y=Y,
-        Y_prev=np.array(Y),
-        H=H,
+        H=_own_couplings(A_pad, Y) - problem.d / N,
         Lam=np.zeros((N, problem.n_coupling)),
-        V=V,
+        V=Y + anchor_half * ((adjacency @ Y) / anchor_deg - Y),
         A_pad=A_pad,
         psi=np.stack([problem.algorithmic[i].psi for i in range(N)]),
-        adjacency=graph.adjacency().astype(float),
+        adjacency=adjacency,
         pair_diff=np.eye(N)[first] - np.eye(N)[second],
         _anchor_deg=anchor_deg,
-        _anchor_half=np.where(deg > 0, 0.5, 0.0)[:, None],
+        _anchor_half=anchor_half,
     )
     _build_subproblems(state)
     _check_identities(state)
@@ -272,7 +266,7 @@ def _build_subproblems(state: SolverState) -> None:
     accelerated = state.params.mode == "accelerated"
     if accelerated:
         N, n, b = p.n_agents, p.n_total, max(p.dims)
-        state._lift = RKq, Kw = np.zeros((N, b + n, n)), np.zeros((N, n, b))
+        state._lift = lift = np.zeros((N, b + n, n))
     else:
         G_full, _ = p.local_stacked()
     qps = []
@@ -280,36 +274,36 @@ def _build_subproblems(state: SolverState) -> None:
         blk, b_i = p.block(i), p.dims[i]
         P = _subproblem_hessian(state, i)
         if accelerated:
-            P, RKq[i, :b_i], Kw[i, :, :b_i], RKq[i, b:] = _schur_lift(P, blk)
+            P, lift[i, :b_i], lift[i, b:] = _schur_lift(P, blk)
         G = poly.B if accelerated else G_full[p.rows(i)]
         qps.append(RepeatedQp(P, G=G, u=poly.m, tol=_SUBPROBLEM_TOL))
     state._batch = WarmBatch(qps)
 
 
-def _schur_lift(P: np.ndarray, blk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _schur_lift(P: np.ndarray, blk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Agent i's subproblem reduced to its own block by partial minimization.
 
     The subproblem Hessian P never changes, so its partition into the own
     block (w) and the rest (z) is reduced once: with T = P_zz^-1 P_zw, the
     reduced Hessian is Phi = P_ww - P_wz T. The rest of the copy is then a
     static lift of w and the full linear term q: the reduced linear term is
-    R q = q_w - T' q_z, and the full copy y = Kw w + Kq q, which is w on the
-    own block and z = -(T w + P_zz^-1 q_z) on the rest. Returns (Phi, R, Kw, Kq).
+    R q = q_w - T' q_z, and the full copy y = R' w + Kq q, which is w on the
+    own block and z = -(T w + P_zz^-1 q_z) on the rest. Returns (Phi, R, Kq).
     """
     n = P.shape[0]
     own = np.arange(blk.start, blk.stop)
     rest = np.setdiff1d(np.arange(n), own)
-    R, Kw, Kq = np.zeros((own.size, n)), np.zeros((n, own.size)), np.zeros((n, n))
-    R[:, own] = Kw[own] = np.eye(own.size)
+    R, Kq = np.zeros((own.size, n)), np.zeros((n, n))
+    R[:, own] = np.eye(own.size)
     phi = P[np.ix_(own, own)]
     if rest.size:
         P_wz = P[np.ix_(own, rest)]
         cho = scipy.linalg.cho_factor(P[np.ix_(rest, rest)])
         T = scipy.linalg.cho_solve(cho, P_wz.T)
-        R[:, rest], Kw[rest] = -T.T, -T
+        R[:, rest] = -T.T
         Kq[np.ix_(rest, rest)] = -scipy.linalg.cho_solve(cho, np.eye(rest.size))
         phi = phi - P_wz @ T
-    return (phi + phi.T) / 2.0, R, Kw, Kq  # computed here: its rounding is no asymmetric input
+    return (phi + phi.T) / 2.0, R, Kq  # computed here: its rounding is no asymmetric input
 
 
 def communication_round_tracking(eta: np.ndarray, lam: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,9 +312,9 @@ def communication_round_tracking(eta: np.ndarray, lam: np.ndarray, W: np.ndarray
     return W @ eta, W @ lam
 
 
-def _own_couplings(state: SolverState, Y: np.ndarray) -> np.ndarray:
+def _own_couplings(A_pad: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """A~_i y_i for every agent, one row each, of the copies Y: one product."""
-    return (state.A_pad @ Y[..., None])[..., 0]
+    return (A_pad @ Y[..., None])[..., 0]
 
 
 def _linear_terms(state: SolverState, Gamma: np.ndarray, L: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -338,13 +332,10 @@ def _solve_agent(state: SolverState, i: int, q: np.ndarray) -> np.ndarray:
     Raises ``MaxIterReached`` when that solve ends without a certified point."""
     lift = state._lift
     b_i = state.problem.dims[i]
-    sol = state._batch.solve_one(i, q if lift is None else lift[0][i, :b_i] @ q)
+    sol = state._batch.solve_one(i, q if lift is None else lift[i, :b_i] @ q)
     if not sol.optimal:
         raise MaxIterReached(f"agent {i}'s subproblem in round {state.k + 1} ended {sol.status}, without a certified point")
-    if lift is None:
-        return sol.x
-    RKq, Kw = lift
-    return Kw[i, :, :b_i] @ sol.x + RKq[i, Kw.shape[2] :] @ q
+    return sol.x if lift is None else sol.x @ lift[i, :b_i] + lift[i, state._batch.n :] @ q  # R' w + Kq q
 
 
 def _subproblem_hessian(state: SolverState, i: int) -> np.ndarray:
@@ -363,7 +354,7 @@ def _reductions(state: SolverState, own: np.ndarray | None = None) -> tuple[np.n
     mean a sum over agents divided by N: what the identity checks compare and
     metrics reports. ``own`` holds the rows A~_i y_i when the caller has them."""
     N = state.n_agents
-    own = _own_couplings(state, state.Y) if own is None else own
+    own = _own_couplings(state.A_pad, state.Y) if own is None else own
     return np.add.reduce(own, 0) - state.problem.d, np.add.reduce(state.H, 0) / N, np.add.reduce(state.Lam, 0) / N
 
 
@@ -393,17 +384,16 @@ def iterate(state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     clock = time.perf_counter
     t0 = clock()
     gamma_all, l_all = communication_round_tracking(state.H, state.Lam, state.W)
-    own = _own_couplings(state, state.Y)
+    own = _own_couplings(state.A_pad, state.Y)
     Q = _linear_terms(state, gamma_all, l_all, own)
     t1 = clock()
     if state._lift is None:
         Y_new, certified = state._batch.solve(Q)
     else:
-        RKq, Kw = state._lift
-        b = Kw.shape[2]
-        lifted = (RKq @ Q[..., None])[..., 0]  # [R q; Kq q]
+        lift, b = state._lift, state._batch.n
+        lifted = (lift @ Q[..., None])[..., 0]  # [R q; Kq q]
         W, certified = state._batch.solve(lifted[:, :b])
-        Y_new = (Kw @ W[..., None])[..., 0] + lifted[:, b:]
+        Y_new = (W[:, None] @ lift[:, :b])[:, 0] + lifted[:, b:]  # R' w + Kq q
     t2 = clock()
     repair = np.flatnonzero(~certified)
     for i in repair:
@@ -425,7 +415,7 @@ def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, 
     recursion updates, the second exchange and the identity checks, whose
     reductions it returns."""
     Y = state.Y
-    own_new = _own_couplings(state, Y_new)
+    own_new = _own_couplings(state.A_pad, Y_new)
     H_new = gamma_all + (own_new - own)
     lam_old_mean = np.add.reduce(state.Lam, 0) / state.n_agents
     Lam_new = l_all + state.params.sigma * H_new
@@ -433,7 +423,6 @@ def _finish_round(state: SolverState, gamma_all: np.ndarray, l_all: np.ndarray, 
     # without neighbours adds 0/1 - 0*y_i, so its anchor stays where it is.
     V_new = state.V + ((state.adjacency @ (Y_new - 0.5 * Y)) / state._anchor_deg - state._anchor_half * Y)
 
-    state.Y_prev = Y
     state.Y, state.H, state.Lam, state.V = Y_new, H_new, Lam_new, V_new
     state.k += 1
     return _check_identities(state, own_new, lam_old_mean)
@@ -520,6 +509,7 @@ def solve(
 
     converged = False
     for _ in range(params.max_iter):
+        Y_old = state.Y  # a round binds new arrays to the state, so this keeps the old copies
         t0 = clock()
         reduced = iterate(state)
         t1 = clock()
@@ -527,7 +517,7 @@ def solve(
         state.phase_s["metrics_s"] += clock() - t1
         trace.append(row, (t1 - t0) * 1e3)
         # The step is read only once the violation passes: until then it cannot stop the run.
-        if row["violation"] <= params.violation_tol and float(np.max(np.abs(state.Y - state.Y_prev))) <= params.step_tol:
+        if row["violation"] <= params.violation_tol and float(np.max(np.abs(state.Y - Y_old))) <= params.step_tol:
             converged = True
             break
 

@@ -16,7 +16,7 @@ Config files are JSON with a ``schema_version`` field::
       "graph": {"edges": [[0, 1], [1, 2]]},         # optional; or {"seed": 3}, a seeded draw
       "solver": {"sigma": 1.0, "rho": 1.0, "max_iter": 2000,
                  "violation_tol": 1e-6, "step_tol": 1e-6, "mode": "plain"},
-      "report_deltas": {"0": -1.0},                 # optional misreports, or
+      "report_deltas": {"0": -1.0},                 # optional misreports, or (never both)
       "reports": {"0": [per-edge costs...]},        #   explicit reported costs
       "mechanisms": ["sp", "vcg"],
       "cost_basis": "true",                         # or "reported": the costs payments.csv's true_cost holds
@@ -30,16 +30,17 @@ The generator spec may instead be a star template with explicit costs:
 
 One rule picks every seed: ``--seed`` when given, else the section's own
 ``seed``, else the default (the generator's seed for the graph draw, else 0).
-Explicit ``graph.edges`` and an instance file's graph are data, not seeds.
-Integer values (scale, seeds, ``sweep.agent``, ``portfolio.cases``, an
-instance file's ``n_nodes``, ``R``, ``L`` and nodes) must be JSON integers,
-never a float or a bool; a seed is at least 0, a scale's N at least 2 and
-its M, K and R at least 1. A delta, a star cost or spoke/trunk entry, ``c0``
-and ``d`` are finite JSON numbers, never a bool or a string; a star's ``c``
-is a list, with one ``spoke_costs`` pair per cost when given. Every other
-number (an instance file's arrays and ``c0``, a ``reports`` cost list) is
-finite and never a bool or a string (a ``null`` pair capacity is no limit).
-Commands and ``validate`` apply the library's rules.
+Explicit ``graph.edges`` and an instance file's graph are data, not seeds; an
+edge is a pair of nodes. A report key is an agent index as JSON writes it
+(``"1"``, never ``"01"``, ``" 1"`` or ``"+1"``). Integer values (scale, seeds,
+``sweep.agent``, ``portfolio.cases``, an instance file's ``n_nodes``, ``R``,
+``L`` and nodes) must be JSON integers, never a float or a bool; a seed is at
+least 0, a scale's N at least 2 and its M, K and R at least 1. A delta, a star
+cost or spoke/trunk entry, ``c0`` and ``d`` are finite JSON numbers, never a
+bool or a string; a star's ``c`` is a list, with one ``spoke_costs`` pair per
+cost when given. Every other number (an instance file's arrays and ``c0``, a
+``reports`` cost list) is finite and never a bool or a string (a ``null`` pair
+capacity is no limit). Commands and ``validate`` apply the library's rules.
 
 All emitted CSVs are byte-stable across reruns of the same config and seed,
 except the ``wall_ms`` trace column, which records measured time. The
@@ -207,12 +208,18 @@ def _solver_params(config: dict, args) -> SolverParams:
 
 @_reads_config
 def _apply_reports(config: dict, instance: TransportInstance):
-    """Plain problem, or the reported version when the config declares one."""
+    """Plain problem, or the reported version when the config declares one
+    report section, keyed by agent indices as JSON writes them."""
+    if "reports" in config and "report_deltas" in config:
+        raise InvalidConfig("a config holds reports or report_deltas, not both")
+    section = config.get("reports", config.get("report_deltas", {}))
+    bad = [i for i in section if not (i.isascii() and i.isdigit() and str(int(i)) == i)]  # no sign, space or leading 0
+    if bad:
+        raise InvalidConfig(f"report keys {bad} are not agent indices")
     if "reports" in config:
-        return instance.with_reported_costs({int(i): c for i, c in config["reports"].items()})
+        return instance.with_reported_costs({int(i): c for i, c in section.items()})
     if "report_deltas" in config:
-        deltas = {int(i): number(v, f"report_deltas[{i}]") for i, v in config["report_deltas"].items()}
-        return instance.perturbed_reports(deltas)
+        return instance.perturbed_reports({int(i): number(v, f"report_deltas[{i}]") for i, v in section.items()})
     return instance.problem
 
 

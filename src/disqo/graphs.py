@@ -49,7 +49,9 @@ class CommGraph:
 def _normalize_edges(n_agents: int, edges) -> frozenset[tuple[int, int]]:
     normalized: set[tuple[int, int]] = set()
     for e in edges:
-        i, j = e[0], e[1]
+        if len(e) != 2:
+            raise InvalidEdge(f"edge {tuple(e)} is not a pair of nodes")
+        i, j = e
         if i == j:
             raise InvalidEdge(f"self-loop at node {i}")
         if not (0 <= i < n_agents and 0 <= j < n_agents):
@@ -81,8 +83,8 @@ def _is_connected(n_agents: int, edges: frozenset[tuple[int, int]]) -> bool:
 def build_graph(n_agents: int, edges) -> CommGraph:
     """Validate an edge list and return the communication graph.
 
-    Raises ``InvalidEdge`` for out-of-range/self-loop/duplicate edges and
-    ``DisconnectedGraph`` when the topology is not connected.
+    Raises ``InvalidEdge`` for a non-pair/out-of-range/self-loop/duplicate
+    edge and ``DisconnectedGraph`` when the topology is not connected.
     """
     if index(n_agents, "n_agents") < 1:
         raise InvalidEdge("need at least one agent")

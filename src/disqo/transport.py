@@ -81,9 +81,9 @@ class TransportNetwork:
         return len(self.edges)
 
     def validate(self) -> None:
-        for t, h in self.edges:
-            if not (0 <= t < self.n_nodes and 0 <= h < self.n_nodes) or t == h:
-                raise InvalidEdge(f"bad edge ({t},{h})")
+        for edge in self.edges:  # an edge is a pair of distinct nodes
+            if len(edge) != 2 or not all(0 <= v < self.n_nodes for v in edge) or edge[0] == edge[1]:
+                raise InvalidEdge(f"bad edge ({','.join(map(str, edge))})")
         outside = [v for v in (*self.suppliers, *self.demanders) if not 0 <= v < self.n_nodes]
         if outside:
             raise DimensionMismatch(f"supplier or demander node(s) {outside} outside [0, {self.n_nodes})")

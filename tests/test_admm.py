@@ -44,7 +44,7 @@ P3 = build_graph(3, [(0, 1), (1, 2)])
 
 def agent_step(state, i, gamma, ell):
     """Agent i's subproblem solved on its own from the mixed estimates (one row per agent, or one row for all): its new full copy."""
-    return _solve_agent(state, i, _linear_terms(state, gamma, ell, _own_couplings(state, state.Y))[i])
+    return _solve_agent(state, i, _linear_terms(state, gamma, ell, _own_couplings(state.A_pad, state.Y))[i])
 
 
 def star_problem():
@@ -178,6 +178,21 @@ def test_init_tracking_identity_holds():
     lhs = 3 * state.H.mean(axis=0)
     rhs = state.coupling_values() - inst.problem.d
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+def test_first_estimates_are_the_rounds_own_products(mode):
+    # eta_0 is the round's coupling product less d/N, and v_0 (y_i/2 plus
+    # half the neighbours' mean) comes from the round's anchor arrays, bit for
+    # bit. Dense non-unit couplings tell the product from other sum orders.
+    p = dense_coupling_problem()
+    y0 = np.tile(np.concatenate([np.full(3, 0.5), np.full(4, -0.25), np.full(3, 0.75)]), (3, 1))
+    y0 += np.random.default_rng(5).uniform(-0.2, 0.2, size=y0.shape)
+    state = init_state(p, P3, SolverParams(mode=mode), y0=y0)
+    np.testing.assert_array_equal(state.H, _own_couplings(state.A_pad, state.Y) - p.d / 3)
+    adj_mean = (state.adjacency @ state.Y) / state._anchor_deg
+    np.testing.assert_array_equal(state.V, state.Y + state._anchor_half * (adj_mean - state.Y))
+    np.testing.assert_allclose(state.V[1], (state.Y[0] + 2 * state.Y[1] + state.Y[2]) / 4, rtol=1e-15, atol=1e-15)
 
 
 def test_init_graph_size_mismatch():
@@ -331,17 +346,17 @@ def test_accelerated_unconstrained_step_is_schur_solve():
 
 @pytest.mark.parametrize("blk", [slice(0, 3), slice(2, 5), slice(4, 7)], ids=["first", "middle", "last"])
 def test_schur_lift_is_partial_minimization(blk):
-    # y = Kw w + Kq q keeps w on the own block and minimizes over the rest,
+    # y = R' w + Kq q keeps w on the own block and minimizes over the rest,
     # and the reduced gradient Phi w + R q is the full gradient on the block.
     rng = np.random.default_rng(11)
     n = 7
     M = rng.normal(size=(n, n))
     P = M.T @ M + np.eye(n)
-    Phi, R, Kw, Kq = _schur_lift(P, blk)
+    Phi, R, Kq = _schur_lift(P, blk)
     rest = np.setdiff1d(np.arange(n), np.arange(blk.start, blk.stop))
     for _ in range(5):
         q, w = rng.normal(size=n), rng.normal(size=blk.stop - blk.start)
-        y = Kw @ w + Kq @ q
+        y = R.T @ w + Kq @ q
         grad = P @ y + q
         np.testing.assert_allclose(y[blk], w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad[rest], 0.0, rtol=0, atol=1e-12)
@@ -636,7 +651,7 @@ def test_stacked_round_matches_per_agent_loops(mode, seed):
 def _per_agent_round(state):
     """One round with every subproblem solved on its own."""
     gamma, ell = communication_round_tracking(state.H, state.Lam, state.W)
-    own = _own_couplings(state, state.Y)
+    own = _own_couplings(state.A_pad, state.Y)
     Y_new = np.array([agent_step(state, i, gamma, ell) for i in range(state.n_agents)])
     _finish_round(state, gamma, ell, Y_new, own)
 
@@ -689,7 +704,7 @@ def test_the_stacked_round_is_the_per_agent_round(seed, mode):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_an_accelerated_copy_keeps_the_batchs_certified_block(seed):
-    # The lift writes w on the own block through identity rows of Kw and
+    # The lift writes w on the own block through identity columns of R and
     # zero rows of Kq, so a certified candidate comes back bit for bit.
     state = _desk_state(seed)
     p, batch = state.problem, state._batch
@@ -713,18 +728,19 @@ def test_the_accelerated_state_holds_each_lift_once():
     state = _desk_state(0)
     p = state.problem
     N, n, b = p.n_agents, p.n_total, max(p.dims)
-    RKq, Kw = state._lift
-    assert RKq.shape == (N, b + n, n) and Kw.shape == (N, n, b)
+    lift = state._lift
+    assert lift.shape == (N, b + n, n)
     for i in range(N):
-        _, R, Kw_i, Kq = _schur_lift(_subproblem_hessian(state, i), p.block(i))
+        _, R, Kq = _schur_lift(_subproblem_hessian(state, i), p.block(i))
         b_i = p.dims[i]
-        np.testing.assert_array_equal(RKq[i, :b_i], R)
-        assert not RKq[i, b_i:b].any()
-        np.testing.assert_array_equal(RKq[i, b:], Kq)
-        np.testing.assert_array_equal(Kw[i, :, :b_i], Kw_i)
-    # No second copy of R or Kq, and the batch keeps its KKT matrices in
-    # place of P and G.
-    assert not [a.shape for a in vars(state).values() if isinstance(a, np.ndarray) and a.shape in {(N, b, n), (N, n, n)}]
+        np.testing.assert_array_equal(lift[i, :b_i], R)
+        assert not lift[i, b_i:b].any()
+        np.testing.assert_array_equal(lift[i, b:], Kq)
+    # No second copy of R (its transpose lifts w back), Kq or the copies Y,
+    # and the batch keeps its KKT matrices in place of P and G.
+    shapes = [a.shape for a in vars(state).values() if isinstance(a, np.ndarray)]
+    assert not [s for s in shapes if s in {(N, b, n), (N, n, b), (N, n, n)}] and shapes.count((N, n)) == 3  # Y, V, psi
+    assert not hasattr(state, "Y_prev")
     assert not hasattr(state._batch, "P") and not hasattr(state._batch, "G")
 
 

@@ -681,6 +681,11 @@ def test_validate_accepts_good_config(tmp_path, capsys):
         ("sweep", {"agent": 9}, "sweep spec"),
         ("portfolio", {"cases": -1}, "portfolio spec"),
         ("solver", {"max_iter": True}, "solver params"),
+        # a report key is an agent index as JSON writes it; int() read each of these as agent 1
+        ("report_deltas", {"01": 1.0}, "reported costs (InvalidConfig: report keys ['01']"),
+        ("report_deltas", {"1": 2.0, "+1": 0.0}, "reported costs (InvalidConfig: report keys ['+1']"),  # the later key won
+        ("report_deltas", {"\u0661": 1.0}, "reported costs (InvalidConfig: report keys"),
+        ("reports", {" 1": [1.0, 1.0, 1.0, 1.0]}, "reported costs (InvalidConfig: report keys [' 1']"),
     ],
 )
 def test_validate_fails_on_a_bad_value_in_any_section_a_command_reads(tmp_path, capsys, section, value, check):
@@ -710,6 +715,11 @@ def test_validate_fails_on_a_bad_value_in_any_section_a_command_reads(tmp_path, 
         ("solve", "solver", '{"sigma": true}', "solver params"),
         ("solve", "solver", '{"rho": Infinity}', "solver params"),
         ("solve", "graph", '{"edges": [[0.9, 1], [1, 2]]}', "communication graph"),  # was read as the edge (0, 1)
+        ("solve", "graph", '{"edges": [[0, 1, 3], [1, 2]]}', "communication graph (InvalidEdge: edge (0, 1, 3) is not a pair"),  # was (0, 1)
+        ("solve", "graph", '{"edges": [[0], [1, 2]]}', "communication graph (InvalidEdge: edge (0,) is not a pair"),  # was an IndexError
+        ("mechanism", "report_deltas", '{"01": -0.5}', "reported costs (InvalidConfig: report keys"),  # was agent 1
+        ("mechanism", "report_deltas", '{"1_0": -0.5}', "reported costs (InvalidConfig: report keys"),  # was agent 10
+        ("mechanism", "reports", '{"+1": [1.0, 1.0, 1.0, 1.0]}', "reported costs (InvalidConfig: report keys"),  # was agent 1
         # a later "generator" key replaces the star default
         ("mechanism", "generator", '{"star": {"c": [3, NaN, 5]}}', "instance"),
         ("mechanism", "generator", '{"star": {"c": [3, 4, 5], "d": Infinity}}', "instance"),
@@ -760,11 +770,33 @@ def test_instance_with_a_supplier_outside_the_network_exits_one(tmp_path, capsys
 def test_instance_with_a_bad_edge_fails_validate(tmp_path, capsys):
     inst_file = tmp_path / "inst.json"
     main(["gen", "--scale", "4,2,3,2", "--seed", "7", "--out", str(inst_file)])
-    data = json.loads(inst_file.read_text())
-    data["edges"][0] = [0, 0]
-    inst_file.write_text(json.dumps(data))
-    assert main(["validate", "--config", str(inst_file)]) == 1
-    assert "FAIL: instance (InvalidEdge: bad edge (0,0))" in capsys.readouterr().out
+    text = inst_file.read_text()
+    # An edge is a pair: a comm edge (0, 1, 3) ran as (0, 1), and a network edge of 3 entries failed to unpack.
+    for field, edge, message in [
+        ("edges", [0, 0], "bad edge (0,0))"),
+        ("edges", [0, 1, 3], "bad edge (0,1,3))"),
+        ("comm_edges", [0, 1, 3], "edge (0, 1, 3) is not a pair of nodes)"),
+        ("comm_edges", [2], "edge (2,) is not a pair of nodes)"),
+    ]:
+        data = json.loads(text)
+        data[field][0] = edge
+        inst_file.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(inst_file)]) == 1
+        assert f"FAIL: instance (InvalidEdge: {message}" in capsys.readouterr().out
+        assert main(["solve", "--config", str(inst_file), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert message[:-1] in err and "Traceback" not in err
+
+
+def test_a_config_holds_one_report_section(tmp_path, capsys):
+    # With both, the deltas were dropped without a word.
+    cfg = write_config(tmp_path / "cfg.json", generator=STAR_GEN, reports={"0": [1.0, 1.0, 1.0, 1.0]}, report_deltas={"1": 0.5})
+    assert main(["validate", "--config", cfg]) == 1
+    assert "FAIL: reported costs (InvalidConfig: a config holds reports or report_deltas, not both)" in capsys.readouterr().out
+    assert main(["mechanism", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "not both" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_validate_accepts_bare_instance_file(tmp_path, capsys):

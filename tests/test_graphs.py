@@ -47,6 +47,14 @@ def test_build_graph_rejects_an_endpoint_that_is_not_an_integer(edge):
     assert build_graph(4, [(np.int64(0), 1), (1, 2), (2, 3)]).edges == {(0, 1), (1, 2), (2, 3)}
 
 
+@pytest.mark.parametrize("edge", [(0, 1, 3), (0,), (), [1, 2, 0]])
+def test_build_graph_rejects_an_edge_that_is_not_a_pair(edge):
+    # (0, 1, 3) used to be read as the edge (0, 1), and (0,) raised IndexError.
+    with pytest.raises(InvalidEdge, match="is not a pair of nodes"):
+        build_graph(4, [edge, (1, 2), (2, 3), (0, 3)])
+    assert build_graph(4, [[0, 1], [1, 2], [2, 3]]).edges == {(0, 1), (1, 2), (2, 3)}
+
+
 def test_build_graph_duplicate_edge():
     with pytest.raises(InvalidEdge):
         build_graph(2, [(0, 1), (1, 0)])

@@ -593,10 +593,10 @@ def test_nodes_outside_the_network_are_rejected(tmp_path, field, nodes):
         load_instance(path)
 
 
-@pytest.mark.parametrize("edge", [(0, 0), (0, 4), (-1, 3)])
+@pytest.mark.parametrize("edge", [(0, 0), (0, 4), (-1, 3), (0, 1, 3), (2,), ()])  # an edge that is not a pair failed to unpack
 def test_self_loops_and_edges_outside_the_network_are_invalid_edges(edge):
     net = star_network([1.0, 2.0])  # nodes 0-3
-    with pytest.raises(InvalidEdge, match="bad edge"):
+    with pytest.raises(InvalidEdge, match=f"bad edge \\({','.join(map(str, edge))}\\)"):
         build_instance(dataclasses.replace(net, edges=(edge, *net.edges[1:])), R=1)
 
 
