@@ -50,13 +50,16 @@ def number(value, name: str) -> float:
 
 
 def floats(value, name: str) -> np.ndarray:
-    """``value`` as a float array of its own shape. Outside an ndarray no
-    entry may be a bool or a string, which numpy reads as 1.0 or parses."""
-    if not isinstance(value, np.ndarray):
+    """``value`` as a float array of its own shape. Outside a numeric ndarray
+    no entry may be a bool or a string, which numpy reads as 1.0 or parses."""
+    if not isinstance(value, np.ndarray) or value.dtype == object:
         wrong = [v for v in np.asarray(value, object).ravel() if isinstance(v, (bool, np.bool_, str))]
         if wrong:
             raise DimensionMismatch(f"{name} must hold numbers, never a bool or a string, got {wrong[0]!r}")
-    return np.asarray(value, float)
+    try:
+        return np.asarray(value, float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{name} must be a number or a rectangular array of numbers") from exc
 
 
 def finite(array, name: str):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import index, integer
+from ._checks import index
 from .errors import DimensionMismatch, DisconnectedGraph, InvalidEdge
 
 __all__ = [
@@ -51,12 +51,11 @@ def _normalize_edges(n_agents: int, edges) -> frozenset[tuple[int, int]]:
     for e in edges:
         if len(e) != 2:
             raise InvalidEdge(f"edge {tuple(e)} is not a pair of nodes")
-        i, j = e
+        i, j = (int(index(v, "edge endpoint")) for v in e)  # before any comparison: this rejects 0.9, true and "0"
         if i == j:
             raise InvalidEdge(f"self-loop at node {i}")
         if not (0 <= i < n_agents and 0 <= j < n_agents):
             raise InvalidEdge(f"edge ({i},{j}) out of range for {n_agents} nodes")
-        i, j = (int(integer(v, "edge endpoint", 0)) for v in (i, j))  # in range by now: this rejects 0.9 and true
         key = (min(i, j), max(i, j))
         if key in normalized:
             raise InvalidEdge(f"duplicate edge {key}")

@@ -9,10 +9,10 @@ agent i's presence; it needs one solve per agent plus one with everyone.
 Each step has one path. A mechanism call builds its market's QP once
 (``problem._Market``: one Hessian sum, one PSD check, at most one factor of
 the splitting system) and runs every solve of the call on it; ``settle``
-prices both mechanisms from one such market and one solve of it. Every
-drop-one solve of centralized VCG is the market's ``solve_without``, a
-principal restriction of its arrays started from the full optimum's tight
-local rows (distributed VCG runs the consensus solver on ``exclude_agent``).
+prices both mechanisms from one such market and one solve of it. ``_vcg`` is
+the one drop-one loop (the generator's screen is a ``vcg_payments`` call):
+a centralized drop-one is the market's ``solve_without`` from the full
+optimum's tight rows; a distributed one runs consensus on ``exclude_agent``.
 Both mechanisms settle through ``_costs``, every agent's own cost on one
 side. The sweep and the portfolio price their reported problems through
 ``_misreport_benefits``, which solves the truthful market once and each

@@ -34,7 +34,7 @@ A problem holds only its objectives' factors: a total value or gradient adds
 the objectives' own, and only the market QP forms the dense n x n total
 (``total_quadratic``, on each call). The centralized solves of one market
 share that QP (``_Market``): its total Hessian is proved PSD once, and
-``centralized_solve``, the mechanisms and the generator's screens run on it.
+``centralized_solve`` and the mechanisms (the generator's VCG too) run on it.
 A report (``with_linear_terms``) reaches it as its total linear term alone.
 A drop-one solve restricts the market's arrays to the other agents instead
 of building ``exclude_agent``, with bit-identical answers.
@@ -440,10 +440,10 @@ class CentralSolution:
 class _Market:
     """One market's centralized QP, built once at the kernel's tolerance 1e-9:
     its total Hessian normalized and proved PSD by one ``eigvalsh``. Every
-    solve of a mechanism call runs on it: ``solve`` the market or a report,
-    given the report's total linear term, each with its own guess;
-    ``solve_without`` the market without one agent, as a principal
-    restriction of the market's arrays."""
+    solve of a mechanism call (the generator's screen is one) runs on it:
+    ``solve`` the market or a report, given its total linear term, each with
+    its own guess; ``solve_without`` the market without one agent, as a
+    principal restriction of the market's arrays."""
 
     def __init__(self, p: CoupledProblem):
         self.p = p

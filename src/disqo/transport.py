@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, floats, integer, vector
-from .errors import DimensionMismatch, Infeasible, InvalidEdge, NoPathExists
+from ._checks import finite, floats, index, integer, number, vector
+from .errors import DimensionMismatch, Infeasible, InfeasibleWithoutAgent, InvalidEdge, NoPathExists
 from .graphs import CommGraph, build_graph, random_connected_graph
-from .problem import CoupledProblem, ReportedProblem, _Market, assemble_problem
+from .mechanisms import vcg_payments
+from .problem import CoupledProblem, ReportedProblem, assemble_problem
 
 __all__ = [
     "TransportNetwork",
@@ -81,14 +82,16 @@ class TransportNetwork:
         return len(self.edges)
 
     def validate(self) -> None:
+        for v in (*self.suppliers, *self.demanders, *(v for edge in self.edges for v in edge)):
+            index(v, "a node index")  # before any comparison: this rejects 1.5, true, "0" and null
         for edge in self.edges:  # an edge is a pair of distinct nodes
             if len(edge) != 2 or not all(0 <= v < self.n_nodes for v in edge) or edge[0] == edge[1]:
                 raise InvalidEdge(f"bad edge ({','.join(map(str, edge))})")
         outside = [v for v in (*self.suppliers, *self.demanders) if not 0 <= v < self.n_nodes]
         if outside:
             raise DimensionMismatch(f"supplier or demander node(s) {outside} outside [0, {self.n_nodes})")
-        for v in (*self.suppliers, *self.demanders, *(v for edge in self.edges for v in edge)):
-            integer(v, "a node index", 0)  # each is in range by now: this rejects 1.5 and true
+        if self.demands.ndim != 2:  # n_commodities reads its second axis
+            raise DimensionMismatch(f"demands must be a (demander, commodity) table, got shape {self.demands.shape}")
         for name, shape in (("inventories", self.n_commodities), ("edge_costs", self.n_edges), ("pair_capacity", self.n_demanders)):
             if getattr(self, name).shape != (self.n_suppliers, shape):
                 raise DimensionMismatch(f"{name} has shape {getattr(self, name).shape}, expected ({self.n_suppliers}, {shape})")
@@ -346,8 +349,8 @@ def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c
     """Seeded random layered network at scale (N suppliers, M demanders,
     K commodities, R routes), returned as the instance built to screen it.
     Redraws (deterministically) until every demander is reachable by at
-    least two suppliers and the instance stays feasible even after removing
-    any single supplier: N is an integer of at least 2, M, K and R of at least 1."""
+    least two suppliers and VCG settles the draw (``vcg_payments``): N is
+    an integer of at least 2, M, K and R of at least 1."""
     N, M, K, R = (integer(v, f"scale {name}", least) for v, name, least in zip(scale, "NMKR", (2, 1, 1, 1), strict=True))
     for _ in range(_MAX_DRAWS):
         network = _draw_network(scale, rng, c0)
@@ -355,19 +358,14 @@ def random_network(scale: tuple[int, int, int, int], rng: np.random.Generator, c
             instance = build_instance(network, R=R, L=4)
         except NoPathExists:
             continue
-        # Coverage: every demand row needs at least two contributing suppliers,
+        # Coverage, the cheap early exit: each demand row needs two contributing suppliers,
         # or dropping one supplier could strand demand.
         paths = instance.paths
         if any(sum(1 for i in range(N) if paths.count(i, j) > 0) < 2 for j in range(M)):
             continue
-        # One market per draw; each drop-one screen starts from the full
-        # optimum's tight rows.
-        market = _Market(instance.problem)
-        try:
-            full = market.solve()
-            for i in range(N):
-                market.solve_without(i, full)
-        except Infeasible:
+        try:  # VCG settles the draw: the market and every drop-one market have an optimum
+            vcg_payments(instance.problem)
+        except (Infeasible, InfeasibleWithoutAgent):
             continue
         return instance
     raise Infeasible(f"no feasible draw at scale {scale} in {_MAX_DRAWS} tries")
@@ -459,7 +457,7 @@ def network_to_dict(network: TransportNetwork, R: int, L: int, comm_edges=None) 
 def network_from_dict(data: dict) -> tuple[TransportNetwork, int, int, CommGraph | None]:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise DimensionMismatch(f"unsupported schema_version {data.get('schema_version')!r}")
-    cap = [[np.inf if v is None else v for v in row] for row in data["pair_capacity"]]
+    cap = np.asarray(data["pair_capacity"], object)  # null is an uncapped pair
     network = TransportNetwork(
         n_nodes=integer(data["n_nodes"], "n_nodes", 0),
         edges=tuple(tuple(e) for e in data["edges"]),
@@ -468,8 +466,8 @@ def network_from_dict(data: dict) -> tuple[TransportNetwork, int, int, CommGraph
         inventories=floats(data["inventories"], "inventories"),
         demands=floats(data["demands"], "demands"),
         edge_costs=floats(data["edge_costs"], "edge_costs"),
-        c0=float(finite(data["c0"], "c0")),
-        pair_capacity=floats(cap, "pair_capacity"),
+        c0=number(finite(data["c0"], "c0"), "c0"),  # finite names a bool, a string or a NaN; number a list
+        pair_capacity=floats(np.where(np.equal(cap, None), np.inf, cap), "pair_capacity"),
     )
     comm = None
     if data.get("comm_edges") is not None:

@@ -216,17 +216,30 @@ def test_with_reported_costs_takes_an_integer_agent(market, kind):
 @pytest.mark.parametrize("wrong", [True, np.False_, "1.5"])
 def test_a_vector_from_a_list_holds_numbers_only(market, wrong):
     # numpy reads a bool as 1.0 or 0.0 and parses a numeric string; an
-    # ndarray is taken as it is typed.
+    # object ndarray is read as a list is, and any other as it is typed.
     inst, p, sol = market
     costs = inst.network.edge_costs[0].tolist()
     costs[1] = wrong
     with pytest.raises(DimensionMismatch, match="reported cost vector of agent 0 must hold numbers"):
         inst.with_reported_costs({0: costs})
-    with pytest.raises(DimensionMismatch, match="x must hold numbers"):
-        eval_cost(p, 0, [wrong, *sol.x[1:]])
+    for x in ([wrong, *sol.x[1:]], np.array([wrong, *sol.x[1:]], object)):
+        with pytest.raises(DimensionMismatch, match="x must hold numbers"):
+            eval_cost(p, 0, x)
+    assert eval_cost(p, 0, np.array(list(sol.x), object)) == eval_cost(p, 0, sol.x)
     with pytest.raises(DimensionMismatch, match="route costs must hold numbers"):
         StarInstance([2.0, wrong, 4.0], 1.0, 5.0)
     assert StarInstance(np.array([2, 1, 4]), 1.0, 5.0).c_norms.tobytes() == np.array([2.0, 1.0, 4.0]).tobytes()
+
+
+@pytest.mark.parametrize("wrong", [[[1.0], [1.0, 2.0]], [1.0, [2.0]], {"0": 1.0}, [{"0": 1.0}]])
+def test_a_value_numpy_cannot_read_as_a_float_array_is_named(market, wrong):
+    # A ragged list raised numpy's own ValueError and a dict a TypeError,
+    # neither of them a DisqoError.
+    inst, p, _ = market
+    with pytest.raises(DimensionMismatch, match="x must be a number or a rectangular array of numbers"):
+        eval_cost(p, 0, wrong)
+    with pytest.raises(DimensionMismatch, match="reported cost vector of agent 0 must be a number or a rectangular array"):
+        inst.with_reported_costs({0: wrong})
 
 
 def test_numpy_integers_and_lists_are_accepted_with_the_same_bits(market):

@@ -752,6 +752,17 @@ def test_misreport_numbers_that_cannot_work_fail_validate_and_exit_one(tmp_path,
         pytest.param(lambda d: d.update(R=2.9), "R must be an integer", id="fractional-R"),  # was truncated to 2
         pytest.param(lambda d: d.update(R=True), "R must be an integer", id="bool-R"),  # was a one-route market
         pytest.param(lambda d: d["comm_edges"][0].__setitem__(0, 0.9), "edge endpoint must be an integer", id="fractional-comm-edge"),
+        # each ended in an IndexError traceback or in Python's TypeError or ValueError text
+        pytest.param(lambda d: d.update(demands=[1.0, 2.0]), "demands must be a (demander, commodity) table", id="flat-demands"),
+        pytest.param(lambda d: d.update(demands=None), "demands must be a (demander, commodity) table", id="null-demands"),
+        pytest.param(lambda d: d["suppliers"].__setitem__(0, "0"), "a node index must be an integer, got '0'", id="string-supplier"),
+        pytest.param(lambda d: d["demanders"].__setitem__(0, None), "a node index must be an integer, got None", id="null-demander"),
+        pytest.param(lambda d: d["edges"].__setitem__(0, ["0", "1"]), "a node index must be an integer, got '0'", id="string-edge"),
+        pytest.param(lambda d: d["comm_edges"].__setitem__(0, [True, 1]), "edge endpoint must be an integer, got True", id="bool-comm-edge"),
+        pytest.param(lambda d: d["comm_edges"].__setitem__(0, ["0", "1"]), "edge endpoint must be an integer, got '0'", id="string-comm-edge"),
+        pytest.param(lambda d: d.update(pair_capacity=[1.0, 2.0]), "pair_capacity has shape (2,), expected (4, 2)", id="flat-pair-capacity"),
+        pytest.param(lambda d: d["edge_costs"].__setitem__(0, [1.0]), "edge_costs must be a number or a rectangular array", id="ragged-edge-costs"),
+        pytest.param(lambda d: d.update(c0=[]), "c0 must be a finite number, got []", id="list-c0"),
     ],
 )
 def test_instance_with_a_supplier_outside_the_network_exits_one(tmp_path, capsys, edit, message):

@@ -39,9 +39,11 @@ def test_build_graph_out_of_range():
         build_graph(2, [(0, 2)])
 
 
-@pytest.mark.parametrize("edge", [(0.9, 1), (0, 1.0), (True, 2), (np.float64(1.0), 2)])
+@pytest.mark.parametrize("edge", [(0.9, 1), (0, 1.0), (True, 2), (np.float64(1.0), 2), ("0", "1"), (None, 2), (True, 1), (1, True)])
 def test_build_graph_rejects_an_endpoint_that_is_not_an_integer(edge):
     # 0.9 used to be truncated to node 0; every endpoint is in range here.
+    # Each is read before any comparison: "0" and null raised a raw TypeError
+    # in the range test, and (true, 1) and (1, true) were self-loops.
     with pytest.raises(DimensionMismatch, match="edge endpoint must be an integer"):
         build_graph(4, [edge, (1, 2), (2, 3), (0, 3)])
     assert build_graph(4, [(np.int64(0), 1), (1, 2), (2, 3)]).edges == {(0, 1), (1, 2), (2, 3)}

@@ -4,10 +4,12 @@ objective decompositions, generators, and serialization."""
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
+from disqo import problem, transport
 from disqo.errors import DimensionMismatch, InvalidEdge, NoPathExists, UnknownAgent
 from disqo.mechanisms import misreport_sweep
 from disqo.problem import centralized_solve, eval_cost, exclude_agent
@@ -463,6 +465,31 @@ def test_saved_instances_are_pinned(tmp_path):
     assert digest.hexdigest() == "8b805bce0fa2e4f61297f4085c9323483c63bbc616d4b575ea63f73b176177b8"
 
 
+def test_each_screened_draw_is_settled_by_one_vcg_call(monkeypatch):
+    # The generator asks VCG itself: each draw that passes the coverage check
+    # is one vcg_payments call, and no drop-one solve runs outside one. At
+    # (3,2,2,2) seed 10 one draw is uncovered, and one has no drop-one optimum.
+    built, screened, drop_ones, inside = [], [], [], [False]
+    build, vcg, without = transport.build_instance, transport.vcg_payments, problem._Market.solve_without
+
+    def screen(p, *args, **kwargs):
+        screened.append(p)
+        inside[0] = True
+        try:
+            return vcg(p, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(transport, "build_instance", lambda *args, **kw: built.append(build(*args, **kw)) or built[-1])
+    monkeypatch.setattr(transport, "vcg_payments", screen)
+    monkeypatch.setattr(problem._Market, "solve_without", lambda market, i, full: drop_ones.append(inside[0]) or without(market, i, full))
+    inst = random_instance((3, 2, 2, 2), seed=10)
+    covered = [b.problem for b in built if all(sum(b.paths.count(i, j) > 0 for i in range(3)) >= 2 for j in range(2))]
+    assert len(built) == 3 and len(covered) == 2 and inst is built[-1]
+    assert [id(p) for p in screened] == [id(p) for p in covered]
+    assert drop_ones and all(drop_ones)
+
+
 def test_coupling_rows_match_demand_layout():
     inst = random_instance((3, 2, 2, 2), seed=5)
     p, net = inst.problem, inst.network
@@ -598,6 +625,43 @@ def test_self_loops_and_edges_outside_the_network_are_invalid_edges(edge):
     net = star_network([1.0, 2.0])  # nodes 0-3
     with pytest.raises(InvalidEdge, match=f"bad edge \\({','.join(map(str, edge))}\\)"):
         build_instance(dataclasses.replace(net, edges=(edge, *net.edges[1:])), R=1)
+
+
+@pytest.mark.parametrize("demands", [[1.0, 2.0], [], None, 3.0, [[[5.0]]]])
+def test_demands_that_are_not_a_table_are_named(demands):
+    # The commodity count is the table's second axis: a flat list raised
+    # IndexError, and a 3-D table was blamed on the inventories.
+    data = network_to_dict(star_network([1.0, 2.0]), 1, 2)
+    data["demands"] = demands
+    with pytest.raises(DimensionMismatch, match="demands must be a \\(demander, commodity\\) table"):
+        build_instance(network_from_dict(data)[0], R=1)
+    with pytest.raises(DimensionMismatch, match="demands must be a \\(demander, commodity\\) table"):
+        build_instance(dataclasses.replace(star_network([1.0, 2.0]), demands=np.array(demands, dtype=float)), R=1)
+
+
+@pytest.mark.parametrize("field, nodes", [("edges", (("0", "3"), (1, 3), (3, 2))), ("edges", ((True, 1), (1, 3), (3, 2))), ("suppliers", ("0", 1)), ("demanders", (None,))])
+def test_a_node_is_an_integer_before_it_is_compared(field, nodes):
+    # A string or null node reached a range test as a raw TypeError, and the
+    # edge (true, 1) was the bad edge (True,1).
+    net = dataclasses.replace(star_network([1.0, 2.0]), **{field: nodes})
+    with pytest.raises(DimensionMismatch, match="a node index must be an integer, got"):
+        build_instance(net, R=1)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("pair_capacity", [1.0, 2.0], "pair_capacity has shape (2,), expected (2, 1)"),  # was 'float' object is not iterable
+        ("pair_capacity", [[1.0], [None, 2.0]], "pair_capacity must be a number or a rectangular array of numbers"),
+        ("edge_costs", {"0": [1.0, 0.0, 0.0]}, "edge_costs must be a number or a rectangular array of numbers"),
+        ("c0", [], "c0 must be a finite number, got []"),  # was float() of a list
+    ],
+)
+def test_an_instance_value_that_is_no_float_table_is_named(field, value, message):
+    data = network_to_dict(star_network([1.0, 2.0]), 1, 2)
+    data[field] = value
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        build_instance(network_from_dict(data)[0], R=1)
 
 
 def test_unsupported_schema_rejected():
